@@ -90,6 +90,7 @@ def check_file(path: Path, mt: ModeTheory | None):
             return diags, checked
         if kernel is None:
             kernel = Kernel(mt, sig)
+        kernel.trace.clear()  # a diagnostic's trace explains its own failure
         try:
             _check_decl(kernel, d)
             checked += 1

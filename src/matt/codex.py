@@ -710,13 +710,12 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
                 smaps[t] = e.cat(q).comp(comparison, g[q].amap[mhat])
             obj = OplaxObject(r, tuple(sorted(comps.items())),
                               tuple(sorted(smaps.items())))
-            if obj not in tx_r.cat.arrows and obj not in tx_r.objects:
+            if obj not in tx_r.objects:
                 raise NotColax(f"dextrified object for {gobj} violates the "
                                "codex axioms")
             omap[gobj] = obj
         amap = {}
         for name, a in cx_r.cat.arrows.items():
-            th = theta_components(cx_r, name)
             comps = {mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
                      for mu in mus}
             amap[name] = _theta_name(tx_r, comps, omap[a.src], omap[a.dst])

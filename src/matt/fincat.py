@@ -479,13 +479,20 @@ def load_diagram(path) -> Diagram:
     from .mode_theory import load_mode_theory, validate_mode_theory
 
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    mt = load_mode_theory(path.parent / data["mode_theory"])
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        mt_path = path.parent / data["mode_theory"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise MalformedTable(f"diagram file is malformed: {e!r}") from None
+    mt = load_mode_theory(mt_path)
     report = validate_mode_theory(mt)
     if not report.ok:
         raise MalformedTable("diagram's mode theory fails validation: " +
                              "; ".join(v.axiom for v in report.violations))
-    return diagram_from_data(mt, data)
+    try:
+        return diagram_from_data(mt, data)
+    except (KeyError, TypeError, ValueError) as e:
+        raise MalformedTable(f"diagram file is malformed: {e!r}") from None
 
 
 def diagram_from_data(mt: ModeTheory, data: dict) -> Diagram:

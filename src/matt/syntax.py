@@ -9,12 +9,18 @@ Key transport follows the substitution calculus: applying a cell β at the
 final lock of a term's context whiskers β on the right each time the
 traversal crosses a lock inside the term, and whiskers on the left by the
 per-variable segment locks taken from the ambient context.
+
+The table SLOTS is the single statement of the lock discipline (Gratzer,
+Kavvos, Nuyts & Birkedal, "Multimodal Dependent Type Theory", LMCS 2021):
+for each node class it lists the sub-terms, the lock each sits under and
+the variable each binds.  `apply_key`, `subst` and `rename_var` all
+traverse terms through it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Union
 
 from .errors import ModeMismatch, NotTangible, UnknownConstant
@@ -270,6 +276,74 @@ def find_var(mt: ModeTheory, ctx: Context, name: str):
     return None
 
 
+# --- the lock discipline ----------------------------------------------------
+
+# node class -> its sub-term fields in constructor order, each as
+# (field, lock, binder field).  The lock is the node's own "mor", the
+# "dagger" of mor, the let-mod "frame", or None; a field under "param" is a
+# spine whose argument i sits under the constant's parameter i's mor.
+SLOTS = {
+    Lam: (("body", None, "var"),),
+    App: (("fn", None, None), ("arg", "mor", None)),
+    ModIntro: (("body", "mor", None),),
+    LetMod: (("motive", None, "yvar"), ("scrutinee", "frame", None),
+             ("body", None, "xvar")),
+    Shut: (("body", "dagger", None),),
+    Open: (("body", "mor", None),),
+    Const: (("args", "param", None),),
+    Pi: (("dom", "mor", None), ("cod", None, "var")),
+    FMod: (("ty", "mor", None),),
+    UMod: (("ty", "dagger", None),),
+    TConst: (("args", "param", None),),
+}
+
+
+def _lock_mor(mt: ModeTheory, sig: Signature, t, lock: str, i: int) -> str:
+    """The morphism of a lock named in SLOTS, for sub-term i of node t."""
+    if lock == "frame":
+        return t.frame
+    if lock == "param":
+        return sig.lookup(t.name).params[i].mor
+    assert t.mor is not None, "apply_key requires an elaborated term"
+    return mt.dagger(t.mor).dagger if lock == "dagger" else t.mor
+
+
+def children(t):
+    """(sub-term, lock, position, bound name or None) for each sub-term of a
+    node other than Var, in constructor order; an absent motive is skipped.
+
+    Callers recurse from a plain loop over this generator, not from a
+    comprehension or a callback, so a traversal costs one Python frame per
+    nesting level of the term and deep terms fit the recursion limit.
+    """
+    for name, lock, binder in SLOTS[type(t)]:
+        sub = getattr(t, name)
+        if lock == "param":
+            for i, a in enumerate(sub):
+                yield a, lock, i, None
+        elif sub is not None:
+            yield sub, lock, 0, getattr(t, binder) if binder else None
+
+
+def rebuild(t, new: list):
+    """t with its sub-terms replaced by `new`, listed in the order of
+    children(t); t itself when every sub-term is unchanged."""
+    changes = {}
+    k = 0
+    for name, lock, _ in SLOTS[type(t)]:
+        old = getattr(t, name)
+        if lock == "param":
+            sub = tuple(new[k:k + len(old)])
+            k += len(old)
+            if any(a is not b for a, b in zip(sub, old)):
+                changes[name] = sub
+        elif old is not None:
+            if new[k] is not old:
+                changes[name] = new[k]
+            k += 1
+    return replace(t, **changes) if changes else t
+
+
 # --- key transport and substitution ----------------------------------------
 
 def apply_key(mt: ModeTheory, sig: Signature, t, beta: str,
@@ -289,44 +363,13 @@ def _ak(mt, sig, t, c, la):
         if d is None:
             return t  # bound inside the transported term
         key = mt.vcomp(mt.wl(d, c), t.key)
-        return Var(t.name, key, t.span)
-    if isinstance(t, Lam):
-        return Lam(t.var, _ak(mt, sig, t.body, c, la), t.span)
-    if isinstance(t, App):
-        assert t.mor is not None, "apply_key requires an elaborated term"
-        return App(_ak(mt, sig, t.fn, c, la),
-                   _ak(mt, sig, t.arg, mt.wr(c, t.mor), la), t.mor, t.span)
-    if isinstance(t, ModIntro):
-        return ModIntro(t.mor, _ak(mt, sig, t.body, mt.wr(c, t.mor), la), t.span)
-    if isinstance(t, LetMod):
-        motive = _ak(mt, sig, t.motive, c, la) if t.motive is not None else None
-        return LetMod(t.frame, t.mor, t.yvar, motive,
-                      _ak(mt, sig, t.scrutinee, mt.wr(c, t.frame), la),
-                      t.xvar, _ak(mt, sig, t.body, c, la), t.span)
-    if isinstance(t, Shut):
-        dag = mt.dagger(t.mor).dagger
-        return Shut(t.mor, _ak(mt, sig, t.body, mt.wr(c, dag), la), t.span)
-    if isinstance(t, Open):
-        return Open(t.mor, _ak(mt, sig, t.body, mt.wr(c, t.mor), la), t.span)
-    if isinstance(t, Const):
-        decl = sig.lookup(t.name)
-        args = tuple(_ak(mt, sig, a, mt.wr(c, p.mor), la)
-                     for a, p in zip(t.args, decl.params))
-        return Const(t.name, args, t.span)
-    if isinstance(t, Pi):
-        return Pi(t.mor, t.var, _ak(mt, sig, t.dom, mt.wr(c, t.mor), la),
-                  _ak(mt, sig, t.cod, c, la), t.span)
-    if isinstance(t, FMod):
-        return FMod(t.mor, _ak(mt, sig, t.ty, mt.wr(c, t.mor), la), t.span)
-    if isinstance(t, UMod):
-        dag = mt.dagger(t.mor).dagger
-        return UMod(t.mor, _ak(mt, sig, t.ty, mt.wr(c, dag), la), t.span)
-    if isinstance(t, TConst):
-        decl = sig.lookup(t.name)
-        args = tuple(_ak(mt, sig, a, mt.wr(c, p.mor), la)
-                     for a, p in zip(t.args, decl.params))
-        return TConst(t.name, args, t.span)
-    raise TypeError(f"apply_key: unexpected node {t!r}")
+        return t if key == t.key else Var(t.name, key, t.span)
+    kids = []
+    for u, lock, i, _ in children(t):
+        cu = c if lock is None else \
+            mt.wr(c, _lock_mor(mt, sig, t, lock, i))
+        kids.append(_ak(mt, sig, u, cu, la))
+    return rebuild(t, kids)
 
 
 def subst(mt: ModeTheory, sig: Signature, body, name: str, repl,
@@ -343,31 +386,10 @@ def subst(mt: ModeTheory, sig: Signature, body, name: str, repl,
             if t.name == name:
                 return apply_key(mt, sig, repl, t.key, locks_after)
             return t
-        if isinstance(t, Lam):
-            return Lam(t.var, go(t.body), t.span)
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg), t.mor, t.span)
-        if isinstance(t, ModIntro):
-            return ModIntro(t.mor, go(t.body), t.span)
-        if isinstance(t, LetMod):
-            motive = go(t.motive) if t.motive is not None else None
-            return LetMod(t.frame, t.mor, t.yvar, motive, go(t.scrutinee),
-                          t.xvar, go(t.body), t.span)
-        if isinstance(t, Shut):
-            return Shut(t.mor, go(t.body), t.span)
-        if isinstance(t, Open):
-            return Open(t.mor, go(t.body), t.span)
-        if isinstance(t, Const):
-            return Const(t.name, tuple(go(a) for a in t.args), t.span)
-        if isinstance(t, Pi):
-            return Pi(t.mor, t.var, go(t.dom), go(t.cod), t.span)
-        if isinstance(t, FMod):
-            return FMod(t.mor, go(t.ty), t.span)
-        if isinstance(t, UMod):
-            return UMod(t.mor, go(t.ty), t.span)
-        if isinstance(t, TConst):
-            return TConst(t.name, tuple(go(a) for a in t.args), t.span)
-        raise TypeError(f"subst: unexpected node {t!r}")
+        kids = []
+        for u, _, _, _ in children(t):
+            kids.append(go(u))
+        return rebuild(t, kids)
 
     return go(body)
 
@@ -377,35 +399,9 @@ def rename_var(t, old: str, new: str):
     def go(u):
         if isinstance(u, Var):
             return Var(new, u.key, u.span) if u.name == old else u
-        if isinstance(u, Lam):
-            return u if u.var == old else Lam(u.var, go(u.body), u.span)
-        if isinstance(u, App):
-            return App(go(u.fn), go(u.arg), u.mor, u.span)
-        if isinstance(u, ModIntro):
-            return ModIntro(u.mor, go(u.body), u.span)
-        if isinstance(u, LetMod):
-            motive = u.motive
-            if motive is not None and u.yvar != old:
-                motive = go(motive)
-            body = u.body if u.xvar == old else go(u.body)
-            return LetMod(u.frame, u.mor, u.yvar, motive, go(u.scrutinee),
-                          u.xvar, body, u.span)
-        if isinstance(u, Shut):
-            return Shut(u.mor, go(u.body), u.span)
-        if isinstance(u, Open):
-            return Open(u.mor, go(u.body), u.span)
-        if isinstance(u, Const):
-            return Const(u.name, tuple(go(a) for a in u.args), u.span)
-        if isinstance(u, Pi):
-            dom = go(u.dom)
-            cod = u.cod if u.var == old else go(u.cod)
-            return Pi(u.mor, u.var, dom, cod, u.span)
-        if isinstance(u, FMod):
-            return FMod(u.mor, go(u.ty), u.span)
-        if isinstance(u, UMod):
-            return UMod(u.mor, go(u.ty), u.span)
-        if isinstance(u, TConst):
-            return TConst(u.name, tuple(go(a) for a in u.args), u.span)
-        raise TypeError(f"rename_var: unexpected node {u!r}")
+        kids = []
+        for v, _, _, bound in children(u):
+            kids.append(v if bound == old else go(v))
+        return rebuild(u, kids)
 
     return go(t)

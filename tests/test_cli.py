@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from matt.bundled import FIXTURES, theory_path
 from matt.cli import cmd_check, cmd_modes_validate, main
 
@@ -109,3 +111,48 @@ def test_trace_flag_adds_detail(capsys):
     err = capsys.readouterr().err
     assert "ERROR ConversionFailure" in err
     assert "trace:" in err
+
+
+def test_trace_scoped_to_its_declaration(tmp_path, capsys):
+    f = tmp_path / "two_failures.matt"
+    f.write_text("const A : Type @ p;\nconst A2 : Type @ p;\n"
+                 "const B : Type @ p;\nconst B2 : Type @ p;\n"
+                 "const a0 : A @ p;\nconst b0 : B @ p;\n"
+                 "def bad1 @ p : A2 = a0;\ndef bad2 @ p : B2 = b0;\n")
+    rc = main(["check", str(f), "--trace",
+               "--mode-theory", str(theory_path("trivial"))])
+    assert rc == 1
+    first, second = capsys.readouterr().err.split("ERROR ")[1:]
+    assert "A vs A2" in first
+    assert "B vs B2" in second and "A vs A2" not in second
+
+
+def _single_arrow_dg():
+    data = json.loads((FIXTURES / "diagrams" / "single_arrow.dg").read_text())
+    data["mode_theory"] = str(theory_path("single_arrow"))
+    return data
+
+
+def _without_categories():
+    data = _single_arrow_dg()
+    del data["categories"]
+    return json.dumps(data)
+
+
+def _functor_missing_object():
+    data = _single_arrow_dg()
+    del data["functors"]["mu"]["objects"]["1"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    _without_categories(),
+    '{"mode_theory": "single_arrow.mt", ',
+    _functor_missing_object(),
+], ids=["no-categories", "not-json", "functor-misses-object"])
+def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
+    f = tmp_path / "bad.dg"
+    f.write_text(text)
+    assert main(["sem", "laws", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"ERROR MalformedTable @ {f}:")

@@ -3,12 +3,14 @@
 import pytest
 
 from matt.bundled import theory_path
+from matt.cli import main
 from matt.errors import ModeMismatch, NotTangible
 from matt.mode_theory import load_mode_theory, mode_theory_from_data
-from matt.syntax import (Const, LockEntry, ModIntro, Signature, TConst, Var,
-                         apply_key, empty_context, find_var, locks_after_map,
-                         locks_of, mode_at, push_lock, push_var, rename_var,
-                         subst)
+from matt.syntax import (App, Const, ConstDecl, FMod, Lam, LetMod, LockEntry,
+                         ModIntro, Open, Param, Pi, Shut, Signature, TConst,
+                         UMod, Var, apply_key, empty_context, find_var,
+                         locks_after_map, locks_of, mode_at, push_lock,
+                         push_var, rename_var, subst)
 
 
 @pytest.fixture
@@ -153,8 +155,100 @@ def test_subst_transports_replacement(refl):
 
 
 def test_rename_var_respects_binders(refl):
-    from matt.syntax import Lam
     t = Lam("x", Var("x", "id:id:p"))
     assert rename_var(t, "x", "y") == t  # bound occurrence untouched
     u = Lam("z", Var("x", "id:id:p"))
     assert rename_var(u, "x", "y") == Lam("z", Var("y", "id:id:p"))
+
+
+# --- the lock each sub-term slot sits under -----------------------------------
+#
+# Over reflective.mt (mu -| nu, eta : id:p => numu), a variable v with
+# locks_after id:p is transported along eta at mode p.  Its new key is
+# (id:p ◁ c) ∘ key, where c is eta whiskered on the right by the slot's lock:
+#   no lock           c = eta:                      id:id:p  becomes eta
+#   numu              c = eta ▷ numu = id:numu:     eta      stays eta
+#   nu (also the      c = eta ▷ nu = id:nu:         id:nu    stays id:nu
+#   dagger of mu)
+# A wrong lock makes the vertical composite ill-typed or changes the key.
+
+B = TConst("B", ())
+a0, b0 = Const("a0", ()), Const("b0", ())
+
+
+def _lock_sig():
+    sig = Signature()
+    spine = (Param("x", "nu", B), Param("y", "id:p", A))
+    for name, mode, params, result in [
+            ("A", "p", (), None), ("B", "q", (), None),
+            ("a0", "p", (), A), ("b0", "q", (), B),
+            ("f", "p", spine, A), ("P", "p", spine, None)]:
+        sig.declare(ConstDecl(name, mode, params, result))
+    return sig
+
+
+SLOT_CASES = [
+    ("Lam.body", lambda v: Lam("x", v), "id:id:p", "eta"),
+    ("App.fn", lambda v: App(v, a0, "numu"), "id:id:p", "eta"),
+    ("App.arg", lambda v: App(a0, v, "numu"), "eta", "eta"),
+    ("ModIntro", lambda v: ModIntro("numu", v), "eta", "eta"),
+    ("LetMod.motive", lambda v: LetMod("nu", "mu", "y", v, b0, "x", a0),
+     "id:id:p", "eta"),
+    ("LetMod.scrutinee", lambda v: LetMod("nu", "mu", "y", A, v, "x", a0),
+     "id:nu", "id:nu"),
+    ("LetMod.body", lambda v: LetMod("nu", "mu", "y", A, b0, "x", v),
+     "id:id:p", "eta"),
+    ("Shut", lambda v: Shut("mu", v), "id:nu", "id:nu"),
+    ("Open", lambda v: Open("numu", v), "eta", "eta"),
+    ("Const.arg0", lambda v: Const("f", (v, a0)), "id:nu", "id:nu"),
+    ("Const.arg1", lambda v: Const("f", (b0, v)), "id:id:p", "eta"),
+    ("Pi.dom", lambda v: Pi("nu", "x", v, A), "id:nu", "id:nu"),
+    ("Pi.cod", lambda v: Pi("nu", "x", B, v), "id:id:p", "eta"),
+    ("FMod", lambda v: FMod("numu", v), "eta", "eta"),
+    ("UMod", lambda v: UMod("mu", v), "id:nu", "id:nu"),
+    ("TConst.arg0", lambda v: TConst("P", (v, a0)), "id:nu", "id:nu"),
+    ("TConst.arg1", lambda v: TConst("P", (b0, v)), "id:id:p", "eta"),
+]
+
+
+@pytest.mark.parametrize("build,key,expected", [c[1:] for c in SLOT_CASES],
+                         ids=[c[0] for c in SLOT_CASES])
+def test_apply_key_lock_of_each_slot(refl, build, key, expected):
+    out = apply_key(refl, _lock_sig(), build(Var("v", key)), "eta",
+                    {"v": "id:p"})
+    assert out == build(Var("v", expected))
+
+
+@pytest.mark.parametrize("build", [c[1] for c in SLOT_CASES],
+                         ids=[c[0] for c in SLOT_CASES])
+def test_subst_absent_name_returns_input(refl, build):
+    t = build(Var("v", "id:id:p"))
+    assert subst(refl, _lock_sig(), t, "ghost", a0, {"v": "id:p"}) == t
+
+
+def test_rename_var_respects_pi_and_let_mod_binders():
+    x, y = Var("x", "id:id:p"), Var("y", "id:id:p")
+    assert rename_var(Pi("id:p", "x", x, x), "x", "y") == Pi("id:p", "x", y, x)
+    bound_y = LetMod("id:p", "id:p", "x", x, x, "z", x)
+    assert rename_var(bound_y, "x", "y") == \
+        LetMod("id:p", "id:p", "x", x, y, "z", y)
+    bound_x = LetMod("id:p", "id:p", "z", x, x, "x", x)
+    assert rename_var(bound_x, "x", "y") == \
+        LetMod("id:p", "id:p", "z", y, y, "x", x)
+
+
+def test_apply_key_on_deep_term(tmp_path):
+    # the argument of mk is transported into P's index by apply_key, which
+    # recurses once per g; 300 deep fits the default recursion limit only
+    # if every traversal takes one Python frame per nesting level
+    t = "b0"
+    for _ in range(300):
+        t = f"g ({t})"
+    f = tmp_path / "deep.matt"
+    f.write_text("const B : Type @ q;\nconst b0 : B @ q;\n"
+                 "const g : (x : B) B @ q;\n"
+                 "const P : (u : U[mu] B) Type @ p;\n"
+                 "const mk : (u : U[mu] B) P u @ p;\n"
+                 f"def d @ p : P (shut[mu] {t}) = mk (shut[mu] {t});\n")
+    assert main(["check", str(f),
+                 "--mode-theory", str(theory_path("reflective"))]) == 0
