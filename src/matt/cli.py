@@ -60,6 +60,8 @@ def check_file(path: Path, mt: ModeTheory | None):
         decls = parse_program(path.read_text(encoding="utf-8"), filename)
     except MattError as e:
         return [_diag(e, filename)], 0
+    except (OSError, UnicodeDecodeError) as e:
+        return [Diagnostic("ParseError", filename, 0, 0, str(e))], 0
 
     sig = Signature()
     kernel = None

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from .errors import (CapExceeded, LimitAbsent, MalformedTable, NotColax,
                      NotComposable)
 from .fincat import (Diagram, FinCat, FinFunctor, FinNat, comma, comma_cell,
-                     compose_functors, identity_functor, limit)
+                     compose_functors, factorizations, identity_functor,
+                     isomorphic, limit)
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,11 @@ class OplaxObject:
     mode: str
     components: tuple
     structure: tuple
+
+    @classmethod
+    def of(cls, mode: str, comps: dict, smaps: dict) -> "OplaxObject":
+        return cls(mode, tuple(sorted(comps.items())),
+                   tuple(sorted(smaps.items())))
 
     def component(self, mu):
         return dict(self.components)[mu]
@@ -216,8 +222,7 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
         for pick in itertools.product(*choices):
             smaps = dict(zip(trips, pick))
             if not _structure_violations(d, comps, smaps, trips):
-                objs.append(OplaxObject(r, tuple(sorted(comps.items())),
-                                        tuple(sorted(smaps.items()))))
+                objs.append(OplaxObject.of(r, comps, smaps))
 
     arrows = []
     for g in objs:
@@ -266,8 +271,7 @@ def lock_functor(cx_r: CodexCategory, cx_q: CodexCategory,
         comps = {nu: g.component(mt.compose(mu, nu)) for nu in nus}
         smaps = {t: g.smap((mt.compose(mu, t[0]), t[1], mt.wl(mu, t[2])))
                  for t in trips}
-        omap[g] = OplaxObject(cx_q.mode, tuple(sorted(comps.items())),
-                              tuple(sorted(smaps.items())))
+        omap[g] = OplaxObject.of(cx_q.mode, comps, smaps)
     amap = {}
     for name, a in cx_r.cat.arrows.items():
         th = theta_components(cx_r, name)
@@ -276,13 +280,15 @@ def lock_functor(cx_r: CodexCategory, cx_q: CodexCategory,
     return FinFunctor(cx_r.cat, cx_q.cat, omap, amap, name=f"lock({mu})")
 
 
-def lock_cell(cx_r: CodexCategory, cx_q: CodexCategory, beta: str) -> FinNat:
+def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
     """The lock action of a cell beta: mu => mu2 (both q -> r), a natural
     transformation lock(mu2) => lock(mu)."""
-    d, mt = cx_r.diagram, cx_r.diagram.mt
+    mt = bundle.diagram.mt
     c = mt.cell(beta)
-    fm2 = lock_functor(cx_r, cx_q, c.dst)
-    fm = lock_functor(cx_r, cx_q, c.src)
+    m = mt.mor(c.src)
+    cx_r, cx_q = bundle.codexes[m.dst], bundle.codexes[m.src]
+    fm2 = bundle.right_adjoints[c.dst].lock
+    fm = bundle.right_adjoints[c.src].lock
     nus = [n.name for n in mt.morphisms_into(cx_q.mode)]
     comps = {}
     for g in cx_r.objects:
@@ -318,6 +324,15 @@ class Adjunction:
     unit: FinNat         # Id => incl . reflect
     counit: FinNat       # reflect . incl => Id
     cones: dict          # (object of C_r, nu) -> limit cone over comma(pi,nu)
+
+
+def _mediating(c: FinCat, x, y, pairs, what: str):
+    """The unique arrow x -> y through a limit cone with the given
+    (leg, wanted composite) pairs."""
+    cands = factorizations(c, x, y, pairs)
+    if len(cands) != 1:
+        raise LimitAbsent(f"{what} has {len(cands)} factorizations")
+    return cands[0]
 
 
 def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
@@ -357,20 +372,14 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
             cq = d.cat(mt.mor(nu).src)
             frho = d.fun(rho)
             conemu, conenu = cones[(g, mu)], cones[(g, nu)]
-            target = frho.omap[comps[mu]]
-            cands = []
-            for u in cq.hom(comps[nu], target):
-                if all(cq.comp(frho.amap[conemu.leg(o)], u) ==
-                       conenu.leg((mt.compose(rho, o[0]),
-                                   mt.vcomp(mt.wr(alpha, o[0]), o[1])))
-                       for o in commas[mu].objects):
-                    cands.append(u)
-            if len(cands) != 1:
-                raise LimitAbsent(f"incl({pi}): structure map at {t} of {g} "
-                                  f"has {len(cands)} factorizations")
-            smaps[t] = cands[0]
-        obj = OplaxObject(s, tuple(sorted(comps.items())),
-                          tuple(sorted(smaps.items())))
+            smaps[t] = _mediating(
+                cq, comps[nu], frho.omap[comps[mu]],
+                ((frho.amap[conemu.leg(o)],
+                  conenu.leg((mt.compose(rho, o[0]),
+                              mt.vcomp(mt.wr(alpha, o[0]), o[1]))))
+                 for o in commas[mu].objects),
+                f"incl({pi}): structure map at {t} of {g}")
+        obj = OplaxObject.of(s, comps, smaps)
         if obj not in cx_s.objects:
             raise MalformedTable(f"incl({pi}): computed object for {g} was "
                                  "not enumerated")
@@ -382,15 +391,11 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
         for nu in nus:
             cq = d.cat(mt.mor(nu).src)
             c1, c2 = cones[(fa.src, nu)], cones[(fa.dst, nu)]
-            cands = [u for u in cq.hom(omap[fa.src].component(nu),
-                                       omap[fa.dst].component(nu))
-                     if all(cq.comp(c2.leg(o), u) ==
-                            cq.comp(d.fun(o[0]).amap[fname], c1.leg(o))
-                            for o in commas[nu].objects)]
-            if len(cands) != 1:
-                raise LimitAbsent(f"incl({pi}): image of {fname} at {nu} has "
-                                  f"{len(cands)} factorizations")
-            comps[nu] = cands[0]
+            comps[nu] = _mediating(
+                cq, omap[fa.src].component(nu), omap[fa.dst].component(nu),
+                ((c2.leg(o), cq.comp(d.fun(o[0]).amap[fname], c1.leg(o)))
+                 for o in commas[nu].objects),
+                f"incl({pi}): image of {fname} at {nu}")
         amap[fname] = _theta_name(cx_s, comps, omap[fa.src], omap[fa.dst])
     incl_f = FinFunctor(cr, cx_s.cat, omap, amap, name=f"incl({pi})")
     refl_f = reflect(cx_s, pi)
@@ -407,15 +412,11 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
         for nu in nus:
             cq = d.cat(mt.mor(nu).src)
             cone = cones[(g, nu)]
-            cands = [u for u in cq.hom(delta.component(nu),
-                                       omap[g].component(nu))
-                     if all(cq.comp(cone.leg(o), u) ==
-                            delta.smap((nu, o[0], o[1]))
-                            for o in commas[nu].objects)]
-            if len(cands) != 1:
-                raise LimitAbsent(f"incl({pi}): unit at {nu} of {delta} has "
-                                  f"{len(cands)} factorizations")
-            comps[nu] = cands[0]
+            comps[nu] = _mediating(
+                cq, delta.component(nu), omap[g].component(nu),
+                ((cone.leg(o), delta.smap((nu, o[0], o[1])))
+                 for o in commas[nu].objects),
+                f"incl({pi}): unit at {nu} of {delta}")
         unit_comps[delta] = _theta_name(cx_s, comps, delta, omap[g])
     unit = FinNat(identity_functor(cx_s.cat),
                   compose_functors(incl_f, refl_f), unit_comps,
@@ -519,13 +520,10 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
         theta = theta_components(cx_r, name)
         nmaps = node_maps(theta, a)
         c1, c2 = cones[a.src], cones[a.dst]
-        cands = [u for u in cx_s.cat.hom(omap[a.src], omap[a.dst])
-                 if all(cx_s.cat.comp(c2.leg(k), u) ==
-                        cx_s.cat.comp(nmaps[k], c1.leg(k)) for k in nmaps)]
-        if len(cands) != 1:
-            raise LimitAbsent(f"codex_right_adjoint({pi}): image of an arrow "
-                              f"has {len(cands)} factorizations")
-        amap[name] = cands[0]
+        amap[name] = _mediating(
+            cx_s.cat, omap[a.src], omap[a.dst],
+            ((c2.leg(k), cx_s.cat.comp(nmaps[k], c1.leg(k))) for k in nmaps),
+            f"codex_right_adjoint({pi}): image of an arrow")
     functor = FinFunctor(cx_r.cat, cx_s.cat, omap, amap, name=f"radj({pi})")
     lock = lock_functor(cx_s, cx_r, pi)
 
@@ -551,13 +549,10 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
             nu = t[0]
             edge = adjs[mt.compose(pi, nu)].incl.amap[delta.smap(t)]
             wanted[("c", t)] = cx_s.cat.comp(edge, wanted[("n", nu)])
-        cands = [u for u in cx_s.cat.hom(gamma, omap[delta])
-                 if all(cx_s.cat.comp(cone.leg(k), u) == v
-                        for k, v in wanted.items())]
-        if len(cands) != 1:
-            raise LimitAbsent(f"codex_right_adjoint({pi}): unit at {gamma} "
-                              f"has {len(cands)} factorizations")
-        unit[gamma] = cands[0]
+        unit[gamma] = _mediating(
+            cx_s.cat, gamma, omap[delta],
+            ((cone.leg(k), v) for k, v in wanted.items()),
+            f"codex_right_adjoint({pi}): unit at {gamma}")
     return RightAdjoint(pi, functor, lock, unit, counit, cones)
 
 
@@ -583,15 +578,6 @@ def build_bundle(d: Diagram, cap=None) -> CodexBundle:
     return CodexBundle(d, codexes, adjs, radjs)
 
 
-def isomorphic(cat: FinCat, a, b) -> bool:
-    for f in cat.hom(a, b):
-        for g in cat.hom(b, a):
-            if cat.comp(g, f) == cat.id_arr(a) and \
-                    cat.comp(f, g) == cat.id_arr(b):
-                return True
-    return False
-
-
 def psnat_component(bundle: CodexBundle, pi: str, delta: OplaxObject):
     """The canonical comparison (radj(pi) delta)^1 -> C_pi(delta^1)."""
     d, mt = bundle.diagram, bundle.diagram.mt
@@ -607,27 +593,20 @@ def psnat_component(bundle: CodexBundle, pi: str, delta: OplaxObject):
 
 def verify_2functor(bundle: CodexBundle) -> list[tuple]:
     """Strictness of locks and coherence of their right adjoints."""
-    d, mt = bundle.diagram, bundle.diagram.mt
-    cx = bundle.codexes
+    mt, cx, radj = bundle.diagram.mt, bundle.codexes, bundle.right_adjoints
     report = []
     for p in mt.modes:
-        f = lock_functor(cx[p], cx[p], mt.id_mor(p))
-        ok = f.same_tables(identity_functor(cx[p].cat))
+        ok = radj[mt.id_mor(p)].lock.same_tables(identity_functor(cx[p].cat))
         report.append((f"lock-identity:{p}", ok, "" if ok else
                        f"lock(1_{p}) is not the identity"))
     for (g, f), h in mt.compose_table.items():
-        gm, fm = mt.mor(g), mt.mor(f)
-        lg = lock_functor(cx[gm.dst], cx[gm.src], g)
-        lf = lock_functor(cx[fm.dst], cx[fm.src], f)
-        lh = lock_functor(cx[gm.dst], cx[fm.src], h)
-        ok = lh.same_tables(compose_functors(lf, lg))
+        ok = radj[h].lock.same_tables(compose_functors(radj[f].lock,
+                                                       radj[g].lock))
         report.append((f"lock-strict:{g}.{f}", ok, "" if ok else
                        f"lock({h}) differs from lock({f}).lock({g})"))
-        rg = bundle.right_adjoints[g].functor
-        rf = bundle.right_adjoints[f].functor
-        rh = bundle.right_adjoints[h].functor
-        bad = [delta for delta in cx[fm.src].objects
-               if not isomorphic(cx[gm.dst].cat, rh.omap[delta],
+        rg, rf, rh = radj[g].functor, radj[f].functor, radj[h].functor
+        bad = [delta for delta in cx[mt.mor(f).src].objects
+               if not isomorphic(cx[mt.mor(g).dst].cat, rh.omap[delta],
                                  rg.omap[rf.omap[delta]])]
         report.append((f"radj-compose:{g}.{f}", not bad, "" if not bad else
                        f"composite right adjoints differ at {bad[0]}"))
@@ -636,7 +615,7 @@ def verify_2functor(bundle: CodexBundle) -> list[tuple]:
         ms = mt.mor(c.src)
         if ms.src == ms.dst and mt.is_id_mor(c.src) and mt.is_id_mor(c.dst):
             continue
-        nat = lock_cell(cx[ms.dst], cx[ms.src], beta.name)
+        nat = lock_cell(bundle, beta.name)
         bad = nat.validate()
         report.append((f"lock-cell:{beta.name}", not bad,
                        "; ".join(bad)))
@@ -673,8 +652,7 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
         cx_r = bundle.codexes[r]
         tx_r = target.codexes[r]
         mus = [x.name for x in mt.morphisms_into(r)]
-        locks = {mu: lock_functor(cx_r, bundle.codexes[mt.mor(mu).src], mu)
-                 for mu in mus}
+        locks = {mu: bundle.right_adjoints[mu].lock for mu in mus}
         trips = decomposition_triples(mt, r)
         omap = {}
         for gobj in cx_r.objects:
@@ -708,8 +686,7 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
                     raise NotColax(f"missing colax cell for {rho} "
                                    f"at {lock_mu}") from None
                 smaps[t] = e.cat(q).comp(comparison, g[q].amap[mhat])
-            obj = OplaxObject(r, tuple(sorted(comps.items())),
-                              tuple(sorted(smaps.items())))
+            obj = OplaxObject.of(r, comps, smaps)
             if obj not in tx_r.objects:
                 raise NotColax(f"dextrified object for {gobj} violates the "
                                "codex axioms")

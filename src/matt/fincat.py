@@ -152,7 +152,8 @@ class FinFunctor:
         self.omap = dict(omap)
         self.amap = dict(amap)
         for o in src.objects:
-            self.amap.setdefault(src.id_arr(o), dst.id_arr(self.omap[o]))
+            if o in self.omap and self.omap[o] in dst.identities:
+                self.amap.setdefault(src.id_arr(o), dst.id_arr(self.omap[o]))
 
     def on_obj(self, o):
         return self.omap[o]
@@ -161,10 +162,10 @@ class FinFunctor:
         return self.amap[a]
 
     def validate(self) -> list[str]:
-        out = []
-        for o in self.src.objects:
-            if o not in self.omap or self.omap[o] not in self.dst.objects:
-                out.append(f"object map misses {o}")
+        out = [f"object map misses {o}" for o in self.src.objects
+               if o not in self.omap or self.omap[o] not in self.dst.objects]
+        if out:
+            return out  # the arrow checks read the object map
         for n, a in self.src.arrows.items():
             if n not in self.amap:
                 out.append(f"arrow map misses {n}")
@@ -235,7 +236,8 @@ class FinNat:
 
 
 def identity_nat(f: FinFunctor, name: str = "") -> FinNat:
-    return FinNat(f, f, {o: f.dst.id_arr(f.omap[o]) for o in f.src.objects},
+    return FinNat(f, f, {o: f.dst.id_arr(f.omap[o]) for o in f.src.objects
+                         if o in f.omap and f.omap[o] in f.dst.identities},
                   name=name)
 
 
@@ -281,6 +283,8 @@ class Diagram:
                 out.append(f"functor for {m.name} has wrong boundary")
                 continue
             out += [f"C_{m.name}: {v}" for v in f.validate()]
+        if out:
+            return out  # the checks below compose the functors' tables
         # strict functoriality on morphisms: C_{μ∘ν} = C_μ ∘ C_ν as tables
         for (mu, nu), comp in self.mt.compose_table.items():
             lhs = self.functors[comp]
@@ -426,10 +430,34 @@ def all_cones(c: FinCat, nodes: dict, edges, cap: Optional[int] = None,
     return out
 
 
-def _factorizations(c: FinCat, lim: Cone, k: Cone) -> list:
-    return [m for m in c.hom(k.apex, lim.apex)
-            if all(c.comp(dict(lim.legs)[key], m) == arr
-                   for key, arr in k.legs)]
+def factorizations(c: FinCat, x, y, pairs) -> list:
+    """The arrows u: x → y with leg∘u == want for every (leg, want) pair,
+    in hom order: the candidate mediating arrows into a cone."""
+    pairs = list(pairs)
+    return [u for u in c.hom(x, y)
+            if all(c.comp(leg, u) == want for leg, want in pairs)]
+
+
+def _is_terminal(c: FinCat, cone: Cone, cones) -> bool:
+    """Whether every one of cones factors through cone in exactly one way."""
+    legs = dict(cone.legs)
+    for k in cones:
+        pairs = [(legs[key], arr) for key, arr in k.legs]
+        if len(factorizations(c, k.apex, cone.apex, pairs)) != 1:
+            return False
+    return True
+
+
+def is_iso(c: FinCat, f) -> bool:
+    """Whether f has a two-sided inverse."""
+    a = c.arr(f)
+    return any(c.comp(h, f) == c.id_arr(a.src) and
+               c.comp(f, h) == c.id_arr(a.dst)
+               for h in c.hom(a.dst, a.src))
+
+
+def isomorphic(c: FinCat, a, b) -> bool:
+    return any(is_iso(c, f) for f in c.hom(a, b))
 
 
 def limit(c: FinCat, nodes: dict, edges=(), cap: Optional[int] = None,
@@ -439,16 +467,13 @@ def limit(c: FinCat, nodes: dict, edges=(), cap: Optional[int] = None,
     nodes: mapping key → object; edges: (src key, dst key, arrow) triples.
     """
     cones = all_cones(c, nodes, edges, cap=cap, order=order)
-    for cand in cones:
-        if all(len(_factorizations(c, cand, k)) == 1 for k in cones):
-            return cand
-    return None
+    return next((cand for cand in cones if _is_terminal(c, cand, cones)),
+                None)
 
 
 def is_terminal_cone(c: FinCat, nodes: dict, edges, cone: Cone,
                      cap: Optional[int] = None) -> bool:
-    cones = all_cones(c, nodes, edges, cap=cap)
-    return all(len(_factorizations(c, cone, k)) == 1 for k in cones)
+    return _is_terminal(c, cone, all_cones(c, nodes, edges, cap=cap))
 
 
 def check_preserves_limit(f: FinFunctor, nodes: dict, edges, cone: Cone,

@@ -11,18 +11,11 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 
-from .codex import (build_bundle, dextrify_colax, isomorphic,
-                    psnat_component, reflect_colax, transpose,
-                    verify_2functor)
+from .codex import (build_bundle, dextrify_colax, psnat_component,
+                    reflect_colax, transpose, verify_2functor)
 from .errors import MattError, MalformedTable, ParseError
-from .fincat import check_preserves_limit, limit, load_diagram
-
-
-def _iso_arrow(cat, f) -> bool:
-    a = cat.arr(f)
-    return any(cat.comp(h, f) == cat.id_arr(a.src) and
-               cat.comp(f, h) == cat.id_arr(a.dst)
-               for h in cat.hom(a.dst, a.src))
+from .fincat import (check_preserves_limit, is_iso, isomorphic, limit,
+                     load_diagram)
 
 
 def law_adjunction(d, bundle, cap):
@@ -59,7 +52,7 @@ def law_up_ff(d, bundle, cap):
         adj = bundle.adjunctions[d.mt.id_mor(p)]
         cp = d.cat(p)
         for g in cp.objects:
-            if not _iso_arrow(cp, adj.counit.at(g)):
+            if not is_iso(cp, adj.counit.at(g)):
                 return False, f"counit at {g} in mode {p} is not iso"
     return True, ""
 
@@ -105,7 +98,7 @@ def law_pseudonat(d, bundle, cap):
     for m in d.mt.morphisms.values():
         cq = d.cat(m.dst)
         for delta in bundle.codexes[m.src].objects:
-            if not _iso_arrow(cq, psnat_component(bundle, m.name, delta)):
+            if not is_iso(cq, psnat_component(bundle, m.name, delta)):
                 return False, f"comparison for {m.name} at {delta} " \
                               "is not iso"
     return True, ""

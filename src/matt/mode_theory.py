@@ -354,10 +354,9 @@ def mode_theory_from_data(data: dict) -> ModeTheory:
 
 
 def load_mode_theory(path) -> ModeTheory:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MalformedTable(f"{path}: {e}") from None
     return mode_theory_from_data(data)
 

@@ -156,3 +156,50 @@ def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
     assert main(["sem", "laws", str(f)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"ERROR MalformedTable @ {f}:")
+
+
+def _non_utf8(tmp_path, name):
+    f = tmp_path / name
+    f.write_bytes(b"\xff\xfe not utf-8")
+    return f
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: tmp / "missing.matt",
+    lambda tmp: tmp,
+    lambda tmp: _non_utf8(tmp, "bad.matt"),
+], ids=["missing", "directory", "not-utf8"])
+def test_check_unreadable_source_exits_two(tmp_path, capsys, make):
+    f = make(tmp_path)
+    assert main(["check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR ParseError @ {f}:0:0: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "validate", "bad.mt"],
+    ["check", "--mode-theory", "bad.mt", str(CORPUS / "trivial_ok.matt")],
+    ["sem", "laws", "bad.dg"],
+], ids=["modes-validate", "check", "sem-laws"])
+def test_non_utf8_mode_theory_exits_two(tmp_path, capsys, argv):
+    _non_utf8(tmp_path, "bad.mt")
+    dg = tmp_path / "bad.dg"
+    dg.write_text(json.dumps({**_single_arrow_dg(), "mode_theory": "bad.mt"}))
+    argv = [str(tmp_path / a) if a.startswith("bad.") else a for a in argv]
+    assert main(argv) == 2
+    at = next(a for a in argv if a.startswith(str(tmp_path)))
+    assert capsys.readouterr().err.startswith(
+        f"ERROR MalformedTable @ {at}:0:0: {tmp_path / 'bad.mt'}: 'utf-8' "
+        "codec can't decode")
+
+
+def test_sem_laws_functor_missing_object_names_it(tmp_path, capsys):
+    data = _single_arrow_dg()
+    del data["functors"]["mu"]["objects"]["0"]
+    f = tmp_path / "bad.dg"
+    f.write_text(json.dumps(data))
+    assert main(["sem", "laws", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR MalformedTable @ {f}:0:0: diagram fails validation: "
+        "C_mu: object map misses 0\n")

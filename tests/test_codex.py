@@ -13,6 +13,7 @@ from matt.codex import (build_bundle, check_oplax_object,
 from matt.errors import CapExceeded, LimitAbsent
 from matt.fincat import (Diagram, FinCat, FinFunctor, load_diagram,
                          poset_category)
+from matt.laws import law_universal_property
 from matt.mode_theory import load_mode_theory
 
 
@@ -129,6 +130,24 @@ def test_lock_functor_validates():
     b = bundle("comonad")
     f = lock_functor(b.codexes["p"], b.codexes["p"], "m")
     assert f.validate() == []
+
+
+@pytest.mark.parametrize("name", ["reflective", "comonad", "semilattice"])
+def test_locks_built_once_per_morphism(monkeypatch, name):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return lock_functor(*args)
+
+    monkeypatch.setattr("matt.codex.lock_functor", counting)
+    d = diag(name)
+    b = build_bundle(d)
+    assert sorted(calls) == sorted(d.mt.morphisms)
+    calls.clear()
+    assert all(ok for _, ok, _ in verify_2functor(b))
+    assert law_universal_property(d, b, None) == (True, "")
+    assert calls == []
 
 
 def test_reflect_projects_component():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from matt.bundled import diagram_path, theory_path
 from matt.errors import CapExceeded, MalformedTable
 from matt.fincat import (Cone, FinCat, FinFunctor, check_preserves_limit,
-                         comma, comma_cell, compose_functors,
-                         identity_functor, limit, load_diagram,
+                         comma, comma_cell, compose_functors, factorizations,
+                         identity_functor, is_iso, limit, load_diagram,
                          poset_category)
 from matt.mode_theory import load_mode_theory
 
@@ -184,3 +184,21 @@ def test_comma_arrows_compose_by_cells():
              if a.src == ("a", "id:a") and a.dst == ("id:p", "le")
              and a.name not in c.identities.values()]
     assert comma_cell(mt, c, arr.name) == "le"
+
+
+# --- mediating arrows and isomorphisms ----------------------------------------
+
+def test_factorizations_counts_and_hom_order():
+    c = FinCat(["a", "b"], [("f", "a", "b"), ("g", "a", "b")], [])
+    assert factorizations(c, "a", "b", []) == ["f", "g"]
+    assert factorizations(c, "a", "b", [("id:b", "g")]) == ["g"]
+    assert factorizations(c, "a", "b", [("id:b", "f"), ("id:b", "g")]) == []
+    assert factorizations(c, "b", "a", []) == []
+
+
+def test_is_iso():
+    c = FinCat(["a", "b"], [("f", "a", "b"), ("g", "b", "a")],
+               [("g", "f", "id:a"), ("f", "g", "id:b")])
+    assert c.validate() == []
+    assert is_iso(c, "f") and is_iso(c, "id:a")
+    assert not is_iso(two_chain(), "0<=1")
