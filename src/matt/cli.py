@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checker import Kernel
@@ -32,6 +32,7 @@ class Diagnostic:
     col: int
     message: str
     trace: tuple = ()
+    bad_input: bool = False  # malformed input (exit 2), not a failed check
 
     def render(self, with_trace: bool = False) -> str:
         out = f"ERROR {self.code} @ {self.file}:{self.line}:{self.col}: " \
@@ -82,7 +83,8 @@ def check_file(path: Path, mt: ModeTheory | None):
                                             d.span[0], d.span[1], str(e)))
                     return diags, checked
                 except MattError as e:
-                    diags.append(_diag(e, filename, d.span))
+                    diags.append(replace(_diag(e, filename, d.span),
+                                         bad_input=True))
                     return diags, checked
             continue
         if mt is None:
@@ -154,7 +156,8 @@ def cmd_check(paths, mode_theory=None, trace=False, out=None) -> int:
         diags, _ = check_file(Path(p), mt)
         for dg in diags:
             print(dg.render(with_trace=trace), file=out)
-            worst = max(worst, 2 if dg.code == "ParseError" else 1)
+            worst = max(worst, 2 if dg.code == "ParseError" or
+                        dg.bad_input else 1)
     return worst
 
 

@@ -16,13 +16,13 @@ incl builds its right adjoint pointwise from limits over comma categories.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (CapExceeded, LimitAbsent, MalformedTable, NotColax,
                      NotComposable)
 from .fincat import (Diagram, FinCat, FinFunctor, FinNat, comma, comma_cell,
-                     compose_functors, factorizations, identity_functor,
-                     isomorphic, limit)
+                     compose_functors, factorizations, id_name,
+                     identity_functor, isomorphic, limit)
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,21 @@ class OplaxObject:
 
     components: sorted tuple of (morphism name, object) pairs.
     structure: sorted tuple of ((nu, rho, alpha), arrow) pairs.
+
+    The hash is computed once, at construction: codex objects sit inside
+    every codex arrow name and are hashed on each hom or table lookup.
     """
     mode: str
     components: tuple
     structure: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.mode, self.components,
+                                                 self.structure)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def of(cls, mode: str, comps: dict, smaps: dict) -> "OplaxObject":
@@ -176,13 +187,16 @@ def theta_components(cx: CodexCategory, arrow_name) -> dict:
     return dict(arrow_name[0])
 
 
-def _theta_name(cx: CodexCategory, comps: dict, src: OplaxObject,
+def _theta_name(d: Diagram, names, comps: dict, src: OplaxObject,
                 dst: OplaxObject):
-    """The canonical arrow name for a component family; must exist."""
-    if src == dst and comps == _identity_family(cx.diagram, src):
-        return cx.cat.id_arr(src)
-    name = (tuple(sorted(comps.items())), src, dst)
-    cx.cat.arr(name)
+    """The canonical name of the codex arrow src -> dst with the given
+    components; it must be one of names (a codex category's arrows)."""
+    if src == dst and comps == _identity_family(d, src):
+        name = id_name(src)
+    else:
+        name = (tuple(sorted(comps.items())), src, dst)
+    if name not in names:
+        raise MalformedTable(f"unknown arrow {name!r} in Codex({src.mode})")
     return name
 
 
@@ -191,16 +205,16 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
     mt = d.mt
     mus = [m.name for m in mt.morphisms_into(r)]
     trips = decomposition_triples(mt, r)
+    cats = {mu: d.cat(mt.mor(mu).src) for mu in mus}
     est = 1
     for mu in mus:
-        est *= len(d.cat(mt.mor(mu).src).objects)
+        est *= len(cats[mu].objects)
     if cap is not None and est > cap:
         raise CapExceeded(f"codex at {r}: component search size {est} "
                           f"exceeds cap {cap}")
 
     objs: list[OplaxObject] = []
-    for combo in itertools.product(
-            *(d.cat(mt.mor(mu).src).objects for mu in mus)):
+    for combo in itertools.product(*(cats[mu].objects for mu in mus)):
         comps = dict(zip(mus, combo))
         choices = []
         feasible = True
@@ -227,8 +241,7 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
     arrows = []
     for g in objs:
         for h in objs:
-            homs = [d.cat(mt.mor(mu).src).hom(g.component(mu),
-                                              h.component(mu))
+            homs = [cats[mu].hom(g.component(mu), h.component(mu))
                     for mu in mus]
             for combo in itertools.product(*homs):
                 theta = dict(zip(mus, combo))
@@ -239,19 +252,21 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
                 name = (tuple(sorted(theta.items())), g, h)
                 arrows.append((name, g, h))
 
-    cat = FinCat(objs, arrows, [], name=f"Codex({r})")
-    cx = CodexCategory(d, r, cat)
-    for a in list(cat.arrows.values()):
-        for b in list(cat.arrows.values()):
-            if b.src != a.dst or (b.name, a.name) in cat.compose:
-                continue
-            ta = theta_components(cx, a.name)
-            tb = theta_components(cx, b.name)
-            comps = {mu: d.cat(mt.mor(mu).src).comp(tb[mu], ta[mu])
-                     for mu in mus}
-            cat.compose[(b.name, a.name)] = _theta_name(cx, comps,
-                                                        a.src, b.dst)
-    return cx
+    # composites of non-identity arrows, componentwise; FinCat adds the rows
+    # that involve an identity
+    names = {n for n, _, _ in arrows} | {id_name(g) for g in objs}
+    out_of: dict = {}
+    for a in arrows:
+        out_of.setdefault(a[1], []).append(a)
+    rows = []
+    for (an, asrc, adst) in arrows:
+        ta = dict(an[0])
+        for (bn, _, bdst) in out_of.get(adst, ()):
+            tb = dict(bn[0])
+            comps = {mu: cats[mu].comp(tb[mu], ta[mu]) for mu in mus}
+            rows.append((bn, an, _theta_name(d, names, comps, asrc, bdst)))
+    return CodexCategory(d, r, FinCat(objs, arrows, rows,
+                                      name=f"Codex({r})"))
 
 
 # --- lock functors and reflection ----------------------------------------------
@@ -276,7 +291,8 @@ def lock_functor(cx_r: CodexCategory, cx_q: CodexCategory,
     for name, a in cx_r.cat.arrows.items():
         th = theta_components(cx_r, name)
         comps = {nu: th[mt.compose(mu, nu)] for nu in nus}
-        amap[name] = _theta_name(cx_q, comps, omap[a.src], omap[a.dst])
+        amap[name] = _theta_name(d, cx_q.cat.arrows, comps, omap[a.src],
+                                 omap[a.dst])
     return FinFunctor(cx_r.cat, cx_q.cat, omap, amap, name=f"lock({mu})")
 
 
@@ -297,7 +313,8 @@ def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
             o = mt.mor(nu).src
             cell = mt.wr(beta, nu)
             th[nu] = g.smap((mt.compose(c.dst, nu), mt.id_mor(o), cell))
-        comps[g] = _theta_name(cx_q, th, fm2.omap[g], fm.omap[g])
+        comps[g] = _theta_name(bundle.diagram, cx_q.cat.arrows, th,
+                               fm2.omap[g], fm.omap[g])
     return FinNat(fm2, fm, comps, name=f"lock({beta})")
 
 
@@ -380,7 +397,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                  for o in commas[mu].objects),
                 f"incl({pi}): structure map at {t} of {g}")
         obj = OplaxObject.of(s, comps, smaps)
-        if obj not in cx_s.objects:
+        if obj not in cx_s.cat.object_set:
             raise MalformedTable(f"incl({pi}): computed object for {g} was "
                                  "not enumerated")
         omap[g] = obj
@@ -396,7 +413,8 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                 ((c2.leg(o), cq.comp(d.fun(o[0]).amap[fname], c1.leg(o)))
                  for o in commas[nu].objects),
                 f"incl({pi}): image of {fname} at {nu}")
-        amap[fname] = _theta_name(cx_s, comps, omap[fa.src], omap[fa.dst])
+        amap[fname] = _theta_name(d, cx_s.cat.arrows, comps, omap[fa.src],
+                                  omap[fa.dst])
     incl_f = FinFunctor(cr, cx_s.cat, omap, amap, name=f"incl({pi})")
     refl_f = reflect(cx_s, pi)
 
@@ -417,7 +435,8 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                 ((cone.leg(o), delta.smap((nu, o[0], o[1])))
                  for o in commas[nu].objects),
                 f"incl({pi}): unit at {nu} of {delta}")
-        unit_comps[delta] = _theta_name(cx_s, comps, delta, omap[g])
+        unit_comps[delta] = _theta_name(d, cx_s.cat.arrows, comps, delta,
+                                        omap[g])
     unit = FinNat(identity_functor(cx_s.cat),
                   compose_functors(incl_f, refl_f), unit_comps,
                   name=f"unit({pi})")
@@ -537,7 +556,8 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
             cp = d.cat(mt.mor(mu).src)
             comps[mu] = cp.comp(adjs[pim].counit.at(delta.component(mu)),
                                 legc)
-        counit[delta] = _theta_name(cx_r, comps, lock.omap[apex], delta)
+        counit[delta] = _theta_name(d, cx_r.cat.arrows, comps,
+                                    lock.omap[apex], delta)
 
     unit = {}
     for gamma in cx_s.objects:
@@ -676,7 +696,8 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
                         (mt.compose(mt.compose(nu, rho), tau), mt.id_mor(o),
                          mt.wr(alpha, tau)))
                 cx_p = bundle.codexes[p]
-                dalpha = _theta_name(cx_p, cell_comps, lock_nurho, lock_mu)
+                dalpha = _theta_name(d, cx_p.cat.arrows, cell_comps,
+                                     lock_nurho, lock_mu)
                 radj_rho = bundle.right_adjoints[rho]
                 mhat = bundle.codexes[q].cat.comp(
                     radj_rho.functor.amap[dalpha], radj_rho.unit[lock_nu])
@@ -687,7 +708,7 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
                                    f"at {lock_mu}") from None
                 smaps[t] = e.cat(q).comp(comparison, g[q].amap[mhat])
             obj = OplaxObject.of(r, comps, smaps)
-            if obj not in tx_r.objects:
+            if obj not in tx_r.cat.object_set:
                 raise NotColax(f"dextrified object for {gobj} violates the "
                                "codex axioms")
             omap[gobj] = obj
@@ -695,7 +716,8 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
         for name, a in cx_r.cat.arrows.items():
             comps = {mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
                      for mu in mus}
-            amap[name] = _theta_name(tx_r, comps, omap[a.src], omap[a.dst])
+            amap[name] = _theta_name(e, tx_r.cat.arrows, comps,
+                                     omap[a.src], omap[a.dst])
         out[r] = FinFunctor(cx_r.cat, tx_r.cat, omap, amap,
                             name=f"dextrify({r})")
     return out

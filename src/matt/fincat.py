@@ -2,8 +2,11 @@
 
 Everything is finite and checked exhaustively.  Identity arrows are
 synthesized (named "id:<obj>" for string objects, ("id", obj) otherwise) and
-never override user-supplied table rows.  Limits are found by brute-force
-terminal-cone search with a configurable cap.
+never override user-supplied table rows.  Hom-sets are indexed by
+(source, target) at construction, and a FinCat is never changed after it is
+built: constructions that derive their composition table (comma categories,
+codex categories) compute it first and pass it in.  Limits are found by
+brute-force terminal-cone search with a configurable cap.
 """
 
 from __future__ import annotations
@@ -54,9 +57,12 @@ class FinCat:
         for n, a in self.arrows.items():
             self.compose.setdefault((n, self.identities.get(a.src, None)), n)
             self.compose.setdefault((self.identities.get(a.dst, None), n), n)
-        for a in self.arrows.values():
-            if a.src not in self.objects or a.dst not in self.objects:
-                raise MalformedTable(f"arrow {a.name} has unknown endpoint")
+        self.object_set = frozenset(self.objects)
+        self._hom: dict = {}  # (src, dst) -> arrow names in insertion order
+        for n, a in self.arrows.items():
+            if a.src not in self.object_set or a.dst not in self.object_set:
+                raise MalformedTable(f"arrow {n} has unknown endpoint")
+            self._hom.setdefault((a.src, a.dst), []).append(n)
 
     def arr(self, name) -> Arrow:
         try:
@@ -71,8 +77,7 @@ class FinCat:
         return self.identities[obj]
 
     def hom(self, x, y) -> list:
-        return [n for n, a in self.arrows.items()
-                if a.src == x and a.dst == y]
+        return list(self._hom.get((x, y), ()))
 
     def comp(self, g, f):
         """g∘f (first f, then g)."""
@@ -350,31 +355,28 @@ def comma(mt: ModeTheory, pi: str, nu: str) -> FinCat:
                 if mt.vcomp(mt.wl(nu, gamma), b1) == b2:
                     if gamma == mt.id_cell(s1) and (s1, b1) == (s2, b2):
                         continue  # synthesized identity
-                    arrows.append(((gamma, (s1, b1), (s2, b2)),
-                                   (s1, b1), (s2, b2)))
-    cat = FinCat(objects, arrows, [], name=f"({pi}↓{nu})")
-    # composition: compose the underlying cells
-    for a in list(cat.arrows.values()):
-        for b in list(cat.arrows.values()):
-            if b.src != a.dst:
-                continue
-            cat.compose[(b.name, a.name)] = _comma_comp(mt, cat, b, a)
-    return cat
+                    arrows.append(Arrow((gamma, (s1, b1), (s2, b2)),
+                                        (s1, b1), (s2, b2)))
+    # composition: compose the underlying cells, identities included
+    every = arrows + [Arrow(id_name(o), o, o) for o in objects]
+    names = {a.name for a in every}
+    rows = [(b.name, a.name, _comma_comp(mt, names, b, a))
+            for a in every for b in every if b.src == a.dst]
+    return FinCat(objects, [(a.name, a.src, a.dst) for a in arrows], rows,
+                  name=f"({pi}↓{nu})")
 
 
-def _comma_comp(mt, cat, b, a):
-    ga = _cell_of(mt, cat, a)
-    gb = _cell_of(mt, cat, b)
-    g = mt.vcomp(gb, ga)
+def _comma_comp(mt, names, b, a):
+    g = mt.vcomp(_cell_of(mt, b), _cell_of(mt, a))
     if g == mt.id_cell(a.src[0]) and a.src == b.dst:
-        return cat.id_arr(a.src)
+        return id_name(a.src)
     n = (g, a.src, b.dst)
-    if n not in cat.arrows:
+    if n not in names:
         raise MalformedTable(f"comma category not closed at {n}")
     return n
 
 
-def _cell_of(mt, cat, arrow: Arrow):
+def _cell_of(mt, arrow: Arrow):
     """The mode-theory cell underlying a comma-category arrow."""
     if isinstance(arrow.name, tuple) and len(arrow.name) == 2 and \
             arrow.name[0] == "id":
@@ -383,7 +385,7 @@ def _cell_of(mt, cat, arrow: Arrow):
 
 
 def comma_cell(mt: ModeTheory, cat: FinCat, arrow_name) -> str:
-    return _cell_of(mt, cat, cat.arr(arrow_name))
+    return _cell_of(mt, cat.arr(arrow_name))
 
 
 # --- limits by terminal-cone search -------------------------------------------
@@ -391,7 +393,7 @@ def comma_cell(mt: ModeTheory, cat: FinCat, arrow_name) -> str:
 @dataclass(frozen=True)
 class Cone:
     apex: Hashable
-    legs: tuple  # of (node key, arrow name) pairs, sorted by key
+    legs: tuple  # of (node key, arrow name) pairs, keys sorted by repr
 
     def leg(self, key):
         return dict(self.legs)[key]
@@ -404,7 +406,7 @@ def _cones(c: FinCat, nodes: dict, edges, apex) -> list[Cone]:
     for combo in itertools.product(*choices):
         legs = dict(zip(keys, combo))
         if all(c.comp(e_arr, legs[a]) == legs[b] for (a, b, e_arr) in edges):
-            out.append(Cone(apex, tuple(sorted(legs.items(), key=repr))))
+            out.append(Cone(apex, tuple(legs.items())))
     return out
 
 
@@ -482,8 +484,7 @@ def check_preserves_limit(f: FinFunctor, nodes: dict, edges, cone: Cone,
     img_nodes = {k: f.omap[o] for k, o in nodes.items()}
     img_edges = [(a, b, f.amap[e]) for (a, b, e) in edges]
     img_cone = Cone(f.omap[cone.apex],
-                    tuple(sorted(((k, f.amap[a]) for k, a in cone.legs),
-                                 key=repr)))
+                    tuple((k, f.amap[a]) for k, a in cone.legs))
     return is_terminal_cone(f.dst, img_nodes, img_edges, img_cone, cap=cap)
 
 

@@ -18,8 +18,8 @@ from matt.codex import (build_bundle, dextrify_colax, enumerate_codex,
 from matt import codex as codex_mod
 from matt import fincat as fincat_mod
 from matt import laws as laws_mod
-from matt.fincat import load_diagram
-from matt.laws import run_law_suite
+from matt.fincat import Diagram, FinFunctor, load_diagram, poset_category
+from matt.laws import law_pointwise_limits, run_law_suite
 from matt.mode_theory import load_mode_theory, validate_mode_theory
 
 CORPUS = FIXTURES / "corpus"
@@ -173,3 +173,21 @@ def test_criterion_8_metamorphic():
             assert n == len(decls) - 1
         finally:
             tmp.unlink(missing_ok=True)
+
+
+def test_criterion_9_scaled_semantics():
+    # single_arrow with both modes a chain of 6 and mu the identity
+    mt = load_mode_theory(theory_path("single_arrow"))
+    chain = [str(i) for i in range(6)]
+    cats = {p: poset_category(chain, lambda x, y: int(x) <= int(y), name=p)
+            for p in ("p", "q")}
+    mu = FinFunctor(cats["p"], cats["q"], {o: o for o in chain},
+                    {a: a for a in cats["p"].arrows}, name="mu")
+    d = Diagram(mt, cats, {"mu": mu}, {})
+    assert d.validate() == []
+    with criterion(9, "scaled semantics", bound=1.0):
+        b = build_bundle(d)
+        ok, detail = law_pointwise_limits(d, b, None)
+        assert ok, detail
+        cx = b.codexes["q"]
+        assert (len(cx.objects), len(cx.cat.arrows)) == (21, 196)

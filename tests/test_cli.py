@@ -203,3 +203,23 @@ def test_sem_laws_functor_missing_object_names_it(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"ERROR MalformedTable @ {f}:0:0: diagram fails validation: "
         "C_mu: object map misses 0\n")
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe not utf-8",
+    b"{not json",
+    json.dumps({"modes": ["p"], "morphisms": [{"name": "f"}]}).encode(),
+], ids=["not-utf8", "not-json", "malformed-table"])
+def test_check_bad_declared_mode_theory_exits_two(tmp_path, capsys, content):
+    (tmp_path / "bad.mt").write_bytes(content)
+    f = tmp_path / "src.matt"
+    f.write_text('mode-theory "bad.mt";\nconst A : Type @ p;\n')
+    assert main(["check", str(f)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"ERROR MalformedTable @ {f}:1:13: ")
+
+
+def test_check_bad_cell_in_declaration_exits_one(capsys):
+    # a MalformedTable raised while checking a declaration is a failed check
+    assert main(["check", str(CORPUS / "neg_bad_cell.matt")]) == 1
+    assert capsys.readouterr().err.startswith("ERROR MalformedTable @ ")

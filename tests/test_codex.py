@@ -311,3 +311,22 @@ def test_enumeration_is_order_independent():
     bq = enumerate_codex(d2, "q")
     assert [(o.components, o.structure) for o in a.objects] == \
            [(o.components, o.structure) for o in bq.objects]
+
+
+def test_oplax_object_hash_is_structural():
+    d = diag("comonad")
+    for o in enumerate_codex(d, "p").objects:
+        via_of = OplaxObject.of("p", dict(o.components), dict(o.structure))
+        direct = OplaxObject("p", tuple([*o.components]),
+                             tuple([*o.structure]))
+        assert via_of == direct == o
+        assert hash(via_of) == hash(direct) == hash(o)
+    # arrow names, which hold codex objects, key the same arrow across a
+    # second enumeration of a reloaded diagram
+    for name in ["comonad", "reflective"]:
+        cx1 = enumerate_codex(load_diagram(diagram_path(name)), "p")
+        cx2 = enumerate_codex(load_diagram(diagram_path(name)), "p")
+        assert len(cx1.cat.arrows) == len(cx2.cat.arrows)
+        for n, a in cx2.cat.arrows.items():
+            assert cx1.cat.arrows[n] == a
+            assert cx1.cat.hom(a.src, a.dst) == cx2.cat.hom(a.src, a.dst)

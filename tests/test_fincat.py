@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matt.bundled import diagram_path, theory_path
+from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
+from matt.codex import enumerate_codex
 from matt.errors import CapExceeded, MalformedTable
 from matt.fincat import (Cone, FinCat, FinFunctor, check_preserves_limit,
                          comma, comma_cell, compose_functors, factorizations,
@@ -202,3 +203,38 @@ def test_is_iso():
     assert c.validate() == []
     assert is_iso(c, "f") and is_iso(c, "id:a")
     assert not is_iso(two_chain(), "0<=1")
+
+
+# --- the hom index ------------------------------------------------------------
+
+def _assert_hom_matches_scan(c):
+    for x in c.objects:
+        for y in c.objects:
+            assert c.hom(x, y) == [n for n, a in c.arrows.items()
+                                   if a.src == x and a.dst == y]
+    for x in c.objects:
+        h = c.hom(x, x)
+        h.append("junk")  # a returned list is the caller's own copy
+        assert "junk" not in c.hom(x, x)
+
+
+TABLE_OBJECTS = ["a", "b", "c"]
+# arrows as (src, dst) pairs; repeats give parallel arrows
+ENDPOINTS = st.tuples(st.sampled_from(TABLE_OBJECTS),
+                      st.sampled_from(TABLE_OBJECTS))
+
+
+@given(st.lists(ENDPOINTS, max_size=12))
+def _random_table_matches_scan(pairs):
+    _assert_hom_matches_scan(
+        FinCat(TABLE_OBJECTS,
+               [(f"f{i}", s, d) for i, (s, d) in enumerate(pairs)], []))
+
+
+def test_hom_index_matches_linear_scan():
+    _random_table_matches_scan()
+    for name in DIAGRAM_NAMES:
+        d = load_diagram(diagram_path(name))
+        for p, cat in d.cats.items():
+            _assert_hom_matches_scan(cat)
+            _assert_hom_matches_scan(enumerate_codex(d, p).cat)
