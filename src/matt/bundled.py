@@ -16,9 +16,5 @@ def theory_path(name: str) -> Path:
     return FIXTURES / "theories" / f"{name}.mt"
 
 
-def corpus_path(name: str) -> Path:
-    return FIXTURES / "corpus" / f"{name}.matt"
-
-
 def diagram_path(name: str) -> Path:
     return FIXTURES / "diagrams" / f"{name}.dg"

@@ -5,13 +5,19 @@ synthesized (named "id:<obj>" for string objects, ("id", obj) otherwise) and
 never override user-supplied table rows.  Hom-sets are indexed by
 (source, target) at construction, and a FinCat is never changed after it is
 built: constructions that derive their composition table (comma categories,
-codex categories) compute it first and pass it in.  Limits are found by
-brute-force terminal-cone search with a configurable cap.
+codex categories) compute it first and pass it in.
+
+A FinCat records whether it is thin: at most one arrow per hom-set.  In a
+thin FinCat every cone commutes, so a limit is a greatest lower bound of the
+diagram's objects, found by ANDing down-set bitmasks indexed at
+construction.  Any other FinCat is searched for a terminal cone among all
+cones.  Both paths bound the number of candidate cones by a configurable cap.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Optional
@@ -47,22 +53,36 @@ class FinCat:
             i = id_name(o)
             self.identities[o] = i
             self.arrows.setdefault(i, Arrow(i, o, o))
-        rows = compose.items() if isinstance(compose, Mapping) else \
-            ((g, f, h) for (g, f, h) in compose)
-        self.compose: dict = {}
-        for item in rows:
-            (g, f), h = (item[0], item[1]) if len(item) == 2 else \
-                ((item[0], item[1]), item[2])
-            self.compose[(g, f)] = h
-        for n, a in self.arrows.items():
-            self.compose.setdefault((n, self.identities.get(a.src, None)), n)
-            self.compose.setdefault((self.identities.get(a.dst, None), n), n)
         self.object_set = frozenset(self.objects)
         self._hom: dict = {}  # (src, dst) -> arrow names in insertion order
         for n, a in self.arrows.items():
             if a.src not in self.object_set or a.dst not in self.object_set:
                 raise MalformedTable(f"arrow {n} has unknown endpoint")
             self._hom.setdefault((a.src, a.dst), []).append(n)
+        rows = compose.items() if isinstance(compose, Mapping) else \
+            ((g, f, h) for (g, f, h) in compose)
+        self.compose: dict = {}
+        for item in rows:
+            (g, f), h = (item[0], item[1]) if len(item) == 2 else \
+                ((item[0], item[1]), item[2])
+            ga, fa = self.arrows.get(g), self.arrows.get(f)
+            if ga is None or fa is None or h not in self.arrows:
+                raise MalformedTable(f"composition row {g}∘{f} = {h} names "
+                                     f"an unknown arrow in {name}")
+            if fa.dst is not ga.src and fa.dst != ga.src:
+                raise MalformedTable(f"composition row {g}∘{f}: "
+                                     f"{f} and {g} do not compose in {name}")
+            self.compose[(g, f)] = h
+        for n, a in self.arrows.items():
+            self.compose.setdefault((n, self.identities[a.src]), n)
+            self.compose.setdefault((self.identities[a.dst], n), n)
+        # thin: at most one arrow per hom-set.  _down maps each object to
+        # the mask of objects with an arrow into it (bit i: objects[i]).
+        self.thin = all(len(h) == 1 for h in self._hom.values())
+        bit = {o: 1 << i for i, o in enumerate(self.objects)}
+        self._down = dict.fromkeys(self.objects, 0)
+        for (x, y) in self._hom:
+            self._down[y] |= bit[x]
 
     def arr(self, name) -> Arrow:
         try:
@@ -81,14 +101,14 @@ class FinCat:
 
     def comp(self, g, f):
         """g∘f (first f, then g)."""
-        ga, fa = self.arr(g), self.arr(f)
-        if fa.dst != ga.src:
-            raise NotComposable(f"{g}∘{f}: {fa.dst} != {ga.src}")
         try:
             return self.compose[(g, f)]
         except KeyError:
-            raise MalformedTable(f"missing composition {g}∘{f} "
-                                 f"in {self.name}") from None
+            pass
+        ga, fa = self.arr(g), self.arr(f)
+        if fa.dst != ga.src:
+            raise NotComposable(f"{g}∘{f}: {fa.dst} != {ga.src}")
+        raise MalformedTable(f"missing composition {g}∘{f} in {self.name}")
 
     def validate(self) -> list[str]:
         """Exhaustive category laws; returns human-readable violations."""
@@ -124,16 +144,6 @@ class FinCat:
                         out.append(str(e))
         return out
 
-    def to_data(self) -> dict:
-        return {
-            "objects": list(self.objects),
-            "arrows": [[a.name, a.src, a.dst] for a in self.arrows.values()
-                       if a.name not in self.identities.values()],
-            "compose": [[g, f, h] for (g, f), h in self.compose.items()
-                        if g not in self.identities.values()
-                        and f not in self.identities.values()],
-        }
-
 
 def poset_category(objects, leq: Callable, name: str = "") -> FinCat:
     """The thin category of a finite preorder; arrow x→y named 'x<=y'."""
@@ -142,6 +152,7 @@ def poset_category(objects, leq: Callable, name: str = "") -> FinCat:
     nm = {p: f"{p[0]}<={p[1]}" for p in rel}
     for (x, y) in rel:
         arrows.append((nm[(x, y)], x, y))
+    nm.update({(x, x): id_name(x) for x in objects})  # x<=y<=x is id_x
     for (x, y) in rel:
         for (y2, z) in rel:
             if y2 == y and (x, z) in nm:
@@ -159,12 +170,6 @@ class FinFunctor:
         for o in src.objects:
             if o in self.omap and self.omap[o] in dst.identities:
                 self.amap.setdefault(src.id_arr(o), dst.id_arr(self.omap[o]))
-
-    def on_obj(self, o):
-        return self.omap[o]
-
-    def on_arr(self, a):
-        return self.amap[a]
 
     def validate(self) -> list[str]:
         out = [f"object map misses {o}" for o in self.src.objects
@@ -388,20 +393,27 @@ def comma_cell(mt: ModeTheory, cat: FinCat, arrow_name) -> str:
     return _cell_of(mt, cat.arr(arrow_name))
 
 
-# --- limits by terminal-cone search -------------------------------------------
+# --- limits ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Cone:
     apex: Hashable
-    legs: tuple  # of (node key, arrow name) pairs, keys sorted by repr
+    legs: tuple  # (node key, arrow name) pairs, in the repr order of the keys
+    _by_key: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_key", dict(self.legs))
 
     def leg(self, key):
-        return dict(self.legs)[key]
+        return self._by_key[key]
 
 
-def _cones(c: FinCat, nodes: dict, edges, apex) -> list[Cone]:
-    keys = sorted(nodes, key=repr)
-    choices = [c.hom(apex, nodes[k]) for k in keys]
+def _check_cap(size: int, cap: Optional[int]):
+    if cap is not None and size > cap:
+        raise CapExceeded(f"cone search size {size} exceeds cap {cap}")
+
+
+def _cones(c: FinCat, keys, edges, apex, choices) -> list[Cone]:
     out = []
     for combo in itertools.product(*choices):
         legs = dict(zip(keys, combo))
@@ -413,20 +425,16 @@ def _cones(c: FinCat, nodes: dict, edges, apex) -> list[Cone]:
 def all_cones(c: FinCat, nodes: dict, edges, cap: Optional[int] = None,
               order: Optional[int] = None) -> list[Cone]:
     keys = sorted(nodes, key=repr)
-    estimate = 0
-    for apex in c.objects:
-        n = 1
-        for k in keys:
-            n *= len(c.hom(apex, nodes[k]))
-        estimate += n
-    if cap is not None and estimate > cap:
-        raise CapExceeded(f"cone search size {estimate} exceeds cap {cap}")
-    out = []
-    apexes = list(c.objects)
+    # each apex's leg choices, one hom-set per node
+    per_apex = [(apex, [c.hom(apex, nodes[k]) for k in keys])
+                for apex in c.objects]
+    _check_cap(sum(math.prod(map(len, choices)) for _, choices in per_apex),
+               cap)
     if order is not None:
-        random.Random(order).shuffle(apexes)
-    for apex in apexes:
-        out.extend(_cones(c, nodes, edges, apex))
+        random.Random(order).shuffle(per_apex)
+    out = []
+    for apex, choices in per_apex:
+        out.extend(_cones(c, keys, edges, apex, choices))
     if order is not None:
         random.Random(order + 1).shuffle(out)
     return out
@@ -442,9 +450,8 @@ def factorizations(c: FinCat, x, y, pairs) -> list:
 
 def _is_terminal(c: FinCat, cone: Cone, cones) -> bool:
     """Whether every one of cones factors through cone in exactly one way."""
-    legs = dict(cone.legs)
     for k in cones:
-        pairs = [(legs[key], arr) for key, arr in k.legs]
+        pairs = [(cone.leg(key), arr) for key, arr in k.legs]
         if len(factorizations(c, k.apex, cone.apex, pairs)) != 1:
             return False
     return True
@@ -462,20 +469,54 @@ def isomorphic(c: FinCat, a, b) -> bool:
     return any(is_iso(c, f) for f in c.hom(a, b))
 
 
+def _lower_bounds(c: FinCat, nodes: dict, cap: Optional[int]) -> int:
+    """In a thin c, the mask of objects with an arrow into every node.  Each
+    is the apex of exactly one cone, so its popcount is the cone search size
+    that cap bounds."""
+    lower = (1 << len(c.objects)) - 1
+    for x in nodes.values():
+        lower &= c._down.get(x, 0)
+    _check_cap(lower.bit_count(), cap)
+    return lower
+
+
 def limit(c: FinCat, nodes: dict, edges=(), cap: Optional[int] = None,
           order: Optional[int] = None) -> Optional[Cone]:
     """Terminal cone over the diagram, or None when absent.
 
     nodes: mapping key → object; edges: (src key, dst key, arrow) triples.
+    In a thin c every cone commutes, so the limit is a greatest lower bound
+    of the nodes; otherwise the cones are enumerated.  order, when given,
+    permutes the search.
     """
-    cones = all_cones(c, nodes, edges, cap=cap, order=order)
-    return next((cand for cand in cones if _is_terminal(c, cand, cones)),
-                None)
+    if not c.thin:
+        cones = all_cones(c, nodes, edges, cap=cap, order=order)
+        return next((cand for cand in cones if _is_terminal(c, cand, cones)),
+                    None)
+    lower = _lower_bounds(c, nodes, cap)
+    ranks = range(len(c.objects))
+    if order is not None:
+        ranks = list(ranks)
+        random.Random(order).shuffle(ranks)
+    for i in ranks:
+        apex = c.objects[i]
+        if lower >> i & 1 and c._down[apex] & lower == lower:
+            keys = sorted(nodes, key=repr)
+            return Cone(apex, tuple((k, c._hom[(apex, nodes[k])][0])
+                                    for k in keys))
+    return None
 
 
 def is_terminal_cone(c: FinCat, nodes: dict, edges, cone: Cone,
                      cap: Optional[int] = None) -> bool:
-    return _is_terminal(c, cone, all_cones(c, nodes, edges, cap=cap))
+    if not c.thin:
+        return _is_terminal(c, cone, all_cones(c, nodes, edges, cap=cap))
+    lower = _lower_bounds(c, nodes, cap)
+    for k, x in nodes.items():
+        a = c.arrows.get(cone._by_key.get(k))
+        if a is None or a.src != cone.apex or a.dst != x:
+            return False
+    return c._down.get(cone.apex, 0) & lower == lower
 
 
 def check_preserves_limit(f: FinFunctor, nodes: dict, edges, cone: Cone,

@@ -223,14 +223,6 @@ class ModeTheory:
         return sorted((m for m in self.morphisms.values()
                        if m.src == src and m.dst == dst), key=lambda m: m.name)
 
-    def cells_between_homs(self, src_mode: str, dst_mode: str) -> list[Cell]:
-        out = []
-        for c in self.cells.values():
-            m = self.morphisms[c.src]
-            if (m.src, m.dst) == (src_mode, dst_mode):
-                out.append(c)
-        return sorted(out, key=lambda c: c.name)
-
     # -- algebra ----------------------------------------------------------
 
     def compose(self, g: str, f: str) -> str:

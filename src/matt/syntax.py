@@ -190,9 +190,6 @@ class Context:
     mode: str          # current mode (after all entries)
     entries: tuple = ()
 
-    def var_entries(self):
-        return [e for e in self.entries if isinstance(e, VarEntry)]
-
 
 def empty_context(mode: str) -> Context:
     return Context(mode, ())

@@ -175,19 +175,34 @@ def test_criterion_8_metamorphic():
             tmp.unlink(missing_ok=True)
 
 
-def test_criterion_9_scaled_semantics():
-    # single_arrow with both modes a chain of 6 and mu the identity
+def _single_arrow_chain(n):
+    """single_arrow with both modes a chain of n and mu the identity."""
     mt = load_mode_theory(theory_path("single_arrow"))
-    chain = [str(i) for i in range(6)]
+    chain = [str(i) for i in range(n)]
     cats = {p: poset_category(chain, lambda x, y: int(x) <= int(y), name=p)
             for p in ("p", "q")}
     mu = FinFunctor(cats["p"], cats["q"], {o: o for o in chain},
                     {a: a for a in cats["p"].arrows}, name="mu")
     d = Diagram(mt, cats, {"mu": mu}, {})
     assert d.validate() == []
+    return d
+
+
+def test_criterion_9_scaled_semantics():
+    d = _single_arrow_chain(6)
     with criterion(9, "scaled semantics", bound=1.0):
         b = build_bundle(d)
         ok, detail = law_pointwise_limits(d, b, None)
         assert ok, detail
         cx = b.codexes["q"]
         assert (len(cx.objects), len(cx.cat.arrows)) == (21, 196)
+
+
+def test_criterion_10_scaled_semantics():
+    d = _single_arrow_chain(10)
+    with criterion(10, "scaled semantics, n=10", bound=1.0):
+        b = build_bundle(d)
+        ok, detail = law_pointwise_limits(d, b, None)
+        assert ok, detail
+        cx = b.codexes["q"]
+        assert (len(cx.objects), len(cx.cat.arrows)) == (55, 1210)

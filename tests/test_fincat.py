@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.codex import enumerate_codex
-from matt.errors import CapExceeded, MalformedTable
-from matt.fincat import (Cone, FinCat, FinFunctor, check_preserves_limit,
-                         comma, comma_cell, compose_functors, factorizations,
-                         identity_functor, is_iso, limit, load_diagram,
-                         poset_category)
+from matt.errors import CapExceeded, MalformedTable, NotComposable
+from matt.fincat import (Cone, FinCat, FinFunctor, all_cones,
+                         check_preserves_limit, comma, comma_cell,
+                         compose_functors, factorizations, identity_functor,
+                         is_iso, is_terminal_cone, isomorphic, limit,
+                         load_diagram, poset_category)
 from matt.mode_theory import load_mode_theory
 
 
@@ -39,6 +40,32 @@ def test_category_law_violation_detected():
     c = FinCat(["a", "b"], [("f", "a", "b"), ("g", "b", "a")],
                [("g", "f", "id:b")])  # wrong boundary: g∘f lands at a
     assert any("boundary" in v for v in c.validate())
+
+
+def test_comp_errors():
+    # f: a -> b, g: b -> c, and no row for g∘f
+    c = FinCat(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], [])
+    assert c.comp("id:b", "f") == "f"
+    with pytest.raises(MalformedTable, match="unknown arrow 'h'"):
+        c.comp("h", "f")
+    with pytest.raises(MalformedTable, match="unknown arrow 'h'"):
+        c.comp("g", "h")
+    with pytest.raises(NotComposable):
+        c.comp("f", "g")
+    with pytest.raises(MalformedTable, match="missing composition g∘f"):
+        c.comp("g", "f")
+
+
+@pytest.mark.parametrize("row", [("g", "h", "gf"), ("h", "f", "gf"),
+                                 ("g", "f", "h"), ("f", "g", "gf")],
+                         ids=["unknown-f", "unknown-g", "unknown-result",
+                              "not-composable"])
+def test_composition_row_rejected(row):
+    arrows = [("f", "a", "b"), ("g", "b", "c"), ("gf", "a", "c")]
+    assert FinCat(["a", "b", "c"], arrows, [("g", "f", "gf")]).validate() \
+        == []
+    with pytest.raises(MalformedTable, match="composition row"):
+        FinCat(["a", "b", "c"], arrows, [row])
 
 
 def test_functor_validation():
@@ -147,6 +174,69 @@ def test_check_preserves_limit():
     cone = limit(d, nodes, [])
     assert check_preserves_limit(identity_functor(d), nodes, [], cone)
     assert not check_preserves_limit(collapse, nodes, [], cone)
+
+
+# --- limits in a thin category, against brute force over hom ---------------
+
+@st.composite
+def preorders(draw):
+    """The thin category of a random preorder on 1-5 objects: the reflexive
+    and transitive closure of random pairs, so distinct objects may be
+    isomorphic."""
+    objs = ["a", "b", "c", "d", "e"][:draw(st.integers(1, 5))]
+    leq = {(x, x) for x in objs} | draw(st.sets(st.tuples(
+        st.sampled_from(objs), st.sampled_from(objs))))
+    for k in objs:
+        leq |= {(x, y) for (x, k1) in leq for (k2, y) in leq
+                if k1 == k == k2}
+    return poset_category(objs, lambda x, y: (x, y) in leq, name="pre")
+
+
+@given(preorders(), st.data(), st.integers(0, 99))
+def test_thin_limit_is_a_greatest_lower_bound(c, data, seed):
+    assert c.thin and c.validate() == []
+    xs = data.draw(st.lists(st.sampled_from(c.objects), max_size=4))
+    nodes = {f"n{i}": x for i, x in enumerate(xs)}
+    keys = sorted(nodes, key=repr)
+    # every cone commutes in a thin category, so edges change nothing
+    edges = [(a, b, c.hom(nodes[a], nodes[b])[0]) for a in keys for b in keys
+             if c.hom(nodes[a], nodes[b]) and data.draw(st.booleans())]
+    lower = [o for o in c.objects if all(c.hom(o, x) for x in xs)]
+    glbs = [m for m in lower if all(c.hom(o, m) for o in lower)]
+
+    cone = limit(c, nodes, edges, order=seed)
+    if not glbs:
+        assert cone is None
+    else:
+        assert cone is not None and isomorphic(c, cone.apex, glbs[0])
+        assert cone.legs == tuple((k, c.hom(cone.apex, nodes[k])[0])
+                                  for k in keys)
+    for m in lower:
+        at_m = Cone(m, tuple((k, c.hom(m, nodes[k])[0]) for k in keys))
+        assert is_terminal_cone(c, nodes, edges, at_m) == (m in glbs)
+
+    # the cap bounds the number of cones: one per lower bound
+    assert len(all_cones(c, nodes, edges)) == len(lower)
+    probe = cone or Cone(c.objects[0], ())
+    for cap in range(len(lower) + 1):
+        for search in (lambda: limit(c, nodes, edges, cap=cap),
+                       lambda: is_terminal_cone(c, nodes, edges, probe,
+                                                cap=cap)):
+            if len(lower) > cap:
+                with pytest.raises(CapExceeded):
+                    search()
+            else:
+                search()
+
+
+def test_thin_limit_among_isomorphic_objects():
+    # a and b are isomorphic and below c: each is a meet of a and b
+    c = poset_category(["c", "a", "b"], lambda x, y: x != "c" or y == "c")
+    assert c.thin and c.validate() == []
+    apexes = {limit(c, {"l": "a", "r": "b"}, [], order=s).apex
+              for s in range(20)}
+    assert apexes == {"a", "b"}
+    assert limit(c, {"l": "a", "r": "b"}, []).apex == "a"  # objects order
 
 
 # --- comma categories -----------------------------------------------------------

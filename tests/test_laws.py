@@ -1,12 +1,15 @@
 """The executable law suite and its CLI front end."""
 
 import io
+import json
 
 import pytest
 
-from matt.bundled import diagram_path
+from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.cli import cmd_sem_laws
+from matt.codex import enumerate_codex
 from matt.errors import ParseError
+from matt.fincat import load_diagram
 from matt.laws import LAWS, run_law_suite
 
 
@@ -76,3 +79,47 @@ def test_cli_sem_laws_fail():
 def test_cli_sem_laws_missing_file():
     rc = cmd_sem_laws("no/such/diagram.dg", out=io.StringIO())
     assert rc == 2
+
+
+# --- categories with parallel arrows: the general cone search ----------------
+
+@pytest.mark.parametrize("name", list(DIAGRAM_NAMES) + ["nonpreserving"])
+def test_bundled_diagrams_are_thin(name):
+    d = load_diagram(diagram_path(name))
+    for p in d.mt.modes:
+        assert d.cat(p).thin and enumerate_codex(d, p).cat.thin, p
+
+
+IDEMPOTENT = {"objects": ["*"], "arrows": [["e", "*", "*"]],
+              "compose": [["e", "e", "e"]]}
+PARALLEL_PAIR = {"objects": ["a", "b", "t"],
+                 "arrows": [["f", "a", "b"], ["g", "a", "b"],
+                            ["ta", "a", "t"], ["tb", "b", "t"]],
+                 "compose": [["tb", "f", "ta"], ["tb", "g", "ta"]]}
+Z2 = {"objects": ["*"], "arrows": [["s", "*", "*"]],
+      "compose": [["s", "s", "id:*"]]}
+NO_LIMIT = "incl(id:q): component at mu of * has no limit"
+
+NOT_THIN = {
+    "idempotent-monoid": ("trivial", {"p": IDEMPOTENT}, {}, {}),
+    "parallel-pair": ("trivial", {"p": PARALLEL_PAIR}, {}, {}),
+    # Z/2 has no terminal object, so incl(id:q) has no limit to take
+    "z2": ("single_arrow", {"p": Z2, "q": Z2},
+           {"mu": {"objects": {"*": "*"}, "arrows": {"s": "s"}}},
+           {law: NO_LIMIT for law in LAWS if law != "limit-preservation"}),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_THIN))
+def test_laws_on_categories_that_are_not_thin(tmp_path, name):
+    theory, cats, functors, failing = NOT_THIN[name]
+    path = tmp_path / f"{name}.dg"
+    path.write_text(json.dumps({"mode_theory": str(theory_path(theory)),
+                                "categories": cats, "functors": functors}))
+    d = load_diagram(path)
+    for p in d.mt.modes:
+        assert not d.cat(p).thin and not enumerate_codex(d, p).cat.thin, p
+    results = run_law_suite(path)
+    assert set(results) == set(LAWS)
+    assert {law: detail for law, (ok, detail) in results.items()
+            if not ok} == failing
