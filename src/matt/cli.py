@@ -2,7 +2,7 @@
 
     matt check <src>... --mode-theory <mt> [--trace]
     matt modes validate <mt>
-    matt sem laws <diagram> [--only <law>] [--cap <n>] [--jobs <n>]
+    matt sem laws <diagram> [--only <law>] [--cap <n>]
 
 Exit codes: 0 success, 1 a check or law failed, 2 malformed input.
 Diagnostics go to stderr as "ERROR <code> @ <file>:<line>:<col>: <message>".
@@ -178,11 +178,11 @@ def cmd_modes_validate(path, out=None) -> int:
     return 1
 
 
-def cmd_sem_laws(path, only=None, cap=None, jobs=1, out=None) -> int:
+def cmd_sem_laws(path, only=None, cap=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     from .laws import run_law_suite
     try:
-        results = run_law_suite(path, only=only, cap=cap, jobs=jobs)
+        results = run_law_suite(path, only=only, cap=cap)
     except (OSError, MattError) as e:
         code = getattr(e, "code", "ParseError")
         print(f"ERROR {code} @ {path}:0:0: {e}", file=sys.stderr)
@@ -218,7 +218,8 @@ def main(argv=None) -> int:
     p_laws.add_argument("diagram")
     p_laws.add_argument("--only", default=None)
     p_laws.add_argument("--cap", type=int, default=None)
-    p_laws.add_argument("--jobs", type=int, default=1)
+    p_laws.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
 
     args = ap.parse_args(argv)
     if args.cmd == "check":
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
     if args.cmd == "modes":
         return cmd_modes_validate(args.mt)
     if args.cmd == "sem":
-        return cmd_sem_laws(args.diagram, args.only, args.cap, args.jobs)
+        return cmd_sem_laws(args.diagram, args.only, args.cap)
     return 2
 
 

@@ -9,8 +9,11 @@ triple (nu, rho, alpha), not just the cell.
 
 Everything here is finite: codex categories are enumerated exhaustively and
 handed back as plain FinCats so the limit machinery applies to them unchanged.
-Lock functors act by composition on the index; reflect projects a component;
-incl builds its right adjoint pointwise from limits over comma categories.
+A CodexCategory holds its index, computed once: the morphisms into its mode
+and their decompositions.  Constructions read that index and return the
+codex's own object and arrow instances.  Lock functors act by composition on
+the index; reflect projects a component; incl builds its right adjoint
+pointwise from limits over comma categories.
 """
 
 from __future__ import annotations
@@ -32,17 +35,22 @@ class OplaxObject:
     components: sorted tuple of (morphism name, object) pairs.
     structure: sorted tuple of ((nu, rho, alpha), arrow) pairs.
 
-    The hash is computed once, at construction: codex objects sit inside
-    every codex arrow name and are hashed on each hom or table lookup.
+    The hash and the lookups by index are built once, at construction:
+    codex objects sit inside every codex arrow name and are hashed on each
+    hom or table lookup.
     """
     mode: str
     components: tuple
     structure: tuple
     _hash: int = field(init=False, repr=False, compare=False)
+    _comps: dict = field(init=False, repr=False, compare=False)
+    _smaps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.mode, self.components,
                                                  self.structure)))
+        object.__setattr__(self, "_comps", dict(self.components))
+        object.__setattr__(self, "_smaps", dict(self.structure))
 
     def __hash__(self):
         return self._hash
@@ -53,21 +61,49 @@ class OplaxObject:
                    tuple(sorted(smaps.items())))
 
     def component(self, mu):
-        return dict(self.components)[mu]
+        return self._comps[mu]
 
     def smap(self, triple):
-        return dict(self.structure)[triple]
+        return self._smaps[triple]
 
 
 @dataclass
 class CodexCategory:
+    """The codex category at a mode, built only by enumerate_codex.
+
+    mus (the morphisms into the mode) index the components of an object and
+    trips (decomposition_triples) its structure maps.  obj and arrow return
+    the enumerated instances, never an equal copy."""
     diagram: Diagram
     mode: str
+    mus: list
+    trips: list
     cat: FinCat
+    _instances: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._instances = {o: o for o in self.cat.objects}
 
     @property
     def objects(self):
         return self.cat.objects
+
+    def obj(self, comps: dict, smaps: dict):
+        """The enumerated object with these components and structure maps,
+        or None when they do not form one."""
+        return self._instances.get(OplaxObject.of(self.mode, comps, smaps))
+
+    def arrow(self, comps: dict, src: OplaxObject, dst: OplaxObject):
+        """The name of the arrow src -> dst with these components, as the
+        codex holds it."""
+        return self.cat.arr(_arrow_name(self.diagram, comps, src, dst)).name
+
+    def theta(self, name) -> dict:
+        """Per-index components of a codex arrow."""
+        a = self.cat.arr(name)
+        if name == self.cat.identities.get(a.src):
+            return _identity_family(self.diagram, a.src)
+        return dict(name[0])
 
 
 def decomposition_triples(mt, r) -> list:
@@ -122,8 +158,7 @@ def _structure_violations(d, comps, smaps, trips) -> list[str]:
 def check_oplax_object(d, obj: OplaxObject) -> list[str]:
     """Independent verification of all codex-object axioms."""
     mt = d.mt
-    comps = dict(obj.components)
-    smaps = dict(obj.structure)
+    comps, smaps = obj._comps, obj._smaps
     mus = [m.name for m in mt.morphisms_into(obj.mode)]
     if sorted(comps) != sorted(mus):
         return ["component index set does not match morphisms into the mode"]
@@ -161,15 +196,14 @@ def _theta_squares_ok(d, trips, g, h, theta) -> bool:
 def check_oplax_morphism(cx: CodexCategory, arrow_name) -> list[str]:
     d, mt = cx.diagram, cx.diagram.mt
     a = cx.cat.arr(arrow_name)
-    theta = theta_components(cx, arrow_name)
-    trips = decomposition_triples(mt, cx.mode)
+    theta = cx.theta(arrow_name)
     out = []
     for mu, arr in theta.items():
         cp = d.cat(mt.mor(mu).src)
         ab = cp.arr(arr)
         if (ab.src, ab.dst) != (a.src.component(mu), a.dst.component(mu)):
             out.append(f"component at {mu} has wrong boundary")
-    if not out and not _theta_squares_ok(d, trips, a.src, a.dst, theta):
+    if not out and not _theta_squares_ok(d, cx.trips, a.src, a.dst, theta):
         out.append("a structure square does not commute")
     return out
 
@@ -179,25 +213,12 @@ def _identity_family(d, obj: OplaxObject) -> dict:
     return {mu: d.cat(mt.mor(mu).src).id_arr(v) for mu, v in obj.components}
 
 
-def theta_components(cx: CodexCategory, arrow_name) -> dict:
-    """Per-index components of a codex arrow."""
-    a = cx.cat.arr(arrow_name)
-    if arrow_name == cx.cat.identities.get(a.src):
-        return _identity_family(cx.diagram, a.src)
-    return dict(arrow_name[0])
-
-
-def _theta_name(d: Diagram, names, comps: dict, src: OplaxObject,
+def _arrow_name(d: Diagram, comps: dict, src: OplaxObject,
                 dst: OplaxObject):
-    """The canonical name of the codex arrow src -> dst with the given
-    components; it must be one of names (a codex category's arrows)."""
-    if src == dst and comps == _identity_family(d, src):
-        name = id_name(src)
-    else:
-        name = (tuple(sorted(comps.items())), src, dst)
-    if name not in names:
-        raise MalformedTable(f"unknown arrow {name!r} in Codex({src.mode})")
-    return name
+    """The name of the codex arrow src -> dst with the given components."""
+    if src is dst and comps == _identity_family(d, src):
+        return id_name(src)
+    return (tuple(sorted(comps.items())), src, dst)
 
 
 def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
@@ -253,8 +274,7 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
                 arrows.append((name, g, h))
 
     # composites of non-identity arrows, componentwise; FinCat adds the rows
-    # that involve an identity
-    names = {n for n, _, _ in arrows} | {id_name(g) for g in objs}
+    # that involve an identity and rejects a row naming an unknown arrow
     out_of: dict = {}
     for a in arrows:
         out_of.setdefault(a[1], []).append(a)
@@ -264,9 +284,9 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
         for (bn, _, bdst) in out_of.get(adst, ()):
             tb = dict(bn[0])
             comps = {mu: cats[mu].comp(tb[mu], ta[mu]) for mu in mus}
-            rows.append((bn, an, _theta_name(d, names, comps, asrc, bdst)))
-    return CodexCategory(d, r, FinCat(objs, arrows, rows,
-                                      name=f"Codex({r})"))
+            rows.append((bn, an, _arrow_name(d, comps, asrc, bdst)))
+    return CodexCategory(d, r, mus, trips,
+                         FinCat(objs, arrows, rows, name=f"Codex({r})"))
 
 
 # --- lock functors and reflection ----------------------------------------------
@@ -274,25 +294,25 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
 def lock_functor(cx_r: CodexCategory, cx_q: CodexCategory,
                  mu: str) -> FinFunctor:
     """The lock along mu: q -> r, acting by composition on the index."""
-    d, mt = cx_r.diagram, cx_r.diagram.mt
+    mt = cx_r.diagram.mt
     m = mt.mor(mu)
     if (m.src, m.dst) != (cx_q.mode, cx_r.mode):
         raise NotComposable(f"lock_functor: {mu} is not {cx_q.mode} -> "
                             f"{cx_r.mode}")
-    nus = [n.name for n in mt.morphisms_into(cx_q.mode)]
-    trips = decomposition_triples(mt, cx_q.mode)
     omap = {}
     for g in cx_r.objects:
-        comps = {nu: g.component(mt.compose(mu, nu)) for nu in nus}
+        comps = {nu: g.component(mt.compose(mu, nu)) for nu in cx_q.mus}
         smaps = {t: g.smap((mt.compose(mu, t[0]), t[1], mt.wl(mu, t[2])))
-                 for t in trips}
-        omap[g] = OplaxObject.of(cx_q.mode, comps, smaps)
+                 for t in cx_q.trips}
+        omap[g] = cx_q.obj(comps, smaps)
+        if omap[g] is None:
+            raise MalformedTable(f"lock({mu}): image of {g} was not "
+                                 "enumerated")
     amap = {}
     for name, a in cx_r.cat.arrows.items():
-        th = theta_components(cx_r, name)
-        comps = {nu: th[mt.compose(mu, nu)] for nu in nus}
-        amap[name] = _theta_name(d, cx_q.cat.arrows, comps, omap[a.src],
-                                 omap[a.dst])
+        th = cx_r.theta(name)
+        comps = {nu: th[mt.compose(mu, nu)] for nu in cx_q.mus}
+        amap[name] = cx_q.arrow(comps, omap[a.src], omap[a.dst])
     return FinFunctor(cx_r.cat, cx_q.cat, omap, amap, name=f"lock({mu})")
 
 
@@ -305,16 +325,14 @@ def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
     cx_r, cx_q = bundle.codexes[m.dst], bundle.codexes[m.src]
     fm2 = bundle.right_adjoints[c.dst].lock
     fm = bundle.right_adjoints[c.src].lock
-    nus = [n.name for n in mt.morphisms_into(cx_q.mode)]
     comps = {}
     for g in cx_r.objects:
         th = {}
-        for nu in nus:
+        for nu in cx_q.mus:
             o = mt.mor(nu).src
             cell = mt.wr(beta, nu)
             th[nu] = g.smap((mt.compose(c.dst, nu), mt.id_mor(o), cell))
-        comps[g] = _theta_name(bundle.diagram, cx_q.cat.arrows, th,
-                               fm2.omap[g], fm.omap[g])
+        comps[g] = cx_q.arrow(th, fm2.omap[g], fm.omap[g])
     return FinNat(fm2, fm, comps, name=f"lock({beta})")
 
 
@@ -326,7 +344,7 @@ def reflect(cx_q: CodexCategory, mu: str) -> FinFunctor:
         raise NotComposable(f"reflect: {mu} does not land in {cx_q.mode}")
     cp = d.cat(m.src)
     omap = {g: g.component(mu) for g in cx_q.objects}
-    amap = {name: theta_components(cx_q, name)[mu] for name in cx_q.cat.arrows}
+    amap = {name: cx_q.theta(name)[mu] for name in cx_q.cat.arrows}
     return FinFunctor(cx_q.cat, cp, omap, amap, name=f"reflect({mu})")
 
 
@@ -359,17 +377,15 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     m = mt.mor(pi)
     if m.dst != cx_s.mode:
         raise NotComposable(f"incl: {pi} does not land in {cx_s.mode}")
-    r, s = m.src, m.dst
+    r = m.src
     cr = d.cat(r)
-    nus = [n.name for n in mt.morphisms_into(s)]
-    commas = {nu: comma(mt, pi, nu) for nu in nus}
-    trips = decomposition_triples(mt, s)
+    commas = {nu: comma(mt, pi, nu) for nu in cx_s.mus}
 
     cones = {}
     omap = {}
     for g in cr.objects:
         comps = {}
-        for nu in nus:
+        for nu in cx_s.mus:
             k = commas[nu]
             cq = d.cat(mt.mor(nu).src)
             nodes = {o: d.fun(o[0]).omap[g] for o in k.objects}
@@ -383,7 +399,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
             comps[nu] = cone.apex
             cones[(g, nu)] = cone
         smaps = {}
-        for t in trips:
+        for t in cx_s.trips:
             nu, rho, alpha = t
             mu = mt.cell(alpha).src
             cq = d.cat(mt.mor(nu).src)
@@ -396,16 +412,15 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                               mt.vcomp(mt.wr(alpha, o[0]), o[1]))))
                  for o in commas[mu].objects),
                 f"incl({pi}): structure map at {t} of {g}")
-        obj = OplaxObject.of(s, comps, smaps)
-        if obj not in cx_s.cat.object_set:
+        omap[g] = cx_s.obj(comps, smaps)
+        if omap[g] is None:
             raise MalformedTable(f"incl({pi}): computed object for {g} was "
                                  "not enumerated")
-        omap[g] = obj
 
     amap = {}
     for fname, fa in cr.arrows.items():
         comps = {}
-        for nu in nus:
+        for nu in cx_s.mus:
             cq = d.cat(mt.mor(nu).src)
             c1, c2 = cones[(fa.src, nu)], cones[(fa.dst, nu)]
             comps[nu] = _mediating(
@@ -413,8 +428,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                 ((c2.leg(o), cq.comp(d.fun(o[0]).amap[fname], c1.leg(o)))
                  for o in commas[nu].objects),
                 f"incl({pi}): image of {fname} at {nu}")
-        amap[fname] = _theta_name(d, cx_s.cat.arrows, comps, omap[fa.src],
-                                  omap[fa.dst])
+        amap[fname] = cx_s.arrow(comps, omap[fa.src], omap[fa.dst])
     incl_f = FinFunctor(cr, cx_s.cat, omap, amap, name=f"incl({pi})")
     refl_f = reflect(cx_s, pi)
 
@@ -427,7 +441,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     for delta in cx_s.objects:
         g = delta.component(pi)
         comps = {}
-        for nu in nus:
+        for nu in cx_s.mus:
             cq = d.cat(mt.mor(nu).src)
             cone = cones[(g, nu)]
             comps[nu] = _mediating(
@@ -435,8 +449,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                 ((cone.leg(o), delta.smap((nu, o[0], o[1])))
                  for o in commas[nu].objects),
                 f"incl({pi}): unit at {nu} of {delta}")
-        unit_comps[delta] = _theta_name(d, cx_s.cat.arrows, comps, delta,
-                                        omap[g])
+        unit_comps[delta] = cx_s.arrow(comps, delta, omap[g])
     unit = FinNat(identity_functor(cx_s.cat),
                   compose_functors(incl_f, refl_f), unit_comps,
                   name=f"unit({pi})")
@@ -491,9 +504,7 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     if (m.src, m.dst) != (cx_r.mode, cx_s.mode):
         raise NotComposable(f"codex_right_adjoint: {pi} is not "
                             f"{cx_r.mode} -> {cx_s.mode}")
-    mus = [x.name for x in mt.morphisms_into(cx_r.mode)]
-    trips = [t for t in decomposition_triples(mt, cx_r.mode)
-             if not _is_identity_triple(mt, t)]
+    trips = [t for t in cx_r.trips if not _is_identity_triple(mt, t)]
     mates = {}
     for t in trips:
         nu, rho, alpha = t
@@ -505,7 +516,7 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     omap = {}
     for delta in cx_r.objects:
         nodes = {("n", mu): adjs[mt.compose(pi, mu)].incl.omap[
-            delta.component(mu)] for mu in mus}
+            delta.component(mu)] for mu in cx_r.mus}
         edges = []
         for t in trips:
             nu, rho, alpha = t
@@ -525,7 +536,7 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
 
     def node_maps(theta, a):
         out = {}
-        for mu in mus:
+        for mu in cx_r.mus:
             out[("n", mu)] = adjs[mt.compose(pi, mu)].incl.amap[theta[mu]]
         for t in trips:
             nu, rho, alpha = t
@@ -536,8 +547,7 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
 
     amap = {}
     for name, a in cx_r.cat.arrows.items():
-        theta = theta_components(cx_r, name)
-        nmaps = node_maps(theta, a)
+        nmaps = node_maps(cx_r.theta(name), a)
         c1, c2 = cones[a.src], cones[a.dst]
         amap[name] = _mediating(
             cx_s.cat, omap[a.src], omap[a.dst],
@@ -550,21 +560,20 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     for delta in cx_r.objects:
         apex = omap[delta]
         comps = {}
-        for mu in mus:
+        for mu in cx_r.mus:
             pim = mt.compose(pi, mu)
-            legc = theta_components(cx_s, cones[delta].leg(("n", mu)))[pim]
+            legc = cx_s.theta(cones[delta].leg(("n", mu)))[pim]
             cp = d.cat(mt.mor(mu).src)
             comps[mu] = cp.comp(adjs[pim].counit.at(delta.component(mu)),
                                 legc)
-        counit[delta] = _theta_name(d, cx_r.cat.arrows, comps,
-                                    lock.omap[apex], delta)
+        counit[delta] = cx_r.arrow(comps, lock.omap[apex], delta)
 
     unit = {}
     for gamma in cx_s.objects:
         delta = lock.omap[gamma]
         cone = cones[delta]
         wanted = {("n", mu): adjs[mt.compose(pi, mu)].unit.at(gamma)
-                  for mu in mus}
+                  for mu in cx_r.mus}
         for t in trips:
             nu = t[0]
             edge = adjs[mt.compose(pi, nu)].incl.amap[delta.smap(t)]
@@ -604,7 +613,7 @@ def psnat_component(bundle: CodexBundle, pi: str, delta: OplaxObject):
     r, s = mt.mor(pi).src, mt.mor(pi).dst
     radj = bundle.right_adjoints[pi]
     leg = radj.cones[delta].leg(("n", mt.id_mor(r)))
-    outer = theta_components(bundle.codexes[s], leg)[mt.id_mor(s)]
+    outer = bundle.codexes[s].theta(leg)[mt.id_mor(s)]
     inner_cone = bundle.adjunctions[pi].cones[
         (delta.component(mt.id_mor(r)), mt.id_mor(s))]
     inner = inner_cone.leg((pi, mt.id_cell(pi)))
@@ -665,21 +674,19 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
     g: mode -> FinFunctor from bundle's codex to the target diagram's
     category at that mode; gamma: morphism rho -> per-object comparison
     G_q(radj(rho) Delta) -> E_rho(G_p Delta)."""
-    d, mt = bundle.diagram, bundle.diagram.mt
+    mt = bundle.diagram.mt
     e = target.diagram
     out = {}
     for r in mt.modes:
         cx_r = bundle.codexes[r]
         tx_r = target.codexes[r]
-        mus = [x.name for x in mt.morphisms_into(r)]
-        locks = {mu: bundle.right_adjoints[mu].lock for mu in mus}
-        trips = decomposition_triples(mt, r)
+        locks = {mu: bundle.right_adjoints[mu].lock for mu in cx_r.mus}
         omap = {}
         for gobj in cx_r.objects:
             comps = {mu: g[mt.mor(mu).src].omap[locks[mu].omap[gobj]]
-                     for mu in mus}
+                     for mu in cx_r.mus}
             smaps = {}
-            for t in trips:
+            for t in cx_r.trips:
                 nu, rho, alpha = t
                 mu = mt.cell(alpha).src
                 p, q = mt.mor(mu).src, mt.mor(nu).src
@@ -689,15 +696,14 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
                 lock_mu = locks[mu].omap[gobj]
                 lock_nu = locks[nu].omap[gobj]
                 lock_nurho = locks[mt.compose(nu, rho)].omap[gobj]
+                cx_p = bundle.codexes[p]
                 cell_comps = {}
-                for tau in (x.name for x in mt.morphisms_into(p)):
+                for tau in cx_p.mus:
                     o = mt.mor(tau).src
                     cell_comps[tau] = gobj.smap(
                         (mt.compose(mt.compose(nu, rho), tau), mt.id_mor(o),
                          mt.wr(alpha, tau)))
-                cx_p = bundle.codexes[p]
-                dalpha = _theta_name(d, cx_p.cat.arrows, cell_comps,
-                                     lock_nurho, lock_mu)
+                dalpha = cx_p.arrow(cell_comps, lock_nurho, lock_mu)
                 radj_rho = bundle.right_adjoints[rho]
                 mhat = bundle.codexes[q].cat.comp(
                     radj_rho.functor.amap[dalpha], radj_rho.unit[lock_nu])
@@ -707,17 +713,15 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
                     raise NotColax(f"missing colax cell for {rho} "
                                    f"at {lock_mu}") from None
                 smaps[t] = e.cat(q).comp(comparison, g[q].amap[mhat])
-            obj = OplaxObject.of(r, comps, smaps)
-            if obj not in tx_r.cat.object_set:
+            omap[gobj] = tx_r.obj(comps, smaps)
+            if omap[gobj] is None:
                 raise NotColax(f"dextrified object for {gobj} violates the "
                                "codex axioms")
-            omap[gobj] = obj
         amap = {}
         for name, a in cx_r.cat.arrows.items():
             comps = {mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
-                     for mu in mus}
-            amap[name] = _theta_name(e, tx_r.cat.arrows, comps,
-                                     omap[a.src], omap[a.dst])
+                     for mu in cx_r.mus}
+            amap[name] = tx_r.arrow(comps, omap[a.src], omap[a.dst])
         out[r] = FinFunctor(cx_r.cat, tx_r.cat, omap, amap,
                             name=f"dextrify({r})")
     return out

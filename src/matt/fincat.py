@@ -53,10 +53,9 @@ class FinCat:
             i = id_name(o)
             self.identities[o] = i
             self.arrows.setdefault(i, Arrow(i, o, o))
-        self.object_set = frozenset(self.objects)
         self._hom: dict = {}  # (src, dst) -> arrow names in insertion order
         for n, a in self.arrows.items():
-            if a.src not in self.object_set or a.dst not in self.object_set:
+            if a.src not in self.identities or a.dst not in self.identities:
                 raise MalformedTable(f"arrow {n} has unknown endpoint")
             self._hom.setdefault((a.src, a.dst), []).append(n)
         rows = compose.items() if isinstance(compose, Mapping) else \
@@ -66,13 +65,14 @@ class FinCat:
             (g, f), h = (item[0], item[1]) if len(item) == 2 else \
                 ((item[0], item[1]), item[2])
             ga, fa = self.arrows.get(g), self.arrows.get(f)
-            if ga is None or fa is None or h not in self.arrows:
+            ha = self.arrows.get(h)
+            if ga is None or fa is None or ha is None:
                 raise MalformedTable(f"composition row {g}∘{f} = {h} names "
                                      f"an unknown arrow in {name}")
             if fa.dst is not ga.src and fa.dst != ga.src:
                 raise MalformedTable(f"composition row {g}∘{f}: "
                                      f"{f} and {g} do not compose in {name}")
-            self.compose[(g, f)] = h
+            self.compose[(g, f)] = ha.name  # the arrow's own name instance
         for n, a in self.arrows.items():
             self.compose.setdefault((n, self.identities[a.src]), n)
             self.compose.setdefault((self.identities[a.dst], n), n)
@@ -509,14 +509,18 @@ def limit(c: FinCat, nodes: dict, edges=(), cap: Optional[int] = None,
 
 def is_terminal_cone(c: FinCat, nodes: dict, edges, cone: Cone,
                      cap: Optional[int] = None) -> bool:
-    if not c.thin:
-        return _is_terminal(c, cone, all_cones(c, nodes, edges, cap=cap))
-    lower = _lower_bounds(c, nodes, cap)
+    # both paths bound the search by cap first, then check the legs' ends
+    if c.thin:
+        lower = _lower_bounds(c, nodes, cap)
+    else:
+        cones = all_cones(c, nodes, edges, cap=cap)
     for k, x in nodes.items():
         a = c.arrows.get(cone._by_key.get(k))
         if a is None or a.src != cone.apex or a.dst != x:
             return False
-    return c._down.get(cone.apex, 0) & lower == lower
+    if c.thin:
+        return c._down.get(cone.apex, 0) & lower == lower
+    return _is_terminal(c, cone, cones)
 
 
 def check_preserves_limit(f: FinFunctor, nodes: dict, edges, cone: Cone,
@@ -577,8 +581,4 @@ def diagram_from_data(mt: ModeTheory, data: dict) -> Diagram:
         diagram.nats[cell] = FinNat(diagram.functors[c.src],
                                     diagram.functors[c.dst],
                                     nd["components"], name=cell)
-    # re-synthesize identity nats now that all functors exist
-    for name_, f in diagram.functors.items():
-        diagram.nats.setdefault(mt.id_cell(name_),
-                                identity_nat(f, name=mt.id_cell(name_)))
     return diagram

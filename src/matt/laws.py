@@ -9,7 +9,6 @@ asked for it instead of aborting the suite.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from .codex import (build_bundle, dextrify_colax, psnat_component,
                     reflect_colax, transpose, verify_2functor)
@@ -177,7 +176,7 @@ LAWS = {
 _NO_BUNDLE = {"limit-preservation"}
 
 
-def run_law_suite(path, only=None, cap=None, jobs=1) -> dict:
+def run_law_suite(path, only=None, cap=None) -> dict:
     """Run the laws against the diagram at path.
 
     Returns {law name: (ok, detail)}.  A law that cannot even build what it
@@ -203,19 +202,13 @@ def run_law_suite(path, only=None, cap=None, jobs=1) -> dict:
         except MattError as e:
             bundle_err = e
 
-    def run_one(item):
-        name, law = item
+    results = {}
+    for name, law in sorted(selected.items()):
         if bundle is None and name not in _NO_BUNDLE:
-            return name, (False, str(bundle_err))
+            results[name] = (False, str(bundle_err))
+            continue
         try:
-            return name, law(d, bundle, cap)
+            results[name] = law(d, bundle, cap)
         except MattError as e:
-            return name, (False, str(e))
-
-    items = sorted(selected.items())
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, items))
-    else:
-        results = [run_one(i) for i in items]
-    return dict(results)
+            results[name] = (False, str(e))
+    return results

@@ -150,6 +150,28 @@ def test_locks_built_once_per_morphism(monkeypatch, name):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", ["single_arrow", "comonad", "reflective",
+                                  "semilattice"])
+def test_constructions_return_enumerated_instances(name):
+    b = bundle(name)
+    mt = b.diagram.mt
+    g, gamma = reflect_colax(b)
+    functors = [b.right_adjoints[m].lock for m in mt.morphisms]
+    functors += [b.adjunctions[m].incl for m in mt.morphisms]
+    functors += [b.right_adjoints[m].functor for m in mt.morphisms]
+    functors += list(dextrify_colax(b, g, gamma, b).values())
+    codex_of = {id(cx.cat): cx for cx in b.codexes.values()}
+    for cx in b.codexes.values():  # composites, too, are the codex's own
+        assert all(cx.cat.arrows[h].name is h
+                   for h in cx.cat.compose.values())
+    for f in functors:
+        cx = codex_of[id(f.dst)]
+        own = {id(o) for o in cx.objects}
+        assert all(id(o) in own for o in f.omap.values()), f.name
+        assert all(cx.cat.arrows[n].name is n for n in f.amap.values()), \
+            f.name
+
+
 def test_reflect_projects_component():
     b = bundle("single_arrow")
     cx = b.codexes["q"]

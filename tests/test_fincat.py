@@ -229,6 +229,19 @@ def test_thin_limit_is_a_greatest_lower_bound(c, data, seed):
                 search()
 
 
+def test_terminal_cone_legs_must_land_on_the_nodes():
+    # not thin, and no cone over {a, b}: a cone at b with identity legs
+    # misses the node at a, so it is no limit cone on either path
+    c = FinCat(["a", "b"], [("f", "a", "a"), ("g", "a", "a")],
+               [("f", "f", "f"), ("g", "g", "g"), ("f", "g", "f"),
+                ("g", "f", "g")])
+    assert not c.thin and c.validate() == []
+    nodes = {"l": "a", "r": "b"}
+    assert all_cones(c, nodes, []) == []
+    assert not is_terminal_cone(c, nodes, [],
+                                Cone("b", (("l", "id:b"), ("r", "id:b"))))
+
+
 def test_thin_limit_among_isomorphic_objects():
     # a and b are isomorphic and below c: each is a meet of a and b
     c = poset_category(["c", "a", "b"], lambda x, y: x != "c" or y == "c")

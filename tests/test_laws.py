@@ -1,12 +1,14 @@
 """The executable law suite and its CLI front end."""
 
+import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
-from matt.cli import cmd_sem_laws
+from matt.cli import cmd_sem_laws, main
 from matt.codex import enumerate_codex
 from matt.errors import ParseError
 from matt.fincat import load_diagram
@@ -46,10 +48,19 @@ def test_only_unknown_law():
         run_law_suite(diagram_path("comonad"), only="frobnicate")
 
 
+def sem_laws(name, *args):
+    """Exit code and stdout of `matt sem laws` on a bundled diagram."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["sem", "laws", str(diagram_path(name)), *args])
+    return rc, out.getvalue()
+
+
 def test_jobs_do_not_change_verdicts():
-    a = run_law_suite(diagram_path("nonpreserving"), jobs=1)
-    b = run_law_suite(diagram_path("nonpreserving"), jobs=3)
-    assert {k: v[0] for k, v in a.items()} == {k: v[0] for k, v in b.items()}
+    # --jobs is accepted and has no effect
+    bare = sem_laws("nonpreserving")
+    assert bare[0] == 1
+    assert sem_laws("nonpreserving", "--jobs", "3") == bare
 
 
 def test_tiny_cap_fails_laws_without_crashing():
@@ -123,3 +134,32 @@ def test_laws_on_categories_that_are_not_thin(tmp_path, name):
     assert set(results) == set(LAWS)
     assert {law: detail for law, (ok, detail) in results.items()
             if not ok} == failing
+
+
+# --- the law output, pinned byte for byte --------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden" / "sem_laws.txt"
+PINNED_ARGS = ([[]] + [["--cap", str(n)] for n in (0, 1, 5, 50)]
+               + [["--only", law] for law in sorted(LAWS)])
+
+
+def render_pinned_runs() -> str:
+    """`sem laws` stdout and exit code on every bundled diagram, bare, under
+    four caps and with each --only."""
+    parts = []
+    for name in list(DIAGRAM_NAMES) + ["nonpreserving"]:
+        for args in PINNED_ARGS:
+            rc, out = sem_laws(name, *args)
+            parts.append(f"== {name}.dg {' '.join(args)}".rstrip()
+                         + f" -> exit {rc}\n{out}")
+    return "".join(parts)
+
+
+def test_sem_laws_output_is_pinned():
+    assert render_pinned_runs() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    # regenerate the golden file: python tests/test_laws.py
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(render_pinned_runs(), encoding="utf-8")
