@@ -38,14 +38,17 @@ class Kernel:
         return locks_after_map(self.mt, ctx)
 
     def _subst_top(self, ctx: Context, body, name: str, repl):
-        return subst(self.mt, self.sig, body, name, repl, self._la(ctx))
+        return subst(self.mt, self.sig, body, {name: repl}, self._la(ctx))
 
     def _key(self, ctx: Context, t, cell: str):
         return apply_key(self.mt, self.sig, t, cell, self._la(ctx))
 
     def _spine_types(self, ctx: Context, name: str, args):
         """Instantiate a constant's telescope against a spine, checking each
-        argument; returns the elaborated spine and the instantiated result."""
+        argument; returns the elaborated spine and the instantiated result.
+
+        Each parameter type, and then the result, is traversed once, by one
+        substitution of the arguments elaborated before it."""
         mt, sig = self.mt, self.sig
         decl = sig.lookup(name)
         if decl.mode != ctx.mode:
@@ -55,17 +58,21 @@ class Kernel:
             raise UnknownConstant(
                 f"constant {name} expects {len(decl.params)} arguments, "
                 f"got {len(args)}")
-        remaining = [p.ty for p in decl.params]
-        result = decl.result
+        if not args:
+            return (), decl.result
+        # only the later parameter types and the result mention arguments
+        la = self._la(ctx) if len(args) > 1 or decl.result is not None \
+            else None
+        sub = {}
         out = []
-        for i, (arg, p) in enumerate(zip(args, decl.params)):
-            ty = remaining[i]
+        for arg, p in zip(args, decl.params):
+            ty = subst(mt, sig, p.ty, sub, la) if sub else p.ty
             arg_e = self.check(push_lock(mt, ctx, p.mor), arg, ty)
             out.append(arg_e)
-            for j in range(i + 1, len(remaining)):
-                remaining[j] = self._subst_top(ctx, remaining[j], p.name, arg_e)
-            if result is not None:
-                result = self._subst_top(ctx, result, p.name, arg_e)
+            sub[p.name] = arg_e
+        result = decl.result
+        if result is not None and sub:
+            result = subst(mt, sig, result, sub, la)
         return tuple(out), result
 
     # -- type formation ----------------------------------------------------
@@ -186,8 +193,8 @@ class Kernel:
         motive = self.check_type(ctx_y, t.motive)
         nm = mt.compose(t.frame, t.mor)
         ctx_x = push_var(mt, ctx, t.xvar, nm, a_ty, t.span)
-        branch_ty = subst(mt, self.sig, motive, t.yvar,
-                          ModIntro(t.mor, Var(t.xvar, mt.id_cell(nm))),
+        unwrapped = ModIntro(t.mor, Var(t.xvar, mt.id_cell(nm)))
+        branch_ty = subst(mt, self.sig, motive, {t.yvar: unwrapped},
                           locks_after_map(mt, ctx_x))
         body = self.check(ctx_x, t.body, branch_ty)
         ty = self._subst_top(ctx, motive, t.yvar, d)
@@ -198,11 +205,19 @@ class Kernel:
     def check(self, ctx: Context, t, a):
         mt = self.mt
         if isinstance(t, Lam) and isinstance(a, Pi):
-            dom = a.dom
-            ctx2 = push_var(mt, ctx, t.var, a.mor, dom, t.span)
-            cod = rename_var(a.cod, a.var, t.var)
-            body = self.check(ctx2, t.body, cod)
-            return Lam(t.var, body, t.span)
+            # a run of λs against a run of Πs renames each domain, and then
+            # the final codomain, once
+            ren, lams = {}, []
+            while isinstance(t, Lam) and isinstance(a, Pi):
+                dom = rename_var(a.dom, ren) if ren else a.dom
+                ctx = push_var(mt, ctx, t.var, a.mor, dom, t.span)
+                ren[a.var] = t.var
+                lams.append(t)
+                t, a = t.body, a.cod
+            body = self.check(ctx, t, rename_var(a, ren))
+            for lam in reversed(lams):
+                body = Lam(lam.var, body, lam.span)
+            return body
         if isinstance(t, ModIntro) and isinstance(a, FMod) and t.mor == a.mor:
             body = self.check(push_lock(mt, ctx, t.mor), t.body, a.ty)
             return ModIntro(t.mor, body, t.span)
@@ -235,8 +250,8 @@ class Kernel:
                 return False
             z = fresh("z")
             ctx2 = push_var(mt, ctx, z, a.mor, a.dom)
-            return self.convert_types(ctx2, rename_var(a.cod, a.var, z),
-                                      rename_var(b.cod, b.var, z))
+            return self.convert_types(ctx2, rename_var(a.cod, {a.var: z}),
+                                      rename_var(b.cod, {b.var: z}))
         if isinstance(a, FMod):
             return a.mor == b.mor and \
                 self.convert_types(push_lock(mt, ctx, a.mor), a.ty, b.ty)
@@ -255,12 +270,13 @@ class Kernel:
     def _convert_spines(self, ctx: Context, name: str, xs, ys) -> bool:
         mt = self.mt
         decl = self.sig.lookup(name)
-        remaining = [p.ty for p in decl.params]
-        for i, (p, x, y) in enumerate(zip(decl.params, xs, ys)):
-            if not self.convert(push_lock(mt, ctx, p.mor), remaining[i], x, y):
+        la = self._la(ctx) if len(xs) > 1 else None
+        sub = {}
+        for p, x, y in zip(decl.params, xs, ys):
+            ty = subst(mt, self.sig, p.ty, sub, la) if sub else p.ty
+            if not self.convert(push_lock(mt, ctx, p.mor), ty, x, y):
                 return False
-            for j in range(i + 1, len(remaining)):
-                remaining[j] = self._subst_top(ctx, remaining[j], p.name, x)
+            sub[p.name] = x
         return True
 
     def convert(self, ctx: Context, a, t, u) -> bool:
@@ -270,7 +286,7 @@ class Kernel:
             z = fresh("z")
             ctx2 = push_var(mt, ctx, z, a.mor, a.dom)
             zv = Var(z, mt.id_cell(a.mor))
-            cod = rename_var(a.cod, a.var, z)
+            cod = rename_var(a.cod, {a.var: z})
             return self.convert(ctx2, cod, App(t, zv, a.mor), App(u, zv, a.mor))
         if isinstance(a, UMod):
             adj = mt.dagger(a.mor)
@@ -332,8 +348,8 @@ class Kernel:
                               t.arg, u.arg)
         if isinstance(t, Lam) and isinstance(u, Lam):
             z = fresh("z")
-            return self._whnf_eq(ctx, rename_var(t.body, t.var, z),
-                                 rename_var(u.body, u.var, z))
+            return self._whnf_eq(ctx, rename_var(t.body, {t.var: z}),
+                                 rename_var(u.body, {u.var: z}))
         if isinstance(t, ModIntro) and isinstance(u, ModIntro):
             return t.mor == u.mor and \
                 self._whnf_eq(push_lock(mt, ctx, t.mor), t.body, u.body)
@@ -352,8 +368,8 @@ class Kernel:
                                  u.scrutinee):
                 return False
             z = fresh("z")
-            return self._whnf_eq(ctx, rename_var(t.body, t.xvar, z),
-                                 rename_var(u.body, u.xvar, z))
+            return self._whnf_eq(ctx, rename_var(t.body, {t.xvar: z}),
+                                 rename_var(u.body, {u.xvar: z}))
         if isinstance(t, Const) and isinstance(u, Const):
             if t.name != u.name:
                 self.trace.append(f"constants differ: {t.name} vs {u.name}")

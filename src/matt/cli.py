@@ -100,6 +100,9 @@ def check_file(path: Path, mt: ModeTheory | None):
             checked += 1
         except MattError as e:
             diags.append(_diag(e, filename, d.span))
+        except RecursionError:
+            diags.append(Diagnostic("ParseError", filename, d.span[0],
+                                    d.span[1], "nesting too deep to check"))
     return diags, checked
 
 

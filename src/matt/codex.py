@@ -361,12 +361,14 @@ class Adjunction:
     cones: dict          # (object of C_r, nu) -> limit cone over comma(pi,nu)
 
 
-def _mediating(c: FinCat, x, y, pairs, what: str):
+def _mediating(c: FinCat, x, y, pairs, what: str, *args):
     """The unique arrow x -> y through a limit cone with the given
-    (leg, wanted composite) pairs."""
+    (leg, wanted composite) pairs.  A failure names the search as
+    `what.format(*args)`, formatted only then."""
     cands = factorizations(c, x, y, pairs)
     if len(cands) != 1:
-        raise LimitAbsent(f"{what} has {len(cands)} factorizations")
+        raise LimitAbsent(f"{what.format(*args)} has {len(cands)} "
+                          "factorizations")
     return cands[0]
 
 
@@ -411,7 +413,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                   conenu.leg((mt.compose(rho, o[0]),
                               mt.vcomp(mt.wr(alpha, o[0]), o[1]))))
                  for o in commas[mu].objects),
-                f"incl({pi}): structure map at {t} of {g}")
+                "incl({}): structure map at {} of {}", pi, t, g)
         omap[g] = cx_s.obj(comps, smaps)
         if omap[g] is None:
             raise MalformedTable(f"incl({pi}): computed object for {g} was "
@@ -427,7 +429,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                 cq, omap[fa.src].component(nu), omap[fa.dst].component(nu),
                 ((c2.leg(o), cq.comp(d.fun(o[0]).amap[fname], c1.leg(o)))
                  for o in commas[nu].objects),
-                f"incl({pi}): image of {fname} at {nu}")
+                "incl({}): image of {} at {}", pi, fname, nu)
         amap[fname] = cx_s.arrow(comps, omap[fa.src], omap[fa.dst])
     incl_f = FinFunctor(cr, cx_s.cat, omap, amap, name=f"incl({pi})")
     refl_f = reflect(cx_s, pi)
@@ -448,7 +450,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                 cq, delta.component(nu), omap[g].component(nu),
                 ((cone.leg(o), delta.smap((nu, o[0], o[1])))
                  for o in commas[nu].objects),
-                f"incl({pi}): unit at {nu} of {delta}")
+                "incl({}): unit at {} of {}", pi, nu, delta)
         unit_comps[delta] = cx_s.arrow(comps, delta, omap[g])
     unit = FinNat(identity_functor(cx_s.cat),
                   compose_functors(incl_f, refl_f), unit_comps,
@@ -552,7 +554,7 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
         amap[name] = _mediating(
             cx_s.cat, omap[a.src], omap[a.dst],
             ((c2.leg(k), cx_s.cat.comp(nmaps[k], c1.leg(k))) for k in nmaps),
-            f"codex_right_adjoint({pi}): image of an arrow")
+            "codex_right_adjoint({}): image of an arrow", pi)
     functor = FinFunctor(cx_r.cat, cx_s.cat, omap, amap, name=f"radj({pi})")
     lock = lock_functor(cx_s, cx_r, pi)
 
@@ -581,7 +583,7 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
         unit[gamma] = _mediating(
             cx_s.cat, gamma, omap[delta],
             ((cone.leg(k), v) for k, v in wanted.items()),
-            f"codex_right_adjoint({pi}): unit at {gamma}")
+            "codex_right_adjoint({}): unit at {}", pi, gamma)
     return RightAdjoint(pi, functor, lock, unit, counit, cones)
 
 

@@ -23,61 +23,54 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParseError
 from .mode_theory import ModeTheory
 from .syntax import (App, Const, FMod, Lam, LetMod, ModIntro, Open, Pi, Shut,
                      Signature, TConst, UMod, Var, fresh)
 
+# One match per token: the blank lines, blanks and comments before it (the
+# lines that end in a newline in group "lines"), then the token, a stray
+# character, or nothing at the end of the input.  A comment runs to the end
+# of its line, so after the last newline only blanks and one comment remain.
 _TOKEN = re.compile(r"""
-  (?P<ws>[ \t\r]+)
-| (?P<nl>\n)
-| (?P<comment>--[^\n]*)
-| (?P<arrow>->)
-| (?P<colonhat>:\^)
-| (?P<modetheory>mode-theory\b)
-| (?P<string>"[^"\n]*")
-| (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-| (?P<punct>[()\[\],;=@.^\\:])
+  (?P<lines>(?:[ \t\r]*(?:--[^\n]*)?\n)*)
+  [ \t\r]*(?:--[^\n]*)?
+  (?:
+    (?P<sym>->|:\^|mode-theory\b|[()\[\],;=@.^\\:])
+  | (?P<string>"[^"\n]*")
+  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<bad>.)
+  )?
 """, re.X)
 
 _KEYWORDS = {"const", "def", "mod", "let", "in", "motive", "shut", "open",
              "Type"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str   # "name", "string", "mode-theory", or the literal punctuation
+class Token(NamedTuple):
+    kind: str   # "name", "string", or the symbol itself ("->", "mode-theory")
     text: str
     line: int
     col: int
 
 
 def tokenize(src: str, filename: str = "<input>") -> list[Token]:
-    out, line, col, i = [], 1, 1, 0
-    while i < len(src):
-        m = _TOKEN.match(src, i)
-        if m is None:
-            raise ParseError(f"unexpected character {src[i]!r}", (line, col))
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "nl":
-            line, col = line + 1, 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            if kind == "punct":
-                kind = text
-            elif kind == "arrow":
-                kind = "->"
-            elif kind == "colonhat":
-                kind = ":^"
-            elif kind == "modetheory":
-                kind = "mode-theory"
-            out.append(Token(kind, text, line, col))
-            col += len(text)
-        i = m.end()
+    out, line, bol = [], 1, 0  # bol: the index where the line begins
+    append = out.append
+    for m in _TOKEN.finditer(src):
+        lines, sym, string, name, bad = m.groups()
+        if lines:
+            line += lines.count("\n")
+            bol = m.end(1)
+        text = name or sym or string or bad
+        if text is None:  # only blanks and comments up to the end
+            continue
+        col = m.end() - len(text) - bol + 1
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", (line, col))
+        append(Token("name" if name else sym or "string", text, line, col))
     return out
 
 
@@ -169,7 +162,12 @@ class Parser:
     def parse_program(self) -> list:
         decls = []
         while self.peek() is not None:
-            decls.append(self.decl())
+            start = self.peek()
+            try:
+                decls.append(self.decl())
+            except RecursionError:
+                raise ParseError("nesting too deep to parse",
+                                 self._span(start)) from None
             self.expect(";")
         return decls
 

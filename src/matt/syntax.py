@@ -369,18 +369,21 @@ def _ak(mt, sig, t, c, la):
     return rebuild(t, kids)
 
 
-def subst(mt: ModeTheory, sig: Signature, body, name: str, repl,
+def subst(mt: ModeTheory, sig: Signature, body, sub: Mapping[str, object],
           locks_after: Mapping[str, str]):
-    """body[name ← repl].
+    """body[x ← sub[x] for each name x of sub], in one traversal.
 
-    `repl` is typed in Γ⧸μ where μ is the substituted variable's annotation
-    and Γ is the prefix before it; `locks_after` is locks_after_map of the
-    context `repl`'s free variables live in.  Each occurrence name^α is
-    replaced by repl transported along α.
+    Each `sub[x]` is typed in Γ⧸μ, where μ is x's annotation and Γ the
+    prefix before x; `locks_after` is locks_after_map of the one context
+    the replacements' free variables live in.  Each occurrence x^α is
+    replaced by sub[x] transported along α.  Since every binder has a
+    unique name, no replacement mentions a name of `sub`, and the
+    simultaneous substitution equals substituting one name at a time.
     """
     def go(t):
         if isinstance(t, Var):
-            if t.name == name:
+            repl = sub.get(t.name)
+            if repl is not None:
                 return apply_key(mt, sig, repl, t.key, locks_after)
             return t
         kids = []
@@ -391,14 +394,21 @@ def subst(mt: ModeTheory, sig: Signature, body, name: str, repl,
     return go(body)
 
 
-def rename_var(t, old: str, new: str):
-    """Rename free occurrences of a variable, keys untouched."""
-    def go(u):
+def rename_var(t, ren: Mapping[str, str]):
+    """Rename the free occurrences of each variable x of `ren` to ren[x],
+    keys untouched, in one traversal.  A binder of x hides x's entry from
+    the sub-term it binds in."""
+    def go(u, ren):
         if isinstance(u, Var):
-            return Var(new, u.key, u.span) if u.name == old else u
+            new = ren.get(u.name)
+            return u if new is None else Var(new, u.key, u.span)
         kids = []
         for v, _, _, bound in children(u):
-            kids.append(v if bound == old else go(v))
+            if bound in ren:
+                inner = {k: n for k, n in ren.items() if k != bound}
+                kids.append(go(v, inner) if inner else v)
+            else:
+                kids.append(go(v, ren))
         return rebuild(u, kids)
 
-    return go(t)
+    return go(t, ren)

@@ -223,3 +223,46 @@ def test_check_bad_cell_in_declaration_exits_one(capsys):
     # a MalformedTable raised while checking a declaration is a failed check
     assert main(["check", str(CORPUS / "neg_bad_cell.matt")]) == 1
     assert capsys.readouterr().err.startswith("ERROR MalformedTable @ ")
+
+
+def _nested(depth):
+    term = "a0"
+    for _ in range(depth):
+        term = f"f ({term})"
+    return ("const A : Type @ p;\nconst a0 : A @ p;\n"
+            f"const f : (x : A) A @ p;\ndef deep @ p : A = {term};\n")
+
+
+@pytest.mark.parametrize("depth,code", [(300, 0), (2000, 2)])
+def test_deep_nesting_checks_or_exits_two(tmp_path, capsys, depth, code):
+    # too deep for the recursive parser: a diagnostic, never a traceback
+    f = tmp_path / "deep.matt"
+    f.write_text(_nested(depth))
+    assert main(["check", str(f), "--mode-theory",
+                 str(theory_path("trivial"))]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"ERROR ParseError @ {f}:4:1: nesting too deep to " \
+                      "parse\n"
+    else:
+        assert err == ""
+
+
+def test_too_deep_declaration_exits_two_and_later_ones_run(
+        tmp_path, capsys, monkeypatch):
+    import matt.cli
+
+    def check_decl(kernel, d):
+        if getattr(d, "name", None) == "deep":
+            raise RecursionError("maximum recursion depth exceeded")
+        return real(kernel, d)
+
+    real = matt.cli._check_decl
+    monkeypatch.setattr(matt.cli, "_check_decl", check_decl)
+    f = tmp_path / "deep.matt"
+    f.write_text(_nested(3) + "def bad @ p : A = a0 a0;\n")
+    assert main(["check", str(f), "--mode-theory",
+                 str(theory_path("trivial"))]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"ERROR ParseError @ {f}:4:1: nesting too deep to check",
+        f"ERROR ExpectedPi @ {f}:5:19: application head has type A"]

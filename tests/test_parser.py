@@ -1,10 +1,14 @@
 """Surface grammar: tokenizing, parsing, and name resolution."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matt.errors import ParseError
 from matt.parser import (Parser, SurfaceConst, SurfaceDef, SurfaceModeTheory,
-                         parse_program, resolve_term, resolve_type)
+                         parse_program, resolve_term, resolve_type, tokenize)
 from matt.syntax import (App, Const, ConstDecl, FMod, Lam, LetMod, ModIntro,
                          Open, Param, Pi, Shut, Signature, TConst, UMod, Var)
 
@@ -134,3 +138,79 @@ def test_comments_and_whitespace():
     """
     [d] = parse_program(src)
     assert d.name == "A"
+
+
+# --- the tokenizer against the loop that matched one token at a time ----------
+
+_REF_TOKEN = re.compile(r"""
+  (?P<ws>[ \t\r]+)
+| (?P<nl>\n)
+| (?P<comment>--[^\n]*)
+| (?P<arrow>->)
+| (?P<colonhat>:\^)
+| (?P<modetheory>mode-theory\b)
+| (?P<string>"[^"\n]*")
+| (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+| (?P<punct>[()\[\],;=@.^\\:])
+""", re.X)
+
+
+def reference_tokenize(src):
+    """(kind, text, line, col) per token, one regex match per token and
+    per run of blanks, newline or comment."""
+    out, line, col, i = [], 1, 1, 0
+    while i < len(src):
+        m = _REF_TOKEN.match(src, i)
+        if m is None:
+            raise ParseError(f"unexpected character {src[i]!r}", (line, col))
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "nl":
+            line, col = line + 1, 1
+        elif kind in ("ws", "comment"):
+            col += len(text)
+        else:
+            if kind == "punct":
+                kind = text
+            elif kind == "arrow":
+                kind = "->"
+            elif kind == "colonhat":
+                kind = ":^"
+            elif kind == "modetheory":
+                kind = "mode-theory"
+            out.append((kind, text, line, col))
+            col += len(text)
+        i = m.end()
+    return out
+
+
+def _outcome(tokenizer, src):
+    try:
+        return [tuple(t) for t in tokenizer(src)]
+    except ParseError as e:
+        return ("ParseError", e.message, e.span)
+
+
+PIECES = ["x", "A0", "_b'", "Type", "mode", "mode-theory", "mode-theoryx",
+          "->", ":^", ":", "(", ")", "[", "]", ",", ";", "=", "@", ".", "^",
+          "\\", '"p.mt"', '"', " ", "  ", "\t", "\n", "\r\n", "\r",
+          "-- c", "--", "-", "$", "#", "?"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+def test_tokenize_matches_reference(src):
+    assert _outcome(tokenize, src) == _outcome(reference_tokenize, src)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=" \t\r\n-:^>\"$#?abm(;", max_size=30))
+def test_tokenize_matches_reference_on_characters(src):
+    assert _outcome(tokenize, src) == _outcome(reference_tokenize, src)
+
+
+def test_stray_character_is_reported_at_its_own_column():
+    src = "const A : Type @ p;\n  $"
+    assert _outcome(tokenize, src) == \
+        ("ParseError", "unexpected character '$'", (2, 3))
+    assert _outcome(reference_tokenize, src) == _outcome(tokenize, src)

@@ -149,16 +149,16 @@ def test_subst_transports_replacement(refl):
     # body mentions x^eta (x annotated id:p, used behind a numu lock);
     # substituting v^{id:id:p}-keyed for x must re-key the occurrence to eta
     body = Var("x", "eta")
-    out = subst(refl, sig, body, "x", Var("v", "id:id:p"), {"v": "id:p"})
+    out = subst(refl, sig, body, {"x": Var("v", "id:id:p")}, {"v": "id:p"})
     assert out == Var("v", refl.vcomp(refl.wl("id:p", "eta"), "id:id:p"))
     assert out.key == "eta"
 
 
 def test_rename_var_respects_binders(refl):
     t = Lam("x", Var("x", "id:id:p"))
-    assert rename_var(t, "x", "y") == t  # bound occurrence untouched
+    assert rename_var(t, {"x": "y"}) == t  # bound occurrence untouched
     u = Lam("z", Var("x", "id:id:p"))
-    assert rename_var(u, "x", "y") == Lam("z", Var("y", "id:id:p"))
+    assert rename_var(u, {"x": "y"}) == Lam("z", Var("y", "id:id:p"))
 
 
 # --- the lock each sub-term slot sits under -----------------------------------
@@ -223,17 +223,18 @@ def test_apply_key_lock_of_each_slot(refl, build, key, expected):
                          ids=[c[0] for c in SLOT_CASES])
 def test_subst_absent_name_returns_input(refl, build):
     t = build(Var("v", "id:id:p"))
-    assert subst(refl, _lock_sig(), t, "ghost", a0, {"v": "id:p"}) == t
+    assert subst(refl, _lock_sig(), t, {"ghost": a0}, {"v": "id:p"}) == t
 
 
 def test_rename_var_respects_pi_and_let_mod_binders():
     x, y = Var("x", "id:id:p"), Var("y", "id:id:p")
-    assert rename_var(Pi("id:p", "x", x, x), "x", "y") == Pi("id:p", "x", y, x)
+    assert rename_var(Pi("id:p", "x", x, x), {"x": "y"}) == \
+        Pi("id:p", "x", y, x)
     bound_y = LetMod("id:p", "id:p", "x", x, x, "z", x)
-    assert rename_var(bound_y, "x", "y") == \
+    assert rename_var(bound_y, {"x": "y"}) == \
         LetMod("id:p", "id:p", "x", x, y, "z", y)
     bound_x = LetMod("id:p", "id:p", "z", x, x, "x", x)
-    assert rename_var(bound_x, "x", "y") == \
+    assert rename_var(bound_x, {"x": "y"}) == \
         LetMod("id:p", "id:p", "z", y, y, "x", x)
 
 
