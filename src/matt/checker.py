@@ -41,6 +41,8 @@ class Kernel:
         return subst(self.mt, self.sig, body, {name: repl}, self._la(ctx))
 
     def _key(self, ctx: Context, t, cell: str):
+        if self.mt.is_id_cell(cell):
+            return t
         return apply_key(self.mt, self.sig, t, cell, self._la(ctx))
 
     def _spine_types(self, ctx: Context, name: str, args):
@@ -125,13 +127,14 @@ class Kernel:
                 raise KeyTypeMismatch(
                     f"key {key} : {cell.src} ⇒ {cell.dst} on {t.name}, "
                     f"needed {entry.mor} ⇒ {delta}", t.span)
-            ty = apply_key(mt, self.sig, entry.ty, key,
-                           locks_after_map(mt, prefix))
+            ty = entry.ty if mt.is_id_cell(key) else \
+                apply_key(mt, self.sig, entry.ty, key,
+                          locks_after_map(mt, prefix))
             return ty, Var(t.name, key, t.span)
         if isinstance(t, App):
             fty, fn = self.infer(ctx, t.fn)
             if not isinstance(fty, Pi):
-                raise ExpectedPi(f"application head has type {show(fty)}", t.span)
+                raise ExpectedPi(f"application head has type {brief(fty)}", t.span)
             arg = self.check(push_lock(mt, ctx, fty.mor), t.arg, fty.dom)
             ty = self._subst_top(ctx, fty.cod, fty.var, arg)
             return ty, App(fn, arg, fty.mor, t.span)
@@ -154,7 +157,7 @@ class Kernel:
                 raise NotSinister(f"open annotation {mor} is not sinister", t.span)
             ty, body = self.infer(push_lock(mt, ctx, mor), t.body)
             if not isinstance(ty, UMod) or ty.mor != mor:
-                raise ExpectedU(f"open expects U[{mor}], got {show(ty)}", t.span)
+                raise ExpectedU(f"open expects U[{mor}], got {brief(ty)}", t.span)
             counit = mt.dagger(mor).counit
             return self._key(ctx, ty.ty, counit), Open(mor, body, t.span)
         if isinstance(t, LetMod):
@@ -183,7 +186,7 @@ class Kernel:
                    t.span)
         dty, d = self.infer(push_lock(mt, ctx, t.frame), t.scrutinee)
         if not isinstance(dty, FMod) or dty.mor != t.mor:
-            raise ExpectedF(f"scrutinee has type {show(dty)}, "
+            raise ExpectedF(f"scrutinee has type {brief(dty)}, "
                             f"expected F[{t.mor}]", t.span)
         if t.motive is None:
             raise NoMotive("a let-mod in inference position needs a motive",
@@ -232,7 +235,7 @@ class Kernel:
         ty, t_e = self.infer(ctx, t)
         if not self.convert_types(ctx, ty, a):
             raise ConversionFailure(
-                f"inferred {show(ty)} but expected {show(a)}",
+                f"inferred {brief(ty)} but expected {brief(a)}",
                 getattr(t, "span", None), self.trace)
         return t_e
 
@@ -409,6 +412,16 @@ def show(t) -> str:
     if isinstance(t, TConst):
         return " ".join([t.name] + [show(a) for a in t.args])
     return repr(t)
+
+
+BRIEF_CHARS = 200  # longer than any type the corpus diagnostics print
+
+
+def brief(t) -> str:
+    """show(t) for a one-line diagnostic: cut after BRIEF_CHARS characters
+    and ended with "…".  Trace lines print whole."""
+    s = show(t)
+    return s if len(s) <= BRIEF_CHARS else s[:BRIEF_CHARS] + "…"
 
 
 __all__ = ["Kernel", "NoMotive", "show", "empty_context"]

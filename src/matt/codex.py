@@ -122,7 +122,7 @@ def decomposition_triples(mt, r) -> list:
 
 def _is_identity_triple(mt, t) -> bool:
     nu, rho, alpha = t
-    return mt.is_id_mor(rho) and alpha == mt.id_cell(mt.cell(alpha).src)
+    return mt.is_id_mor(rho) and mt.is_id_cell(alpha)
 
 
 def _structure_violations(d, comps, smaps, trips) -> list[str]:

@@ -358,7 +358,7 @@ def comma(mt: ModeTheory, pi: str, nu: str) -> FinCat:
         for (s2, b2) in objects:
             for gamma in (c.name for c in mt.cells_from_to(s1, s2)):
                 if mt.vcomp(mt.wl(nu, gamma), b1) == b2:
-                    if gamma == mt.id_cell(s1) and (s1, b1) == (s2, b2):
+                    if mt.is_id_cell(gamma) and (s1, b1) == (s2, b2):
                         continue  # synthesized identity
                     arrows.append(Arrow((gamma, (s1, b1), (s2, b2)),
                                         (s1, b1), (s2, b2)))
@@ -373,7 +373,7 @@ def comma(mt: ModeTheory, pi: str, nu: str) -> FinCat:
 
 def _comma_comp(mt, names, b, a):
     g = mt.vcomp(_cell_of(mt, b), _cell_of(mt, a))
-    if g == mt.id_cell(a.src[0]) and a.src == b.dst:
+    if mt.is_id_cell(g) and a.src == b.dst:
         return id_name(a.src)
     n = (g, a.src, b.dst)
     if n not in names:

@@ -205,7 +205,11 @@ class ModeTheory:
         return id_cell_name(mor)
 
     def is_id_mor(self, mor: str) -> bool:
-        return self.mor(mor).name == id_mor_name(self.mor(mor).src)
+        return mor == id_mor_name(self.mor(mor).src)
+
+    def is_id_cell(self, c: str) -> bool:
+        cell = self.cell(c)
+        return cell.src == cell.dst and c == id_cell_name(cell.src)
 
     def cell_modes(self, cell: str) -> tuple[str, str]:
         """(source mode, target mode) of the parallel morphisms under a cell."""

@@ -47,6 +47,8 @@ _TOKEN = re.compile(r"""
 
 _KEYWORDS = {"const", "def", "mod", "let", "in", "motive", "shut", "open",
              "Type"}
+# keywords that cannot start an argument of an application spine
+_ENDS_SPINE = _KEYWORDS - {"mod", "shut", "open"}
 
 
 class Token(NamedTuple):
@@ -102,45 +104,48 @@ class SurfaceDef:
 
 class Parser:
     def __init__(self, src: str, filename: str = "<input>"):
-        self.toks = tokenize(src, filename)
+        toks = tokenize(src, filename)
+        self.last = toks[-1] if toks else None
+        # None past the end, as far as the parser looks ahead (two tokens),
+        # so the plumbing below indexes without a bounds test
+        self.toks = toks + [None] * 3
         self.pos = 0
         self.filename = filename
 
     # -- token plumbing --
 
     def peek(self, ahead: int = 0) -> Optional[Token]:
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else None
+        return self.toks[self.pos + ahead]
 
     def at(self, kind: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
+        t = self.toks[self.pos + ahead]
         return t is not None and t.kind == kind
 
     def at_name(self, text: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
+        t = self.toks[self.pos + ahead]
         return t is not None and t.kind == "name" and t.text == text
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t is None:
             raise ParseError("unexpected end of input", self._last_span())
         self.pos += 1
         return t
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t is None or t.kind != kind:
             got = t.text if t else "end of input"
             raise ParseError(f"expected {kind!r}, found {got!r}",
                              self._span(t))
-        return self.next()
+        self.pos += 1
+        return t
 
     def _span(self, t: Optional[Token]):
         return (t.line, t.col) if t else self._last_span()
 
     def _last_span(self):
-        return ((self.toks[-1].line, self.toks[-1].col)
-                if self.toks else (1, 1))
+        return (self.last.line, self.last.col) if self.last else (1, 1)
 
     # -- qualified names (morphisms and cells, e.g. id:p) --
 
@@ -330,16 +335,12 @@ class Parser:
         return head
 
     def starts_atom(self) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t is None:
             return False
-        if t.kind == "(":
-            return True
         if t.kind == "name":
-            if t.text in _KEYWORDS - {"mod", "shut", "open"}:
-                return False
-            return True
-        return t.kind == "\\"
+            return t.text not in _ENDS_SPINE
+        return t.kind == "(" or t.kind == "\\"
 
     def atom(self):
         t = self.peek()

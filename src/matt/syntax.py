@@ -350,11 +350,20 @@ def apply_key(mt: ModeTheory, sig: Signature, t, beta: str,
 
     `locks_after` maps each ambient variable to the composite of locks
     between it and that final lock.
+
+    A transport along an identity cell, at the top or at any sub-term the
+    whiskered cell reaches, returns its input without traversing it.  This
+    is exact on a theory that passes `validate_mode_theory`: there,
+    `vcompose-unital` and `whisker-left-identity` make every variable's new
+    key its old one, and `whisker-right-identity` keeps the cell an identity
+    under every lock, so the full traversal would rebuild nothing.
     """
     return _ak(mt, sig, t, beta, locks_after)
 
 
 def _ak(mt, sig, t, c, la):
+    if mt.is_id_cell(c):
+        return t
     if isinstance(t, Var):
         d = la.get(t.name)
         if d is None:

@@ -266,3 +266,19 @@ def test_too_deep_declaration_exits_two_and_later_ones_run(
     assert capsys.readouterr().err.splitlines() == [
         f"ERROR ParseError @ {f}:4:1: nesting too deep to check",
         f"ERROR ExpectedPi @ {f}:5:19: application head has type A"]
+
+
+def test_long_type_gives_a_bounded_error_line(tmp_path, capsys):
+    # the expected type prints in over 1200 characters; the ERROR line cuts
+    # it, and the --trace line keeps it whole
+    pis = "".join(f"(x{i} : A) -> " for i in range(80))
+    f = tmp_path / "long.matt"
+    f.write_text("const A : Type @ p;\nconst a0 : A @ p;\n"
+                 f"def d @ p : {pis}A = a0;\n")
+    assert main(["check", str(f), "--trace", "--mode-theory",
+                 str(theory_path("trivial"))]) == 1
+    error, trace = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"ERROR ConversionFailure @ {f}:3:")
+    assert error.endswith("…") and len(error) < 300 + len(str(f))
+    assert trace.startswith("  trace: type head mismatch: A vs (x") and \
+        len(trace) > 1200

@@ -33,6 +33,15 @@ def test_validate_is_idempotent_and_pure():
     assert mt.to_data() == before
 
 
+def test_is_id_cell_and_is_id_mor():
+    mt = load_mode_theory(theory_path("reflective"))
+    assert mt.is_id_cell("id:numu") and mt.is_id_cell("id:id:p")
+    assert not mt.is_id_cell("eta")  # eta : id:p ⇒ numu
+    assert mt.is_id_mor("id:q") and not mt.is_id_mor("numu")
+    with pytest.raises(MalformedTable):
+        mt.is_id_cell("id:ghost")
+
+
 def test_compose_unit_law():
     mt = load_mode_theory(theory_path("single_arrow"))
     assert mt.compose("id:q", "mu") == "mu"

@@ -1,16 +1,20 @@
 """Context normalization, lock bookkeeping, and key transport."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import matt.syntax
 from matt.bundled import theory_path
 from matt.cli import main
 from matt.errors import ModeMismatch, NotTangible
 from matt.mode_theory import load_mode_theory, mode_theory_from_data
 from matt.syntax import (App, Const, ConstDecl, FMod, Lam, LetMod, LockEntry,
                          ModIntro, Open, Param, Pi, Shut, Signature, TConst,
-                         UMod, Var, apply_key, empty_context, find_var,
-                         locks_after_map, locks_of, mode_at, push_lock,
-                         push_var, rename_var, subst)
+                         UMod, Var, _lock_mor, apply_key, children,
+                         empty_context, find_var, locks_after_map, locks_of,
+                         mode_at, push_lock, push_var, rebuild, rename_var,
+                         subst)
 
 
 @pytest.fixture
@@ -113,7 +117,7 @@ def test_apply_key_identity_cell_is_noop(refl):
     sig = Signature()
     la = {"v": "id:p"}
     t = Var("v", "eta")  # eta : id:p => numu
-    assert apply_key(refl, sig, t, "id:numu", la) == t
+    assert apply_key(refl, sig, t, "id:numu", la) is t
 
 
 def test_apply_key_crosses_locks(semi):
@@ -253,3 +257,116 @@ def test_apply_key_on_deep_term(tmp_path):
                  f"def d @ p : P (shut[mu] {t}) = mk (shut[mu] {t});\n")
     assert main(["check", str(f),
                  "--mode-theory", str(theory_path("reflective"))]) == 0
+
+
+# --- transport along an identity cell -----------------------------------------
+
+def test_apply_key_identity_cell_skips_deep_term(refl, monkeypatch):
+    # 20 000 nested locks are far past the recursion limit of a traversal;
+    # an identity transport must neither recurse nor walk the term
+    t = Var("v", "id:id:p")
+    for _ in range(20000):
+        t = ModIntro("numu", t)
+
+    def no_walk(u):
+        raise AssertionError("apply_key traversed an identity transport")
+
+    monkeypatch.setattr(matt.syntax, "children", no_walk)
+    assert apply_key(refl, Signature(), t, "id:id:p", {"v": "id:p"}) is t
+
+
+def _ak_full(mt, sig, t, c, la):
+    """apply_key as one full traversal, with no identity shortcut."""
+    if isinstance(t, Var):
+        d = la.get(t.name)
+        if d is None:
+            return t
+        key = mt.vcomp(mt.wl(d, c), t.key)
+        return t if key == t.key else Var(t.name, key, t.span)
+    kids = []
+    for u, lock, i, _ in children(t):
+        cu = c if lock is None else mt.wr(c, _lock_mor(mt, sig, t, lock, i))
+        kids.append(_ak_full(mt, sig, u, cu, la))
+    return rebuild(t, kids)
+
+
+def _key_sig(mt):
+    """For each morphism m: q → x, a constant K:m at mode x whose first
+    parameter sits under m and whose second under the identity."""
+    sig = Signature()
+    for m in sorted(mt.morphisms):
+        x = mt.mor(m).dst
+        sig.declare(ConstDecl(f"K:{m}", x, (Param("k0", m, A),
+                                            Param("k1", mt.id_mor(x), A)), A))
+    return sig
+
+
+def _keyed_term(data, mt, c, la, bound, depth):
+    """A random elaborated term whose keys fit a transport along c: every
+    free variable v has a key into la[v]∘(source of c), and every lock
+    takes c to its whiskering."""
+    def pick(xs):
+        return data.draw(st.sampled_from(sorted(xs)))
+
+    def sub(lock, names=bound):
+        cu = c if lock is None else mt.wr(c, lock)
+        return _keyed_term(data, mt, cu, la, names, depth - 1)
+
+    x = mt.cell_modes(c)[0]
+    into = [m for m in mt.morphisms if mt.mor(m).dst == x]
+    left = [m for m in mt.adjoints if mt.mor(mt.dagger(m).dagger).dst == x]
+    kinds = ["var"] if depth == 0 else \
+        ["var", "lam", "app", "mod", "open", "let", "const", "pi", "fmod",
+         "tconst"] + (["shut", "umod"] if left else [])
+    kind = pick(kinds)
+    if kind == "var":
+        v = pick(set(la) | bound)
+        if v in bound:
+            return Var(v, pick(mt.cells))
+        want = mt.compose(la[v], mt.cell(c).src)
+        return Var(v, pick(k for k, cell in mt.cells.items()
+                           if cell.dst == want))
+    b = f"b{len(bound)}"  # a name no enclosing binder uses
+    if kind == "lam":
+        return Lam(b, sub(None, bound | {b}))
+    if kind == "pi":
+        m = pick(into)
+        return Pi(m, b, sub(m), sub(None, bound | {b}))
+    if kind == "let":
+        y, frame = b + "y", pick(into)
+        motive = sub(None, bound | {y}) if data.draw(st.booleans()) else None
+        return LetMod(frame, pick(mt.morphisms), y, motive, sub(frame), b,
+                      sub(None, bound | {b}))
+    if kind in ("const", "tconst"):
+        m = pick(into)
+        node = Const if kind == "const" else TConst
+        return node(f"K:{m}", (sub(m), sub(mt.id_mor(x))))
+    if kind in ("shut", "umod"):
+        m = pick(left)
+        return (Shut if kind == "shut" else UMod)(
+            m, sub(mt.dagger(m).dagger))
+    m = pick(into)
+    if kind == "app":
+        return App(sub(None), sub(m), m)
+    return {"mod": ModIntro, "open": Open, "fmod": FMod}[kind](m, sub(m))
+
+
+@pytest.mark.parametrize("name", ["reflective", "semilattice", "2ltt"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_apply_key_matches_full_traversal(name, data):
+    mt = load_mode_theory(theory_path(name))
+    sig = _key_sig(mt)
+    # identity and other cells equally often; 2ltt has only identities
+    ids = sorted(k for k in mt.cells if mt.is_id_cell(k))
+    others = sorted(set(mt.cells) - set(ids)) or ids
+    c = data.draw(st.sampled_from(ids) | st.sampled_from(others), label="cell")
+    b = mt.cell_modes(c)[1]
+    la = {f"v{i}": data.draw(st.sampled_from(sorted(
+        m for m in mt.morphisms if mt.mor(m).src == b))) for i in range(3)}
+    t = _keyed_term(data, mt, c, la, frozenset(), data.draw(
+        st.integers(0, 4), label="depth"))
+    got = apply_key(mt, sig, t, c, la)
+    assert got == _ak_full(mt, sig, t, c, la)
+    if mt.is_id_cell(c):
+        assert got is t
