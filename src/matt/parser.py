@@ -114,8 +114,8 @@ class Parser:
 
     # -- token plumbing --
 
-    def peek(self, ahead: int = 0) -> Optional[Token]:
-        return self.toks[self.pos + ahead]
+    def peek(self) -> Optional[Token]:
+        return self.toks[self.pos]
 
     def at(self, kind: str, ahead: int = 0) -> bool:
         t = self.toks[self.pos + ahead]
