@@ -14,8 +14,8 @@ from .errors import (ConversionFailure, ExpectedF, ExpectedPi, ExpectedU,
 from .mode_theory import ModeTheory
 from .syntax import (App, Const, Context, FMod, Lam, LetMod, ModIntro, Open,
                      Pi, Shut, Signature, TConst, UMod, Var, apply_key,
-                     empty_context, find_var, fresh, locks_after_map,
-                     locks_of, push_lock, push_var, rename_var, subst)
+                     empty_context, find_var, fresh, push_lock, push_var,
+                     rename_var, subst)
 
 
 class NoMotive(MattError):
@@ -34,17 +34,6 @@ class Kernel:
         """The surface grammar writes an omitted annotation as "id"."""
         return self.mt.id_mor(ctx.mode) if m == "id" else m
 
-    def _la(self, ctx: Context):
-        return locks_after_map(self.mt, ctx)
-
-    def _subst_top(self, ctx: Context, body, name: str, repl):
-        return subst(self.mt, self.sig, body, {name: repl}, self._la(ctx))
-
-    def _key(self, ctx: Context, t, cell: str):
-        if self.mt.is_id_cell(cell):
-            return t
-        return apply_key(self.mt, self.sig, t, cell, self._la(ctx))
-
     def _spine_types(self, ctx: Context, name: str, args):
         """Instantiate a constant's telescope against a spine, checking each
         argument; returns the elaborated spine and the instantiated result.
@@ -60,21 +49,16 @@ class Kernel:
             raise UnknownConstant(
                 f"constant {name} expects {len(decl.params)} arguments, "
                 f"got {len(args)}")
-        if not args:
-            return (), decl.result
-        # only the later parameter types and the result mention arguments
-        la = self._la(ctx) if len(args) > 1 or decl.result is not None \
-            else None
         sub = {}
         out = []
         for arg, p in zip(args, decl.params):
-            ty = subst(mt, sig, p.ty, sub, la) if sub else p.ty
+            ty = subst(mt, sig, p.ty, sub, ctx) if sub else p.ty
             arg_e = self.check(push_lock(mt, ctx, p.mor), arg, ty)
             out.append(arg_e)
             sub[p.name] = arg_e
         result = decl.result
         if result is not None and sub:
-            result = subst(mt, sig, result, sub, la)
+            result = subst(mt, sig, result, sub, ctx)
         return tuple(out), result
 
     # -- type formation ----------------------------------------------------
@@ -117,8 +101,7 @@ class Kernel:
             hit = find_var(mt, ctx, t.name)
             if hit is None:
                 raise UnknownConstant(f"unbound variable {t.name}", t.span)
-            entry, prefix, suffix = hit
-            delta = locks_of(mt, suffix, prefix.mode)
+            entry, prefix, delta = hit
             key = t.key
             if key is None:
                 key = mt.id_cell(delta)
@@ -127,16 +110,14 @@ class Kernel:
                 raise KeyTypeMismatch(
                     f"key {key} : {cell.src} ⇒ {cell.dst} on {t.name}, "
                     f"needed {entry.mor} ⇒ {delta}", t.span)
-            ty = entry.ty if mt.is_id_cell(key) else \
-                apply_key(mt, self.sig, entry.ty, key,
-                          locks_after_map(mt, prefix))
+            ty = apply_key(mt, self.sig, entry.ty, key, prefix)
             return ty, Var(t.name, key, t.span)
         if isinstance(t, App):
             fty, fn = self.infer(ctx, t.fn)
             if not isinstance(fty, Pi):
                 raise ExpectedPi(f"application head has type {brief(fty)}", t.span)
             arg = self.check(push_lock(mt, ctx, fty.mor), t.arg, fty.dom)
-            ty = self._subst_top(ctx, fty.cod, fty.var, arg)
+            ty = subst(mt, self.sig, fty.cod, {fty.var: arg}, ctx)
             return ty, App(fn, arg, fty.mor, t.span)
         if isinstance(t, ModIntro):
             mor = self._mor(ctx, t.mor)
@@ -159,7 +140,8 @@ class Kernel:
             if not isinstance(ty, UMod) or ty.mor != mor:
                 raise ExpectedU(f"open expects U[{mor}], got {brief(ty)}", t.span)
             counit = mt.dagger(mor).counit
-            return self._key(ctx, ty.ty, counit), Open(mor, body, t.span)
+            return apply_key(mt, self.sig, ty.ty, counit, ctx), \
+                Open(mor, body, t.span)
         if isinstance(t, LetMod):
             return self._infer_letmod(ctx, t)
         if isinstance(t, Const):
@@ -197,10 +179,9 @@ class Kernel:
         nm = mt.compose(t.frame, t.mor)
         ctx_x = push_var(mt, ctx, t.xvar, nm, a_ty, t.span)
         unwrapped = ModIntro(t.mor, Var(t.xvar, mt.id_cell(nm)))
-        branch_ty = subst(mt, self.sig, motive, {t.yvar: unwrapped},
-                          locks_after_map(mt, ctx_x))
+        branch_ty = subst(mt, self.sig, motive, {t.yvar: unwrapped}, ctx_x)
         body = self.check(ctx_x, t.body, branch_ty)
-        ty = self._subst_top(ctx, motive, t.yvar, d)
+        ty = subst(mt, self.sig, motive, {t.yvar: d}, ctx)
         return ty, LetMod(t.frame, t.mor, t.yvar, motive, d, t.xvar, body, t.span)
 
     # -- checking ----------------------------------------------------------
@@ -273,10 +254,9 @@ class Kernel:
     def _convert_spines(self, ctx: Context, name: str, xs, ys) -> bool:
         mt = self.mt
         decl = self.sig.lookup(name)
-        la = self._la(ctx) if len(xs) > 1 else None
         sub = {}
         for p, x, y in zip(decl.params, xs, ys):
-            ty = subst(mt, self.sig, p.ty, sub, la) if sub else p.ty
+            ty = subst(mt, self.sig, p.ty, sub, ctx) if sub else p.ty
             if not self.convert(push_lock(mt, ctx, p.mor), ty, x, y):
                 return False
             sub[p.name] = x
@@ -294,8 +274,8 @@ class Kernel:
         if isinstance(a, UMod):
             adj = mt.dagger(a.mor)
             ctx2 = push_lock(mt, ctx, adj.dagger)
-            t2 = Open(a.mor, self._key(ctx, t, adj.unit))
-            u2 = Open(a.mor, self._key(ctx, u, adj.unit))
+            t2 = Open(a.mor, apply_key(mt, self.sig, t, adj.unit, ctx))
+            u2 = Open(a.mor, apply_key(mt, self.sig, u, adj.unit, ctx))
             return self.convert(ctx2, a.ty, t2, u2)
         if isinstance(a, FMod):
             tw, uw = self.whnf(ctx, t), self.whnf(ctx, u)
@@ -315,13 +295,13 @@ class Kernel:
             if isinstance(t, App):
                 fn = self.whnf(ctx, t.fn)
                 if isinstance(fn, Lam):
-                    t = self._subst_top(ctx, fn.body, fn.var, t.arg)
+                    t = subst(mt, self.sig, fn.body, {fn.var: t.arg}, ctx)
                     continue
                 return App(fn, t.arg, t.mor, t.span)
             if isinstance(t, LetMod):
                 d = self.whnf(push_lock(mt, ctx, t.frame), t.scrutinee)
                 if isinstance(d, ModIntro) and d.mor == t.mor:
-                    t = self._subst_top(ctx, t.body, t.xvar, d.body)
+                    t = subst(mt, self.sig, t.body, {t.xvar: d.body}, ctx)
                     continue
                 return LetMod(t.frame, t.mor, t.yvar, t.motive, d, t.xvar,
                               t.body, t.span)
@@ -329,7 +309,7 @@ class Kernel:
                 body = self.whnf(push_lock(mt, ctx, t.mor), t.body)
                 if isinstance(body, Shut) and body.mor == t.mor:
                     counit = mt.dagger(t.mor).counit
-                    t = self._key(ctx, body.body, counit)
+                    t = apply_key(mt, self.sig, body.body, counit, ctx)
                     continue
                 return Open(t.mor, body, t.span)
             return t

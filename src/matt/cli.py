@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .checker import Kernel
 from .errors import MattError, ParseError
-from .mode_theory import ModeTheory, load_mode_theory, validate_mode_theory
+from .mode_theory import (ModeTheory, load_mode_theory, load_valid_mode_theory,
+                          validate_mode_theory)
 from .parser import (SurfaceConst, SurfaceDef, SurfaceModeTheory,
                      parse_program, resolve_term, resolve_type)
 from .syntax import (ConstDecl, Param, Signature, empty_context, fresh,
@@ -71,13 +72,7 @@ def check_file(path: Path, mt: ModeTheory | None):
         if isinstance(d, SurfaceModeTheory):
             if mt is None:
                 try:
-                    mt = load_mode_theory(path.parent / d.path)
-                    report = validate_mode_theory(mt)
-                    if not report.ok:
-                        raise ParseError(
-                            "mode theory fails validation: " +
-                            "; ".join(v.axiom for v in report.violations),
-                            d.span)
+                    mt = load_valid_mode_theory(path.parent / d.path)
                 except OSError as e:
                     diags.append(Diagnostic("ParseError", filename,
                                             d.span[0], d.span[1], str(e)))
@@ -143,13 +138,7 @@ def cmd_check(paths, mode_theory=None, trace=False, out=None) -> int:
     mt = None
     if mode_theory is not None:
         try:
-            mt = load_mode_theory(mode_theory)
-            report = validate_mode_theory(mt)
-            if not report.ok:
-                print(f"ERROR MalformedTable @ {mode_theory}:0:0: mode theory "
-                      "fails validation: " +
-                      "; ".join(v.axiom for v in report.violations), file=out)
-                return 2
+            mt = load_valid_mode_theory(mode_theory)
         except (OSError, MattError) as e:
             code = getattr(e, "code", "ParseError")
             print(f"ERROR {code} @ {mode_theory}:0:0: {e}", file=out)
@@ -167,12 +156,11 @@ def cmd_check(paths, mode_theory=None, trace=False, out=None) -> int:
 def cmd_modes_validate(path, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        mt = load_mode_theory(path)
+        report = validate_mode_theory(load_mode_theory(path))
     except (OSError, MattError) as e:
         code = getattr(e, "code", "ParseError")
         print(f"ERROR {code} @ {path}:0:0: {e}", file=sys.stderr)
         return 2
-    report = validate_mode_theory(mt)
     if report.ok:
         print(f"{path}: OK", file=out)
         return 0

@@ -20,7 +20,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Optional
+from typing import Callable, Hashable, Optional
 
 from .errors import CapExceeded, MalformedTable, NotComposable
 from .mode_theory import ModeTheory
@@ -39,8 +39,8 @@ class Arrow:
 
 class FinCat:
     def __init__(self, objects, arrows, compose, name: str = ""):
-        """arrows: iterable of (name, src, dst); compose: mapping or iterable
-        of (g, f, h) rows meaning g∘f = h."""
+        """arrows: iterable of (name, src, dst); compose: iterable of
+        (g, f, h) rows meaning g∘f = h."""
         self.name = name
         self.objects = list(dict.fromkeys(objects))
         self.arrows: dict = {}
@@ -58,12 +58,8 @@ class FinCat:
             if a.src not in self.identities or a.dst not in self.identities:
                 raise MalformedTable(f"arrow {n} has unknown endpoint")
             self._hom.setdefault((a.src, a.dst), []).append(n)
-        rows = compose.items() if isinstance(compose, Mapping) else \
-            ((g, f, h) for (g, f, h) in compose)
         self.compose: dict = {}
-        for item in rows:
-            (g, f), h = (item[0], item[1]) if len(item) == 2 else \
-                ((item[0], item[1]), item[2])
+        for (g, f, h) in compose:
             ga, fa = self.arrows.get(g), self.arrows.get(f)
             ha = self.arrows.get(h)
             if ga is None or fa is None or ha is None:
@@ -87,7 +83,7 @@ class FinCat:
     def arr(self, name) -> Arrow:
         try:
             return self.arrows[name]
-        except KeyError:
+        except (KeyError, TypeError):  # a name that is not hashable
             raise MalformedTable(f"unknown arrow {name!r} in {self.name}") \
                 from None
 
@@ -237,6 +233,8 @@ class FinNat:
             c = cat.arr(self.components[o])
             if (c.src, c.dst) != (self.src.omap[o], self.dst.omap[o]):
                 out.append(f"component at {o} has wrong boundary")
+        if out:
+            return out  # naturality composes the components
         for f in self.src.src.arrows.values():
             lhs = cat.comp(self.dst.amap[f.name], self.components[f.src])
             rhs = cat.comp(self.components[f.dst], self.src.amap[f.name])
@@ -312,6 +310,8 @@ class Diagram:
                 out.append(f"C_{c.name} has wrong boundary")
                 continue
             out += [f"C_{c.name}: {v}" for v in n.validate()]
+        if out:
+            return out  # the checks below compose the components
         # strict 2-functoriality on cells
         for (b, a), v in self.mt.vcompose_table.items():
             na, nb, nv = self.nats[a], self.nats[b], self.nats[v]
@@ -547,7 +547,7 @@ def load_diagram(path) -> Diagram:
     import json
     from pathlib import Path
 
-    from .mode_theory import load_mode_theory, validate_mode_theory
+    from .mode_theory import load_valid_mode_theory
 
     path = Path(path)
     try:
@@ -555,14 +555,10 @@ def load_diagram(path) -> Diagram:
         mt_path = path.parent / data["mode_theory"]
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedTable(f"diagram file is malformed: {e!r}") from None
-    mt = load_mode_theory(mt_path)
-    report = validate_mode_theory(mt)
-    if not report.ok:
-        raise MalformedTable("diagram's mode theory fails validation: " +
-                             "; ".join(v.axiom for v in report.violations))
+    mt = load_valid_mode_theory(mt_path)
     try:
         return diagram_from_data(mt, data)
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise MalformedTable(f"diagram file is malformed: {e!r}") from None
 
 

@@ -328,25 +328,36 @@ class ModeTheory:
         return data
 
 
+def _names(*xs) -> tuple:
+    """xs, each checked to be a string: every name in a table is one."""
+    if not all(isinstance(x, str) for x in xs):
+        raise TypeError(f"{list(xs)!r} holds a value that is not a name")
+    return xs
+
+
 def mode_theory_from_data(data: dict) -> ModeTheory:
     if not isinstance(data, dict):
         raise MalformedTable("mode theory file must contain an object")
+
+    def records(key, cls, *fields):
+        return [cls(*_names(*(d[f] for f in fields)))
+                for d in data.get(key, [])]
+
+    def table(key):  # rows [x, y, z] as {(x, y): z}
+        return {(x, y): z
+                for x, y, z in (_names(*r) for r in data.get(key, []))}
+
     try:
-        modes = [Mode(str(n)) for n in data.get("modes", [])]
-        morphisms = [Morphism(d["name"], d["src"], d["dst"])
-                     for d in data.get("morphisms", [])]
-        cells = [Cell(d["name"], d["src"], d["dst"]) for d in data.get("cells", [])]
-        compose = {(g, f): h for g, f, h in data.get("compose", [])}
-        vcompose = {(b, a): c for b, a, c in data.get("vcompose", [])}
-        wl = {(m, c): r for m, c, r in data.get("whisker_left", [])}
-        wr = {(c, m): r for c, m, r in data.get("whisker_right", [])}
-        classes = data.get("classes", {})
-        adjoints = [Adjoint(d["mor"], d["dagger"], d["unit"], d["counit"])
-                    for d in data.get("adjoints", [])]
-    except (KeyError, TypeError, ValueError) as e:
+        return ModeTheory(
+            [Mode(n) for n in _names(*data.get("modes", []))],
+            records("morphisms", Morphism, "name", "src", "dst"),
+            records("cells", Cell, "name", "src", "dst"),
+            table("compose"), table("vcompose"), table("whisker_left"),
+            table("whisker_right"),
+            {k: _names(*v) for k, v in data.get("classes", {}).items()},
+            records("adjoints", Adjoint, "mor", "dagger", "unit", "counit"))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise MalformedTable(f"mode theory file is malformed: {e}") from None
-    return ModeTheory(modes, morphisms, cells, compose, vcompose, wl, wr,
-                      classes, adjoints)
 
 
 def load_mode_theory(path) -> ModeTheory:
@@ -355,6 +366,17 @@ def load_mode_theory(path) -> ModeTheory:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MalformedTable(f"{path}: {e}") from None
     return mode_theory_from_data(data)
+
+
+def load_valid_mode_theory(path) -> ModeTheory:
+    """load_mode_theory, then validate_mode_theory: a theory that fails
+    validation raises MalformedTable naming each violated axiom once."""
+    mt = load_mode_theory(path)
+    report = validate_mode_theory(mt)
+    if not report.ok:
+        raise MalformedTable("mode theory fails validation: " + "; ".join(
+            dict.fromkeys(v.axiom for v in report.violations)))
+    return mt
 
 
 # -- validation ------------------------------------------------------------

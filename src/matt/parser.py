@@ -194,18 +194,8 @@ class Parser:
         name = self.expect("name").text
         self.expect(":")
         params = []
-        while self.at("(") and self.at("name", 1) and \
-                (self.at(":^", 2) or self.at(":", 2)):
-            self.next()
-            p = self.expect("name")
-            if self.at(":^"):
-                self.next()
-                mor = self.qualified()
-            else:
-                self.expect(":")
-                mor = "id"
-            ty = self.type_expr()
-            self.expect(")")
+        while (b := self.binder()) is not None:
+            p, mor, ty = b
             params.append((p.text, mor, ty, (p.line, p.col)))
         if self.at_name("Type"):
             self.next()
@@ -229,25 +219,28 @@ class Parser:
 
     # -- types --
 
+    def binder(self):
+        """`(x :^ mor T)` or `(x : T)`, the omitted annotation written "id",
+        as (name token, mor, T); None, consuming nothing, at anything else."""
+        if not (self.at("(") and self.at("name", 1) and
+                (self.at(":^", 2) or self.at(":", 2))):
+            return None
+        self.next()
+        v = self.expect("name")
+        mor = self.qualified() if self.next().kind == ":^" else "id"
+        ty = self.type_expr()
+        self.expect(")")
+        return v, mor, ty
+
     def type_expr(self):
         t = self.peek()
         if t is None:
             raise ParseError("expected a type", self._last_span())
-        if t.kind == "(" and self.at("name", 1) and \
-                (self.at(":^", 2) or self.at(":", 2)):
-            self.next()
-            v = self.expect("name")
-            if self.at(":^"):
-                self.next()
-                mor = self.qualified()
-            else:
-                self.expect(":")
-                mor = "id"
-            dom = self.type_expr()
-            self.expect(")")
+        b = self.binder()
+        if b is not None:
+            v, mor, dom = b
             self.expect("->")
-            cod = self.type_expr()
-            return Pi(mor, v.text, dom, cod, (t.line, t.col))
+            return Pi(mor, v.text, dom, self.type_expr(), (t.line, t.col))
         if t.kind == "(":
             self.next()
             inner = self.type_expr()
@@ -270,17 +263,12 @@ class Parser:
     def type_atom(self):
         """A type argument position: parenthesized, modal, or bare name."""
         t = self.peek()
-        if t is not None and t.kind == "name" and t.text in ("F", "U") and \
+        if self.at("(") or (self.at_name("F") or self.at_name("U")) and \
                 self.at("[", 1):
             return self.type_expr()
         if t is not None and t.kind == "name" and t.text not in _KEYWORDS:
             self.next()
             return TConst(t.text, (), (t.line, t.col))
-        if t is not None and t.kind == "(":
-            self.next()
-            inner = self.type_expr()
-            self.expect(")")
-            return inner
         raise ParseError("expected a type", self._span(t))
 
     # -- terms --

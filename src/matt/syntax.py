@@ -223,19 +223,6 @@ def push_var(mt: ModeTheory, ctx: Context, name: str, mor: str, ty: TypeExpr,
     return Context(ctx.mode, ctx.entries + (VarEntry(name, mor, ty),))
 
 
-def locks_of(mt: ModeTheory, entries, start_mode: str) -> str:
-    """Composite of the lock morphisms in a segment read left to right.
-
-    The segment starts at `start_mode`; the result is a morphism from the
-    segment's final mode into `start_mode` (identity when no locks).
-    """
-    acc = mt.id_mor(start_mode)
-    for e in entries:
-        if isinstance(e, LockEntry):
-            acc = mt.compose(acc, e.mor)
-    return acc
-
-
 def locks_after_map(mt: ModeTheory, ctx: Context) -> dict[str, str]:
     """For each variable in the context, the composite of all locks after it
     (a morphism from ctx.mode into the variable's mode)."""
@@ -250,26 +237,21 @@ def locks_after_map(mt: ModeTheory, ctx: Context) -> dict[str, str]:
     return out
 
 
-def mode_at(mt: ModeTheory, ctx: Context, i: int) -> str:
-    """Mode of the context truncated to its first i entries.
-
-    Each lock μ: p→q in the dropped suffix moved the mode from q to p, so
-    replaying the suffix backward restores each lock's target mode.
-    """
-    mode = ctx.mode
-    for e in reversed(ctx.entries[i:]):
-        if isinstance(e, LockEntry):
-            mode = mt.mor(e.mor).dst
-    return mode
-
-
 def find_var(mt: ModeTheory, ctx: Context, name: str):
-    """(entry, prefix Context, suffix entries after the variable) or None."""
-    for i in range(len(ctx.entries) - 1, -1, -1):
-        e = ctx.entries[i]
-        if isinstance(e, VarEntry) and e.name == name:
-            prefix = Context(mode_at(mt, ctx, i), ctx.entries[:i])
-            return e, prefix, ctx.entries[i + 1:]
+    """(entry, prefix Context, delta) or None, from one backward walk.
+
+    delta is the composite of the locks after the variable, built as
+    locks_after_map builds it: a morphism from ctx.mode into the prefix's
+    mode, which is therefore delta's target.
+    """
+    entries = ctx.entries
+    delta = mt.id_mor(ctx.mode)
+    for i in range(len(entries) - 1, -1, -1):
+        e = entries[i]
+        if isinstance(e, LockEntry):
+            delta = mt.compose(e.mor, delta)
+        elif e.name == name:
+            return e, Context(mt.mor(delta).dst, entries[:i]), delta
     return None
 
 
@@ -343,13 +325,13 @@ def rebuild(t, new: list):
 
 # --- key transport and substitution ----------------------------------------
 
-def apply_key(mt: ModeTheory, sig: Signature, t, beta: str,
-              locks_after: Mapping[str, str]):
-    """Transport a checked term/type along the key substitution ⟦1⟧β applied
-    at the final lock of its context.
+def apply_key(mt: ModeTheory, sig: Signature, t, beta: str, ctx: Context):
+    """Transport a term/type checked in `ctx` along the key substitution
+    ⟦1⟧β applied at the final lock of `ctx`.
 
-    `locks_after` maps each ambient variable to the composite of locks
-    between it and that final lock.
+    Each free variable's key is whiskered on the left by the composite of
+    the locks between it and that final lock (locks_after_map of `ctx`,
+    built only for a non-identity β).
 
     A transport along an identity cell, at the top or at any sub-term the
     whiskered cell reaches, returns its input without traversing it.  This
@@ -358,7 +340,9 @@ def apply_key(mt: ModeTheory, sig: Signature, t, beta: str,
     key its old one, and `whisker-right-identity` keeps the cell an identity
     under every lock, so the full traversal would rebuild nothing.
     """
-    return _ak(mt, sig, t, beta, locks_after)
+    if mt.is_id_cell(beta):
+        return t
+    return _ak(mt, sig, t, beta, locks_after_map(mt, ctx))
 
 
 def _ak(mt, sig, t, c, la):
@@ -379,22 +363,30 @@ def _ak(mt, sig, t, c, la):
 
 
 def subst(mt: ModeTheory, sig: Signature, body, sub: Mapping[str, object],
-          locks_after: Mapping[str, str]):
+          ctx: Context):
     """body[x ← sub[x] for each name x of sub], in one traversal.
 
     Each `sub[x]` is typed in Γ⧸μ, where μ is x's annotation and Γ the
-    prefix before x; `locks_after` is locks_after_map of the one context
-    the replacements' free variables live in.  Each occurrence x^α is
-    replaced by sub[x] transported along α.  Since every binder has a
-    unique name, no replacement mentions a name of `sub`, and the
+    prefix before x; `ctx` is the one context the replacements' free
+    variables live in.  Each occurrence x^α is replaced by sub[x]
+    transported along α, as apply_key does; locks_after_map of `ctx` is
+    built at the first α that is not an identity.  Since every binder has
+    a unique name, no replacement mentions a name of `sub`, and the
     simultaneous substitution equals substituting one name at a time.
     """
+    la = None
+
     def go(t):
+        nonlocal la
         if isinstance(t, Var):
             repl = sub.get(t.name)
-            if repl is not None:
-                return apply_key(mt, sig, repl, t.key, locks_after)
-            return t
+            if repl is None:
+                return t
+            if mt.is_id_cell(t.key):
+                return repl
+            if la is None:
+                la = locks_after_map(mt, ctx)
+            return _ak(mt, sig, repl, t.key, la)
         kids = []
         for u, _, _, _ in children(t):
             kids.append(go(u))

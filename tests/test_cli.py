@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from matt.bundled import FIXTURES, theory_path
+from matt.bundled import FIXTURES, diagram_path, theory_path
 from matt.cli import cmd_check, cmd_modes_validate, main
 
 CORPUS = FIXTURES / "corpus"
@@ -145,11 +145,30 @@ def _functor_missing_object():
     return json.dumps(data)
 
 
+def _diagram_with(edit, name="single_arrow"):
+    data = json.loads(diagram_path(name).read_text())
+    data["mode_theory"] = str(theory_path(name))
+    edit(data)
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("text", [
     _without_categories(),
     '{"mode_theory": "single_arrow.mt", ',
     _functor_missing_object(),
-], ids=["no-categories", "not-json", "functor-misses-object"])
+    _diagram_with(lambda d: d.update(categories=[])),
+    _diagram_with(
+        lambda d: d["functors"]["mu"]["arrows"].update({"0<=1": ["0<=1"]})),
+    _diagram_with(lambda d: d.update(naturals={
+        "id:mu": {"components": {"0": ["id:0"], "1": "id:1"}}})),
+    _diagram_with(
+        lambda d: d["categories"]["p"].update(compose=[["0<=1", "id:0"]])),
+    _diagram_with(lambda d: d.update(naturals={}), "comonad"),
+    _diagram_with(
+        lambda d: d["naturals"]["le"].update(components={}), "semilattice"),
+], ids=["no-categories", "not-json", "functor-misses-object", "categories-list",
+        "functor-arrow-image-list", "natural-component-list",
+        "compose-row-of-two", "natural-missing", "natural-misses-object"])
 def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
     f = tmp_path / "bad.dg"
     f.write_text(text)
@@ -205,18 +224,57 @@ def test_sem_laws_functor_missing_object_names_it(tmp_path, capsys):
         "C_mu: object map misses 0\n")
 
 
+def _reflective_with(edit):
+    data = json.loads(theory_path("reflective").read_text())
+    edit(data)
+    return json.dumps(data).encode()
+
+
 @pytest.mark.parametrize("content", [
     b"\xff\xfe not utf-8",
     b"{not json",
     json.dumps({"modes": ["p"], "morphisms": [{"name": "f"}]}).encode(),
-], ids=["not-utf8", "not-json", "malformed-table"])
+    _reflective_with(lambda d: d["morphisms"][0].update(name=["mu"])),
+    _reflective_with(lambda d: d["cells"][0].update(name=["eta"])),
+    _reflective_with(lambda d: d.update(classes=["sharp"])),
+    _reflective_with(lambda d: d.update(classes={"sharp": 5})),
+    _reflective_with(lambda d: d["modes"].append(None)),
+], ids=["not-utf8", "not-json", "malformed-table", "morphism-name-list",
+        "cell-name-list", "classes-list", "class-not-list", "mode-null"])
 def test_check_bad_declared_mode_theory_exits_two(tmp_path, capsys, content):
-    (tmp_path / "bad.mt").write_bytes(content)
+    mt = tmp_path / "bad.mt"
+    mt.write_bytes(content)
     f = tmp_path / "src.matt"
     f.write_text('mode-theory "bad.mt";\nconst A : Type @ p;\n')
     assert main(["check", str(f)]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"ERROR MalformedTable @ {f}:1:13: ")
+    # the same file named on the command line
+    for argv in (["modes", "validate", str(mt)],
+                 ["check", "--mode-theory", str(mt), str(f)]):
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"ERROR MalformedTable @ {mt}:0:0: ")
+
+
+def test_invalid_mode_theory_names_each_axiom_once(tmp_path, capsys):
+    # neither identity is transparent: two violations of one axiom
+    mt = tmp_path / "bad.mt"
+    mt.write_bytes(_reflective_with(
+        lambda d: d["classes"].update(transparent=["nu", "numu"])))
+    f = tmp_path / "src.matt"
+    f.write_text('mode-theory "bad.mt";\nconst A : Type @ p;\n')
+    dg = tmp_path / "bad.dg"
+    dg.write_text(json.dumps({**_single_arrow_dg(), "mode_theory": "bad.mt"}))
+    why = "mode theory fails validation: identity-transparent\n"
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == f"ERROR MalformedTable @ {f}:1:13: {why}"
+    assert main(["check", "--mode-theory", str(mt), str(f)]) == 2
+    assert capsys.readouterr().err == \
+        f"ERROR MalformedTable @ {mt}:0:0: {why}"
+    assert main(["sem", "laws", str(dg)]) == 2
+    assert capsys.readouterr().err == \
+        f"ERROR MalformedTable @ {dg}:0:0: {why}"
 
 
 def test_check_bad_cell_in_declaration_exits_one(capsys):

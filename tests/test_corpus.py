@@ -13,8 +13,7 @@ from matt.cli import _check_decl, check_file, main
 from matt.mode_theory import load_mode_theory
 from matt.parser import SurfaceDef, parse_program, resolve_term, resolve_type
 from matt.syntax import (Const, Lam, Signature, Var, VarEntry, apply_key,
-                         children, empty_context, fresh, locks_after_map,
-                         rebuild)
+                         children, empty_context, fresh, rebuild)
 
 CORPUS = FIXTURES / "corpus"
 GOLDEN = Path(__file__).parent / "golden" / "check_corpus.txt"
@@ -104,11 +103,11 @@ def test_check_output_is_pinned():
 
 # --- telescopes, λ-runs and redex towers against one name at a time ------------
 
-def subst_one(mt, sig, t, name, repl, la):
-    """t[name ← repl], one name per traversal."""
+def subst_one(mt, sig, t, name, repl, ctx):
+    """t[name ← repl], one name per traversal, repl's variables in ctx."""
     if isinstance(t, Var):
-        return apply_key(mt, sig, repl, t.key, la) if t.name == name else t
-    return rebuild(t, [subst_one(mt, sig, u, name, repl, la)
+        return apply_key(mt, sig, repl, t.key, ctx) if t.name == name else t
+    return rebuild(t, [subst_one(mt, sig, u, name, repl, ctx)
                        for u, _, _, _ in children(t)])
 
 
@@ -126,13 +125,12 @@ def telescope_one_at_a_time(kernel, ctx, name, args):
     argument, every later type is substituted with it."""
     mt, sig = kernel.mt, kernel.sig
     decl = sig.lookup(name)
-    la = locks_after_map(mt, ctx)
     tys, result = [p.ty for p in decl.params], decl.result
     for i, (p, a) in enumerate(zip(decl.params, args)):
         for j in range(i + 1, len(tys)):
-            tys[j] = subst_one(mt, sig, tys[j], p.name, a, la)
+            tys[j] = subst_one(mt, sig, tys[j], p.name, a, ctx)
         if result is not None:
-            result = subst_one(mt, sig, result, p.name, a, la)
+            result = subst_one(mt, sig, result, p.name, a, ctx)
     return tys, result
 
 

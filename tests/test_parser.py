@@ -44,6 +44,19 @@ def test_def_decl_with_lambda():
     assert d.term == Lam("x", Var("x", None))
 
 
+def test_binder_is_one_production():
+    # a telescope entry and a Pi domain read the same binder, and a type
+    # argument in parentheses or under F[…] may itself be a Pi
+    [c, d] = parse_program("const c : (x :^ mu A) (y : B) Type @ p;\n"
+                           "def d @ p : F[mu] (x :^ mu A) -> (y : B) -> A "
+                           "= a0;")
+    assert [(n, m, t) for n, m, t, _ in c.params] == \
+        [("x", "mu", TConst("A", ())), ("y", "id", TConst("B", ()))]
+    assert d.ty == FMod("mu", Pi("mu", "x", TConst("A", ()),
+                                 Pi("id", "y", TConst("B", ()),
+                                    TConst("A", ()))))
+
+
 def test_qualified_names_and_keys():
     [d] = parse_program("def k @ p : A = x^id:id:p;")
     assert d.term == Var("x", "id:id:p")

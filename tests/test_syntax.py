@@ -9,12 +9,12 @@ from matt.bundled import theory_path
 from matt.cli import main
 from matt.errors import ModeMismatch, NotTangible
 from matt.mode_theory import load_mode_theory, mode_theory_from_data
-from matt.syntax import (App, Const, ConstDecl, FMod, Lam, LetMod, LockEntry,
-                         ModIntro, Open, Param, Pi, Shut, Signature, TConst,
-                         UMod, Var, _lock_mor, apply_key, children,
-                         empty_context, find_var, locks_after_map, locks_of,
-                         mode_at, push_lock, push_var, rebuild, rename_var,
-                         subst)
+from matt.syntax import (App, Const, ConstDecl, Context, FMod, Lam, LetMod,
+                         LockEntry, ModIntro, Open, Param, Pi, Shut,
+                         Signature, TConst, UMod, Var, VarEntry, _lock_mor,
+                         apply_key, children, empty_context, find_var,
+                         locks_after_map, push_lock, push_var, rebuild,
+                         rename_var, subst)
 
 
 @pytest.fixture
@@ -28,6 +28,8 @@ def semi():
 
 
 A = TConst("A", ())
+# one variable v at mode p with no lock after it
+V_AT_P = Context("p", (VarEntry("v", "id:p", A),))
 
 
 def test_push_lock_identity_vanishes(refl):
@@ -80,15 +82,6 @@ def test_push_var_rejects_non_tangible():
         push_var(mt, empty_context("p"), "x", "m", A)
 
 
-def test_locks_of_mixed_segment(refl):
-    ctx = empty_context("p")
-    ctx = push_lock(refl, ctx, "nu")
-    ctx = push_var(refl, ctx, "x", "id:q", A)
-    ctx = push_lock(refl, ctx, "mu")
-    assert ctx.mode == "p"
-    assert locks_of(refl, ctx.entries, "p") == "numu"
-
-
 def test_locks_after_map(refl):
     ctx = empty_context("p")
     ctx = push_var(refl, ctx, "v", "id:p", A)
@@ -99,32 +92,65 @@ def test_locks_after_map(refl):
     assert la == {"v": "numu", "x": "mu"}
 
 
-def test_mode_at_and_find_var(refl):
-    ctx = empty_context("p")
-    ctx = push_var(refl, ctx, "v", "id:p", A)
-    ctx = push_lock(refl, ctx, "nu")
-    ctx = push_var(refl, ctx, "x", "id:q", A)
-    assert mode_at(refl, ctx, 0) == "p"
-    assert mode_at(refl, ctx, 2) == "q"
-    entry, prefix, suffix = find_var(refl, ctx, "v")
-    assert entry.mor == "id:p"
-    assert prefix.mode == "p" and prefix.entries == ()
-    assert locks_of(refl, suffix, prefix.mode) == "nu"
-    assert find_var(refl, ctx, "ghost") is None
+def _find_var_three_walks(mt, ctx, name):
+    """find_var as it once was: the last entry named `name`, the prefix's
+    mode replayed backward from ctx.mode, and the locks after the entry
+    composed left to right from the prefix's identity."""
+    i = max(i for i, e in enumerate(ctx.entries)
+            if isinstance(e, VarEntry) and e.name == name)
+    mode = ctx.mode
+    for e in reversed(ctx.entries[i:]):
+        if isinstance(e, LockEntry):
+            mode = mt.mor(e.mor).dst
+    delta = mt.id_mor(mode)
+    for e in ctx.entries[i + 1:]:
+        if isinstance(e, LockEntry):
+            delta = mt.compose(delta, e.mor)
+    return ctx.entries[i], Context(mode, ctx.entries[:i]), delta
+
+
+def _random_context(data, mt, mode, length):
+    """A context at `mode` of `length` random entries read right to left:
+    each a lock by a morphism out of the current mode, or a variable (names
+    repeat, so some shadow others)."""
+    entries = []
+    for _ in range(length):
+        if data.draw(st.booleans()):
+            m = data.draw(st.sampled_from(sorted(
+                n for n, m in mt.morphisms.items() if m.src == mode)))
+            entries.append(LockEntry(m))
+            mode = mt.mor(m).dst
+        else:
+            name = data.draw(st.sampled_from(["x", "y", "z"]))
+            entries.append(VarEntry(name, mt.id_mor(mode), A))
+    return tuple(reversed(entries))
+
+
+@pytest.mark.parametrize("name", ["reflective", "semilattice", "2ltt"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_find_var_matches_three_walks(name, data):
+    mt = load_mode_theory(theory_path(name))
+    mode = data.draw(st.sampled_from(sorted(mt.modes)))
+    ctx = Context(mode, _random_context(data, mt, mode,
+                                        data.draw(st.integers(0, 8))))
+    for x in ("x", "y", "z"):
+        if any(isinstance(e, VarEntry) and e.name == x for e in ctx.entries):
+            assert find_var(mt, ctx, x) == _find_var_three_walks(mt, ctx, x)
+        else:
+            assert find_var(mt, ctx, x) is None
 
 
 def test_apply_key_identity_cell_is_noop(refl):
-    sig = Signature()
-    la = {"v": "id:p"}
     t = Var("v", "eta")  # eta : id:p => numu
-    assert apply_key(refl, sig, t, "id:numu", la) is t
+    assert apply_key(refl, Signature(), t, "id:numu", V_AT_P) is t
 
 
 def test_apply_key_crosses_locks(semi):
     sig = Signature()
     # v :^a ...; the term wraps one more lock a, so v's key lives at a => a∘a
     t = ModIntro("a", Var("v", "id:a"))
-    out = apply_key(semi, sig, t, "le", {"v": "id:p"})
+    out = apply_key(semi, sig, t, "le", V_AT_P)
     # crossing the internal lock whiskers le on the right: le ▷ a = id:a
     assert out == ModIntro("a", Var("v", "id:a"))
 
@@ -132,19 +158,21 @@ def test_apply_key_crosses_locks(semi):
 def test_apply_key_composes_with_segment_locks(refl):
     sig = Signature()
     # v sits behind a nu lock relative to the keyed mu lock
+    ctx = Context("q", (VarEntry("v", "id:p", A), LockEntry("nu")))
     t = Var("v", "eta")  # eta : id:p => numu = nu∘mu
-    out = apply_key(refl, sig, t, "id:mu", {"v": "nu"})
+    out = apply_key(refl, sig, t, "id:mu", ctx)
     # new key = (nu ◁ id:mu) ∘ eta = id:numu ∘ eta = eta
     assert out == Var("v", "eta")
 
 
 def test_apply_key_functoriality(semi):
     sig = Signature()
-    la = {"v": "id:p", "w": "a"}
+    ctx = Context("p", (VarEntry("w", "id:p", A), LockEntry("a"),
+                        VarEntry("v", "id:p", A)))
     t = ModIntro("a", Var("v", "id:a"))
-    one = apply_key(semi, sig, apply_key(semi, sig, t, "le", la),
-                    "id:id:p", la)
-    both = apply_key(semi, sig, t, semi.vcomp("id:id:p", "le"), la)
+    one = apply_key(semi, sig, apply_key(semi, sig, t, "le", ctx),
+                    "id:id:p", ctx)
+    both = apply_key(semi, sig, t, semi.vcomp("id:id:p", "le"), ctx)
     assert one == both
 
 
@@ -153,7 +181,7 @@ def test_subst_transports_replacement(refl):
     # body mentions x^eta (x annotated id:p, used behind a numu lock);
     # substituting v^{id:id:p}-keyed for x must re-key the occurrence to eta
     body = Var("x", "eta")
-    out = subst(refl, sig, body, {"x": Var("v", "id:id:p")}, {"v": "id:p"})
+    out = subst(refl, sig, body, {"x": Var("v", "id:id:p")}, V_AT_P)
     assert out == Var("v", refl.vcomp(refl.wl("id:p", "eta"), "id:id:p"))
     assert out.key == "eta"
 
@@ -218,8 +246,7 @@ SLOT_CASES = [
 @pytest.mark.parametrize("build,key,expected", [c[1:] for c in SLOT_CASES],
                          ids=[c[0] for c in SLOT_CASES])
 def test_apply_key_lock_of_each_slot(refl, build, key, expected):
-    out = apply_key(refl, _lock_sig(), build(Var("v", key)), "eta",
-                    {"v": "id:p"})
+    out = apply_key(refl, _lock_sig(), build(Var("v", key)), "eta", V_AT_P)
     assert out == build(Var("v", expected))
 
 
@@ -227,7 +254,7 @@ def test_apply_key_lock_of_each_slot(refl, build, key, expected):
                          ids=[c[0] for c in SLOT_CASES])
 def test_subst_absent_name_returns_input(refl, build):
     t = build(Var("v", "id:id:p"))
-    assert subst(refl, _lock_sig(), t, {"ghost": a0}, {"v": "id:p"}) == t
+    assert subst(refl, _lock_sig(), t, {"ghost": a0}, V_AT_P) == t
 
 
 def test_rename_var_respects_pi_and_let_mod_binders():
@@ -272,7 +299,7 @@ def test_apply_key_identity_cell_skips_deep_term(refl, monkeypatch):
         raise AssertionError("apply_key traversed an identity transport")
 
     monkeypatch.setattr(matt.syntax, "children", no_walk)
-    assert apply_key(refl, Signature(), t, "id:id:p", {"v": "id:p"}) is t
+    assert apply_key(refl, Signature(), t, "id:id:p", V_AT_P) is t
 
 
 def _ak_full(mt, sig, t, c, la):
@@ -361,12 +388,19 @@ def test_apply_key_matches_full_traversal(name, data):
     ids = sorted(k for k in mt.cells if mt.is_id_cell(k))
     others = sorted(set(mt.cells) - set(ids)) or ids
     c = data.draw(st.sampled_from(ids) | st.sampled_from(others), label="cell")
+    # three variables v0, v1, v2, each followed by one random lock
     b = mt.cell_modes(c)[1]
-    la = {f"v{i}": data.draw(st.sampled_from(sorted(
-        m for m in mt.morphisms if mt.mor(m).src == b))) for i in range(3)}
+    entries, mode = [], b
+    for i in (2, 1, 0):
+        m = data.draw(st.sampled_from(sorted(
+            n for n, m in mt.morphisms.items() if m.src == mode)))
+        mode = mt.mor(m).dst
+        entries[:0] = [VarEntry(f"v{i}", mt.id_mor(mode), A), LockEntry(m)]
+    ctx = Context(b, tuple(entries))
+    la = locks_after_map(mt, ctx)
     t = _keyed_term(data, mt, c, la, frozenset(), data.draw(
         st.integers(0, 4), label="depth"))
-    got = apply_key(mt, sig, t, c, la)
+    got = apply_key(mt, sig, t, c, ctx)
     assert got == _ak_full(mt, sig, t, c, la)
     if mt.is_id_cell(c):
         assert got is t
