@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checker import Kernel
-from .errors import MattError, ParseError
+from .errors import MattError, ModeMismatch, ParseError
 from .mode_theory import (ModeTheory, load_mode_theory, load_valid_mode_theory,
                           validate_mode_theory)
-from .parser import (SurfaceConst, SurfaceDef, SurfaceModeTheory,
+from .parser import (SourceLines, SurfaceConst, SurfaceDef, SurfaceModeTheory,
                      parse_program, resolve_term, resolve_type)
 from .syntax import (ConstDecl, Param, Signature, empty_context, fresh,
                      push_lock, push_var)
@@ -43,8 +43,10 @@ class Diagnostic:
         return out
 
 
-def _diag(err: MattError, filename: str, fallback=(0, 0)) -> Diagnostic:
-    line, col = err.span if err.span else fallback
+def _diag(err: MattError, filename: str, lines: SourceLines,
+          fallback: int | None = None) -> Diagnostic:
+    span = err.span if err.span is not None else fallback
+    line, col = lines(span) if span is not None else (0, 0)
     return Diagnostic(err.code, filename, line, col, err.message,
                       getattr(err, "trace", ()))
 
@@ -57,14 +59,17 @@ def check_file(path: Path, mt: ModeTheory | None):
     still attempted so a file reports all its independent errors.
     """
     filename = str(path)
-    diags: list[Diagnostic] = []
     try:
-        decls = parse_program(path.read_text(encoding="utf-8"), filename)
-    except MattError as e:
-        return [_diag(e, filename)], 0
+        src = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         return [Diagnostic("ParseError", filename, 0, 0, str(e))], 0
+    lines = SourceLines(src)
+    try:
+        decls = parse_program(src)
+    except MattError as e:
+        return [_diag(e, filename, lines)], 0
 
+    diags: list[Diagnostic] = []
     sig = Signature()
     kernel = None
     checked = 0
@@ -75,16 +80,16 @@ def check_file(path: Path, mt: ModeTheory | None):
                     mt = load_valid_mode_theory(path.parent / d.path)
                 except OSError as e:
                     diags.append(Diagnostic("ParseError", filename,
-                                            d.span[0], d.span[1], str(e)))
+                                            *lines(d.span), str(e)))
                     return diags, checked
                 except MattError as e:
-                    diags.append(replace(_diag(e, filename, d.span),
+                    diags.append(replace(_diag(e, filename, lines, d.span),
                                          bad_input=True))
                     return diags, checked
             continue
         if mt is None:
             diags.append(Diagnostic(
-                "ParseError", filename, d.span[0], d.span[1],
+                "ParseError", filename, *lines(d.span),
                 "no mode theory: pass --mode-theory or declare one"))
             return diags, checked
         if kernel is None:
@@ -94,15 +99,17 @@ def check_file(path: Path, mt: ModeTheory | None):
             _check_decl(kernel, d)
             checked += 1
         except MattError as e:
-            diags.append(_diag(e, filename, d.span))
+            diags.append(_diag(e, filename, lines, d.span))
         except RecursionError:
-            diags.append(Diagnostic("ParseError", filename, d.span[0],
-                                    d.span[1], "nesting too deep to check"))
+            diags.append(Diagnostic("ParseError", filename, *lines(d.span),
+                                    "nesting too deep to check"))
     return diags, checked
 
 
 def _check_decl(kernel: Kernel, d):
     mt, sig = kernel.mt, kernel.sig
+    if d.mode not in mt.modes:
+        raise ModeMismatch(f"mode {d.mode} is not in the mode theory", d.span)
     if isinstance(d, SurfaceConst):
         ctx = empty_context(d.mode)
         scope: dict[str, str] = {}

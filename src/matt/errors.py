@@ -1,7 +1,8 @@
 """Error taxonomy shared by the kernel, the semantics engine, and the CLI.
 
 Every error carries a stable short code (used in diagnostics and exit-code
-decisions) and an optional source span (line, col).
+decisions) and an optional source span: the offset into the source text
+where the offending syntax starts, which the CLI prints as line:col.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 class MattError(Exception):
     code = "Error"
 
-    def __init__(self, message: str, span: tuple[int, int] | None = None):
+    def __init__(self, message: str, span: int | None = None):
         super().__init__(message)
         self.message = message
         self.span = span

@@ -14,6 +14,10 @@ Types:  (x :^ mor T) -> T  |  F[mor] T  |  U[mor] T  |  Name args
 Morphism and cell names may be qualified (id:p, id:id:p).  An omitted ^mor
 annotation means the identity ("id").  Line comments start with "--".
 
+Every span is the source offset where its node or declaration starts;
+`SourceLines` turns an offset into a line and column only when a diagnostic
+is printed.
+
 Parsing keeps surface names; resolution freshens every binder to a globally
 unique name and turns free names into signature constants, so downstream
 substitution never needs capture checks.
@@ -22,21 +26,20 @@ substitution never needs capture checks.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import ParseError
-from .mode_theory import ModeTheory
 from .syntax import (App, Const, FMod, Lam, LetMod, ModIntro, Open, Pi, Shut,
                      Signature, TConst, UMod, Var, fresh)
 
-# One match per token: the blank lines, blanks and comments before it (the
-# lines that end in a newline in group "lines"), then the token, a stray
-# character, or nothing at the end of the input.  A comment runs to the end
-# of its line, so after the last newline only blanks and one comment remain.
+# One match per token: the blanks, newlines and comments before it, then the
+# token, a stray character, or nothing.  The token is optional so that a
+# match never backtracks into a comment to find one: a file that ends in
+# "-- x (y)" ends in a match with no token, not in the token ")".
 _TOKEN = re.compile(r"""
-  (?P<lines>(?:[ \t\r]*(?:--[^\n]*)?\n)*)
-  [ \t\r]*(?:--[^\n]*)?
+  (?:[ \t\r\n]+|--[^\n]*)*
   (?:
     (?P<sym>->|:\^|mode-theory\b|[()\[\],;=@.^\\:])
   | (?P<string>"[^"\n]*")
@@ -51,29 +54,59 @@ _KEYWORDS = {"const", "def", "mod", "let", "in", "motive", "shut", "open",
 _ENDS_SPINE = _KEYWORDS - {"mod", "shut", "open"}
 
 
-class Token(NamedTuple):
-    kind: str   # "name", "string", or the symbol itself ("->", "mode-theory")
-    text: str
-    line: int
-    col: int
+class Tokens:
+    """The token stream as three parallel lists: each token's kind ("name",
+    "string", or the symbol itself, as "->" or "mode-theory"), its text, and
+    the source offset where it starts.  Past the last token, as far as the
+    parser looks ahead (two tokens), the lists hold PAST_END more entries
+    of kind and text None at the offset of the last token, so the parser
+    indexes without a bounds test and reports "end of input" where the
+    input ends.  They are not counted as tokens."""
+
+    __slots__ = ("kinds", "texts", "offs")
+    PAST_END = 3
+
+    def __init__(self, kinds: list, texts: list, offs: list):
+        self.kinds, self.texts, self.offs = kinds, texts, offs
+
+    def __len__(self) -> int:
+        return len(self.offs) - self.PAST_END
 
 
-def tokenize(src: str, filename: str = "<input>") -> list[Token]:
-    out, line, bol = [], 1, 0  # bol: the index where the line begins
-    append = out.append
+def tokenize(src: str) -> Tokens:
+    kinds, texts, offs = [], [], []
+    add_kind, add_text, add_off = kinds.append, texts.append, offs.append
     for m in _TOKEN.finditer(src):
-        lines, sym, string, name, bad = m.groups()
-        if lines:
-            line += lines.count("\n")
-            bol = m.end(1)
-        text = name or sym or string or bad
-        if text is None:  # only blanks and comments up to the end
+        group = m.lastgroup
+        if group is None:  # only blanks and comments up to the end
             continue
-        col = m.end() - len(text) - bol + 1
-        if bad:
-            raise ParseError(f"unexpected character {bad!r}", (line, col))
-        append(Token("name" if name else sym or "string", text, line, col))
-    return out
+        text = m.group(group)
+        if group == "bad":
+            raise ParseError(f"unexpected character {text!r}", m.start(group))
+        add_kind(text if group == "sym" else group)
+        add_text(text)
+        add_off(m.start(group))
+    end = [None] * Tokens.PAST_END
+    kinds += end
+    texts += end
+    offs += [offs[-1] if offs else 0] * Tokens.PAST_END
+    return Tokens(kinds, texts, offs)
+
+
+class SourceLines:
+    """Line and column, both from 1, of offsets into one source text.  The
+    offsets where lines begin are found on the first lookup; each lookup
+    bisects them.  Only "\\n" ends a line, so "\\r" counts as a column."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.starts: Optional[list[int]] = None
+
+    def __call__(self, offset: int) -> tuple[int, int]:
+        if self.starts is None:
+            self.starts = [0] + [m.end() for m in re.finditer("\n", self.src)]
+        line = bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1
 
 
 # --- surface declarations ----------------------------------------------------
@@ -81,7 +114,7 @@ def tokenize(src: str, filename: str = "<input>") -> list[Token]:
 @dataclass
 class SurfaceModeTheory:
     path: str
-    span: tuple
+    span: int
 
 
 @dataclass
@@ -90,7 +123,7 @@ class SurfaceConst:
     params: list  # of (name, mor, surface type, span)
     result: Optional[object]  # surface type, or None for "Type"
     mode: str
-    span: tuple
+    span: int
 
 
 @dataclass
@@ -99,61 +132,42 @@ class SurfaceDef:
     mode: str
     ty: object
     term: object
-    span: tuple
+    span: int
 
 
 class Parser:
-    def __init__(self, src: str, filename: str = "<input>"):
-        toks = tokenize(src, filename)
-        self.last = toks[-1] if toks else None
-        # None past the end, as far as the parser looks ahead (two tokens),
-        # so the plumbing below indexes without a bounds test
-        self.toks = toks + [None] * 3
+    def __init__(self, src: str):
+        toks = tokenize(src)
+        self.kinds, self.texts, self.offs = toks.kinds, toks.texts, toks.offs
         self.pos = 0
-        self.filename = filename
 
     # -- token plumbing --
 
-    def peek(self) -> Optional[Token]:
-        return self.toks[self.pos]
-
     def at(self, kind: str, ahead: int = 0) -> bool:
-        t = self.toks[self.pos + ahead]
-        return t is not None and t.kind == kind
+        return self.kinds[self.pos + ahead] == kind
 
-    def at_name(self, text: str, ahead: int = 0) -> bool:
-        t = self.toks[self.pos + ahead]
-        return t is not None and t.kind == "name" and t.text == text
+    def at_name(self, text: str) -> bool:
+        # no symbol or string has the text of a name
+        return self.texts[self.pos] == text
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t is None:
-            raise ParseError("unexpected end of input", self._last_span())
-        self.pos += 1
-        return t
+    def here(self) -> int:
+        return self.offs[self.pos]
 
-    def expect(self, kind: str) -> Token:
-        t = self.toks[self.pos]
-        if t is None or t.kind != kind:
-            got = t.text if t else "end of input"
-            raise ParseError(f"expected {kind!r}, found {got!r}",
-                             self._span(t))
-        self.pos += 1
-        return t
-
-    def _span(self, t: Optional[Token]):
-        return (t.line, t.col) if t else self._last_span()
-
-    def _last_span(self):
-        return (self.last.line, self.last.col) if self.last else (1, 1)
+    def expect(self, kind: str) -> str:
+        p = self.pos
+        if self.kinds[p] != kind:
+            got = self.texts[p] or "end of input"
+            raise ParseError(f"expected {kind!r}, found {got!r}", self.offs[p])
+        self.pos = p + 1
+        return self.texts[p]
 
     # -- qualified names (morphisms and cells, e.g. id:p) --
 
     def qualified(self) -> str:
-        parts = [self.expect("name").text]
+        parts = [self.expect("name")]
         while self.at(":") and self.at("name", 1):
-            self.next()
-            parts.append(self.expect("name").text)
+            self.pos += 1
+            parts.append(self.expect("name"))
         return ":".join(parts)
 
     def bracket_mor(self) -> str:
@@ -166,194 +180,197 @@ class Parser:
 
     def parse_program(self) -> list:
         decls = []
-        while self.peek() is not None:
-            start = self.peek()
+        while self.kinds[self.pos] is not None:
+            at = self.here()
             try:
                 decls.append(self.decl())
             except RecursionError:
-                raise ParseError("nesting too deep to parse",
-                                 self._span(start)) from None
+                raise ParseError("nesting too deep to parse", at) from None
             self.expect(";")
         return decls
 
     def decl(self):
-        t = self.peek()
-        if t.kind == "mode-theory":
-            self.next()
-            s = self.expect("string")
-            return SurfaceModeTheory(s.text[1:-1], (s.line, s.col))
+        if self.at("mode-theory"):
+            self.pos += 1
+            at = self.here()
+            return SurfaceModeTheory(self.expect("string")[1:-1], at)
         if self.at_name("const"):
             return self.const_decl()
         if self.at_name("def"):
             return self.def_decl()
-        raise ParseError(f"expected a declaration, found {t.text!r}",
-                         self._span(t))
+        raise ParseError(
+            f"expected a declaration, found {self.texts[self.pos]!r}",
+            self.here())
 
     def const_decl(self) -> SurfaceConst:
-        kw = self.next()
-        name = self.expect("name").text
+        at = self.here()
+        self.pos += 1
+        name = self.expect("name")
         self.expect(":")
         params = []
         while (b := self.binder()) is not None:
-            p, mor, ty = b
-            params.append((p.text, mor, ty, (p.line, p.col)))
+            params.append(b)
         if self.at_name("Type"):
-            self.next()
+            self.pos += 1
             result = None
         else:
             result = self.type_expr()
         self.expect("@")
-        mode = self.expect("name").text
-        return SurfaceConst(name, params, result, mode, (kw.line, kw.col))
+        mode = self.expect("name")
+        return SurfaceConst(name, params, result, mode, at)
 
     def def_decl(self) -> SurfaceDef:
-        kw = self.next()
-        name = self.expect("name").text
+        at = self.here()
+        self.pos += 1
+        name = self.expect("name")
         self.expect("@")
-        mode = self.expect("name").text
+        mode = self.expect("name")
         self.expect(":")
         ty = self.type_expr()
         self.expect("=")
         term = self.term()
-        return SurfaceDef(name, mode, ty, term, (kw.line, kw.col))
+        return SurfaceDef(name, mode, ty, term, at)
 
     # -- types --
 
     def binder(self):
         """`(x :^ mor T)` or `(x : T)`, the omitted annotation written "id",
-        as (name token, mor, T); None, consuming nothing, at anything else."""
+        as (x, mor, T, offset of x); None, consuming nothing, at anything
+        else."""
         if not (self.at("(") and self.at("name", 1) and
                 (self.at(":^", 2) or self.at(":", 2))):
             return None
-        self.next()
+        self.pos += 1
+        at = self.here()
         v = self.expect("name")
-        mor = self.qualified() if self.next().kind == ":^" else "id"
+        self.pos += 1  # past the ":^" or ":" seen above
+        mor = self.qualified() if self.texts[self.pos - 1] == ":^" else "id"
         ty = self.type_expr()
         self.expect(")")
-        return v, mor, ty
+        return v, mor, ty, at
 
     def type_expr(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("expected a type", self._last_span())
+        p = self.pos
+        kind, text, at = self.kinds[p], self.texts[p], self.offs[p]
+        if kind is None:
+            raise ParseError("expected a type", at)
         b = self.binder()
         if b is not None:
-            v, mor, dom = b
+            v, mor, dom, _ = b
             self.expect("->")
-            return Pi(mor, v.text, dom, self.type_expr(), (t.line, t.col))
-        if t.kind == "(":
-            self.next()
+            return Pi(mor, v, dom, self.type_expr(), at)
+        if kind == "(":
+            self.pos += 1
             inner = self.type_expr()
             self.expect(")")
             return inner
-        if t.kind == "name" and t.text in ("F", "U") and self.at("[", 1):
-            self.next()
+        if kind == "name" and text in ("F", "U") and self.at("[", 1):
+            self.pos += 1
             mor = self.bracket_mor()
             body = self.type_atom()
-            node = FMod if t.text == "F" else UMod
-            return node(mor, body, (t.line, t.col))
-        if t.kind == "name":
-            self.next()
+            node = FMod if text == "F" else UMod
+            return node(mor, body, at)
+        if kind == "name":
+            self.pos += 1
             args = []
             while self.starts_atom():
                 args.append(self.atom())
-            return TConst(t.text, tuple(args), (t.line, t.col))
-        raise ParseError(f"expected a type, found {t.text!r}", self._span(t))
+            return TConst(text, tuple(args), at)
+        raise ParseError(f"expected a type, found {text!r}", at)
 
     def type_atom(self):
         """A type argument position: parenthesized, modal, or bare name."""
-        t = self.peek()
         if self.at("(") or (self.at_name("F") or self.at_name("U")) and \
                 self.at("[", 1):
             return self.type_expr()
-        if t is not None and t.kind == "name" and t.text not in _KEYWORDS:
-            self.next()
-            return TConst(t.text, (), (t.line, t.col))
-        raise ParseError("expected a type", self._span(t))
+        p = self.pos
+        text = self.texts[p]
+        if self.kinds[p] == "name" and text not in _KEYWORDS:
+            self.pos += 1
+            return TConst(text, (), self.offs[p])
+        raise ParseError("expected a type", self.offs[p])
 
     # -- terms --
 
     def term(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("expected a term", self._last_span())
-        if t.kind == "\\":
-            self.next()
-            v = self.expect("name").text
+        p = self.pos
+        kind, text, at = self.kinds[p], self.texts[p], self.offs[p]
+        if kind is None:
+            raise ParseError("expected a term", at)
+        if kind == "\\":
+            self.pos += 1
+            v = self.expect("name")
             self.expect(".")
-            return Lam(v, self.term(), (t.line, t.col))
-        if t.kind == "name" and t.text == "let":
-            self.next()
+            return Lam(v, self.term(), at)
+        if kind == "name" and text == "let":
+            self.pos += 1
             self.expect("[")
             frame = self.qualified()
             self.expect(",")
             mor = self.qualified()
             self.expect("]")
             if not self.at_name("mod"):
-                raise ParseError("expected 'mod' after let[...]",
-                                 self._span(self.peek()))
-            self.next()
-            v = self.expect("name").text
+                raise ParseError("expected 'mod' after let[...]", self.here())
+            self.pos += 1
+            v = self.expect("name")
             self.expect("=")
             scrut = self.term()
             if not self.at_name("in"):
-                raise ParseError("expected 'in'", self._span(self.peek()))
-            self.next()
+                raise ParseError("expected 'in'", self.here())
+            self.pos += 1
             body = self.term()
             motive = None
             if self.at_name("motive"):
-                self.next()
+                self.pos += 1
                 motive = self.type_expr()
             # the same surface name stands for the scrutinee inside the
             # motive and for the unwrapped value inside the branch
-            return LetMod(frame, mor, v, motive, scrut, v, body,
-                          (t.line, t.col))
-        if t.kind == "name" and t.text in ("mod", "shut", "open") and \
+            return LetMod(frame, mor, v, motive, scrut, v, body, at)
+        if kind == "name" and text in ("mod", "shut", "open") and \
                 self.at("[", 1):
-            self.next()
+            self.pos += 1
             mor = self.bracket_mor()
             body = self.term()
-            node = {"mod": ModIntro, "shut": Shut, "open": Open}[t.text]
-            return node(mor, body, (t.line, t.col))
+            node = {"mod": ModIntro, "shut": Shut, "open": Open}[text]
+            return node(mor, body, at)
         # application spine
         head = self.atom()
         while self.starts_atom():
-            arg = self.atom()
-            head = App(head, arg, None, getattr(head, "span", None))
+            head = App(head, self.atom(), None, head.span)
         return head
 
     def starts_atom(self) -> bool:
-        t = self.toks[self.pos]
-        if t is None:
-            return False
-        if t.kind == "name":
-            return t.text not in _ENDS_SPINE
-        return t.kind == "(" or t.kind == "\\"
+        p = self.pos
+        kind = self.kinds[p]
+        if kind == "name":
+            return self.texts[p] not in _ENDS_SPINE
+        return kind == "(" or kind == "\\"
 
     def atom(self):
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
+        p = self.pos
+        kind, text, at = self.kinds[p], self.texts[p], self.offs[p]
+        if kind == "(":
+            self.pos += 1
             inner = self.term()
             self.expect(")")
             return inner
-        if t.kind == "\\":
+        if kind == "\\":
             return self.term()  # a trailing lambda argument needs no parens
-        if t.kind == "name" and t.text in ("mod", "shut", "open") and \
+        if kind == "name" and text in ("mod", "shut", "open") and \
                 self.at("[", 1):
             return self.term()
-        if t.kind == "name":
-            self.next()
+        if kind == "name":
+            self.pos += 1
             key = None
             if self.at("^"):
-                self.next()
+                self.pos += 1
                 key = self.qualified()
-            return Var(t.text, key, (t.line, t.col))
-        raise ParseError(f"expected a term, found {t.text!r}", self._span(t))
+            return Var(text, key, at)
+        raise ParseError(f"expected a term, found {text!r}", at)
 
 
-def parse_program(src: str, filename: str = "<input>") -> list:
-    return Parser(src, filename).parse_program()
+def parse_program(src: str) -> list:
+    return Parser(src).parse_program()
 
 
 # --- resolution: freshen binders, resolve constants --------------------------

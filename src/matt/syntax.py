@@ -34,7 +34,7 @@ def fresh(stem: str = "x") -> str:
     return f"{stem}!{next(_fresh_counter)}"
 
 
-Span = Optional[tuple]
+Span = Optional[int]  # the source offset where the node's syntax starts
 
 
 # --- terms and types --------------------------------------------------------
@@ -374,42 +374,44 @@ def subst(mt: ModeTheory, sig: Signature, body, sub: Mapping[str, object],
     a unique name, no replacement mentions a name of `sub`, and the
     simultaneous substitution equals substituting one name at a time.
     """
-    la = None
+    return _subst(mt, sig, body, sub, ctx, [])
 
-    def go(t):
-        nonlocal la
-        if isinstance(t, Var):
-            repl = sub.get(t.name)
-            if repl is None:
-                return t
-            if mt.is_id_cell(t.key):
-                return repl
-            if la is None:
-                la = locks_after_map(mt, ctx)
-            return _ak(mt, sig, repl, t.key, la)
-        kids = []
-        for u, _, _, _ in children(t):
-            kids.append(go(u))
-        return rebuild(t, kids)
 
-    return go(body)
+def _subst(mt, sig, t, sub, ctx, la: list):
+    # `la` holds locks_after_map(mt, ctx) once it is built.  Module-level,
+    # as is _rename: a closure that calls itself is a reference cycle, and
+    # would hold `sub` and `ctx` until the next garbage collection.
+    if isinstance(t, Var):
+        repl = sub.get(t.name)
+        if repl is None:
+            return t
+        if mt.is_id_cell(t.key):
+            return repl
+        if not la:
+            la.append(locks_after_map(mt, ctx))
+        return _ak(mt, sig, repl, t.key, la[0])
+    kids = []
+    for u, _, _, _ in children(t):
+        kids.append(_subst(mt, sig, u, sub, ctx, la))
+    return rebuild(t, kids)
 
 
 def rename_var(t, ren: Mapping[str, str]):
     """Rename the free occurrences of each variable x of `ren` to ren[x],
     keys untouched, in one traversal.  A binder of x hides x's entry from
     the sub-term it binds in."""
-    def go(u, ren):
-        if isinstance(u, Var):
-            new = ren.get(u.name)
-            return u if new is None else Var(new, u.key, u.span)
-        kids = []
-        for v, _, _, bound in children(u):
-            if bound in ren:
-                inner = {k: n for k, n in ren.items() if k != bound}
-                kids.append(go(v, inner) if inner else v)
-            else:
-                kids.append(go(v, ren))
-        return rebuild(u, kids)
+    return _rename(t, ren)
 
-    return go(t, ren)
+
+def _rename(t, ren):
+    if isinstance(t, Var):
+        new = ren.get(t.name)
+        return t if new is None else Var(new, t.key, t.span)
+    kids = []
+    for u, _, _, bound in children(t):
+        if bound in ren:
+            inner = {k: n for k, n in ren.items() if k != bound}
+            kids.append(_rename(u, inner) if inner else u)
+        else:
+            kids.append(_rename(u, ren))
+    return rebuild(t, kids)

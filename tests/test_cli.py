@@ -340,3 +340,33 @@ def test_long_type_gives_a_bounded_error_line(tmp_path, capsys):
     assert error.endswith("…") and len(error) < 300 + len(str(f))
     assert trace.startswith("  trace: type head mismatch: A vs (x") and \
         len(trace) > 1200
+
+
+@pytest.mark.parametrize("text,message", [
+    ("$ const A : Type @ p;\n", "unexpected character '$'"),
+    (")\nconst A : Type @ p;\n", "expected a declaration, found ')'"),
+])
+def test_error_at_offset_zero_is_line_one_column_one(tmp_path, capsys, text,
+                                                     message):
+    f = tmp_path / "first.matt"
+    f.write_text(text)
+    assert main(["check", str(f), "--mode-theory",
+                 str(theory_path("trivial"))]) == 2
+    assert capsys.readouterr().err == \
+        f"ERROR ParseError @ {f}:1:1: {message}\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    ("const A : Type @ p;\nconst B : Type @ q;\n", 2),
+    ("const A : Type @ p;\nconst a : A @ p;\ndef b @ q : A = a;\n", 3),
+])
+def test_declaration_at_an_undeclared_mode_exits_one(tmp_path, capsys, text,
+                                                     line):
+    # trivial.mt has the one mode p
+    f = tmp_path / "mode_q.matt"
+    f.write_text(text)
+    assert main(["check", str(f), "--mode-theory",
+                 str(theory_path("trivial"))]) == 1
+    assert capsys.readouterr().err == \
+        f"ERROR ModeMismatch @ {f}:{line}:1: mode q is not in the mode " \
+        "theory\n"

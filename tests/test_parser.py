@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matt.errors import ParseError
-from matt.parser import (Parser, SurfaceConst, SurfaceDef, SurfaceModeTheory,
-                         parse_program, resolve_term, resolve_type, tokenize)
+from matt.parser import (Parser, SourceLines, SurfaceConst, SurfaceDef,
+                         SurfaceModeTheory, parse_program, resolve_term,
+                         resolve_type, tokenize)
 from matt.syntax import (App, Const, ConstDecl, FMod, Lam, LetMod, ModIntro,
                          Open, Param, Pi, Shut, Signature, TConst, UMod, Var)
 
@@ -197,9 +198,22 @@ def reference_tokenize(src):
     return out
 
 
-def _outcome(tokenizer, src):
+def _outcome(src):
+    """tokenize's (kind, text, line, col) per token, or its error, each
+    offset placed by the helper the CLI prints diagnostics with."""
+    lines = SourceLines(src)
     try:
-        return [tuple(t) for t in tokenizer(src)]
+        toks = tokenize(src)
+    except ParseError as e:
+        return ("ParseError", e.message, lines(e.span))
+    n = len(toks)  # what the benchmark's tracer counts as tokens
+    return [(kind, text, *lines(off)) for kind, text, off in
+            zip(toks.kinds[:n], toks.texts[:n], toks.offs[:n])]
+
+
+def _reference_outcome(src):
+    try:
+        return reference_tokenize(src)
     except ParseError as e:
         return ("ParseError", e.message, e.span)
 
@@ -213,17 +227,45 @@ PIECES = ["x", "A0", "_b'", "Type", "mode", "mode-theory", "mode-theoryx",
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
 def test_tokenize_matches_reference(src):
-    assert _outcome(tokenize, src) == _outcome(reference_tokenize, src)
+    assert _outcome(src) == _reference_outcome(src)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet=" \t\r\n-:^>\"$#?abm(;", max_size=30))
 def test_tokenize_matches_reference_on_characters(src):
-    assert _outcome(tokenize, src) == _outcome(reference_tokenize, src)
+    assert _outcome(src) == _reference_outcome(src)
 
 
 def test_stray_character_is_reported_at_its_own_column():
     src = "const A : Type @ p;\n  $"
-    assert _outcome(tokenize, src) == \
+    assert _outcome(src) == \
         ("ParseError", "unexpected character '$'", (2, 3))
-    assert _outcome(reference_tokenize, src) == _outcome(tokenize, src)
+    assert _reference_outcome(src) == _outcome(src)
+
+
+@pytest.mark.parametrize("end", ["", "\n"])
+def test_trailing_comment_adds_no_tokens(end):
+    # the comment's "(", ")" and "$" are neither tokens nor errors
+    body = "const A : Type @ p;\n"
+    with_comment, without = tokenize(body + "-- x (y) $" + end), tokenize(body)
+    assert (with_comment.kinds, with_comment.texts, with_comment.offs) == \
+        (without.kinds, without.texts, without.offs)
+    assert len(with_comment) == 7
+    assert len(tokenize("-- (" + end)) == 0
+
+
+@pytest.mark.parametrize("src", [
+    "const A : Type @ p;\r\ndef a @ p : A = b;\r\n",
+    "const A :\rType @ p;\r\r\n  def\r a",
+    "const A : Type @ p;\r\n\r $",
+])
+def test_carriage_returns_are_columns(src):
+    assert _outcome(src) == _reference_outcome(src)
+
+
+def test_spans_are_source_offsets():
+    src = "const A : Type @ p;\ndef a @ p : (x : A) -> A = \\x. x;"
+    c, d = parse_program(src)
+    assert (c.span, d.span) == (0, 20)
+    assert (d.ty.span, d.term.span) == (src.index("(x"), src.index("\\"))
+    assert SourceLines(src)(d.ty.span) == (2, 13)
