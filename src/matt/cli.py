@@ -11,6 +11,7 @@ Diagnostics go to stderr as "ERROR <code> @ <file>:<line>:<col>: <message>".
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -194,7 +195,9 @@ def cmd_sem_laws(path, only=None, cap=None, out=None) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """Built once, on first use: argparse leaves reference cycles behind."""
     ap = argparse.ArgumentParser(prog="matt",
                                  description="modal type checker and "
                                              "semantics law runner")
@@ -218,8 +221,11 @@ def main(argv=None) -> int:
     p_laws.add_argument("--cap", type=int, default=None)
     p_laws.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _arg_parser().parse_args(argv)
     if args.cmd == "check":
         return cmd_check(args.src, args.mode_theory, args.trace)
     if args.cmd == "modes":

@@ -200,12 +200,12 @@ def run_law_suite(path, only=None, cap=None) -> dict:
         try:
             bundle = build_bundle(d, cap=cap)
         except MattError as e:
-            bundle_err = e
+            bundle_err = str(e)  # not e: its traceback holds this frame
 
     results = {}
     for name, law in sorted(selected.items()):
         if bundle is None and name not in _NO_BUNDLE:
-            results[name] = (False, str(bundle_err))
+            results[name] = (False, bundle_err)
             continue
         try:
             results[name] = law(d, bundle, cap)

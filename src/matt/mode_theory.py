@@ -23,11 +23,6 @@ CLASS_NAMES = ("tangible", "sharp", "transparent", "sinister")
 
 
 @dataclass(frozen=True)
-class Mode:
-    name: str
-
-
-@dataclass(frozen=True)
 class Morphism:
     name: str
     src: str
@@ -63,9 +58,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def axioms(self) -> set[str]:
-        return {v.axiom for v in self.violations}
-
 
 def id_mor_name(mode: str) -> str:
     return "id:" + mode
@@ -80,13 +72,13 @@ class ModeTheory:
 
     def __init__(self, modes, morphisms, cells, compose, vcompose,
                  whisker_left, whisker_right, classes, adjoints):
-        self.modes: dict[str, Mode] = {m.name: m for m in modes}
+        self.modes: dict[str, None] = dict.fromkeys(modes)
         self.morphisms: dict[str, Morphism] = {m.name: m for m in morphisms}
         self.cells: dict[str, Cell] = {c.name: c for c in cells}
-        self._compose: dict[tuple[str, str], str] = dict(compose)
-        self._vcomp: dict[tuple[str, str], str] = dict(vcompose)
-        self._wl: dict[tuple[str, str], str] = dict(whisker_left)
-        self._wr: dict[tuple[str, str], str] = dict(whisker_right)
+        self.compose_table: dict[tuple[str, str], str] = dict(compose)
+        self.vcompose_table: dict[tuple[str, str], str] = dict(vcompose)
+        self.wl_table: dict[tuple[str, str], str] = dict(whisker_left)
+        self.wr_table: dict[tuple[str, str], str] = dict(whisker_right)
         self.classes: dict[str, frozenset[str]] = {
             k: frozenset(classes.get(k, ())) for k in CLASS_NAMES
         }
@@ -134,49 +126,35 @@ class ModeTheory:
                 if ref not in self.cells:
                     raise MalformedTable(f"adjoint entry references unknown cell {ref}")
         # unit-law rows, added only when absent so broken inputs stay broken
+        comp, vc, wl, wr = (self.compose_table, self.vcompose_table,
+                            self.wl_table, self.wr_table)
         for m in self.morphisms.values():
-            self._compose.setdefault((id_mor_name(m.dst), m.name), m.name)
-            self._compose.setdefault((m.name, id_mor_name(m.src)), m.name)
+            comp.setdefault((id_mor_name(m.dst), m.name), m.name)
+            comp.setdefault((m.name, id_mor_name(m.src)), m.name)
         for c in self.cells.values():
-            self._vcomp.setdefault((id_cell_name(c.dst), c.name), c.name)
-            self._vcomp.setdefault((c.name, id_cell_name(c.src)), c.name)
+            vc.setdefault((id_cell_name(c.dst), c.name), c.name)
+            vc.setdefault((c.name, id_cell_name(c.src)), c.name)
         for c in self.cells.values():
             s = self.morphisms.get(c.src)
             if s is None:
                 continue  # caught by the reference check
-            self._wl.setdefault((id_mor_name(s.dst), c.name), c.name)
-            self._wr.setdefault((c.name, id_mor_name(s.src)), c.name)
+            wl.setdefault((id_mor_name(s.dst), c.name), c.name)
+            wr.setdefault((c.name, id_mor_name(s.src)), c.name)
         for m in self.morphisms.values():
             for r in self.morphisms.values():
                 if r.dst != m.src:
                     continue
-                mr = self._compose.get((m.name, r.name))
+                mr = comp.get((m.name, r.name))
                 if mr is not None:
-                    self._wl.setdefault((m.name, id_cell_name(r.name)), id_cell_name(mr))
+                    wl.setdefault((m.name, id_cell_name(r.name)), id_cell_name(mr))
             for n in self.morphisms.values():
                 if m.dst != n.src:
                     continue
-                nm = self._compose.get((n.name, m.name))
+                nm = comp.get((n.name, m.name))
                 if nm is not None:
-                    self._wr.setdefault((id_cell_name(n.name), m.name), id_cell_name(nm))
+                    wr.setdefault((id_cell_name(n.name), m.name), id_cell_name(nm))
 
     # -- lookups ----------------------------------------------------------
-
-    @property
-    def compose_table(self):
-        return self._compose
-
-    @property
-    def vcompose_table(self):
-        return self._vcomp
-
-    @property
-    def wl_table(self):
-        return self._wl
-
-    @property
-    def wr_table(self):
-        return self._wr
 
     def cells_from_to(self, src_mor: str, dst_mor: str) -> list[Cell]:
         return sorted((c for c in self.cells.values()
@@ -235,7 +213,7 @@ class ModeTheory:
         if fm.dst != gm.src:
             raise NotComposable(f"{g}∘{f}: target({f}) = {fm.dst} != source({g}) = {gm.src}")
         try:
-            return self._compose[(g, f)]
+            return self.compose_table[(g, f)]
         except KeyError:
             raise NotComposable(f"composite {g}∘{f} missing from table") from None
 
@@ -246,7 +224,7 @@ class ModeTheory:
             raise IllTypedCellExpression(
                 f"{b}∘{a}: target({a}) = {ac.dst} != source({b}) = {bc.src}")
         try:
-            return self._vcomp[(b, a)]
+            return self.vcompose_table[(b, a)]
         except KeyError:
             raise IllTypedCellExpression(f"vertical composite {b}∘{a} missing from table") from None
 
@@ -256,7 +234,7 @@ class ModeTheory:
         if mm.src != self.cell_modes(c)[1]:
             raise IllTypedCellExpression(f"{m}◁{c}: modes do not match")
         try:
-            return self._wl[(m, c)]
+            return self.wl_table[(m, c)]
         except KeyError:
             raise IllTypedCellExpression(f"whiskering {m}◁{c} missing from table") from None
 
@@ -266,7 +244,7 @@ class ModeTheory:
         if mm.dst != self.cell_modes(c)[0]:
             raise IllTypedCellExpression(f"{c}▷{m}: modes do not match")
         try:
-            return self._wr[(c, m)]
+            return self.wr_table[(c, m)]
         except KeyError:
             raise IllTypedCellExpression(f"whiskering {c}▷{m} missing from table") from None
 
@@ -274,58 +252,6 @@ class ModeTheory:
         if mor not in self.adjoints:
             raise IllTypedCellExpression(f"morphism {mor} has no adjoint assignment")
         return self.adjoints[mor]
-
-    def cell_algebra(self, expr) -> str:
-        """Evaluate a formal expression over cells.
-
-        Grammar: a cell name, ("comp", b, a) for b∘a, ("wl", mor, e) for
-        mor◁e, or ("wr", e, mor) for e▷mor.
-        """
-        if isinstance(expr, str):
-            return self.cell(expr).name
-        if not isinstance(expr, tuple) or not expr:
-            raise IllTypedCellExpression(f"bad cell expression {expr!r}")
-        op = expr[0]
-        if op == "comp" and len(expr) == 3:
-            return self.vcomp(self.cell_algebra(expr[1]), self.cell_algebra(expr[2]))
-        if op == "wl" and len(expr) == 3:
-            return self.wl(expr[1], self.cell_algebra(expr[2]))
-        if op == "wr" and len(expr) == 3:
-            return self.wr(self.cell_algebra(expr[1]), expr[2])
-        raise IllTypedCellExpression(f"bad cell expression {expr!r}")
-
-    # -- serialization ----------------------------------------------------
-
-    def to_data(self) -> dict:
-        """Canonical plain-data form (identities and unit rows elided)."""
-        def keep_mor(name):
-            return not name.startswith("id:")
-
-        def keep_cell(name):
-            return not name.startswith("id:")
-
-        data = {
-            "modes": sorted(self.modes),
-            "morphisms": [{"name": m.name, "src": m.src, "dst": m.dst}
-                          for m in sorted(self.morphisms.values(), key=lambda m: m.name)
-                          if keep_mor(m.name)],
-            "compose": sorted([g, f, h] for (g, f), h in self._compose.items()
-                              if keep_mor(g) and keep_mor(f)),
-            "cells": [{"name": c.name, "src": c.src, "dst": c.dst}
-                      for c in sorted(self.cells.values(), key=lambda c: c.name)
-                      if keep_cell(c.name)],
-            "vcompose": sorted([b, a, c] for (b, a), c in self._vcomp.items()
-                               if keep_cell(b) and keep_cell(a)),
-            "whisker_left": sorted([m, c, r] for (m, c), r in self._wl.items()
-                                   if keep_cell(c)),
-            "whisker_right": sorted([c, m, r] for (c, m), r in self._wr.items()
-                                    if keep_cell(c)),
-            "classes": {k: sorted(self.classes[k]) for k in CLASS_NAMES},
-            "adjoints": [{"mor": a.mor, "dagger": a.dagger,
-                          "unit": a.unit, "counit": a.counit}
-                         for a in sorted(self.adjoints.values(), key=lambda a: a.mor)],
-        }
-        return data
 
 
 def _names(*xs) -> tuple:
@@ -349,7 +275,7 @@ def mode_theory_from_data(data: dict) -> ModeTheory:
 
     try:
         return ModeTheory(
-            [Mode(n) for n in _names(*data.get("modes", []))],
+            _names(*data.get("modes", [])),
             records("morphisms", Morphism, "name", "src", "dst"),
             records("cells", Cell, "name", "src", "dst"),
             table("compose"), table("vcompose"), table("whisker_left"),
@@ -406,7 +332,7 @@ def validate_mode_theory(mt: ModeTheory) -> ValidationReport:
             for n in mt.morphisms.values():
                 if n.src != m.dst or not mt.in_class("transparent", n.name):
                     continue
-                comp = mt._compose.get((n.name, m.name))
+                comp = mt.compose_table.get((n.name, m.name))
                 if comp is not None and not mt.in_class("tangible", comp):
                     bad("sharp-transparent-composite-tangible",
                         f"{n.name}∘{m.name} = {comp} is not tangible")
@@ -422,33 +348,33 @@ def validate_mode_theory(mt: ModeTheory) -> ValidationReport:
 
 
 def _check_table_shapes(mt: ModeTheory):
-    for (g, f), h in mt._compose.items():
+    for (g, f), h in mt.compose_table.items():
         gm, fm, hm = mt.mor(g), mt.mor(f), mt.mor(h)
         if fm.dst != gm.src or (hm.src, hm.dst) != (fm.src, gm.dst):
             raise MalformedTable(f"compose entry ({g},{f})->{h} has mismatched modes")
-    for (b, a), c in mt._vcomp.items():
+    for (b, a), c in mt.vcompose_table.items():
         bc, ac, cc = mt.cell(b), mt.cell(a), mt.cell(c)
         if ac.dst != bc.src or (cc.src, cc.dst) != (ac.src, bc.dst):
             raise MalformedTable(f"vcompose entry ({b},{a})->{c} has mismatched cells")
-    for (m, c), r in mt._wl.items():
+    for (m, c), r in mt.wl_table.items():
         cc, rc = mt.cell(c), mt.cell(r)
         if mt.mor(m).src != mt.cell_modes(c)[1]:
             raise MalformedTable(f"whisker_left entry ({m},{c}) has mismatched modes")
         if mt.is_id_mor(m):
             continue  # 1◁β = β is definitional, not routed through compose
-        want_src = mt._compose.get((m, cc.src))
-        want_dst = mt._compose.get((m, cc.dst))
+        want_src = mt.compose_table.get((m, cc.src))
+        want_dst = mt.compose_table.get((m, cc.dst))
         if want_src is not None and want_dst is not None and \
                 (rc.src, rc.dst) != (want_src, want_dst):
             raise MalformedTable(f"whisker_left entry ({m},{c})->{r} has wrong boundary")
-    for (c, m), r in mt._wr.items():
+    for (c, m), r in mt.wr_table.items():
         cc, rc = mt.cell(c), mt.cell(r)
         if mt.mor(m).dst != mt.cell_modes(c)[0]:
             raise MalformedTable(f"whisker_right entry ({c},{m}) has mismatched modes")
         if mt.is_id_mor(m):
             continue  # β▷1 = β is definitional
-        want_src = mt._compose.get((cc.src, m))
-        want_dst = mt._compose.get((cc.dst, m))
+        want_src = mt.compose_table.get((cc.src, m))
+        want_dst = mt.compose_table.get((cc.dst, m))
         if want_src is not None and want_dst is not None and \
                 (rc.src, rc.dst) != (want_src, want_dst):
             raise MalformedTable(f"whisker_right entry ({c},{m})->{r} has wrong boundary")
@@ -457,22 +383,23 @@ def _check_table_shapes(mt: ModeTheory):
 def _check_totality(mt: ModeTheory, bad):
     for g in mt.morphisms.values():
         for f in mt.morphisms.values():
-            if f.dst == g.src and (g.name, f.name) not in mt._compose:
+            if f.dst == g.src and (g.name, f.name) not in mt.compose_table:
                 bad("table-totality", f"composite {g.name}∘{f.name} missing")
     for b in mt.cells.values():
         for a in mt.cells.values():
-            if a.dst == b.src and (b.name, a.name) not in mt._vcomp:
+            if a.dst == b.src and (b.name, a.name) not in mt.vcompose_table:
                 bad("table-totality", f"vertical composite {b.name}∘{a.name} missing")
     for m in mt.morphisms.values():
         for c in mt.cells.values():
-            if m.src == mt.cell_modes(c.name)[1] and (m.name, c.name) not in mt._wl:
+            src, dst = mt.cell_modes(c.name)
+            if m.src == dst and (m.name, c.name) not in mt.wl_table:
                 bad("table-totality", f"whiskering {m.name}◁{c.name} missing")
-            if m.dst == mt.cell_modes(c.name)[0] and (c.name, m.name) not in mt._wr:
+            if m.dst == src and (c.name, m.name) not in mt.wr_table:
                 bad("table-totality", f"whiskering {c.name}▷{m.name} missing")
 
 
 def _comp(mt, g, f):
-    return mt._compose.get((g, f))
+    return mt.compose_table.get((g, f))
 
 
 def _check_one_category(mt: ModeTheory, bad):
@@ -503,7 +430,7 @@ def _check_one_category(mt: ModeTheory, bad):
 
 
 def _check_two_category(mt: ModeTheory, bad):
-    vc = mt._vcomp
+    vc = mt.vcompose_table
     for c in mt.cells.values():
         for b in mt.cells.values():
             if b.dst != c.src:
@@ -538,17 +465,17 @@ def _check_two_category(mt: ModeTheory, bad):
                 continue
             for r in mt.morphisms.values():
                 if r.dst == mt.cell_modes(a.name)[0]:
-                    br = mt._wr.get((b.name, r.name))
-                    ar = mt._wr.get((a.name, r.name))
-                    bar = mt._wr.get((ba, r.name))
+                    br = mt.wr_table.get((b.name, r.name))
+                    ar = mt.wr_table.get((a.name, r.name))
+                    bar = mt.wr_table.get((ba, r.name))
                     if br and ar and bar and vc.get((br, ar)) not in (None, bar):
                         bad("whisker-right-functorial",
                             f"({b.name}▷{r.name})∘({a.name}▷{r.name}) != "
                             f"({b.name}∘{a.name})▷{r.name}")
                 if r.src == mt.cell_modes(a.name)[1]:
-                    rb = mt._wl.get((r.name, b.name))
-                    ra = mt._wl.get((r.name, a.name))
-                    rba = mt._wl.get((r.name, ba))
+                    rb = mt.wl_table.get((r.name, b.name))
+                    ra = mt.wl_table.get((r.name, a.name))
+                    rba = mt.wl_table.get((r.name, ba))
                     if rb and ra and rba and vc.get((rb, ra)) not in (None, rba):
                         bad("whisker-left-functorial",
                             f"{r.name}◁({b.name}∘{a.name}) != "
@@ -557,25 +484,25 @@ def _check_two_category(mt: ModeTheory, bad):
         for r in mt.morphisms.values():
             if r.dst == n.src:
                 nr = _comp(mt, n.name, r.name)
-                got = mt._wr.get((id_cell_name(n.name), r.name))
+                got = mt.wr_table.get((id_cell_name(n.name), r.name))
                 if nr and got and got != id_cell_name(nr):
                     bad("whisker-right-identity", f"1_{n.name}▷{r.name} = {got}")
-                got = mt._wl.get((n.name, id_cell_name(r.name)))
+                got = mt.wl_table.get((n.name, id_cell_name(r.name)))
                 if nr and got and got != id_cell_name(nr):
                     bad("whisker-left-identity", f"{n.name}◁1_{r.name} = {got}")
     for m in mt.morphisms.values():
         for b in mt.cells.values():
             if m.src != mt.cell_modes(b.name)[1]:
                 continue
-            mb = mt._wl.get((m.name, b.name))
+            mb = mt.wl_table.get((m.name, b.name))
             for s in mt.morphisms.values():
                 if s.dst != mt.cell_modes(b.name)[0]:
                     continue
-                bs = mt._wr.get((b.name, s.name))
+                bs = mt.wr_table.get((b.name, s.name))
                 if mb is None or bs is None:
                     continue
-                left = mt._wr.get((mb, s.name))
-                right = mt._wl.get((m.name, bs))
+                left = mt.wr_table.get((mb, s.name))
+                right = mt.wl_table.get((m.name, bs))
                 if left is not None and right is not None and left != right:
                     bad("whisker-associative",
                         f"({m.name}◁{b.name})▷{s.name} != {m.name}◁({b.name}▷{s.name})")

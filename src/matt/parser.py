@@ -465,13 +465,6 @@ def resolve_type(a, scope: dict, sig: Signature):
             raise ParseError(
                 f"type constant {a.name} expects {len(decl.params)} "
                 f"arguments, got {len(a.args)}", a.span)
-        args = tuple(_resolve_arg(x, scope, sig) for x in a.args)
+        args = tuple(resolve_term(x, scope, sig) for x in a.args)
         return TConst(a.name, args, a.span)
     raise ParseError(f"not a type: {a!r}", getattr(a, "span", None))
-
-
-def _resolve_arg(x, scope, sig):
-    """Type-constant arguments are terms; bare names parse as TConst."""
-    if isinstance(x, TConst) and not x.args:
-        return resolve_term(Var(x.name, None, x.span), scope, sig)
-    return resolve_term(x, scope, sig)

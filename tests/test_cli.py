@@ -1,12 +1,13 @@
 """Exit codes and diagnostic formats of the command-line front end."""
 
+import gc
 import io
 import json
 
 import pytest
 
 from matt.bundled import FIXTURES, diagram_path, theory_path
-from matt.cli import cmd_check, cmd_modes_validate, main
+from matt.cli import check_file, cmd_check, cmd_modes_validate, main
 
 CORPUS = FIXTURES / "corpus"
 
@@ -370,3 +371,75 @@ def test_declaration_at_an_undeclared_mode_exits_one(tmp_path, capsys, text,
     assert capsys.readouterr().err == \
         f"ERROR ModeMismatch @ {f}:{line}:1: mode q is not in the mode " \
         "theory\n"
+
+
+def _trivial_file(tmp_path, lines):
+    f = tmp_path / "src.matt"
+    f.write_text(f'mode-theory "{theory_path("trivial")}";\n'
+                 + "".join(line + "\n" for line in lines))
+    return f
+
+
+def _rendered(diags):
+    return [(d.code, f"{d.line}:{d.col}", d.message) for d in diags]
+
+
+def test_syntax_error_anywhere_stops_the_whole_file(tmp_path, capsys):
+    f = _trivial_file(tmp_path, ["const A : Type @ p;", "const a : A @ p;",
+                                 "def ok @ p : A = a;",
+                                 "def broken @ p : A = ;"])
+    diags, n = check_file(f, None)
+    assert _rendered(diags) == [
+        ("ParseError", "5:22", "expected a term, found ';'")]
+    assert n == 0
+    assert main(["check", str(f)]) == 2
+
+
+def test_resolution_errors_belong_to_their_declaration(tmp_path, capsys):
+    # a const that fails to resolve is not declared, so bad stays unknown
+    # until line 5 declares it, and A on line 7 is declared twice
+    f = _trivial_file(tmp_path, ["const A : Type @ p;",
+                                 "const bad : Ghost @ p;",
+                                 "def use @ p : A = bad;",
+                                 "const bad : A @ p;",
+                                 "def use2 @ p : A = bad;",
+                                 "const A : Type @ p;"])
+    diags, n = check_file(f, None)
+    assert _rendered(diags) == [
+        ("ParseError", "3:13", "unknown type constant Ghost"),
+        ("ParseError", "4:19", "unknown name bad"),
+        ("UnknownConstant", "7:1", "constant A declared twice")]
+    assert n == 3
+    assert main(["check", str(f)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", str(CORPUS / "trivial_ok.matt")], id="check-ok"),
+    pytest.param(["check", str(CORPUS / "neg_conversion.matt"), "--trace"],
+                 id="check-trace"),
+    pytest.param(["check", str(CORPUS / "neg_parse.matt")],
+                 id="check-parse-error"),
+    pytest.param(["check", str(CORPUS / "missing.matt")],
+                 id="check-missing"),
+    pytest.param(["sem", "laws", str(diagram_path("single_arrow"))],
+                 id="laws"),
+    pytest.param(["sem", "laws", str(diagram_path("reflective")),
+                  "--only", "adjunction"], id="laws-only"),
+    pytest.param(["sem", "laws", str(diagram_path("single_arrow")),
+                  "--cap", "0"], id="laws-cap-0"),
+    pytest.param(["sem", "laws", str(FIXTURES / "missing.dg")],
+                 id="laws-missing"),
+    pytest.param(["modes", "validate", str(theory_path("reflective"))],
+                 id="modes-validate"),
+])
+def test_a_call_leaves_no_cyclic_garbage(capsys, argv):
+    main(argv)  # warm-up: first-use caches may hold cycles for good
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        # collect while disabled: an automatic collection would hide it
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
