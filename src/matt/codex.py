@@ -12,18 +12,25 @@ handed back as plain FinCats so the limit machinery applies to them unchanged.
 A CodexCategory holds its index, computed once: the morphisms into its mode
 and their decompositions.  Constructions read that index and return the
 codex's own object and arrow instances.  Lock functors act by composition on
-the index; reflect projects a component; incl builds its right adjoint
-pointwise from limits over comma categories.
+the index, and reflect projects a component.
+
+The codex gives two families of adjunctions, both held in one record,
+Adjunction: reflect(pi) -| incl(pi) between the codex and the base
+categories, and lock(pi) -| radj(pi) between codexes, whose right adjoints
+are the negative modalities.  Each right adjoint is assembled pointwise from
+limits (incl over comma categories, radj over a diagram of inclusions), and
+sends an arrow to the arrow its map of diagrams induces between the limits.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (CapExceeded, LimitAbsent, MalformedTable, NotColax,
                      NotComposable)
-from .fincat import (Diagram, FinCat, FinFunctor, FinNat, comma, comma_cell,
+from .fincat import (Diagram, FinCat, FinFunctor, FinNat, comma,
                      compose_functors, factorizations, id_name,
                      identity_functor, isomorphic, limit)
 
@@ -323,8 +330,8 @@ def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
     c = mt.cell(beta)
     m = mt.mor(c.src)
     cx_r, cx_q = bundle.codexes[m.dst], bundle.codexes[m.src]
-    fm2 = bundle.right_adjoints[c.dst].lock
-    fm = bundle.right_adjoints[c.src].lock
+    fm2 = bundle.right_adjoints[c.dst].left
+    fm = bundle.right_adjoints[c.src].left
     comps = {}
     for g in cx_r.objects:
         th = {}
@@ -348,17 +355,26 @@ def reflect(cx_q: CodexCategory, mu: str) -> FinFunctor:
     return FinFunctor(cx_q.cat, cp, omap, amap, name=f"reflect({mu})")
 
 
-# --- the right adjoint of reflect ----------------------------------------------
+# --- adjunctions ----------------------------------------------------------------
 
 @dataclass
 class Adjunction:
-    """reflect(pi) left adjoint to incl(pi), with all the witnesses."""
+    """left(pi) left adjoint to right(pi), for pi: r -> s, with its witnesses.
+
+    Both families of the codex use this record.  incl gives reflect(pi) -|
+    incl(pi), whose left adjoint runs from the codex at s to C_r, and
+    codex_right_adjoint gives lock(pi) -| radj(pi), whose left adjoint runs
+    from the codex at s to the codex at r.  unit maps each object x of
+    left.src to an arrow x -> right(left(x)); counit maps each object y of
+    right.src to an arrow left(right(y)) -> y.  cones holds the limit cones
+    the right adjoint was assembled from: keyed by (object of C_r, nu) for
+    incl, by object of the codex at r for radj."""
     pi: str
-    reflect: FinFunctor  # codex at s -> C_r
-    incl: FinFunctor     # C_r -> codex at s
-    unit: FinNat         # Id => incl . reflect
-    counit: FinNat       # reflect . incl => Id
-    cones: dict          # (object of C_r, nu) -> limit cone over comma(pi,nu)
+    left: FinFunctor
+    right: FinFunctor
+    unit: dict
+    counit: dict
+    cones: dict
 
 
 def _mediating(c: FinCat, x, y, pairs, what: str, *args):
@@ -372,9 +388,17 @@ def _mediating(c: FinCat, x, y, pairs, what: str, *args):
     return cands[0]
 
 
+def _induced(c: FinCat, c1, c2, maps: dict, what: str, *args):
+    """The arrow c1.apex -> c2.apex that a map of diagrams induces between
+    two limit cones; maps holds its arrow at each node key."""
+    return _mediating(c, c1.apex, c2.apex,
+                      ((c2.leg(k), c.comp(f, c1.leg(k)))
+                       for k, f in maps.items()), what, *args)
+
+
 def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
-    """Right adjoint to reflect(pi), computed pointwise by limits over the
-    comma categories pi down nu."""
+    """reflect(pi) -| incl(pi), with incl computed pointwise by limits over
+    the comma categories pi down nu."""
     d, mt = cx_s.diagram, cx_s.diagram.mt
     m = mt.mor(pi)
     if m.dst != cx_s.mode:
@@ -391,7 +415,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
             k = commas[nu]
             cq = d.cat(mt.mor(nu).src)
             nodes = {o: d.fun(o[0]).omap[g] for o in k.objects}
-            edges = [(a.src, a.dst, d.nat(comma_cell(mt, k, n)).at(g))
+            edges = [(a.src, a.dst, d.nat(n[0]).at(g))
                      for n, a in k.arrows.items()
                      if n not in k.identities.values()]
             cone = limit(cq, nodes, edges, cap=cap)
@@ -421,25 +445,16 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
 
     amap = {}
     for fname, fa in cr.arrows.items():
-        comps = {}
-        for nu in cx_s.mus:
-            cq = d.cat(mt.mor(nu).src)
-            c1, c2 = cones[(fa.src, nu)], cones[(fa.dst, nu)]
-            comps[nu] = _mediating(
-                cq, omap[fa.src].component(nu), omap[fa.dst].component(nu),
-                ((c2.leg(o), cq.comp(d.fun(o[0]).amap[fname], c1.leg(o)))
-                 for o in commas[nu].objects),
-                "incl({}): image of {} at {}", pi, fname, nu)
+        comps = {nu: _induced(
+            d.cat(mt.mor(nu).src), cones[(fa.src, nu)], cones[(fa.dst, nu)],
+            {o: d.fun(o[0]).amap[fname] for o in commas[nu].objects},
+            "incl({}): image of {} at {}", pi, fname, nu)
+            for nu in cx_s.mus}
         amap[fname] = cx_s.arrow(comps, omap[fa.src], omap[fa.dst])
-    incl_f = FinFunctor(cr, cx_s.cat, omap, amap, name=f"incl({pi})")
-    refl_f = reflect(cx_s, pi)
 
     counit_key = (mt.id_mor(r), mt.id_cell(pi))
-    counit = FinNat(compose_functors(refl_f, incl_f), identity_functor(cr),
-                    {g: cones[(g, pi)].leg(counit_key) for g in cr.objects},
-                    name=f"counit({pi})")
-
-    unit_comps = {}
+    counit = {g: cones[(g, pi)].leg(counit_key) for g in cr.objects}
+    unit = {}
     for delta in cx_s.objects:
         g = delta.component(pi)
         comps = {}
@@ -451,16 +466,15 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                 ((cone.leg(o), delta.smap((nu, o[0], o[1])))
                  for o in commas[nu].objects),
                 "incl({}): unit at {} of {}", pi, nu, delta)
-        unit_comps[delta] = cx_s.arrow(comps, delta, omap[g])
-    unit = FinNat(identity_functor(cx_s.cat),
-                  compose_functors(incl_f, refl_f), unit_comps,
-                  name=f"unit({pi})")
-    return Adjunction(pi, refl_f, incl_f, unit, counit, cones)
+        unit[delta] = cx_s.arrow(comps, delta, omap[g])
+    return Adjunction(pi, reflect(cx_s, pi),
+                      FinFunctor(cr, cx_s.cat, omap, amap, name=f"incl({pi})"),
+                      unit, counit, cones)
 
 
 def transpose(cx_s: CodexCategory, adj: Adjunction, delta: OplaxObject, f):
     """Adjoint transpose of f: delta^pi -> g across reflect(pi) -| incl(pi)."""
-    return cx_s.cat.comp(adj.incl.amap[f], adj.unit.at(delta))
+    return cx_s.cat.comp(adj.right.amap[f], adj.unit[delta])
 
 
 def mate(cx_s: CodexCategory, adj_mu: Adjunction, adj_nu: Adjunction,
@@ -476,31 +490,19 @@ def mate(cx_s: CodexCategory, adj_mu: Adjunction, adj_nu: Adjunction,
     cq = d.cat(q)
     comps = {}
     for g in d.cat(mt.mor(mu).src).objects:
-        x = adj_mu.incl.omap[g]
-        f = cq.comp(d.fun(rho).amap[adj_mu.counit.at(g)],
+        x = adj_mu.right.omap[g]
+        f = cq.comp(d.fun(rho).amap[adj_mu.counit[g]],
                     x.smap((nu, rho, alpha)))
         comps[g] = transpose(cx_s, adj_nu, x, f)
-    return FinNat(adj_mu.incl, compose_functors(adj_nu.incl, d.fun(rho)),
+    return FinNat(adj_mu.right, compose_functors(adj_nu.right, d.fun(rho)),
                   comps, name=f"mate({rho},{alpha})")
 
 
-# --- the right adjoint of the lock ---------------------------------------------
-
-@dataclass
-class RightAdjoint:
-    """lock(pi) left adjoint to the limit-assembled functor."""
-    pi: str
-    functor: FinFunctor  # codex at r -> codex at s
-    lock: FinFunctor     # codex at s -> codex at r
-    unit: dict           # object of codex at s -> arrow there
-    counit: dict         # object of codex at r -> arrow there
-    cones: dict          # object of codex at r -> limit cone
-
-
 def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
-                        adjs: dict, cap=None) -> RightAdjoint:
-    """Right adjoint to lock(pi), pi: r -> s, assembled as a limit of
-    inclusions; adjs maps every composite pi . mu to its Adjunction."""
+                        adjs: dict, cap=None) -> Adjunction:
+    """lock(pi) -| radj(pi) for pi: r -> s, with radj assembled as a limit
+    of inclusions; adjs maps every composite pi . mu to its reflect -| incl
+    Adjunction."""
     d, mt = cx_r.diagram, cx_r.diagram.mt
     m = mt.mor(pi)
     if (m.src, m.dst) != (cx_r.mode, cx_s.mode):
@@ -517,16 +519,16 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     cones = {}
     omap = {}
     for delta in cx_r.objects:
-        nodes = {("n", mu): adjs[mt.compose(pi, mu)].incl.omap[
+        nodes = {("n", mu): adjs[mt.compose(pi, mu)].right.omap[
             delta.component(mu)] for mu in cx_r.mus}
         edges = []
         for t in trips:
             nu, rho, alpha = t
             mu = mt.cell(alpha).src
             a_nu = adjs[mt.compose(pi, nu)]
-            nodes[("c", t)] = a_nu.incl.omap[
+            nodes[("c", t)] = a_nu.right.omap[
                 d.fun(rho).omap[delta.component(mu)]]
-            edges.append((("n", nu), ("c", t), a_nu.incl.amap[delta.smap(t)]))
+            edges.append((("n", nu), ("c", t), a_nu.right.amap[delta.smap(t)]))
             edges.append((("n", mu), ("c", t),
                           mates[t].at(delta.component(mu))))
         cone = limit(cx_s.cat, nodes, edges, cap=cap)
@@ -536,26 +538,17 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
         omap[delta] = cone.apex
         cones[delta] = cone
 
-    def node_maps(theta, a):
-        out = {}
-        for mu in cx_r.mus:
-            out[("n", mu)] = adjs[mt.compose(pi, mu)].incl.amap[theta[mu]]
-        for t in trips:
-            nu, rho, alpha = t
-            mu = mt.cell(alpha).src
-            out[("c", t)] = adjs[mt.compose(pi, nu)].incl.amap[
-                d.fun(rho).amap[theta[mu]]]
-        return out
-
     amap = {}
     for name, a in cx_r.cat.arrows.items():
-        nmaps = node_maps(cx_r.theta(name), a)
-        c1, c2 = cones[a.src], cones[a.dst]
-        amap[name] = _mediating(
-            cx_s.cat, omap[a.src], omap[a.dst],
-            ((c2.leg(k), cx_s.cat.comp(nmaps[k], c1.leg(k))) for k in nmaps),
-            "codex_right_adjoint({}): image of an arrow", pi)
-    functor = FinFunctor(cx_r.cat, cx_s.cat, omap, amap, name=f"radj({pi})")
+        theta = cx_r.theta(name)
+        maps = {("n", mu): adjs[mt.compose(pi, mu)].right.amap[theta[mu]]
+                for mu in cx_r.mus}
+        for t in trips:
+            nu, rho, alpha = t
+            maps[("c", t)] = adjs[mt.compose(pi, nu)].right.amap[
+                d.fun(rho).amap[theta[mt.cell(alpha).src]]]
+        amap[name] = _induced(cx_s.cat, cones[a.src], cones[a.dst], maps,
+                              "codex_right_adjoint({}): image of an arrow", pi)
     lock = lock_functor(cx_s, cx_r, pi)
 
     counit = {}
@@ -566,36 +559,45 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
             pim = mt.compose(pi, mu)
             legc = cx_s.theta(cones[delta].leg(("n", mu)))[pim]
             cp = d.cat(mt.mor(mu).src)
-            comps[mu] = cp.comp(adjs[pim].counit.at(delta.component(mu)),
-                                legc)
+            comps[mu] = cp.comp(adjs[pim].counit[delta.component(mu)], legc)
         counit[delta] = cx_r.arrow(comps, lock.omap[apex], delta)
 
     unit = {}
     for gamma in cx_s.objects:
         delta = lock.omap[gamma]
         cone = cones[delta]
-        wanted = {("n", mu): adjs[mt.compose(pi, mu)].unit.at(gamma)
+        wanted = {("n", mu): adjs[mt.compose(pi, mu)].unit[gamma]
                   for mu in cx_r.mus}
         for t in trips:
             nu = t[0]
-            edge = adjs[mt.compose(pi, nu)].incl.amap[delta.smap(t)]
+            edge = adjs[mt.compose(pi, nu)].right.amap[delta.smap(t)]
             wanted[("c", t)] = cx_s.cat.comp(edge, wanted[("n", nu)])
         unit[gamma] = _mediating(
             cx_s.cat, gamma, omap[delta],
             ((cone.leg(k), v) for k, v in wanted.items()),
             "codex_right_adjoint({}): unit at {}", pi, gamma)
-    return RightAdjoint(pi, functor, lock, unit, counit, cones)
+    return Adjunction(pi, lock,
+                      FinFunctor(cx_r.cat, cx_s.cat, omap, amap,
+                                 name=f"radj({pi})"),
+                      unit, counit, cones)
 
 
 # --- bundles and global checks --------------------------------------------------
 
 @dataclass
 class CodexBundle:
-    """Codex categories at every mode with both adjoint families."""
+    """Codex categories at every mode with both adjunction families, each
+    keyed by morphism."""
     diagram: Diagram
     codexes: dict
-    adjunctions: dict     # morphism -> Adjunction (reflect -| incl)
-    right_adjoints: dict  # morphism -> RightAdjoint (lock -| radj)
+    adjunctions: dict     # reflect -| incl
+    right_adjoints: dict  # lock -| radj
+
+    @cached_property
+    def report(self) -> list[tuple]:
+        """verify_2functor's report, computed once for every law that reads
+        it."""
+        return verify_2functor(self)
 
 
 def build_bundle(d: Diagram, cap=None) -> CodexBundle:
@@ -627,15 +629,15 @@ def verify_2functor(bundle: CodexBundle) -> list[tuple]:
     mt, cx, radj = bundle.diagram.mt, bundle.codexes, bundle.right_adjoints
     report = []
     for p in mt.modes:
-        ok = radj[mt.id_mor(p)].lock.same_tables(identity_functor(cx[p].cat))
+        ok = radj[mt.id_mor(p)].left.same_tables(identity_functor(cx[p].cat))
         report.append((f"lock-identity:{p}", ok, "" if ok else
                        f"lock(1_{p}) is not the identity"))
     for (g, f), h in mt.compose_table.items():
-        ok = radj[h].lock.same_tables(compose_functors(radj[f].lock,
-                                                       radj[g].lock))
+        ok = radj[h].left.same_tables(compose_functors(radj[f].left,
+                                                       radj[g].left))
         report.append((f"lock-strict:{g}.{f}", ok, "" if ok else
                        f"lock({h}) differs from lock({f}).lock({g})"))
-        rg, rf, rh = radj[g].functor, radj[f].functor, radj[h].functor
+        rg, rf, rh = radj[g].right, radj[f].right, radj[h].right
         bad = [delta for delta in cx[mt.mor(f).src].objects
                if not isomorphic(cx[mt.mor(g).dst].cat, rh.omap[delta],
                                  rg.omap[rf.omap[delta]])]
@@ -658,8 +660,8 @@ def verify_2functor(bundle: CodexBundle) -> list[tuple]:
 def reflect_colax(bundle: CodexBundle):
     """The identity-component projections as a colax transformation into the
     base diagram, with the canonical comparison cells."""
-    d, mt = bundle.diagram, bundle.diagram.mt
-    g = {p: reflect(bundle.codexes[p], mt.id_mor(p)) for p in mt.modes}
+    mt = bundle.diagram.mt
+    g = {p: bundle.adjunctions[mt.id_mor(p)].left for p in mt.modes}
     gamma = {}
     for m in mt.morphisms.values():
         gamma[m.name] = {delta: psnat_component(bundle, m.name, delta)
@@ -667,22 +669,21 @@ def reflect_colax(bundle: CodexBundle):
     return g, gamma
 
 
-def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
-                   target: CodexBundle) -> dict:
-    """Lift a colax transformation out of the codex family into the codex of
-    its target diagram: per mode r, a functor with object part
+def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict) -> dict:
+    """Lift a colax transformation out of the codex family back into the
+    codexes: per mode r, a functor with object part
     (G hat Gamma)^mu = G_p(lock(mu) Gamma).
 
-    g: mode -> FinFunctor from bundle's codex to the target diagram's
-    category at that mode; gamma: morphism rho -> per-object comparison
-    G_q(radj(rho) Delta) -> E_rho(G_p Delta)."""
-    mt = bundle.diagram.mt
-    e = target.diagram
+    g: mode -> FinFunctor from the codex to the diagram's category at that
+    mode; gamma: morphism rho -> per-object comparison
+    G_q(radj(rho) Delta) -> C_rho(G_p Delta)."""
+    d, mt = bundle.diagram, bundle.diagram.mt
     out = {}
     for r in mt.modes:
         cx_r = bundle.codexes[r]
-        tx_r = target.codexes[r]
-        locks = {mu: bundle.right_adjoints[mu].lock for mu in cx_r.mus}
+        locks = {mu: bundle.right_adjoints[mu].left for mu in cx_r.mus}
+        cells = {alpha: lock_cell(bundle, alpha) for alpha in dict.fromkeys(
+            t[2] for t in cx_r.trips if not _is_identity_triple(mt, t))}
         omap = {}
         for gobj in cx_r.objects:
             comps = {mu: g[mt.mor(mu).src].omap[locks[mu].omap[gobj]]
@@ -691,31 +692,22 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
             for t in cx_r.trips:
                 nu, rho, alpha = t
                 mu = mt.cell(alpha).src
-                p, q = mt.mor(mu).src, mt.mor(nu).src
+                q = mt.mor(nu).src
                 if _is_identity_triple(mt, t):
-                    smaps[t] = e.cat(q).id_arr(comps[mu])
+                    smaps[t] = d.cat(q).id_arr(comps[mu])
                     continue
                 lock_mu = locks[mu].omap[gobj]
-                lock_nu = locks[nu].omap[gobj]
-                lock_nurho = locks[mt.compose(nu, rho)].omap[gobj]
-                cx_p = bundle.codexes[p]
-                cell_comps = {}
-                for tau in cx_p.mus:
-                    o = mt.mor(tau).src
-                    cell_comps[tau] = gobj.smap(
-                        (mt.compose(mt.compose(nu, rho), tau), mt.id_mor(o),
-                         mt.wr(alpha, tau)))
-                dalpha = cx_p.arrow(cell_comps, lock_nurho, lock_mu)
                 radj_rho = bundle.right_adjoints[rho]
                 mhat = bundle.codexes[q].cat.comp(
-                    radj_rho.functor.amap[dalpha], radj_rho.unit[lock_nu])
+                    radj_rho.right.amap[cells[alpha].at(gobj)],
+                    radj_rho.unit[locks[nu].omap[gobj]])
                 try:
                     comparison = gamma[rho][lock_mu]
                 except KeyError:
                     raise NotColax(f"missing colax cell for {rho} "
                                    f"at {lock_mu}") from None
-                smaps[t] = e.cat(q).comp(comparison, g[q].amap[mhat])
-            omap[gobj] = tx_r.obj(comps, smaps)
+                smaps[t] = d.cat(q).comp(comparison, g[q].amap[mhat])
+            omap[gobj] = cx_r.obj(comps, smaps)
             if omap[gobj] is None:
                 raise NotColax(f"dextrified object for {gobj} violates the "
                                "codex axioms")
@@ -723,7 +715,7 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict,
         for name, a in cx_r.cat.arrows.items():
             comps = {mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
                      for mu in cx_r.mus}
-            amap[name] = tx_r.arrow(comps, omap[a.src], omap[a.dst])
-        out[r] = FinFunctor(cx_r.cat, tx_r.cat, omap, amap,
+            amap[name] = cx_r.arrow(comps, omap[a.src], omap[a.dst])
+        out[r] = FinFunctor(cx_r.cat, cx_r.cat, omap, amap,
                             name=f"dextrify({r})")
     return out

@@ -362,35 +362,18 @@ def comma(mt: ModeTheory, pi: str, nu: str) -> FinCat:
                         continue  # synthesized identity
                     arrows.append(Arrow((gamma, (s1, b1), (s2, b2)),
                                         (s1, b1), (s2, b2)))
-    # composition: compose the underlying cells, identities included
-    every = arrows + [Arrow(id_name(o), o, o) for o in objects]
-    names = {a.name for a in every}
-    rows = [(b.name, a.name, _comma_comp(mt, names, b, a))
-            for a in every for b in every if b.src == a.dst]
+    # composites of non-identity arrows by their cells; FinCat adds the rows
+    # that involve an identity and rejects a row naming an unknown arrow
+    rows = []
+    for a in arrows:
+        for b in arrows:
+            if b.src == a.dst:
+                g = mt.vcomp(b.name[0], a.name[0])
+                h = id_name(a.src) if mt.is_id_cell(g) and a.src == b.dst \
+                    else (g, a.src, b.dst)
+                rows.append((b.name, a.name, h))
     return FinCat(objects, [(a.name, a.src, a.dst) for a in arrows], rows,
                   name=f"({pi}↓{nu})")
-
-
-def _comma_comp(mt, names, b, a):
-    g = mt.vcomp(_cell_of(mt, b), _cell_of(mt, a))
-    if mt.is_id_cell(g) and a.src == b.dst:
-        return id_name(a.src)
-    n = (g, a.src, b.dst)
-    if n not in names:
-        raise MalformedTable(f"comma category not closed at {n}")
-    return n
-
-
-def _cell_of(mt, arrow: Arrow):
-    """The mode-theory cell underlying a comma-category arrow."""
-    if isinstance(arrow.name, tuple) and len(arrow.name) == 2 and \
-            arrow.name[0] == "id":
-        return mt.id_cell(arrow.src[0])
-    return arrow.name[0]
-
-
-def comma_cell(mt: ModeTheory, cat: FinCat, arrow_name) -> str:
-    return _cell_of(mt, cat.arr(arrow_name))
 
 
 # --- limits ------------------------------------------------------------------

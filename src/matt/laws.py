@@ -11,37 +11,43 @@ from __future__ import annotations
 import itertools
 
 from .codex import (build_bundle, dextrify_colax, psnat_component,
-                    reflect_colax, transpose, verify_2functor)
+                    reflect_colax)
 from .errors import MattError, MalformedTable, ParseError
 from .fincat import (check_preserves_limit, is_iso, isomorphic, limit,
                      load_diagram)
 
 
+def _triangles(family: dict):
+    """Both triangle identities of every adjunction in a family."""
+    for m, adj in family.items():
+        top, bottom = adj.left.src, adj.right.src
+        for x in top.objects:
+            lx = adj.left.omap[x]
+            if bottom.comp(adj.counit[lx], adj.left.amap[adj.unit[x]]) != \
+                    bottom.id_arr(lx):
+                return False, f"left triangle fails for {m} at {x}"
+        for y in bottom.objects:
+            ry = adj.right.omap[y]
+            if top.comp(adj.right.amap[adj.counit[y]], adj.unit[ry]) != \
+                    top.id_arr(ry):
+                return False, f"right triangle fails for {m} at {y}"
+    return True, ""
+
+
 def law_adjunction(d, bundle, cap):
-    """Hom bijection and both triangles for every reflect -| incl pair."""
-    mt = d.mt
+    """Both triangles and the hom bijection for every reflect -| incl pair:
+    transposing along the unit sends hom(reflect x, y) onto hom(x, incl y)."""
+    ok, detail = _triangles(bundle.adjunctions)
+    if not ok:
+        return ok, detail
     for m, adj in bundle.adjunctions.items():
-        cr = d.cat(mt.mor(m).src)
-        cx = bundle.codexes[mt.mor(m).dst]
-        for delta in cx.objects:
-            g0 = delta.component(m)
-            lhs = cr.comp(adj.counit.at(g0),
-                          adj.reflect.amap[adj.unit.at(delta)])
-            if lhs != cr.id_arr(g0):
-                return False, f"triangle fails for {m} at {delta}"
-            for g in cr.objects:
-                below = cr.hom(g0, g)
-                above = cx.cat.hom(delta, adj.incl.omap[g])
-                if {transpose(cx, adj, delta, f) for f in below} != \
-                        set(above):
-                    return False, f"hom bijection fails for {m} at " \
-                                  f"({delta}, {g})"
-        for g in cr.objects:
-            x = adj.incl.omap[g]
-            lhs = cx.cat.comp(adj.incl.amap[adj.counit.at(g)],
-                              adj.unit.at(x))
-            if lhs != cx.cat.id_arr(x):
-                return False, f"triangle fails for {m} at {g}"
+        top, bottom = adj.left.src, adj.right.src
+        for x in top.objects:
+            for y in bottom.objects:
+                below = bottom.hom(adj.left.omap[x], y)
+                if {top.comp(adj.right.amap[f], adj.unit[x]) for f in below} \
+                        != set(top.hom(x, adj.right.omap[y])):
+                    return False, f"hom bijection fails for {m} at ({x}, {y})"
     return True, ""
 
 
@@ -51,45 +57,28 @@ def law_up_ff(d, bundle, cap):
         adj = bundle.adjunctions[d.mt.id_mor(p)]
         cp = d.cat(p)
         for g in cp.objects:
-            if not is_iso(cp, adj.counit.at(g)):
+            if not is_iso(cp, adj.counit[g]):
                 return False, f"counit at {g} in mode {p} is not iso"
     return True, ""
 
 
-def law_lock_strictness(d, bundle, cap):
-    report = verify_2functor(bundle)
-    bad = [(n, det) for n, ok, det in report
-           if not ok and n.startswith("lock-")]
+def _first_failure(rows):
+    bad = [(n, det) for n, ok, det in rows if not ok]
     if bad:
         return False, f"{bad[0][0]}: {bad[0][1]}"
     return True, ""
+
+
+def law_lock_strictness(d, bundle, cap):
+    return _first_failure(r for r in bundle.report if r[0].startswith("lock-"))
 
 
 def law_2functor(d, bundle, cap):
-    report = verify_2functor(bundle)
-    bad = [(n, det) for n, ok, det in report if not ok]
-    if bad:
-        return False, f"{bad[0][0]}: {bad[0][1]}"
-    return True, ""
+    return _first_failure(bundle.report)
 
 
 def law_radj_triangles(d, bundle, cap):
-    mt = d.mt
-    for m, ra in bundle.right_adjoints.items():
-        cxr = bundle.codexes[mt.mor(m).src]
-        cxs = bundle.codexes[mt.mor(m).dst]
-        for delta in cxr.objects:
-            x = ra.functor.omap[delta]
-            if cxs.cat.comp(ra.functor.amap[ra.counit[delta]],
-                            ra.unit[x]) != cxs.cat.id_arr(x):
-                return False, f"right triangle fails for {m} at {delta}"
-        for gamma in cxs.objects:
-            x = ra.lock.omap[gamma]
-            if cxr.cat.comp(ra.counit[x],
-                            ra.lock.amap[ra.unit[gamma]]) != \
-                    cxr.cat.id_arr(x):
-                return False, f"left triangle fails for {m} at {gamma}"
-    return True, ""
+    return _triangles(bundle.right_adjoints)
 
 
 def law_pseudonat(d, bundle, cap):
@@ -132,10 +121,9 @@ def law_pointwise_limits(d, bundle, cap):
     mt = d.mt
     for p in mt.modes:
         cx = bundle.codexes[p]
-        fs = [bundle.adjunctions[m.name].reflect for m in
-              mt.morphisms.values() if m.dst == p]
-        fs += [bundle.right_adjoints[m.name].lock for m in
-               mt.morphisms.values() if m.dst == p]
+        fs = [family[m.name].left
+              for family in (bundle.adjunctions, bundle.right_adjoints)
+              for m in mt.morphisms.values() if m.dst == p]
         for nodes, cone in _binary_limits(cx.cat, cap):
             for f in fs:
                 if not check_preserves_limit(f, nodes, [], cone, cap=cap):
@@ -148,7 +136,7 @@ def law_universal_property(d, bundle, cap):
     """Dextrifying the component projections is the identity up to iso."""
     mt = d.mt
     g, gamma = reflect_colax(bundle)
-    ghat = dextrify_colax(bundle, g, gamma, bundle)
+    ghat = dextrify_colax(bundle, g, gamma)
     for r in mt.modes:
         cx = bundle.codexes[r]
         for obj in cx.objects:

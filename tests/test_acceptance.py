@@ -128,7 +128,7 @@ def test_criterion_7_universal_property():
             d = load_diagram(diagram_path(name))
             b = build_bundle(d)
             g, gamma = reflect_colax(b)
-            ghat = dextrify_colax(b, g, gamma, b)
+            ghat = dextrify_colax(b, g, gamma)
             for r in d.mt.modes:
                 cx = b.codexes[r]
                 for obj in cx.objects:

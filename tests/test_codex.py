@@ -11,7 +11,8 @@ from matt.codex import (build_bundle, check_oplax_object,
                         psnat_component, reflect, reflect_colax, transpose,
                         verify_2functor, OplaxObject)
 from matt.errors import CapExceeded, LimitAbsent
-from matt.fincat import (Diagram, FinCat, FinFunctor, load_diagram,
+from matt.fincat import (Diagram, FinCat, FinFunctor, FinNat,
+                         compose_functors, identity_functor, load_diagram,
                          poset_category)
 from matt.laws import law_universal_property
 from matt.mode_theory import load_mode_theory
@@ -156,10 +157,10 @@ def test_constructions_return_enumerated_instances(name):
     b = bundle(name)
     mt = b.diagram.mt
     g, gamma = reflect_colax(b)
-    functors = [b.right_adjoints[m].lock for m in mt.morphisms]
-    functors += [b.adjunctions[m].incl for m in mt.morphisms]
-    functors += [b.right_adjoints[m].functor for m in mt.morphisms]
-    functors += list(dextrify_colax(b, g, gamma, b).values())
+    functors = [b.right_adjoints[m].left for m in mt.morphisms]
+    functors += [b.adjunctions[m].right for m in mt.morphisms]
+    functors += [b.right_adjoints[m].right for m in mt.morphisms]
+    functors += list(dextrify_colax(b, g, gamma).values())
     codex_of = {id(cx.cat): cx for cx in b.codexes.values()}
     for cx in b.codexes.values():  # composites, too, are the codex's own
         assert all(cx.cat.arrows[h].name is h
@@ -190,18 +191,22 @@ def test_adjunction_triangles(name):
     for m, adj in b.adjunctions.items():
         cr = d.cat(mt.mor(m).src)
         cx = b.codexes[mt.mor(m).dst]
-        assert adj.incl.validate() == []
-        assert adj.unit.validate() == []
-        assert adj.counit.validate() == []
+        unit = FinNat(identity_functor(cx.cat),
+                      compose_functors(adj.right, adj.left), adj.unit)
+        counit = FinNat(compose_functors(adj.left, adj.right),
+                        identity_functor(cr), adj.counit)
+        assert adj.right.validate() == []
+        assert unit.validate() == []
+        assert counit.validate() == []
         for delta in cx.objects:
             g = delta.component(m)
-            lhs = cr.comp(adj.counit.at(g),
-                          adj.reflect.amap[adj.unit.at(delta)])
+            lhs = cr.comp(adj.counit[g],
+                          adj.left.amap[adj.unit[delta]])
             assert lhs == cr.id_arr(g), (m, delta)
         for g in cr.objects:
-            x = adj.incl.omap[g]
-            lhs = cx.cat.comp(adj.incl.amap[adj.counit.at(g)],
-                              adj.unit.at(x))
+            x = adj.right.omap[g]
+            lhs = cx.cat.comp(adj.right.amap[adj.counit[g]],
+                              adj.unit[x])
             assert lhs == cx.cat.id_arr(x), (m, g)
 
 
@@ -215,7 +220,7 @@ def test_adjunction_hom_bijection():
         for delta in cx.objects:
             for g in cr.objects:
                 below = cr.hom(delta.component(m), g)
-                above = cx.cat.hom(delta, adj.incl.omap[g])
+                above = cx.cat.hom(delta, adj.right.omap[g])
                 images = {transpose(cx, adj, delta, f) for f in below}
                 assert images == set(above), (m, delta, g)
 
@@ -228,7 +233,7 @@ def test_incl_along_identity_is_fully_faithful():
             adj = b.adjunctions[d.mt.id_mor(p)]
             cp = d.cat(p)
             for g in cp.objects:
-                eps = adj.counit.at(g)
+                eps = adj.counit[g]
                 a = cp.arr(eps)
                 assert any(cp.comp(h, eps) == cp.id_arr(a.src) and
                            cp.comp(eps, h) == cp.id_arr(a.dst)
@@ -270,15 +275,15 @@ def test_radj_triangles(name):
     for m, ra in b.right_adjoints.items():
         cxr = b.codexes[mt.mor(m).src]
         cxs = b.codexes[mt.mor(m).dst]
-        assert ra.functor.validate() == []
+        assert ra.right.validate() == []
         for delta in cxr.objects:
-            x = ra.functor.omap[delta]
-            lhs = cxs.cat.comp(ra.functor.amap[ra.counit[delta]],
+            x = ra.right.omap[delta]
+            lhs = cxs.cat.comp(ra.right.amap[ra.counit[delta]],
                                ra.unit[x])
             assert lhs == cxs.cat.id_arr(x), (m, delta)
         for gamma in cxs.objects:
-            x = ra.lock.omap[gamma]
-            lhs = cxr.cat.comp(ra.counit[x], ra.lock.amap[ra.unit[gamma]])
+            x = ra.left.omap[gamma]
+            lhs = cxr.cat.comp(ra.counit[x], ra.left.amap[ra.unit[gamma]])
             assert lhs == cxr.cat.id_arr(x), (m, gamma)
 
 
@@ -304,7 +309,7 @@ def test_dextrify_round_trip(name):
     b = bundle(name)
     mt = d.mt
     g, gamma = reflect_colax(b)
-    ghat = dextrify_colax(b, g, gamma, b)
+    ghat = dextrify_colax(b, g, gamma)
     for r in mt.modes:
         cx = b.codexes[r]
         assert ghat[r].validate() == []
@@ -322,7 +327,7 @@ def test_dextrify_missing_cell_raises():
     g, gamma = reflect_colax(b)
     gamma = {m: {} for m in gamma}  # strip all comparison cells
     with pytest.raises(NotColax):
-        dextrify_colax(b, g, gamma, b)
+        dextrify_colax(b, g, gamma)
 
 
 def test_enumeration_is_order_independent():

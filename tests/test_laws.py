@@ -9,10 +9,12 @@ import pytest
 
 from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.cli import cmd_sem_laws, main
-from matt.codex import enumerate_codex
+from matt.codex import (Adjunction, CodexBundle, enumerate_codex,
+                        verify_2functor)
 from matt.errors import ParseError
-from matt.fincat import load_diagram
-from matt.laws import LAWS, run_law_suite
+from matt.fincat import FinCat, identity_functor, load_diagram
+from matt.laws import (LAWS, law_adjunction, law_radj_triangles,
+                       run_law_suite)
 
 
 LAWFUL = ["trivial", "single_arrow", "comonad", "semilattice", "reflective"]
@@ -134,6 +136,75 @@ def test_laws_on_categories_that_are_not_thin(tmp_path, name):
     assert set(results) == set(LAWS)
     assert {law: detail for law, (ok, detail) in results.items()
             if not ok} == failing
+
+
+# two parallel arrows f, g: a -> b under t; its codex over single_arrow with
+# mu the identity is not thin either
+FORK = {"objects": ["a", "b", "t"],
+        "arrows": [["f", "a", "b"], ["g", "a", "b"],
+                   ["h", "a", "t"], ["k", "b", "t"]],
+        "compose": [["k", "f", "h"], ["k", "g", "h"]]}
+
+
+def fork_diagram(tmp_path):
+    path = tmp_path / "fork.dg"
+    identity = {"objects": {o: o for o in FORK["objects"]},
+                "arrows": {a: a for a, _, _ in FORK["arrows"]}}
+    path.write_text(json.dumps({
+        "mode_theory": str(theory_path("single_arrow")),
+        "categories": {"p": FORK, "q": FORK}, "functors": {"mu": identity}}))
+    return path
+
+
+def test_laws_other_than_pointwise_limits_pass_on_a_non_thin_codex(tmp_path):
+    path = fork_diagram(tmp_path)
+    cx = enumerate_codex(load_diagram(path), "q")
+    assert not cx.cat.thin
+    assert (len(cx.objects), len(cx.cat.arrows)) == (7, 31)
+    results = run_law_suite(path)
+    assert {law for law, (ok, _) in results.items() if ok} == \
+        set(LAWS) - {"pointwise-limits"}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: pointwise-limits "
+                   "checks a binary product the codex has but the paper "
+                   "does not compute pointwise")
+def test_pointwise_limits_pass_on_a_non_thin_codex(tmp_path):
+    results = run_law_suite(fork_diagram(tmp_path), only="pointwise-limits")
+    assert results["pointwise-limits"] == (True, "")
+
+
+# an involution s of one object a, with identity functors on both sides: a
+# unit and counit pass the triangles exactly when they compose to the identity
+INVOLUTION = FinCat(["a"], [("s", "a", "a")], [("s", "s", "id:a")])
+
+
+@pytest.mark.parametrize("unit, counit, expected", [
+    ("id:a", "id:a", (True, "")),
+    ("s", "s", (True, "")),
+    ("s", "id:a", (False, "left triangle fails for m at a")),
+    ("id:a", "s", (False, "left triangle fails for m at a")),
+])
+def test_triangle_check_separates_parallel_arrows(unit, counit, expected):
+    same = identity_functor(INVOLUTION)
+    adj = Adjunction("m", same, same, {"a": unit}, {"a": counit}, {})
+    b = CodexBundle(None, {}, {"m": adj}, {"m": adj})
+    assert law_radj_triangles(None, b, None) == expected
+    assert law_adjunction(None, b, None) == expected
+
+
+@pytest.mark.parametrize("only", [None, "2functor", "lock-strictness"])
+def test_2functor_report_built_once_per_suite(monkeypatch, only):
+    calls = []
+
+    def counting(bundle):
+        calls.append(bundle)
+        return verify_2functor(bundle)
+
+    monkeypatch.setattr("matt.codex.verify_2functor", counting)
+    results = run_law_suite(diagram_path("reflective"), only=only)
+    assert all(ok for ok, _ in results.values())
+    assert len(calls) == 1
 
 
 # --- the law output, pinned byte for byte --------------------------------------
