@@ -13,7 +13,7 @@ from .errors import (ConversionFailure, ExpectedF, ExpectedPi, ExpectedU,
                      NotSinister, NotTransparent, UnknownConstant)
 from .mode_theory import ModeTheory
 from .syntax import (App, Const, Context, FMod, Lam, LetMod, ModIntro, Open,
-                     Pi, Shut, Signature, TConst, UMod, Var, apply_key,
+                     Pi, Shut, Signature, UMod, Var, apply_key,
                      empty_context, find_var, fresh, push_lock, push_var,
                      rename_var, subst)
 
@@ -86,11 +86,11 @@ class Kernel:
             dag = mt.dagger(mor).dagger
             return UMod(mor, self.check_type(push_lock(mt, ctx, dag), a.ty),
                         a.span)
-        if isinstance(a, TConst):
-            if not self.sig.is_type_const(a.name):
+        if isinstance(a, Const):
+            if self.sig.lookup(a.name).result is not None:
                 raise UnknownConstant(f"{a.name} is not a type constant", a.span)
             args, _ = self._spine_types(ctx, a.name, a.args)
-            return TConst(a.name, args, a.span)
+            return Const(a.name, args, a.span)
         raise UnknownConstant(f"not a type expression: {a!r}")
 
     # -- inference ---------------------------------------------------------
@@ -157,8 +157,7 @@ class Kernel:
     def _infer_letmod(self, ctx: Context, t: LetMod):
         mt = self.mt
         frame = self._mor(ctx, t.frame)
-        mor = self._mor(push_lock(mt, ctx, frame), t.mor) \
-            if t.mor == "id" else t.mor
+        mor = self._mor(push_lock(mt, ctx, frame), t.mor)
         if not mt.in_class("sharp", mor):
             raise NotSharp(f"let-mod annotation {mor} is not sharp", t.span)
         if not mt.in_class("transparent", frame):
@@ -244,7 +243,7 @@ class Kernel:
                 return False
             dag = mt.dagger(a.mor).dagger
             return self.convert_types(push_lock(mt, ctx, dag), a.ty, b.ty)
-        if isinstance(a, TConst):
+        if isinstance(a, Const):
             if a.name != b.name:
                 self.trace.append(f"type constants differ: {a.name} vs {b.name}")
                 return False
@@ -357,9 +356,7 @@ class Kernel:
             if t.name != u.name:
                 self.trace.append(f"constants differ: {t.name} vs {u.name}")
                 return False
-            decl = self.sig.lookup(t.name)
-            return all(self._whnf_eq(push_lock(mt, ctx, p.mor), x, y)
-                       for p, x, y in zip(decl.params, t.args, u.args))
+            return self._convert_spines(ctx, t.name, t.args, u.args)
         self.trace.append(f"head mismatch: {show(t)} vs {show(u)}")
         return False
 
@@ -389,8 +386,6 @@ def show(t) -> str:
         return f"F[{t.mor}] {show(t.ty)}"
     if isinstance(t, UMod):
         return f"U[{t.mor}] {show(t.ty)}"
-    if isinstance(t, TConst):
-        return " ".join([t.name] + [show(a) for a in t.args])
     return repr(t)
 
 

@@ -472,9 +472,9 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                       unit, counit, cones)
 
 
-def transpose(cx_s: CodexCategory, adj: Adjunction, delta: OplaxObject, f):
-    """Adjoint transpose of f: delta^pi -> g across reflect(pi) -| incl(pi)."""
-    return cx_s.cat.comp(adj.right.amap[f], adj.unit[delta])
+def transpose(adj: Adjunction, x, f):
+    """The transpose x -> right(y) of f: left(x) -> y, along the unit."""
+    return adj.right.dst.comp(adj.right.amap[f], adj.unit[x])
 
 
 def mate(cx_s: CodexCategory, adj_mu: Adjunction, adj_nu: Adjunction,
@@ -493,7 +493,7 @@ def mate(cx_s: CodexCategory, adj_mu: Adjunction, adj_nu: Adjunction,
         x = adj_mu.right.omap[g]
         f = cq.comp(d.fun(rho).amap[adj_mu.counit[g]],
                     x.smap((nu, rho, alpha)))
-        comps[g] = transpose(cx_s, adj_nu, x, f)
+        comps[g] = transpose(adj_nu, x, f)
     return FinNat(adj_mu.right, compose_functors(adj_nu.right, d.fun(rho)),
                   comps, name=f"mate({rho},{alpha})")
 

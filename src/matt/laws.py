@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .codex import (build_bundle, dextrify_colax, psnat_component,
-                    reflect_colax)
+                    reflect_colax, transpose)
 from .errors import MattError, MalformedTable, ParseError
 from .fincat import (check_preserves_limit, is_iso, isomorphic, limit,
                      load_diagram)
@@ -45,8 +45,8 @@ def law_adjunction(d, bundle, cap):
         for x in top.objects:
             for y in bottom.objects:
                 below = bottom.hom(adj.left.omap[x], y)
-                if {top.comp(adj.right.amap[f], adj.unit[x]) for f in below} \
-                        != set(top.hom(x, adj.right.omap[y])):
+                if {transpose(adj, x, f) for f in below} != \
+                        set(top.hom(x, adj.right.omap[y])):
                     return False, f"hom bijection fails for {m} at ({x}, {y})"
     return True, ""
 

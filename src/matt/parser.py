@@ -32,7 +32,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .syntax import (App, Const, FMod, Lam, LetMod, ModIntro, Open, Pi, Shut,
-                     Signature, TConst, UMod, Var, fresh)
+                     Signature, UMod, Var, fresh)
 
 # One match per token: the blanks, newlines and comments before it, then the
 # token, a stray character, or nothing.  The token is optional so that a
@@ -275,7 +275,7 @@ class Parser:
             args = []
             while self.starts_atom():
                 args.append(self.atom())
-            return TConst(text, tuple(args), at)
+            return Const(text, tuple(args), at)
         raise ParseError(f"expected a type, found {text!r}", at)
 
     def type_atom(self):
@@ -287,7 +287,7 @@ class Parser:
         text = self.texts[p]
         if self.kinds[p] == "name" and text not in _KEYWORDS:
             self.pos += 1
-            return TConst(text, (), self.offs[p])
+            return Const(text, (), self.offs[p])
         raise ParseError("expected a type", self.offs[p])
 
     # -- terms --
@@ -375,55 +375,43 @@ def parse_program(src: str) -> list:
 
 # --- resolution: freshen binders, resolve constants --------------------------
 
-def _spine(t):
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    return t, list(reversed(args))
-
-
 def resolve_term(t, scope: dict, sig: Signature):
-    if isinstance(t, Var):
-        if t.name in scope:
-            return Var(scope[t.name], t.key, t.span)
-        if t.name in sig.decls:
-            decl = sig.decls[t.name]
+    if isinstance(t, (Var, App)):
+        # a spine `head a1 … an`, a bare name being a spine of no arguments:
+        # a free name at its head is a term constant, which takes one
+        # argument per parameter; each further argument is an application
+        span = t.span
+        args = []
+        while isinstance(t, App):
+            args.append(t.arg)
+            t = t.fn
+        args.reverse()
+        k = 0
+        if not isinstance(t, Var):
+            out = resolve_term(t, scope, sig)
+        elif t.name in scope:
+            out = Var(scope[t.name], t.key, t.span)
+        else:
+            decl = sig.decls.get(t.name)
+            if decl is None:
+                raise ParseError(f"unknown name {t.name}", t.span)
             if decl.result is None:
                 raise ParseError(f"type constant {t.name} used as a term",
                                  t.span)
             if t.key is not None:
                 raise ParseError(f"constant {t.name} cannot carry a key",
                                  t.span)
-            if decl.params:
-                raise ParseError(
-                    f"constant {t.name} expects {len(decl.params)} "
-                    f"arguments", t.span)
-            return Const(t.name, (), t.span)
-        raise ParseError(f"unknown name {t.name}", t.span)
-    if isinstance(t, App):
-        head, args = _spine(t)
-        if isinstance(head, Var) and head.name not in scope and \
-                head.name in sig.decls and sig.decls[head.name].params:
-            decl = sig.decls[head.name]
             k = len(decl.params)
-            if head.key is not None:
-                raise ParseError(f"constant {head.name} cannot carry a key",
-                                 head.span)
             if len(args) < k:
+                got = f", got {len(args)}" if args else ""
                 raise ParseError(
-                    f"constant {head.name} expects {k} arguments, "
-                    f"got {len(args)}", head.span)
-            out = Const(head.name,
-                        tuple(resolve_term(a, scope, sig) for a in args[:k]),
-                        head.span)
-            for a in args[k:]:
-                out = App(out, resolve_term(a, scope, sig), None, head.span)
-            return out
-        out = resolve_term(head, scope, sig)
-        for a in args:
-            out = App(out, resolve_term(a, scope, sig), None,
-                      getattr(t, "span", None))
+                    f"constant {t.name} expects {k} arguments{got}", t.span)
+            own = []
+            for a in args[:k]:
+                own.append(resolve_term(a, scope, sig))
+            out = Const(t.name, tuple(own), t.span)
+        for a in args[k:]:
+            out = App(out, resolve_term(a, scope, sig), None, span)
         return out
     if isinstance(t, Lam):
         v = fresh(t.var)
@@ -455,7 +443,7 @@ def resolve_type(a, scope: dict, sig: Signature):
         return FMod(a.mor, resolve_type(a.ty, scope, sig), a.span)
     if isinstance(a, UMod):
         return UMod(a.mor, resolve_type(a.ty, scope, sig), a.span)
-    if isinstance(a, TConst):
+    if isinstance(a, Const):
         if a.name in scope:
             raise ParseError(f"term variable {a.name} used as a type", a.span)
         if a.name not in sig.decls or sig.decls[a.name].result is not None:
@@ -466,5 +454,5 @@ def resolve_type(a, scope: dict, sig: Signature):
                 f"type constant {a.name} expects {len(decl.params)} "
                 f"arguments, got {len(a.args)}", a.span)
         args = tuple(resolve_term(x, scope, sig) for x in a.args)
-        return TConst(a.name, args, a.span)
+        return Const(a.name, args, a.span)
     raise ParseError(f"not a type: {a!r}", getattr(a, "span", None))

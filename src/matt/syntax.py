@@ -96,6 +96,8 @@ class Open:
 
 @dataclass(frozen=True)
 class Const:
+    """A signature constant applied to one argument per parameter: a type
+    when its declaration has no result type, a term otherwise."""
     name: str
     args: tuple
     span: Span = field(default=None, compare=False)
@@ -124,15 +126,8 @@ class UMod:
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class TConst:
-    name: str
-    args: tuple
-    span: Span = field(default=None, compare=False)
-
-
 Term = Union[Var, Lam, App, ModIntro, LetMod, Shut, Open, Const]
-TypeExpr = Union[Pi, FMod, UMod, TConst]
+TypeExpr = Union[Pi, FMod, UMod, Const]
 
 
 # --- signatures -------------------------------------------------------------
@@ -166,9 +161,6 @@ class Signature:
             return self.decls[name]
         except KeyError:
             raise UnknownConstant(f"unknown constant {name}") from None
-
-    def is_type_const(self, name: str) -> bool:
-        return self.lookup(name).result is None
 
 
 # --- contexts ---------------------------------------------------------------
@@ -273,7 +265,6 @@ SLOTS = {
     Pi: (("dom", "mor", None), ("cod", None, "var")),
     FMod: (("ty", "mor", None),),
     UMod: (("ty", "dagger", None),),
-    TConst: (("args", "param", None),),
 }
 
 

@@ -4,12 +4,13 @@ import pytest
 
 from matt.bundled import theory_path
 from matt.checker import Kernel, NoMotive
+from matt.cli import check_file
 from matt.errors import (ConversionFailure, ExpectedF, ExpectedPi,
                          KeyTypeMismatch, NotSharp, NotSinister,
                          NotTransparent, UnknownConstant)
 from matt.mode_theory import load_mode_theory
 from matt.syntax import (App, Const, ConstDecl, FMod, Lam, LetMod, ModIntro,
-                         Open, Param, Pi, Shut, Signature, TConst, UMod, Var,
+                         Open, Param, Pi, Shut, Signature, UMod, Var,
                          empty_context, push_var)
 
 
@@ -21,8 +22,8 @@ def kernel(theory, consts=()):
     return Kernel(mt, sig)
 
 
-A = TConst("A", ())
-B = TConst("B", ())
+A = Const("A", ())
+B = Const("B", ())
 
 
 def single_arrow_kernel():
@@ -92,11 +93,11 @@ def test_letmod_with_nonidentity_transparent_frame():
 
 def test_shut_open_round_trip_type():
     k = kernel("2ltt", [ConstDecl("B", "f", (), None),
-                        ConstDecl("b0", "f", (), TConst("B", ()))])
+                        ConstDecl("b0", "f", (), Const("B", ()))])
     ctx = empty_context("f")
     ty, t = k.infer(ctx, Open("iota", Shut("iota", Const("b0", ()))))
-    assert k.convert_types(ctx, ty, TConst("B", ()))
-    assert k.convert(ctx, TConst("B", ()), t, Const("b0", ()))
+    assert k.convert_types(ctx, ty, Const("B", ()))
+    assert k.convert(ctx, Const("B", ()), t, Const("b0", ()))
 
 
 def test_telescoped_constant():
@@ -106,11 +107,11 @@ def test_telescoped_constant():
         ConstDecl("a0", "p", (), A),
         ConstDecl("El", "p", (Param("x", "id:p", A),), None),
         ConstDecl("refl", "p", (Param("x", "id:p", A),),
-                  TConst("El", (Var("x", "id:id:p"),))),
+                  Const("El", (Var("x", "id:id:p"),))),
     ])
     ctx = empty_context("p")
     ty, t = k.infer(ctx, Const("refl", (Const("a0", ()),)))
-    assert ty == TConst("El", (Const("a0", ()),))
+    assert ty == Const("El", (Const("a0", ()),))
     assert k.check_type(ctx, ty)
     assert k.check_type(ctx, mt_list)
 
@@ -131,6 +132,25 @@ def test_eta_pi():
     f = Var("f", "id:id:p")
     expanded = Lam("x", App(f, Var("x", "id:id:p"), mor="id:p"))
     assert k.convert(ctx, pi, f, expanded)
+
+
+def test_eta_pi_under_constant_arguments(tmp_path):
+    # h's argument is compared at h's parameter type, a Pi, so η holds
+    # there; a different constant in the same place still fails
+    f = tmp_path / "eta.matt"
+    f.write_text("const A : Type @ p;\n"
+                 "const h : (f : (x : A) -> A) A @ p;\n"
+                 "const R : (y : A) Type @ p;\n"
+                 "const gg : ((x : A) -> A) @ p;\n"
+                 "const gg2 : ((x : A) -> A) @ p;\n"
+                 "const r0 : R (h gg) @ p;\n"
+                 "def d @ p : R (h (\\x. gg x)) = r0;\n"
+                 "def d2 @ p : R (h gg2) = r0;\n")
+    diags, n = check_file(f, load_mode_theory(theory_path("trivial")))
+    assert n == 7
+    [d2] = diags
+    assert (d2.code, d2.line) == ("ConversionFailure", 8)
+    assert "constants differ: gg vs gg2" in d2.trace
 
 
 def test_beta_f():
@@ -156,8 +176,8 @@ def test_no_eta_f():
 
 def test_beta_u_and_eta_u():
     k = kernel("2ltt", [ConstDecl("B", "f", (), None),
-                        ConstDecl("b0", "f", (), TConst("B", ()))])
-    bty = TConst("B", ())
+                        ConstDecl("b0", "f", (), Const("B", ()))])
+    bty = Const("B", ())
     # beta: open (shut M) == M
     ctx = empty_context("f")
     assert k.convert(ctx, bty, Open("iota", Shut("iota", Const("b0", ()))),
@@ -176,11 +196,11 @@ def test_dra_round_trips_on_shut_terms():
     # five distinct U-typed terms, each convertible to its eta-expansion
     k = kernel("2ltt", [
         ConstDecl("B", "f", (), None),
-        ConstDecl("b0", "f", (), TConst("B", ())),
-        ConstDecl("g", "f", (Param("x", "id:f", TConst("B", ())),),
-                  TConst("B", ())),
+        ConstDecl("b0", "f", (), Const("B", ())),
+        ConstDecl("g", "f", (Param("x", "id:f", Const("B", ())),),
+                  Const("B", ())),
     ])
-    bty = TConst("B", ())
+    bty = Const("B", ())
     uty = UMod("iota", bty)
     b0 = Const("b0", ())
     terms = [
@@ -203,7 +223,7 @@ def test_conversion_failure_reports():
     k = single_arrow_kernel()
     ctx = empty_context("p")
     with pytest.raises(ConversionFailure):
-        k.check(ctx, Const("a0", ()), TConst("A2", ()))
+        k.check(ctx, Const("a0", ()), Const("A2", ()))
 
 
 # --- negatives ---------------------------------------------------------------
@@ -213,13 +233,13 @@ def test_pi_over_sinister_rejected():
                         ConstDecl("D", "f", (), None)])
     ctx = empty_context("f")
     with pytest.raises(NotSharp):
-        k.check_type(ctx, Pi("iota", "x", TConst("C", ()), TConst("D", ())))
+        k.check_type(ctx, Pi("iota", "x", Const("C", ()), Const("D", ())))
 
 
 def test_f_over_sinister_rejected():
     k = kernel("2ltt", [ConstDecl("C", "e", (), None)])
     with pytest.raises(NotSharp):
-        k.check_type(empty_context("f"), FMod("iota", TConst("C", ())))
+        k.check_type(empty_context("f"), FMod("iota", Const("C", ())))
 
 
 def test_u_needs_sinister():

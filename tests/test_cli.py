@@ -413,6 +413,18 @@ def test_resolution_errors_belong_to_their_declaration(tmp_path, capsys):
     assert main(["check", str(f)]) == 2
 
 
+@pytest.mark.parametrize("head", ["El", "A"])
+def test_type_constant_at_the_head_of_a_term_exits_two(tmp_path, capsys,
+                                                        head):
+    # El takes one argument and A none: either way it is not a term
+    f = _trivial_file(tmp_path, ["const A : Type @ p;", "const a0 : A @ p;",
+                                 "const El : (x : A) Type @ p;",
+                                 f"def u @ p : A = {head} a0;"])
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == \
+        f"ERROR ParseError @ {f}:5:17: type constant {head} used as a term\n"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["check", str(CORPUS / "trivial_ok.matt")], id="check-ok"),
     pytest.param(["check", str(CORPUS / "neg_conversion.matt"), "--trace"],

@@ -221,7 +221,7 @@ def test_adjunction_hom_bijection():
             for g in cr.objects:
                 below = cr.hom(delta.component(m), g)
                 above = cx.cat.hom(delta, adj.right.omap[g])
-                images = {transpose(cx, adj, delta, f) for f in below}
+                images = {transpose(adj, delta, f) for f in below}
                 assert images == set(above), (m, delta, g)
 
 

@@ -11,7 +11,7 @@ from matt.parser import (Parser, SourceLines, SurfaceConst, SurfaceDef,
                          SurfaceModeTheory, parse_program, resolve_term,
                          resolve_type, tokenize)
 from matt.syntax import (App, Const, ConstDecl, FMod, Lam, LetMod, ModIntro,
-                         Open, Param, Pi, Shut, Signature, TConst, UMod, Var)
+                         Open, Param, Pi, Shut, Signature, UMod, Var)
 
 
 def test_empty_file():
@@ -35,13 +35,13 @@ def test_const_telescope():
     [d] = parse_program("const El : (x :^ id:p A) Type @ p;")
     [(name, mor, ty, _)] = d.params
     assert name == "x" and mor == "id:p"
-    assert ty == TConst("A", ())
+    assert ty == Const("A", ())
 
 
 def test_def_decl_with_lambda():
     [d] = parse_program("def idA @ p : (x : A) -> A = \\x. x;")
     assert isinstance(d, SurfaceDef)
-    assert d.ty == Pi("id", "x", TConst("A", ()), TConst("A", ()))
+    assert d.ty == Pi("id", "x", Const("A", ()), Const("A", ()))
     assert d.term == Lam("x", Var("x", None))
 
 
@@ -52,10 +52,10 @@ def test_binder_is_one_production():
                            "def d @ p : F[mu] (x :^ mu A) -> (y : B) -> A "
                            "= a0;")
     assert [(n, m, t) for n, m, t, _ in c.params] == \
-        [("x", "mu", TConst("A", ())), ("y", "id", TConst("B", ()))]
-    assert d.ty == FMod("mu", Pi("mu", "x", TConst("A", ()),
-                                 Pi("id", "y", TConst("B", ()),
-                                    TConst("A", ()))))
+        [("x", "mu", Const("A", ())), ("y", "id", Const("B", ()))]
+    assert d.ty == FMod("mu", Pi("mu", "x", Const("A", ()),
+                                 Pi("id", "y", Const("B", ()),
+                                    Const("A", ()))))
 
 
 def test_qualified_names_and_keys():
@@ -65,10 +65,10 @@ def test_qualified_names_and_keys():
 
 def test_modal_formers():
     [d] = parse_program("def m @ q : F[mu] A = mod[mu] a0;")
-    assert d.ty == FMod("mu", TConst("A", ()))
+    assert d.ty == FMod("mu", Const("A", ()))
     assert d.term == ModIntro("mu", Var("a0", None))
     [d] = parse_program("def u @ e : U[iota] B = shut[iota] open[iota] M;")
-    assert d.ty == UMod("iota", TConst("B", ()))
+    assert d.ty == UMod("iota", Const("B", ()))
     assert d.term == Shut("iota", Open("iota", Var("M", None)))
 
 
@@ -78,7 +78,7 @@ def test_let_mod_with_motive():
     t = d.term
     assert isinstance(t, LetMod)
     assert t.frame == "id:q" and t.mor == "mu"
-    assert t.motive == TConst("B", ())
+    assert t.motive == Const("B", ())
     assert t.scrutinee == Var("y", None) and t.body == Var("x", None)
 
 
@@ -109,7 +109,7 @@ def test_resolution_freshens_binders():
 def test_resolution_distinguishes_constants_and_variables():
     sig = Signature()
     sig.declare(ConstDecl("A", "p", (), None))
-    a_ty = TConst("A", ())
+    a_ty = Const("A", ())
     sig.declare(ConstDecl("c", "p", (), a_ty))
     sig.declare(ConstDecl("g", "p", (Param("x", "id:p", a_ty),), a_ty))
     [d] = parse_program("def f @ p : A = \\c. g c;")
@@ -127,8 +127,8 @@ def test_resolution_rejects_underapplied_constant():
     sig = Signature()
     sig.declare(ConstDecl("A", "p", (), None))
     sig.declare(ConstDecl("g", "p",
-                          (Param("x", "id:p", TConst("A", ())),),
-                          TConst("A", ())))
+                          (Param("x", "id:p", Const("A", ())),),
+                          Const("A", ())))
     [d] = parse_program("def f @ p : A = g;")
     with pytest.raises(ParseError):
         resolve_term(d.term, {}, sig)
@@ -138,11 +138,11 @@ def test_resolve_type_arity():
     sig = Signature()
     sig.declare(ConstDecl("A", "p", (), None))
     sig.declare(ConstDecl("El", "p",
-                          (Param("x", "id:p", TConst("A", ())),), None))
+                          (Param("x", "id:p", Const("A", ())),), None))
     with pytest.raises(ParseError):
-        resolve_type(TConst("El", ()), {}, sig)
+        resolve_type(Const("El", ()), {}, sig)
     with pytest.raises(ParseError):
-        resolve_type(TConst("Ghost", ()), {}, sig)
+        resolve_type(Const("Ghost", ()), {}, sig)
 
 
 def test_comments_and_whitespace():

@@ -11,7 +11,7 @@ from matt.errors import ModeMismatch, NotTangible
 from matt.mode_theory import load_mode_theory, mode_theory_from_data
 from matt.syntax import (App, Const, ConstDecl, Context, FMod, Lam, LetMod,
                          LockEntry, ModIntro, Open, Param, Pi, Shut,
-                         Signature, TConst, UMod, Var, VarEntry, _lock_mor,
+                         Signature, UMod, Var, VarEntry, _lock_mor,
                          apply_key, children, empty_context, find_var,
                          locks_after_map, push_lock, push_var, rebuild,
                          rename_var, subst)
@@ -27,7 +27,7 @@ def semi():
     return load_mode_theory(theory_path("semilattice"))
 
 
-A = TConst("A", ())
+A = Const("A", ())
 # one variable v at mode p with no lock after it
 V_AT_P = Context("p", (VarEntry("v", "id:p", A),))
 
@@ -204,7 +204,7 @@ def test_rename_var_respects_binders(refl):
 #   dagger of mu)
 # A wrong lock makes the vertical composite ill-typed or changes the key.
 
-B = TConst("B", ())
+B = Const("B", ())
 a0, b0 = Const("a0", ()), Const("b0", ())
 
 
@@ -238,8 +238,10 @@ SLOT_CASES = [
     ("Pi.cod", lambda v: Pi("nu", "x", B, v), "id:id:p", "eta"),
     ("FMod", lambda v: FMod("numu", v), "eta", "eta"),
     ("UMod", lambda v: UMod("mu", v), "id:nu", "id:nu"),
-    ("TConst.arg0", lambda v: TConst("P", (v, a0)), "id:nu", "id:nu"),
-    ("TConst.arg1", lambda v: TConst("P", (b0, v)), "id:id:p", "eta"),
+    # P is a type constant; its cases keep the ids they had when a type
+    # constant's spine was a node class of its own, TConst
+    ("TConst.arg0", lambda v: Const("P", (v, a0)), "id:nu", "id:nu"),
+    ("TConst.arg1", lambda v: Const("P", (b0, v)), "id:id:p", "eta"),
 ]
 
 
@@ -343,8 +345,8 @@ def _keyed_term(data, mt, c, la, bound, depth):
     into = [m for m in mt.morphisms if mt.mor(m).dst == x]
     left = [m for m in mt.adjoints if mt.mor(mt.dagger(m).dagger).dst == x]
     kinds = ["var"] if depth == 0 else \
-        ["var", "lam", "app", "mod", "open", "let", "const", "pi", "fmod",
-         "tconst"] + (["shut", "umod"] if left else [])
+        ["var", "lam", "app", "mod", "open", "let", "const", "pi",
+         "fmod"] + (["shut", "umod"] if left else [])
     kind = pick(kinds)
     if kind == "var":
         v = pick(set(la) | bound)
@@ -364,10 +366,9 @@ def _keyed_term(data, mt, c, la, bound, depth):
         motive = sub(None, bound | {y}) if data.draw(st.booleans()) else None
         return LetMod(frame, pick(mt.morphisms), y, motive, sub(frame), b,
                       sub(None, bound | {b}))
-    if kind in ("const", "tconst"):
+    if kind == "const":
         m = pick(into)
-        node = Const if kind == "const" else TConst
-        return node(f"K:{m}", (sub(m), sub(mt.id_mor(x))))
+        return Const(f"K:{m}", (sub(m), sub(mt.id_mor(x))))
     if kind in ("shut", "umod"):
         m = pick(left)
         return (Shut if kind == "shut" else UMod)(
