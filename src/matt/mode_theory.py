@@ -6,6 +6,10 @@ table element, so equality of 2-cells is identity of names.  Four morphism
 classes (tangible/sharp/transparent/sinister) gate the type formers, and each
 sinister morphism carries a chosen right adjoint with unit and counit.
 
+`validate_mode_theory` proves that the tables form such a 2-category, so the
+algebra (`compose`, `vcomp`, `wl`, `wr`) reads the tables of a validated
+theory and nothing else: a pair without a row is not composable.
+
 Identity morphisms and identity cells use the reserved names "id:<mode>" and
 "id:<morphism>" and are synthesized when omitted from input files, together
 with the unit-law rows of the four tables.
@@ -209,44 +213,34 @@ class ModeTheory:
 
     def compose(self, g: str, f: str) -> str:
         """g∘f: first f, then g."""
-        gm, fm = self.mor(g), self.mor(f)
-        if fm.dst != gm.src:
-            raise NotComposable(f"{g}∘{f}: target({f}) = {fm.dst} != source({g}) = {gm.src}")
         try:
             return self.compose_table[(g, f)]
         except KeyError:
-            raise NotComposable(f"composite {g}∘{f} missing from table") from None
+            raise NotComposable(f"{g}∘{f} has no row in the compose table") from None
 
     def vcomp(self, b: str, a: str) -> str:
         """b∘a vertically: first a, then b."""
-        bc, ac = self.cell(b), self.cell(a)
-        if ac.dst != bc.src:
-            raise IllTypedCellExpression(
-                f"{b}∘{a}: target({a}) = {ac.dst} != source({b}) = {bc.src}")
         try:
             return self.vcompose_table[(b, a)]
         except KeyError:
-            raise IllTypedCellExpression(f"vertical composite {b}∘{a} missing from table") from None
+            raise IllTypedCellExpression(
+                f"{b}∘{a} has no row in the vcompose table") from None
 
     def wl(self, m: str, c: str) -> str:
         """m◁c: post-whisker the cell c by the morphism m."""
-        mm = self.mor(m)
-        if mm.src != self.cell_modes(c)[1]:
-            raise IllTypedCellExpression(f"{m}◁{c}: modes do not match")
         try:
             return self.wl_table[(m, c)]
         except KeyError:
-            raise IllTypedCellExpression(f"whiskering {m}◁{c} missing from table") from None
+            raise IllTypedCellExpression(
+                f"{m}◁{c} has no row in the whisker_left table") from None
 
     def wr(self, c: str, m: str) -> str:
         """c▷m: pre-whisker the cell c by the morphism m."""
-        mm = self.mor(m)
-        if mm.dst != self.cell_modes(c)[0]:
-            raise IllTypedCellExpression(f"{c}▷{m}: modes do not match")
         try:
             return self.wr_table[(c, m)]
         except KeyError:
-            raise IllTypedCellExpression(f"whiskering {c}▷{m} missing from table") from None
+            raise IllTypedCellExpression(
+                f"{c}▷{m} has no row in the whisker_right table") from None
 
     def dagger(self, mor: str) -> Adjoint:
         if mor not in self.adjoints:
@@ -341,7 +335,8 @@ def validate_mode_theory(mt: ModeTheory) -> ValidationReport:
         if mt.in_class("transparent", m.name) and not mt.in_class("tangible", m.name):
             bad("transparent-tangible", f"transparent morphism {m.name} is not tangible")
 
-    _check_one_category(mt, bad)
+    _check_category(mt.morphisms, mt.compose_table, id_mor_name, "compose", bad)
+    _check_category(mt.cells, mt.vcompose_table, id_cell_name, "vcompose", bad)
     _check_two_category(mt, bad)
     _check_adjoints(mt, bad)
     return ValidationReport(tuple(out))
@@ -361,7 +356,7 @@ def _check_table_shapes(mt: ModeTheory):
         if mt.mor(m).src != mt.cell_modes(c)[1]:
             raise MalformedTable(f"whisker_left entry ({m},{c}) has mismatched modes")
         if mt.is_id_mor(m):
-            continue  # 1◁β = β is definitional, not routed through compose
+            continue  # 1◁β = β is whisker-left-unital, not a compose row
         want_src = mt.compose_table.get((m, cc.src))
         want_dst = mt.compose_table.get((m, cc.dst))
         if want_src is not None and want_dst is not None and \
@@ -372,7 +367,7 @@ def _check_table_shapes(mt: ModeTheory):
         if mt.mor(m).dst != mt.cell_modes(c)[0]:
             raise MalformedTable(f"whisker_right entry ({c},{m}) has mismatched modes")
         if mt.is_id_mor(m):
-            continue  # β▷1 = β is definitional
+            continue  # β▷1 = β is whisker-right-unital
         want_src = mt.compose_table.get((cc.src, m))
         want_dst = mt.compose_table.get((cc.dst, m))
         if want_src is not None and want_dst is not None and \
@@ -398,64 +393,38 @@ def _check_totality(mt: ModeTheory, bad):
                 bad("table-totality", f"whiskering {c.name}▷{m.name} missing")
 
 
-def _comp(mt, g, f):
-    return mt.compose_table.get((g, f))
-
-
-def _check_one_category(mt: ModeTheory, bad):
-    for h in mt.morphisms.values():
-        for g in mt.morphisms.values():
-            if g.dst != h.src:
+def _check_category(elems, table, ident, axiom, bad):
+    """Associativity and unit laws of one composition table over elems,
+    morphisms or cells: each has a name, a src and a dst, and ident(x) names
+    the identity on x.  Rows are well-typed (`_check_table_shapes`), so only
+    a composable pair has one."""
+    for h in elems.values():
+        for g in elems.values():
+            hg = table.get((h.name, g.name))
+            if hg is None:
                 continue
-            hg = _comp(mt, h.name, g.name)
-            for f in mt.morphisms.values():
-                if f.dst != g.src:
+            for f in elems.values():
+                gf = table.get((g.name, f.name))
+                if gf is None:
                     continue
-                gf = _comp(mt, g.name, f.name)
-                if hg is None or gf is None:
-                    continue
-                left = _comp(mt, hg, f.name)
-                right = _comp(mt, h.name, gf)
-                if left is not None and right is not None and left != right:
-                    bad("compose-associative",
+                left = table.get((hg, f.name))
+                right = table.get((h.name, gf))
+                if None not in (left, right) and left != right:
+                    bad(axiom + "-associative",
                         f"({h.name}∘{g.name})∘{f.name} = {left} but "
                         f"{h.name}∘({g.name}∘{f.name}) = {right}")
-    for f in mt.morphisms.values():
-        lu = _comp(mt, id_mor_name(f.dst), f.name)
-        ru = _comp(mt, f.name, id_mor_name(f.src))
-        if lu is not None and lu != f.name:
-            bad("compose-unital", f"id∘{f.name} = {lu}")
-        if ru is not None and ru != f.name:
-            bad("compose-unital", f"{f.name}∘id = {ru}")
+    for f in elems.values():
+        lu = table.get((ident(f.dst), f.name))
+        ru = table.get((f.name, ident(f.src)))
+        if lu not in (None, f.name):
+            bad(axiom + "-unital", f"id∘{f.name} = {lu}")
+        if ru not in (None, f.name):
+            bad(axiom + "-unital", f"{f.name}∘id = {ru}")
 
 
 def _check_two_category(mt: ModeTheory, bad):
+    """The whiskering axioms, all guarded lookups."""
     vc = mt.vcompose_table
-    for c in mt.cells.values():
-        for b in mt.cells.values():
-            if b.dst != c.src:
-                continue
-            cb = vc.get((c.name, b.name))
-            for a in mt.cells.values():
-                if a.dst != b.src:
-                    continue
-                ba = vc.get((b.name, a.name))
-                if cb is None or ba is None:
-                    continue
-                left = vc.get((cb, a.name))
-                right = vc.get((c.name, ba))
-                if left is not None and right is not None and left != right:
-                    bad("vcompose-associative",
-                        f"({c.name}∘{b.name})∘{a.name} != {c.name}∘({b.name}∘{a.name})")
-    for a in mt.cells.values():
-        lu = vc.get((id_cell_name(a.dst), a.name))
-        ru = vc.get((a.name, id_cell_name(a.src)))
-        if lu is not None and lu != a.name:
-            bad("vcompose-unital", f"id∘{a.name} = {lu}")
-        if ru is not None and ru != a.name:
-            bad("vcompose-unital", f"{a.name}∘id = {ru}")
-
-    # whiskering axioms, all guarded lookups
     for b in mt.cells.values():
         for a in mt.cells.values():
             if a.dst != b.src:
@@ -483,13 +452,21 @@ def _check_two_category(mt: ModeTheory, bad):
     for n in mt.morphisms.values():
         for r in mt.morphisms.values():
             if r.dst == n.src:
-                nr = _comp(mt, n.name, r.name)
+                nr = mt.compose_table.get((n.name, r.name))
                 got = mt.wr_table.get((id_cell_name(n.name), r.name))
                 if nr and got and got != id_cell_name(nr):
                     bad("whisker-right-identity", f"1_{n.name}▷{r.name} = {got}")
                 got = mt.wl_table.get((n.name, id_cell_name(r.name)))
                 if nr and got and got != id_cell_name(nr):
                     bad("whisker-left-identity", f"{n.name}◁1_{r.name} = {got}")
+    for b in mt.cells.values():
+        src, dst = mt.cell_modes(b.name)
+        got = mt.wl_table.get((id_mor_name(dst), b.name))
+        if got not in (None, b.name):
+            bad("whisker-left-unital", f"1◁{b.name} = {got}")
+        got = mt.wr_table.get((b.name, id_mor_name(src)))
+        if got not in (None, b.name):
+            bad("whisker-right-unital", f"{b.name}▷1 = {got}")
     for m in mt.morphisms.values():
         for b in mt.cells.values():
             if m.src != mt.cell_modes(b.name)[1]:
@@ -520,8 +497,8 @@ def _check_adjoints(mt: ModeTheory, bad):
         if (d.src, d.dst) != (m.dst, m.src):
             bad("adjoint-typing", f"{a.dagger} is not a candidate right adjoint of {name}")
             ok = False
-        dm = _comp(mt, a.dagger, name)
-        md = _comp(mt, name, a.dagger)
+        dm = mt.compose_table.get((a.dagger, name))
+        md = mt.compose_table.get((name, a.dagger))
         if dm is None or md is None:
             ok = False
         if ok and (unit.src, unit.dst) != (id_mor_name(m.src), dm):

@@ -278,6 +278,21 @@ def test_invalid_mode_theory_names_each_axiom_once(tmp_path, capsys):
         f"ERROR MalformedTable @ {dg}:0:0: {why}"
 
 
+def test_sem_laws_blames_a_non_unital_whiskering_on_the_theory(tmp_path,
+                                                               capsys):
+    # 1◁eta = id:id:p breaks a law of the theory, not of the diagram
+    mt = tmp_path / "bad.mt"
+    mt.write_bytes(_reflective_with(
+        lambda d: d["whisker_left"].append(["id:p", "eta", "id:id:p"])))
+    dg = tmp_path / "bad.dg"
+    data = json.loads((FIXTURES / "diagrams" / "reflective.dg").read_text())
+    dg.write_text(json.dumps({**data, "mode_theory": "bad.mt"}))
+    assert main(["sem", "laws", str(dg)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR MalformedTable @ {dg}:0:0: "
+        "mode theory fails validation: whisker-left-unital\n")
+
+
 def test_check_bad_cell_in_declaration_exits_one(capsys):
     # a MalformedTable raised while checking a declaration is a failed check
     assert main(["check", str(CORPUS / "neg_bad_cell.matt")]) == 1

@@ -1,7 +1,8 @@
 """Mode theory validation and the composition and whiskering tables.
 
 Positive cases are the six bundled presentations; negative cases are ten
-mutants, one per axiom class the validator knows about.
+mutants, one per axiom class, and probes of the category laws of the
+vcompose table, of table totality and of the whisker unit laws.
 """
 
 import copy
@@ -11,8 +12,8 @@ import pytest
 
 from matt.bundled import THEORY_NAMES, theory_path
 from matt.errors import IllTypedCellExpression, MalformedTable, NotComposable
-from matt.mode_theory import (load_mode_theory, mode_theory_from_data,
-                              validate_mode_theory)
+from matt.mode_theory import (Violation, load_mode_theory,
+                              mode_theory_from_data, validate_mode_theory)
 
 
 def theory_data(name):
@@ -216,3 +217,46 @@ def test_mutant_triangle_broken():
     }
     check_mutant(data, "triangle-left")
 
+
+
+# --- one category-law check for both tables, and the whisker unit laws -----
+
+def violations(data):
+    return validate_mode_theory(mode_theory_from_data(data)).violations
+
+
+def test_vcompose_not_associative_names_only_that_axiom():
+    # the table of test_mutant_compose_not_associative, on two endo-cells
+    data = {
+        "modes": ["p"], "morphisms": [],
+        "cells": [{"name": "a", "src": "id:p", "dst": "id:p"},
+                  {"name": "b", "src": "id:p", "dst": "id:p"}],
+        "compose": [],
+        "vcompose": [["a", "a", "b"], ["a", "b", "id:id:p"],
+                     ["b", "a", "a"], ["b", "b", "id:id:p"]],
+        "whisker_left": [], "whisker_right": [],
+        "classes": {"tangible": ["id:p"], "sharp": ["id:p"],
+                    "transparent": ["id:p"], "sinister": []},
+        "adjoints": [],
+    }
+    assert {v.axiom for v in violations(data)} == {"vcompose-associative"}
+
+
+def test_missing_composite_fails_totality():
+    data = theory_data("reflective")
+    data["compose"].remove(["nu", "mu", "numu"])
+    assert Violation("table-totality", "composite nu∘mu missing") \
+        in violations(data)
+
+
+@pytest.mark.parametrize("table,row,axiom,message", [
+    ("whisker_left", ["id:p", "eta", "id:id:p"], "whisker-left-unital",
+     "1◁eta = id:id:p"),
+    ("whisker_right", ["eta", "id:p", "id:id:p"], "whisker-right-unital",
+     "eta▷1 = id:id:p"),
+], ids=["left", "right"])
+def test_whiskering_by_an_identity_must_be_the_cell(table, row, axiom,
+                                                    message):
+    data = theory_data("reflective")
+    data[table].append(row)
+    assert violations(data) == (Violation(axiom, message),)
