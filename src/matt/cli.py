@@ -141,6 +141,13 @@ def _check_decl(kernel: Kernel, d):
 
 # --- subcommands --------------------------------------------------------------
 
+def _bad_input(path, e: Exception, out) -> int:
+    """Report a file a command could not load; malformed input exits 2."""
+    print(f"ERROR {getattr(e, 'code', 'ParseError')} @ {path}:0:0: {e}",
+          file=out)
+    return 2
+
+
 def cmd_check(paths, mode_theory=None, trace=False, out=None) -> int:
     out = out if out is not None else sys.stderr
     mt = None
@@ -148,9 +155,7 @@ def cmd_check(paths, mode_theory=None, trace=False, out=None) -> int:
         try:
             mt = load_valid_mode_theory(mode_theory)
         except (OSError, MattError) as e:
-            code = getattr(e, "code", "ParseError")
-            print(f"ERROR {code} @ {mode_theory}:0:0: {e}", file=out)
-            return 2
+            return _bad_input(mode_theory, e, out)
     worst = 0
     for p in paths:
         diags, _ = check_file(Path(p), mt)
@@ -166,9 +171,7 @@ def cmd_modes_validate(path, out=None) -> int:
     try:
         report = validate_mode_theory(load_mode_theory(path))
     except (OSError, MattError) as e:
-        code = getattr(e, "code", "ParseError")
-        print(f"ERROR {code} @ {path}:0:0: {e}", file=sys.stderr)
-        return 2
+        return _bad_input(path, e, sys.stderr)
     if report.ok:
         print(f"{path}: OK", file=out)
         return 0
@@ -183,9 +186,7 @@ def cmd_sem_laws(path, only=None, cap=None, out=None) -> int:
     try:
         results = run_law_suite(path, only=only, cap=cap)
     except (OSError, MattError) as e:
-        code = getattr(e, "code", "ParseError")
-        print(f"ERROR {code} @ {path}:0:0: {e}", file=sys.stderr)
-        return 2
+        return _bad_input(path, e, sys.stderr)
     failed = False
     for name in sorted(results):
         ok, detail = results[name]
@@ -193,6 +194,18 @@ def cmd_sem_laws(path, only=None, cap=None, out=None) -> int:
               + (f" ({detail})" if detail and not ok else ""), file=out)
         failed = failed or not ok
     return 1 if failed else 0
+
+
+def _cap(text: str) -> int:
+    """--cap: a search bound, so a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid non-negative integer: {text!r}")
+    return n
 
 
 @functools.cache
@@ -218,7 +231,7 @@ def _arg_parser() -> argparse.ArgumentParser:
     p_laws = sem_sub.add_parser("laws")
     p_laws.add_argument("diagram")
     p_laws.add_argument("--only", default=None)
-    p_laws.add_argument("--cap", type=int, default=None)
+    p_laws.add_argument("--cap", type=_cap, default=None)
     p_laws.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
     return ap

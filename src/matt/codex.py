@@ -587,11 +587,26 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
 @dataclass
 class CodexBundle:
     """Codex categories at every mode with both adjunction families, each
-    keyed by morphism."""
+    keyed by morphism, and each built whole when a law first reads it."""
     diagram: Diagram
-    codexes: dict
-    adjunctions: dict     # reflect -| incl
-    right_adjoints: dict  # lock -| radj
+    cap: int | None = None
+
+    @cached_property
+    def codexes(self) -> dict:
+        return {p: enumerate_codex(self.diagram, p, cap=self.cap)
+                for p in self.diagram.mt.modes}
+
+    @cached_property
+    def adjunctions(self) -> dict:  # reflect -| incl
+        return {m.name: incl(self.codexes[m.dst], m.name, cap=self.cap)
+                for m in self.diagram.mt.morphisms.values()}
+
+    @cached_property
+    def right_adjoints(self) -> dict:  # lock -| radj
+        cx = self.codexes
+        return {m.name: codex_right_adjoint(cx[m.src], cx[m.dst], m.name,
+                                            self.adjunctions, cap=self.cap)
+                for m in self.diagram.mt.morphisms.values()}
 
     @cached_property
     def report(self) -> list[tuple]:
@@ -601,14 +616,7 @@ class CodexBundle:
 
 
 def build_bundle(d: Diagram, cap=None) -> CodexBundle:
-    mt = d.mt
-    codexes = {p: enumerate_codex(d, p, cap=cap) for p in mt.modes}
-    adjs = {m.name: incl(codexes[m.dst], m.name, cap=cap)
-            for m in mt.morphisms.values()}
-    radjs = {m.name: codex_right_adjoint(codexes[m.src], codexes[m.dst],
-                                         m.name, adjs, cap=cap)
-             for m in mt.morphisms.values()}
-    return CodexBundle(d, codexes, adjs, radjs)
+    return CodexBundle(d, cap)
 
 
 def psnat_component(bundle: CodexBundle, pi: str, delta: OplaxObject):

@@ -160,10 +160,6 @@ LAWS = {
     "universal-property": law_universal_property,
 }
 
-# laws that only read the diagram, never the codex bundle
-_NO_BUNDLE = {"limit-preservation"}
-
-
 def run_law_suite(path, only=None, cap=None) -> dict:
     """Run the laws against the diagram at path.
 
@@ -182,19 +178,9 @@ def run_law_suite(path, only=None, cap=None) -> dict:
     else:
         selected = LAWS
 
-    bundle = None
-    bundle_err = None
-    if any(name not in _NO_BUNDLE for name in selected):
-        try:
-            bundle = build_bundle(d, cap=cap)
-        except MattError as e:
-            bundle_err = str(e)  # not e: its traceback holds this frame
-
+    bundle = build_bundle(d, cap=cap)
     results = {}
     for name, law in sorted(selected.items()):
-        if bundle is None and name not in _NO_BUNDLE:
-            results[name] = (False, bundle_err)
-            continue
         try:
             results[name] = law(d, bundle, cap)
         except MattError as e:

@@ -423,7 +423,7 @@ def _check_category(elems, table, ident, axiom, bad):
 
 
 def _check_two_category(mt: ModeTheory, bad):
-    """The whiskering axioms, all guarded lookups."""
+    """The whiskering axioms and interchange, all guarded lookups."""
     vc = mt.vcompose_table
     for b in mt.cells.values():
         for a in mt.cells.values():
@@ -483,6 +483,35 @@ def _check_two_category(mt: ModeTheory, bad):
                 if left is not None and right is not None and left != right:
                     bad("whisker-associative",
                         f"({m.name}◁{b.name})▷{s.name} != {m.name}◁({b.name}▷{s.name})")
+    # Rows are well-typed (`_check_table_shapes`), so a lookup of a pair that
+    # does not compose, or of a missing (None) operand, finds no row.
+    wl, wr, comp = mt.wl_table, mt.wr_table, mt.compose_table
+    for b in mt.cells.values():
+        for n in mt.morphisms.values():
+            nb, bn = wl.get((n.name, b.name)), wr.get((b.name, n.name))
+            if nb is None and bn is None:
+                continue
+            for m in mt.morphisms.values():
+                left = wl.get((m.name, nb))
+                right = wl.get((comp.get((m.name, n.name)), b.name))
+                if None not in (left, right) and left != right:
+                    bad("whisker-left-compose",
+                        f"{m.name}◁({n.name}◁{b.name}) = {left} but "
+                        f"({m.name}∘{n.name})◁{b.name} = {right}")
+                left = wr.get((bn, m.name))
+                right = wr.get((b.name, comp.get((n.name, m.name))))
+                if None not in (left, right) and left != right:
+                    bad("whisker-right-compose",
+                        f"({b.name}▷{n.name})▷{m.name} = {left} but "
+                        f"{b.name}▷({n.name}∘{m.name}) = {right}")
+    for a in mt.cells.values():  # a: k ⇒ k'
+        for b in mt.cells.values():  # b: m ⇒ m', m after k
+            left = vc.get((wr.get((b.name, a.dst)), wl.get((b.src, a.name))))
+            right = vc.get((wl.get((b.dst, a.name)), wr.get((b.name, a.src))))
+            if None not in (left, right) and left != right:
+                bad("interchange",
+                    f"({b.name}▷{a.dst})∘({b.src}◁{a.name}) = {left} but "
+                    f"({b.dst}◁{a.name})∘({b.name}▷{a.src}) = {right}")
 
 
 def _check_adjoints(mt: ModeTheory, bad):

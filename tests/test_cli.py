@@ -178,6 +178,16 @@ def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
     assert out == "" and err.startswith(f"ERROR MalformedTable @ {f}:")
 
 
+@pytest.mark.parametrize("cap", ["-1", "abc"])
+def test_sem_laws_rejects_a_cap_that_is_not_a_count(capsys, cap):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sem", "laws", str(diagram_path("single_arrow")), "--cap", cap])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: matt sem laws")
+    assert f"--cap: invalid non-negative integer: '{cap}'" in err
+
+
 def _non_utf8(tmp_path, name):
     f = tmp_path / name
     f.write_bytes(b"\xff\xfe not utf-8")

@@ -144,6 +144,7 @@ def test_locks_built_once_per_morphism(monkeypatch, name):
     monkeypatch.setattr("matt.codex.lock_functor", counting)
     d = diag(name)
     b = build_bundle(d)
+    b.right_adjoints  # builds the locks, as lock -| radj pairs
     assert sorted(calls) == sorted(d.mt.morphisms)
     calls.clear()
     assert all(ok for _, ok, _ in verify_2functor(b))

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from matt import codex
 from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.cli import cmd_sem_laws, main
 from matt.codex import (Adjunction, CodexBundle, enumerate_codex,
                         verify_2functor)
-from matt.errors import ParseError
+from matt.errors import LimitAbsent, ParseError
 from matt.fincat import FinCat, identity_functor, load_diagram
 from matt.laws import (LAWS, law_adjunction, law_radj_triangles,
                        run_law_suite)
@@ -188,7 +189,8 @@ INVOLUTION = FinCat(["a"], [("s", "a", "a")], [("s", "s", "id:a")])
 def test_triangle_check_separates_parallel_arrows(unit, counit, expected):
     same = identity_functor(INVOLUTION)
     adj = Adjunction("m", same, same, {"a": unit}, {"a": counit}, {})
-    b = CodexBundle(None, {}, {"m": adj}, {"m": adj})
+    b = CodexBundle(None)
+    b.adjunctions = b.right_adjoints = {"m": adj}
     assert law_radj_triangles(None, b, None) == expected
     assert law_adjunction(None, b, None) == expected
 
@@ -205,6 +207,41 @@ def test_2functor_report_built_once_per_suite(monkeypatch, only):
     results = run_law_suite(diagram_path("reflective"), only=only)
     assert all(ok for ok, _ in results.values())
     assert len(calls) == 1
+
+
+# --- each codex family is built when a law first reads it -----------------------
+
+# reflective.dg: two modes, five morphisms
+@pytest.mark.parametrize("only, built", [
+    ("limit-preservation", [0, 0, 0]),
+    ("up-ff", [2, 5, 0]),
+    ("adjunction", [2, 5, 0]),
+    (None, [2, 5, 5]),
+])
+def test_laws_build_only_the_families_they_read(monkeypatch, only, built):
+    counts = dict.fromkeys(["enumerate_codex", "incl",
+                            "codex_right_adjoint"], 0)
+    for name in counts:
+        def counting(*args, _name=name, _real=getattr(codex, name), **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(codex, name, counting)
+    results = run_law_suite(diagram_path("reflective"), only=only)
+    assert all(ok for ok, _ in results.values())
+    assert list(counts.values()) == built
+
+
+def test_a_right_adjoint_error_fails_only_the_laws_that_read_them(
+        monkeypatch):
+    def absent(*args, **kw):
+        raise LimitAbsent("probe")
+
+    monkeypatch.setattr("matt.codex.codex_right_adjoint", absent)
+    results = run_law_suite(diagram_path("reflective"))
+    readers = {"lock-strictness", "radj-triangles", "pseudonat",
+               "pointwise-limits", "2functor", "universal-property"}
+    assert results == {name: (False, "probe") if name in readers
+                       else (True, "") for name in LAWS}
 
 
 # --- the law output, pinned byte for byte --------------------------------------

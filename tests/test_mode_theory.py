@@ -2,7 +2,8 @@
 
 Positive cases are the six bundled presentations; negative cases are ten
 mutants, one per axiom class, and probes of the category laws of the
-vcompose table, of table totality and of the whisker unit laws.
+vcompose table, of table totality, of the whisker unit and composition laws
+and of interchange.
 """
 
 import copy
@@ -226,14 +227,15 @@ def violations(data):
 
 
 def test_vcompose_not_associative_names_only_that_axiom():
-    # the table of test_mutant_compose_not_associative, on two endo-cells
+    # two endo-cells of id:p, (a∘a)∘b = id:id:p but a∘(a∘b) = a; the table
+    # is commutative, since interchange makes endo-cells of an identity commute
     data = {
         "modes": ["p"], "morphisms": [],
         "cells": [{"name": "a", "src": "id:p", "dst": "id:p"},
                   {"name": "b", "src": "id:p", "dst": "id:p"}],
         "compose": [],
         "vcompose": [["a", "a", "b"], ["a", "b", "id:id:p"],
-                     ["b", "a", "a"], ["b", "b", "id:id:p"]],
+                     ["b", "a", "id:id:p"], ["b", "b", "id:id:p"]],
         "whisker_left": [], "whisker_right": [],
         "classes": {"tangible": ["id:p"], "sharp": ["id:p"],
                     "transparent": ["id:p"], "sinister": []},
@@ -260,3 +262,66 @@ def test_whiskering_by_an_identity_must_be_the_cell(table, row, axiom,
     data = theory_data("reflective")
     data[table].append(row)
     assert violations(data) == (Violation(axiom, message),)
+
+
+# --- whiskering along a composite, and interchange ---------------------------
+
+def three_modes(morphisms, compose, cells, vcompose, wl, wr):
+    """A theory over modes p, q, r, every morphism tangible."""
+    return {
+        "modes": ["p", "q", "r"],
+        "morphisms": [{"name": n, "src": s, "dst": d}
+                      for n, s, d in morphisms],
+        "compose": compose,
+        "cells": [{"name": n, "src": s, "dst": d} for n, s, d in cells],
+        "vcompose": vcompose, "whisker_left": wl, "whisker_right": wr,
+        "classes": {"tangible": ["id:p", "id:q", "id:r"]
+                    + [n for n, _, _ in morphisms],
+                    "sharp": ["id:p", "id:q", "id:r"],
+                    "transparent": ["id:p", "id:q", "id:r"],
+                    "sinister": []},
+        "adjoints": [],
+    }
+
+
+# m, n idempotent; on their composite c ≤ d with d∘c = c∘d = d; an endo-cell
+# e of an identity, whiskered to the composite in two ways that disagree
+WHISKER_COMPOSE = {
+    "whisker-left-compose": three_modes(
+        [("n", "p", "q"), ("m", "q", "r"), ("mn", "p", "r")],
+        [["m", "n", "mn"]],
+        [("e", "id:p", "id:p"), ("ne", "n", "n"),
+         ("c", "mn", "mn"), ("d", "mn", "mn")],
+        [["e", "e", "e"], ["ne", "ne", "ne"], ["c", "c", "c"],
+         ["c", "d", "d"], ["d", "c", "d"], ["d", "d", "d"]],
+        [["n", "e", "ne"], ["m", "ne", "c"], ["mn", "e", "d"]], []),
+    "whisker-right-compose": three_modes(
+        [("k", "p", "q"), ("m", "q", "r"), ("mk", "p", "r")],
+        [["m", "k", "mk"]],
+        [("e", "id:r", "id:r"), ("em", "m", "m"),
+         ("c", "mk", "mk"), ("d", "mk", "mk")],
+        [["e", "e", "e"], ["em", "em", "em"], ["c", "c", "c"],
+         ["c", "d", "d"], ["d", "c", "d"], ["d", "d", "d"]],
+        [], [["e", "m", "em"], ["em", "k", "c"], ["e", "mk", "d"]]),
+}
+
+
+@pytest.mark.parametrize("axiom", list(WHISKER_COMPOSE))
+def test_whiskering_along_a_composite_is_whiskering_twice(axiom):
+    found = violations(WHISKER_COMPOSE[axiom])
+    assert {v.axiom for v in found} == {axiom}, found
+
+
+def test_interchange_must_hold():
+    # a on k and b on m idempotent; on m∘k the cells x, y with x∘y = x and
+    # y∘x = y, so the two ways round the square, x∘y and y∘x, differ
+    data = three_modes(
+        [("k", "p", "q"), ("m", "q", "r"), ("mk", "p", "r")],
+        [["m", "k", "mk"]],
+        [("a", "k", "k"), ("b", "m", "m"), ("x", "mk", "mk"),
+         ("y", "mk", "mk")],
+        [["a", "a", "a"], ["b", "b", "b"], ["x", "x", "x"],
+         ["x", "y", "x"], ["y", "x", "y"], ["y", "y", "y"]],
+        [["m", "a", "y"]], [["b", "k", "x"]])
+    assert violations(data) == (Violation(
+        "interchange", "(b▷k)∘(m◁a) = x but (m◁a)∘(b▷k) = y"),)
