@@ -9,10 +9,12 @@ triple (nu, rho, alpha), not just the cell.
 
 Everything here is finite: codex categories are enumerated exhaustively and
 handed back as plain FinCats so the limit machinery applies to them unchanged.
-A CodexCategory holds its index, computed once: the morphisms into its mode
-and their decompositions.  Constructions read that index and return the
-codex's own object and arrow instances.  Lock functors act by composition on
-the index, and reflect projects a component.
+A CodexCategory holds its index (codex_index), computed once per mode: the
+morphisms into the mode, a record per decomposition with the category and
+functor its structure map reads, and the cocycle and cell-action equations
+as rows.  Constructions read the index, so they do no mode-theory arithmetic
+per object or arrow, and return the codex's own instances.  Lock functors act
+by composition on the index, and reflect projects a component.
 
 The codex gives two families of adjunctions, both held in one record,
 Adjunction: reflect(pi) -| incl(pi) between the codex and the base
@@ -25,6 +27,7 @@ sends an arrow to the arrow its map of diagrams induces between the limits.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,17 +77,80 @@ class OplaxObject:
         return self._smaps[triple]
 
 
+@dataclass(frozen=True)
+class Decomposition:
+    """One decomposition alpha: mu => nu . rho into the mode.  Its structure
+    map, keyed (nu, rho, alpha), runs nu-component -> fun(mu-component) in
+    cat = C_{src nu}, fun = C_rho; identity: rho and alpha are identities."""
+    key: tuple
+    nu: str
+    rho: str
+    alpha: str
+    mu: str
+    cat: FinCat
+    fun: FinFunctor
+    identity: bool
+
+
+@dataclass
+class CodexIndex:
+    """What the mode theory fixes about every codex object at one mode:
+    mus, the morphisms into it, with cats[mu] = C_{src mu}; one Decomposition
+    per key, in sorted key order; and the coherence equations on components c
+    and structure maps s as rows.  A cocycle row (t1, t2, t3, cat, fun) asks
+    cat.comp(fun.amap[s[t1]], s[t2]) == s[t3], an action row (t1, beta, nat,
+    mu1, t3, cat) asks cat.comp(nat.at(c[mu1]), s[t1]) == s[t3]."""
+    mus: list
+    cats: dict
+    decomps: list
+    cocycles: list
+    actions: list
+
+
+def codex_index(d: Diagram, r: str) -> CodexIndex:
+    """The index of the codex at mode r: all the mode-theory arithmetic the
+    codex constructions need, done once."""
+    mt = d.mt
+    mus = [m.name for m in mt.morphisms_into(r)]
+    keys = []
+    for nu in mt.morphisms_into(r):
+        for rho in mt.morphisms.values():
+            if rho.dst == nu.src:
+                comp = mt.compose(nu.name, rho.name)
+                keys += [(nu.name, rho.name, c.name)
+                         for c in mt.cells.values() if c.dst == comp]
+    decomps = [Decomposition((nu, rho, alpha), nu, rho, alpha,
+                             mt.cell(alpha).src, d.cat(mt.mor(nu).src),
+                             d.fun(rho),
+                             mt.is_id_mor(rho) and mt.is_id_cell(alpha))
+               for nu, rho, alpha in sorted(keys)]
+    cocycles, actions = [], []
+    for t1 in decomps:
+        # cocycle: decompose nu1 further by any t2
+        for t2 in decomps:
+            if t2.mu == t1.nu:
+                t3 = (t2.nu, mt.compose(t2.rho, t1.rho),
+                      mt.vcomp(mt.wr(t2.alpha, t1.rho), t1.alpha))
+                cocycles.append((t1.key, t2.key, t3, t2.cat, t2.fun))
+        # cell action: whisker the decomposition by any beta: rho1 => sigma
+        for beta in mt.cells.values():
+            if beta.src == t1.rho:
+                t3 = (t1.nu, beta.dst,
+                      mt.vcomp(mt.wl(t1.nu, beta.name), t1.alpha))
+                actions.append((t1.key, beta.name, d.nat(beta.name), t1.mu,
+                                t3, t1.cat))
+    return CodexIndex(mus, {mu: d.cat(mt.mor(mu).src) for mu in mus},
+                      decomps, cocycles, actions)
+
+
 @dataclass
 class CodexCategory:
-    """The codex category at a mode, built only by enumerate_codex.
-
-    mus (the morphisms into the mode) index the components of an object and
-    trips (decomposition_triples) its structure maps.  obj and arrow return
-    the enumerated instances, never an equal copy."""
+    """The codex category at a mode, built only by enumerate_codex with its
+    index.  obj and arrow return the enumerated instances, never an equal
+    copy."""
     diagram: Diagram
     mode: str
-    mus: list
-    trips: list
+    index: CodexIndex
     cat: FinCat
     _instances: dict = field(init=False, repr=False, compare=False)
 
@@ -103,140 +169,82 @@ class CodexCategory:
     def arrow(self, comps: dict, src: OplaxObject, dst: OplaxObject):
         """The name of the arrow src -> dst with these components, as the
         codex holds it."""
-        return self.cat.arr(_arrow_name(self.diagram, comps, src, dst)).name
+        return self.cat.arr(_arrow_name(self.index.cats, comps, src,
+                                        dst)).name
 
     def theta(self, name) -> dict:
         """Per-index components of a codex arrow."""
         a = self.cat.arr(name)
         if name == self.cat.identities.get(a.src):
-            return _identity_family(self.diagram, a.src)
+            return _identity_family(self.index.cats, a.src)
         return dict(name[0])
 
 
-def decomposition_triples(mt, r) -> list:
-    """All (nu, rho, alpha) with nu: q->r, rho: p->q, alpha: mu => nu.rho."""
-    out = []
-    for rho in mt.morphisms.values():
-        for nu in mt.morphisms.values():
-            if nu.dst != r or rho.dst != nu.src:
-                continue
-            comp = mt.compose(nu.name, rho.name)
-            for c in mt.cells.values():
-                if c.dst == comp:
-                    out.append((nu.name, rho.name, c.name))
-    return sorted(out)
-
-
-def _is_identity_triple(mt, t) -> bool:
-    nu, rho, alpha = t
-    return mt.is_id_mor(rho) and mt.is_id_cell(alpha)
-
-
-def _structure_violations(d, comps, smaps, trips) -> list[str]:
+def _structure_violations(ix: CodexIndex, comps, smaps) -> list[str]:
     """Cocycle and cell-action equations, assuming boundaries are fine."""
-    mt = d.mt
-    out = []
-    for t1 in trips:
-        nu1, rho1, a1 = t1
-        mu1 = mt.cell(a1).src
-        # cocycle: decompose nu1 further by any t2 = (nu2, rho2, a2)
-        for t2 in trips:
-            nu2, rho2, a2 = t2
-            if mt.cell(a2).src != nu1:
-                continue
-            t3 = (nu2, mt.compose(rho2, rho1),
-                  mt.vcomp(mt.wr(a2, rho1), a1))
-            c2 = d.cat(mt.mor(nu2).src)
-            lhs = c2.comp(d.fun(rho2).amap[smaps[t1]], smaps[t2])
-            if lhs != smaps[t3]:
-                out.append(f"cocycle fails at {t1} then {t2}")
-        # cell action: whisker the decomposition by any beta: rho1 => sigma
-        for beta in mt.cells.values():
-            if beta.src != rho1:
-                continue
-            t3 = (nu1, beta.dst, mt.vcomp(mt.wl(nu1, beta.name), a1))
-            cq = d.cat(mt.mor(nu1).src)
-            lhs = cq.comp(d.nat(beta.name).at(comps[mu1]), smaps[t1])
-            if lhs != smaps[t3]:
-                out.append(f"cell action fails at {t1} with {beta.name}")
-    return out
+    out = [f"cocycle fails at {t1} then {t2}"
+           for t1, t2, t3, cat, fun in ix.cocycles
+           if cat.comp(fun.amap[smaps[t1]], smaps[t2]) != smaps[t3]]
+    return out + [f"cell action fails at {t1} with {beta}"
+                  for t1, beta, nat, mu1, t3, cat in ix.actions
+                  if cat.comp(nat.at(comps[mu1]), smaps[t1]) != smaps[t3]]
 
 
 def check_oplax_object(d, obj: OplaxObject) -> list[str]:
     """Independent verification of all codex-object axioms."""
-    mt = d.mt
+    ix = codex_index(d, obj.mode)
     comps, smaps = obj._comps, obj._smaps
-    mus = [m.name for m in mt.morphisms_into(obj.mode)]
-    if sorted(comps) != sorted(mus):
+    if sorted(comps) != ix.mus:
         return ["component index set does not match morphisms into the mode"]
-    trips = decomposition_triples(mt, obj.mode)
-    if sorted(smaps) != trips:
+    if sorted(smaps) != [t.key for t in ix.decomps]:
         return ["structure map index set does not match decompositions"]
     out = []
-    for t in trips:
-        nu, rho, alpha = t
-        mu = mt.cell(alpha).src
-        cq = d.cat(mt.mor(nu).src)
-        arr = cq.arr(smaps[t])
-        if (arr.src, arr.dst) != (comps[nu], d.fun(rho).omap[comps[mu]]):
-            out.append(f"structure map at {t} has wrong boundary")
-        if _is_identity_triple(mt, t) and smaps[t] != cq.id_arr(comps[mu]):
-            out.append(f"identity decomposition at {t} is not the identity")
-    if out:
-        return out
-    return _structure_violations(d, comps, smaps, trips)
+    for t in ix.decomps:
+        arr = t.cat.arr(smaps[t.key])
+        if (arr.src, arr.dst) != (comps[t.nu], t.fun.omap[comps[t.mu]]):
+            out.append(f"structure map at {t.key} has wrong boundary")
+        if t.identity and smaps[t.key] != t.cat.id_arr(comps[t.mu]):
+            out.append(f"identity decomposition at {t.key} is not the "
+                       "identity")
+    return out or _structure_violations(ix, comps, smaps)
 
 
-def _theta_squares_ok(d, trips, g, h, theta) -> bool:
-    mt = d.mt
-    for t in trips:
-        nu, rho, alpha = t
-        mu = mt.cell(alpha).src
-        cq = d.cat(mt.mor(nu).src)
-        lhs = cq.comp(d.fun(rho).amap[theta[mu]], g.smap(t))
-        rhs = cq.comp(h.smap(t), theta[nu])
-        if lhs != rhs:
-            return False
-    return True
+def _theta_squares_ok(ix: CodexIndex, g, h, theta) -> bool:
+    return all(t.cat.comp(t.fun.amap[theta[t.mu]], g.smap(t.key)) ==
+               t.cat.comp(h.smap(t.key), theta[t.nu]) for t in ix.decomps)
 
 
 def check_oplax_morphism(cx: CodexCategory, arrow_name) -> list[str]:
-    d, mt = cx.diagram, cx.diagram.mt
     a = cx.cat.arr(arrow_name)
     theta = cx.theta(arrow_name)
     out = []
     for mu, arr in theta.items():
-        cp = d.cat(mt.mor(mu).src)
-        ab = cp.arr(arr)
+        ab = cx.index.cats[mu].arr(arr)
         if (ab.src, ab.dst) != (a.src.component(mu), a.dst.component(mu)):
             out.append(f"component at {mu} has wrong boundary")
-    if not out and not _theta_squares_ok(d, cx.trips, a.src, a.dst, theta):
+    if not out and not _theta_squares_ok(cx.index, a.src, a.dst, theta):
         out.append("a structure square does not commute")
     return out
 
 
-def _identity_family(d, obj: OplaxObject) -> dict:
-    mt = d.mt
-    return {mu: d.cat(mt.mor(mu).src).id_arr(v) for mu, v in obj.components}
+def _identity_family(cats: dict, obj: OplaxObject) -> dict:
+    return {mu: cats[mu].id_arr(v) for mu, v in obj.components}
 
 
-def _arrow_name(d: Diagram, comps: dict, src: OplaxObject,
+def _arrow_name(cats: dict, comps: dict, src: OplaxObject,
                 dst: OplaxObject):
-    """The name of the codex arrow src -> dst with the given components."""
-    if src is dst and comps == _identity_family(d, src):
+    """The name of the codex arrow src -> dst with the given components;
+    cats maps each index to its base category."""
+    if src is dst and comps == _identity_family(cats, src):
         return id_name(src)
     return (tuple(sorted(comps.items())), src, dst)
 
 
 def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
     """Exhaustively build the codex category at mode r as a FinCat."""
-    mt = d.mt
-    mus = [m.name for m in mt.morphisms_into(r)]
-    trips = decomposition_triples(mt, r)
-    cats = {mu: d.cat(mt.mor(mu).src) for mu in mus}
-    est = 1
-    for mu in mus:
-        est *= len(cats[mu].objects)
+    ix = codex_index(d, r)
+    mus, cats, keys = ix.mus, ix.cats, [t.key for t in ix.decomps]
+    est = math.prod(len(cats[mu].objects) for mu in mus)
     if cap is not None and est > cap:
         raise CapExceeded(f"codex at {r}: component search size {est} "
                           f"exceeds cap {cap}")
@@ -245,26 +253,17 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
     for combo in itertools.product(*(cats[mu].objects for mu in mus)):
         comps = dict(zip(mus, combo))
         choices = []
-        feasible = True
-        for t in trips:
-            nu, rho, alpha = t
-            mu = mt.cell(alpha).src
-            cq = d.cat(mt.mor(nu).src)
-            target = d.fun(rho).omap[comps[mu]]
-            if _is_identity_triple(mt, t):
-                opts = [cq.id_arr(comps[mu])]
-            else:
-                opts = cq.hom(comps[nu], target)
+        for t in ix.decomps:
+            opts = [t.cat.id_arr(comps[t.mu])] if t.identity else \
+                t.cat.hom(comps[t.nu], t.fun.omap[comps[t.mu]])
             if not opts:
-                feasible = False
                 break
             choices.append(opts)
-        if not feasible:
-            continue
-        for pick in itertools.product(*choices):
-            smaps = dict(zip(trips, pick))
-            if not _structure_violations(d, comps, smaps, trips):
-                objs.append(OplaxObject.of(r, comps, smaps))
+        else:
+            for pick in itertools.product(*choices):
+                smaps = dict(zip(keys, pick))
+                if not _structure_violations(ix, comps, smaps):
+                    objs.append(OplaxObject.of(r, comps, smaps))
 
     arrows = []
     for g in objs:
@@ -273,9 +272,9 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
                     for mu in mus]
             for combo in itertools.product(*homs):
                 theta = dict(zip(mus, combo))
-                if not _theta_squares_ok(d, trips, g, h, theta):
+                if not _theta_squares_ok(ix, g, h, theta):
                     continue
-                if g == h and theta == _identity_family(d, g):
+                if g == h and theta == _identity_family(cats, g):
                     continue  # synthesized by FinCat
                 name = (tuple(sorted(theta.items())), g, h)
                 arrows.append((name, g, h))
@@ -291,35 +290,37 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
         for (bn, _, bdst) in out_of.get(adst, ()):
             tb = dict(bn[0])
             comps = {mu: cats[mu].comp(tb[mu], ta[mu]) for mu in mus}
-            rows.append((bn, an, _arrow_name(d, comps, asrc, bdst)))
-    return CodexCategory(d, r, mus, trips,
-                         FinCat(objs, arrows, rows, name=f"Codex({r})"))
+            rows.append((bn, an, _arrow_name(cats, comps, asrc, bdst)))
+    return CodexCategory(d, r, ix, FinCat(objs, arrows, rows,
+                                          name=f"Codex({r})"))
 
 
 # --- lock functors and reflection ----------------------------------------------
 
 def lock_functor(cx_r: CodexCategory, cx_q: CodexCategory,
                  mu: str) -> FinFunctor:
-    """The lock along mu: q -> r, acting by composition on the index."""
+    """The lock along mu: q -> r, acting by composition on the index: nu ->
+    mu.nu and (nu, rho, alpha) -> (mu.nu, rho, mu<alpha), computed once."""
     mt = cx_r.diagram.mt
     m = mt.mor(mu)
     if (m.src, m.dst) != (cx_q.mode, cx_r.mode):
         raise NotComposable(f"lock_functor: {mu} is not {cx_q.mode} -> "
                             f"{cx_r.mode}")
+    along = {nu: mt.compose(mu, nu) for nu in cx_q.index.mus}
+    keys = {t.key: (along[t.nu], t.rho, mt.wl(mu, t.alpha))
+            for t in cx_q.index.decomps}
     omap = {}
     for g in cx_r.objects:
-        comps = {nu: g.component(mt.compose(mu, nu)) for nu in cx_q.mus}
-        smaps = {t: g.smap((mt.compose(mu, t[0]), t[1], mt.wl(mu, t[2])))
-                 for t in cx_q.trips}
-        omap[g] = cx_q.obj(comps, smaps)
+        omap[g] = cx_q.obj({nu: g.component(k) for nu, k in along.items()},
+                           {t: g.smap(k) for t, k in keys.items()})
         if omap[g] is None:
             raise MalformedTable(f"lock({mu}): image of {g} was not "
                                  "enumerated")
     amap = {}
     for name, a in cx_r.cat.arrows.items():
         th = cx_r.theta(name)
-        comps = {nu: th[mt.compose(mu, nu)] for nu in cx_q.mus}
-        amap[name] = cx_q.arrow(comps, omap[a.src], omap[a.dst])
+        amap[name] = cx_q.arrow({nu: th[k] for nu, k in along.items()},
+                                omap[a.src], omap[a.dst])
     return FinFunctor(cx_r.cat, cx_q.cat, omap, amap, name=f"lock({mu})")
 
 
@@ -332,14 +333,10 @@ def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
     cx_r, cx_q = bundle.codexes[m.dst], bundle.codexes[m.src]
     fm2 = bundle.right_adjoints[c.dst].left
     fm = bundle.right_adjoints[c.src].left
-    comps = {}
-    for g in cx_r.objects:
-        th = {}
-        for nu in cx_q.mus:
-            o = mt.mor(nu).src
-            cell = mt.wr(beta, nu)
-            th[nu] = g.smap((mt.compose(c.dst, nu), mt.id_mor(o), cell))
-        comps[g] = cx_q.arrow(th, fm2.omap[g], fm.omap[g])
+    keys = {nu: (mt.compose(c.dst, nu), mt.id_mor(mt.mor(nu).src),
+                 mt.wr(beta, nu)) for nu in cx_q.index.mus}
+    comps = {g: cx_q.arrow({nu: g.smap(k) for nu, k in keys.items()},
+                           fm2.omap[g], fm.omap[g]) for g in cx_r.objects}
     return FinNat(fm2, fm, comps, name=f"lock({beta})")
 
 
@@ -405,39 +402,40 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
         raise NotComposable(f"incl: {pi} does not land in {cx_s.mode}")
     r = m.src
     cr = d.cat(r)
-    commas = {nu: comma(mt, pi, nu) for nu in cx_s.mus}
+    ix = cx_s.index
+    # per nu, pi down nu as (node, C_sigma) and (src, dst, C_gamma) lists;
+    # per t, the pairs of a node o of pi down mu and the node t sends o to
+    shapes = {}
+    for nu in ix.mus:
+        k = comma(mt, pi, nu)
+        shapes[nu] = ([(o, d.fun(o[0])) for o in k.objects],
+                      [(a.src, a.dst, d.nat(n[0]))
+                       for n, a in k.arrows.items()
+                       if n not in k.identities.values()])
+    legs = {t.key: [(o, (mt.compose(t.rho, o[0]),
+                         mt.vcomp(mt.wr(t.alpha, o[0]), o[1])))
+                    for o, _ in shapes[t.mu][0]] for t in ix.decomps}
 
     cones = {}
     omap = {}
     for g in cr.objects:
         comps = {}
-        for nu in cx_s.mus:
-            k = commas[nu]
-            cq = d.cat(mt.mor(nu).src)
-            nodes = {o: d.fun(o[0]).omap[g] for o in k.objects}
-            edges = [(a.src, a.dst, d.nat(n[0]).at(g))
-                     for n, a in k.arrows.items()
-                     if n not in k.identities.values()]
-            cone = limit(cq, nodes, edges, cap=cap)
+        for nu, (nodes, edges) in shapes.items():
+            cone = limit(ix.cats[nu], {o: f.omap[g] for o, f in nodes},
+                         [(a, b, n.at(g)) for a, b, n in edges], cap=cap)
             if cone is None:
                 raise LimitAbsent(f"incl({pi}): component at {nu} of {g} "
                                   "has no limit")
             comps[nu] = cone.apex
             cones[(g, nu)] = cone
         smaps = {}
-        for t in cx_s.trips:
-            nu, rho, alpha = t
-            mu = mt.cell(alpha).src
-            cq = d.cat(mt.mor(nu).src)
-            frho = d.fun(rho)
-            conemu, conenu = cones[(g, mu)], cones[(g, nu)]
-            smaps[t] = _mediating(
-                cq, comps[nu], frho.omap[comps[mu]],
-                ((frho.amap[conemu.leg(o)],
-                  conenu.leg((mt.compose(rho, o[0]),
-                              mt.vcomp(mt.wr(alpha, o[0]), o[1]))))
-                 for o in commas[mu].objects),
-                "incl({}): structure map at {} of {}", pi, t, g)
+        for t in ix.decomps:
+            conemu, conenu = cones[(g, t.mu)], cones[(g, t.nu)]
+            smaps[t.key] = _mediating(
+                t.cat, comps[t.nu], t.fun.omap[comps[t.mu]],
+                ((t.fun.amap[conemu.leg(o)], conenu.leg(k))
+                 for o, k in legs[t.key]),
+                "incl({}): structure map at {} of {}", pi, t.key, g)
         omap[g] = cx_s.obj(comps, smaps)
         if omap[g] is None:
             raise MalformedTable(f"incl({pi}): computed object for {g} was "
@@ -446,10 +444,10 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     amap = {}
     for fname, fa in cr.arrows.items():
         comps = {nu: _induced(
-            d.cat(mt.mor(nu).src), cones[(fa.src, nu)], cones[(fa.dst, nu)],
-            {o: d.fun(o[0]).amap[fname] for o in commas[nu].objects},
+            ix.cats[nu], cones[(fa.src, nu)], cones[(fa.dst, nu)],
+            {o: f.amap[fname] for o, f in shapes[nu][0]},
             "incl({}): image of {} at {}", pi, fname, nu)
-            for nu in cx_s.mus}
+            for nu in ix.mus}
         amap[fname] = cx_s.arrow(comps, omap[fa.src], omap[fa.dst])
 
     counit_key = (mt.id_mor(r), mt.id_cell(pi))
@@ -458,13 +456,12 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     for delta in cx_s.objects:
         g = delta.component(pi)
         comps = {}
-        for nu in cx_s.mus:
-            cq = d.cat(mt.mor(nu).src)
+        for nu in ix.mus:
             cone = cones[(g, nu)]
             comps[nu] = _mediating(
-                cq, delta.component(nu), omap[g].component(nu),
+                ix.cats[nu], delta.component(nu), omap[g].component(nu),
                 ((cone.leg(o), delta.smap((nu, o[0], o[1])))
-                 for o in commas[nu].objects),
+                 for o, _ in shapes[nu][0]),
                 "incl({}): unit at {} of {}", pi, nu, delta)
         unit[delta] = cx_s.arrow(comps, delta, omap[g])
     return Adjunction(pi, reflect(cx_s, pi),
@@ -503,34 +500,29 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     """lock(pi) -| radj(pi) for pi: r -> s, with radj assembled as a limit
     of inclusions; adjs maps every composite pi . mu to its reflect -| incl
     Adjunction."""
-    d, mt = cx_r.diagram, cx_r.diagram.mt
+    mt = cx_r.diagram.mt
     m = mt.mor(pi)
     if (m.src, m.dst) != (cx_r.mode, cx_s.mode):
         raise NotComposable(f"codex_right_adjoint: {pi} is not "
                             f"{cx_r.mode} -> {cx_s.mode}")
-    trips = [t for t in cx_r.trips if not _is_identity_triple(mt, t)]
-    mates = {}
-    for t in trips:
-        nu, rho, alpha = t
-        mu = mt.cell(alpha).src
-        mates[t] = mate(cx_s, adjs[mt.compose(pi, mu)],
-                        adjs[mt.compose(pi, nu)], rho, mt.wl(pi, alpha))
+    ix = cx_r.index
+    pim = {mu: mt.compose(pi, mu) for mu in ix.mus}
+    adj = {mu: adjs[k] for mu, k in pim.items()}
+    trips = [t for t in ix.decomps if not t.identity]
+    mates = {t.key: mate(cx_s, adj[t.mu], adj[t.nu], t.rho,
+                         mt.wl(pi, t.alpha)) for t in trips}
 
     cones = {}
     omap = {}
     for delta in cx_r.objects:
-        nodes = {("n", mu): adjs[mt.compose(pi, mu)].right.omap[
-            delta.component(mu)] for mu in cx_r.mus}
+        nodes = {("n", mu): adj[mu].right.omap[delta.component(mu)]
+                 for mu in ix.mus}
         edges = []
         for t in trips:
-            nu, rho, alpha = t
-            mu = mt.cell(alpha).src
-            a_nu = adjs[mt.compose(pi, nu)]
-            nodes[("c", t)] = a_nu.right.omap[
-                d.fun(rho).omap[delta.component(mu)]]
-            edges.append((("n", nu), ("c", t), a_nu.right.amap[delta.smap(t)]))
-            edges.append((("n", mu), ("c", t),
-                          mates[t].at(delta.component(mu))))
+            right, x, c = adj[t.nu].right, delta.component(t.mu), ("c", t.key)
+            nodes[c] = right.omap[t.fun.omap[x]]
+            edges += [(("n", t.nu), c, right.amap[delta.smap(t.key)]),
+                      (("n", t.mu), c, mates[t.key].at(x))]
         cone = limit(cx_s.cat, nodes, edges, cap=cap)
         if cone is None:
             raise LimitAbsent(f"codex_right_adjoint({pi}): no limit "
@@ -541,12 +533,9 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     amap = {}
     for name, a in cx_r.cat.arrows.items():
         theta = cx_r.theta(name)
-        maps = {("n", mu): adjs[mt.compose(pi, mu)].right.amap[theta[mu]]
-                for mu in cx_r.mus}
-        for t in trips:
-            nu, rho, alpha = t
-            maps[("c", t)] = adjs[mt.compose(pi, nu)].right.amap[
-                d.fun(rho).amap[theta[mt.cell(alpha).src]]]
+        maps = {("n", mu): adj[mu].right.amap[theta[mu]] for mu in ix.mus}
+        maps.update((("c", t.key), adj[t.nu].right.amap[
+            t.fun.amap[theta[t.mu]]]) for t in trips)
         amap[name] = _induced(cx_s.cat, cones[a.src], cones[a.dst], maps,
                               "codex_right_adjoint({}): image of an arrow", pi)
     lock = lock_functor(cx_s, cx_r, pi)
@@ -555,23 +544,20 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     for delta in cx_r.objects:
         apex = omap[delta]
         comps = {}
-        for mu in cx_r.mus:
-            pim = mt.compose(pi, mu)
-            legc = cx_s.theta(cones[delta].leg(("n", mu)))[pim]
-            cp = d.cat(mt.mor(mu).src)
-            comps[mu] = cp.comp(adjs[pim].counit[delta.component(mu)], legc)
+        for mu in ix.mus:
+            legc = cx_s.theta(cones[delta].leg(("n", mu)))[pim[mu]]
+            comps[mu] = ix.cats[mu].comp(
+                adj[mu].counit[delta.component(mu)], legc)
         counit[delta] = cx_r.arrow(comps, lock.omap[apex], delta)
 
     unit = {}
     for gamma in cx_s.objects:
         delta = lock.omap[gamma]
         cone = cones[delta]
-        wanted = {("n", mu): adjs[mt.compose(pi, mu)].unit[gamma]
-                  for mu in cx_r.mus}
+        wanted = {("n", mu): adj[mu].unit[gamma] for mu in ix.mus}
         for t in trips:
-            nu = t[0]
-            edge = adjs[mt.compose(pi, nu)].right.amap[delta.smap(t)]
-            wanted[("c", t)] = cx_s.cat.comp(edge, wanted[("n", nu)])
+            edge = adj[t.nu].right.amap[delta.smap(t.key)]
+            wanted[("c", t.key)] = cx_s.cat.comp(edge, wanted[("n", t.nu)])
         unit[gamma] = _mediating(
             cx_s.cat, gamma, omap[delta],
             ((cone.leg(k), v) for k, v in wanted.items()),
@@ -685,36 +671,35 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict) -> dict:
     g: mode -> FinFunctor from the codex to the diagram's category at that
     mode; gamma: morphism rho -> per-object comparison
     G_q(radj(rho) Delta) -> C_rho(G_p Delta)."""
-    d, mt = bundle.diagram, bundle.diagram.mt
+    mt = bundle.diagram.mt
     out = {}
     for r in mt.modes:
         cx_r = bundle.codexes[r]
-        locks = {mu: bundle.right_adjoints[mu].left for mu in cx_r.mus}
+        ix = cx_r.index
+        locks = {mu: bundle.right_adjoints[mu].left for mu in ix.mus}
         cells = {alpha: lock_cell(bundle, alpha) for alpha in dict.fromkeys(
-            t[2] for t in cx_r.trips if not _is_identity_triple(mt, t))}
+            t.alpha for t in ix.decomps if not t.identity)}
         omap = {}
         for gobj in cx_r.objects:
             comps = {mu: g[mt.mor(mu).src].omap[locks[mu].omap[gobj]]
-                     for mu in cx_r.mus}
+                     for mu in ix.mus}
             smaps = {}
-            for t in cx_r.trips:
-                nu, rho, alpha = t
-                mu = mt.cell(alpha).src
-                q = mt.mor(nu).src
-                if _is_identity_triple(mt, t):
-                    smaps[t] = d.cat(q).id_arr(comps[mu])
+            for t in ix.decomps:
+                if t.identity:
+                    smaps[t.key] = t.cat.id_arr(comps[t.mu])
                     continue
-                lock_mu = locks[mu].omap[gobj]
-                radj_rho = bundle.right_adjoints[rho]
+                q = mt.mor(t.nu).src
+                lock_mu = locks[t.mu].omap[gobj]
+                radj_rho = bundle.right_adjoints[t.rho]
                 mhat = bundle.codexes[q].cat.comp(
-                    radj_rho.right.amap[cells[alpha].at(gobj)],
-                    radj_rho.unit[locks[nu].omap[gobj]])
+                    radj_rho.right.amap[cells[t.alpha].at(gobj)],
+                    radj_rho.unit[locks[t.nu].omap[gobj]])
                 try:
-                    comparison = gamma[rho][lock_mu]
+                    comparison = gamma[t.rho][lock_mu]
                 except KeyError:
-                    raise NotColax(f"missing colax cell for {rho} "
+                    raise NotColax(f"missing colax cell for {t.rho} "
                                    f"at {lock_mu}") from None
-                smaps[t] = d.cat(q).comp(comparison, g[q].amap[mhat])
+                smaps[t.key] = t.cat.comp(comparison, g[q].amap[mhat])
             omap[gobj] = cx_r.obj(comps, smaps)
             if omap[gobj] is None:
                 raise NotColax(f"dextrified object for {gobj} violates the "
@@ -722,7 +707,7 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict) -> dict:
         amap = {}
         for name, a in cx_r.cat.arrows.items():
             comps = {mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
-                     for mu in cx_r.mus}
+                     for mu in ix.mus}
             amap[name] = cx_r.arrow(comps, omap[a.src], omap[a.dst])
         out[r] = FinFunctor(cx_r.cat, cx_r.cat, omap, amap,
                             name=f"dextrify({r})")

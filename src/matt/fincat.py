@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional
 
 from .errors import CapExceeded, MalformedTable, NotComposable
-from .mode_theory import ModeTheory
+from .mode_theory import ModeTheory, require_unique
 
 
 def id_name(obj):
@@ -290,7 +290,12 @@ class Diagram:
             if f.src is not self.cats[m.src] or f.dst is not self.cats[m.dst]:
                 out.append(f"functor for {m.name} has wrong boundary")
                 continue
-            out += [f"C_{m.name}: {v}" for v in f.validate()]
+            bad = [f"C_{m.name}: {v}" for v in f.validate()]
+            if not bad and self.mt.is_id_mor(m.name) and (
+                    any(f.omap[o] != o for o in f.src.objects) or
+                    any(f.amap[a] != a for a in f.src.arrows)):
+                bad.append(f"C_{m.name} is not the identity functor")
+            out += bad
         if out:
             return out  # the checks below compose the functors' tables
         # strict functoriality on morphisms: C_{μ∘ν} = C_μ ∘ C_ν as tables
@@ -309,7 +314,12 @@ class Diagram:
                     n.dst is not self.functors[c.dst]:
                 out.append(f"C_{c.name} has wrong boundary")
                 continue
-            out += [f"C_{c.name}: {v}" for v in n.validate()]
+            bad = [f"C_{c.name}: {v}" for v in n.validate()]
+            if not bad and self.mt.is_id_cell(c.name) and any(
+                    n.at(o) != n.dst.dst.id_arr(n.src.omap[o])
+                    for o in n.src.src.objects):
+                bad.append(f"C_{c.name} is not the identity")
+            out += bad
         if out:
             return out  # the checks below compose the components
         # strict 2-functoriality on cells
@@ -519,9 +529,9 @@ def check_preserves_limit(f: FinFunctor, nodes: dict, edges, cone: Cone,
 # --- serialization -------------------------------------------------------------
 
 def fincat_from_data(data: dict, name: str = "") -> FinCat:
-    return FinCat(data["objects"],
-                  [tuple(a) for a in data["arrows"]],
-                  [tuple(r) for r in data["compose"]],
+    rows = [tuple(r) for r in data["compose"]]
+    require_unique(f"the compose table of {name}", (r[:2] for r in rows))
+    return FinCat(data["objects"], [tuple(a) for a in data["arrows"]], rows,
                   name=name)
 
 

@@ -255,17 +255,30 @@ def _names(*xs) -> tuple:
     return xs
 
 
+def require_unique(what: str, keys) -> None:
+    """Reject an input that names one entry twice, where the last would
+    silently win."""
+    seen = set()
+    for k in keys:
+        if k in seen:
+            raise MalformedTable(f"{what} names {k} twice")
+        seen.add(k)
+
+
 def mode_theory_from_data(data: dict) -> ModeTheory:
     if not isinstance(data, dict):
         raise MalformedTable("mode theory file must contain an object")
 
-    def records(key, cls, *fields):
-        return [cls(*_names(*(d[f] for f in fields)))
-                for d in data.get(key, [])]
+    def records(key, cls, *fields):  # keyed by their first field
+        out = [cls(*_names(*(d[f] for f in fields)))
+               for d in data.get(key, [])]
+        require_unique(f"the {key} list", (getattr(x, fields[0]) for x in out))
+        return out
 
     def table(key):  # rows [x, y, z] as {(x, y): z}
-        return {(x, y): z
-                for x, y, z in (_names(*r) for r in data.get(key, []))}
+        rows = [_names(*r) for r in data.get(key, [])]
+        require_unique(f"the {key} table", ((x, y) for x, y, _ in rows))
+        return {(x, y): z for x, y, z in rows}
 
     try:
         return ModeTheory(

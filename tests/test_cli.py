@@ -167,9 +167,23 @@ def _diagram_with(edit, name="single_arrow"):
     _diagram_with(lambda d: d.update(naturals={}), "comonad"),
     _diagram_with(
         lambda d: d["naturals"]["le"].update(components={}), "semilattice"),
+    # an idempotent C_{id:p} passes every composite check, as id∘id = id
+    _diagram_with(lambda d: d.update(functors={"id:p": {
+        "objects": {"0": "1", "1": "1"}, "arrows": {"0<=1": "id:1"}}}),
+        "trivial"),
+    # C_p the monoid {*; e∘e = e}: C_{id:id:p} at e is natural and idempotent
+    _diagram_with(lambda d: d.update(
+        categories={"p": {"objects": ["*"], "arrows": [["e", "*", "*"]],
+                          "compose": [["e", "e", "e"]]}},
+        naturals={"id:id:p": {"components": {"*": "e"}}}), "trivial"),
+    # a second row for 1<=2∘0<=1, before the real one
+    _diagram_with(lambda d: d["categories"]["p"]["compose"].insert(
+        0, ["1<=2", "0<=1", "id:0"]), "comonad"),
 ], ids=["no-categories", "not-json", "functor-misses-object", "categories-list",
         "functor-arrow-image-list", "natural-component-list",
-        "compose-row-of-two", "natural-missing", "natural-misses-object"])
+        "compose-row-of-two", "natural-missing", "natural-misses-object",
+        "identity-functor-not-identity", "identity-natural-not-identity",
+        "compose-row-twice"])
 def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
     f = tmp_path / "bad.dg"
     f.write_text(text)
@@ -250,8 +264,20 @@ def _reflective_with(edit):
     _reflective_with(lambda d: d.update(classes=["sharp"])),
     _reflective_with(lambda d: d.update(classes={"sharp": 5})),
     _reflective_with(lambda d: d["modes"].append(None)),
+    # each entry below is named a second time, before the real one
+    _reflective_with(lambda d: d["compose"].insert(0, ["numu", "numu",
+                                                       "id:p"])),
+    _reflective_with(lambda d: d["whisker_left"].insert(0, ["mu", "eta",
+                                                            "id:mu"])),
+    _reflective_with(lambda d: d["morphisms"].insert(
+        0, {"name": "mu", "src": "q", "dst": "q"})),
+    _reflective_with(lambda d: d["cells"].insert(
+        0, {"name": "eta", "src": "id:p", "dst": "id:p"})),
+    _reflective_with(lambda d: d["adjoints"].insert(0, d["adjoints"][0])),
 ], ids=["not-utf8", "not-json", "malformed-table", "morphism-name-list",
-        "cell-name-list", "classes-list", "class-not-list", "mode-null"])
+        "cell-name-list", "classes-list", "class-not-list", "mode-null",
+        "compose-row-twice", "whisker-row-twice", "morphism-twice",
+        "cell-twice", "adjoint-twice"])
 def test_check_bad_declared_mode_theory_exits_two(tmp_path, capsys, content):
     mt = tmp_path / "bad.mt"
     mt.write_bytes(content)

@@ -1,8 +1,10 @@
 """Codex categories: enumeration oracles, adjunctions, and dextrification."""
 
+import itertools
 from functools import lru_cache
 
 import pytest
+from test_acceptance import _single_arrow_chain
 
 from matt.bundled import diagram_path, theory_path
 from matt.codex import (build_bundle, check_oplax_object,
@@ -14,8 +16,8 @@ from matt.errors import CapExceeded, LimitAbsent
 from matt.fincat import (Diagram, FinCat, FinFunctor, FinNat,
                          compose_functors, identity_functor, load_diagram,
                          poset_category)
-from matt.laws import law_universal_property
-from matt.mode_theory import load_mode_theory
+from matt.laws import LAWS, law_universal_property
+from matt.mode_theory import ModeTheory, load_mode_theory
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +114,54 @@ def test_corrupted_object_rejected():
     bad = OplaxObject("p", good.components,
                       tuple((t, "id:0") for t, _ in good.structure))
     assert check_oplax_object(d, bad) != []
+
+
+def test_coherence_equations_fire():
+    # C_p the monoid {*; e∘e = e}, C_m the identity and C_eps the identity:
+    # every structure map is id:* or e, and the equations pick out two
+    mt = load_mode_theory(theory_path("comonad"))
+    cp = FinCat(["*"], [("e", "*", "*")], [("e", "e", "e")], name="p")
+    d = Diagram(mt, {"p": cp}, {"m": identity_functor(cp)}, {})
+    d.nats["eps"] = FinNat(d.fun("m"), d.fun("id:p"), {"*": "id:*"})
+    assert d.validate() == []
+    cx = enumerate_codex(d, "p")
+    assert (len(cx.objects), len(cx.cat.arrows), cx.cat.thin) == \
+        (2, 10, False)
+    comps = dict(cx.objects[0].components)
+    keys = [k for k, _ in cx.objects[0].structure]
+    verdicts = {}
+    for pick in itertools.product(["id:*", "e"], repeat=len(keys)):
+        o = OplaxObject.of("p", comps, dict(zip(keys, pick)))
+        verdicts[o] = check_oplax_object(d, o)
+    assert len(verdicts) == 32
+    assert {o for o, bad in verdicts.items() if not bad} == set(cx.objects)
+    bad = " ".join(v for vs in verdicts.values() for v in vs)
+    assert "cocycle fails" in bad and "cell action fails" in bad
+    assert "identity decomposition" in bad and "is not the identity" in bad
+
+
+def test_mode_theory_arithmetic_is_independent_of_the_codex_size(
+        monkeypatch):
+    # compose, vcomp, wl and wr run once per mode or per lock, never per
+    # codex object, arrow or candidate structure map
+    calls = []
+
+    def counting(fn):
+        def counted(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return counted
+
+    for op in ("compose", "vcomp", "wl", "wr"):
+        monkeypatch.setattr(ModeTheory, op, counting(getattr(ModeTheory, op)))
+    counts = []
+    for n in (3, 5):
+        d = _single_arrow_chain(n)
+        calls.clear()
+        b = build_bundle(d)
+        assert all(law(d, b, None)[0] for law in LAWS.values())
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_enumeration_cap():
