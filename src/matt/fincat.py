@@ -170,6 +170,10 @@ class FinFunctor:
     def validate(self) -> list[str]:
         out = [f"object map misses {o}" for o in self.src.objects
                if o not in self.omap or self.omap[o] not in self.dst.objects]
+        out += [f"object map names {o}, not an object of the source"
+                for o in self.omap if o not in self.src.identities]
+        out += [f"arrow map names {a}, not an arrow of the source"
+                for a in self.amap if a not in self.src.arrows]
         if out:
             return out  # the arrow checks read the object map
         for n, a in self.src.arrows.items():
@@ -223,9 +227,10 @@ class FinNat:
     def at(self, obj):
         return self.components[obj]
 
-    def validate(self) -> list[str]:
-        out = []
+    def validate(self, natural: bool = True) -> list[str]:
         cat = self.dst.dst
+        out = [f"components name {o}, not an object of the source"
+               for o in self.components if o not in self.src.src.identities]
         for o in self.src.src.objects:
             if o not in self.components:
                 out.append(f"component missing at {o}")
@@ -233,7 +238,7 @@ class FinNat:
             c = cat.arr(self.components[o])
             if (c.src, c.dst) != (self.src.omap[o], self.dst.omap[o]):
                 out.append(f"component at {o} has wrong boundary")
-        if out:
+        if out or not natural:
             return out  # naturality composes the components
         for f in self.src.src.arrows.values():
             lhs = cat.comp(self.dst.amap[f.name], self.components[f.src])
@@ -262,12 +267,12 @@ class Diagram:
         self.cats = dict(cats)
         self.functors = dict(functors)
         self.nats = dict(nats)
-        for p in mt.modes:
-            self.functors.setdefault(mt.id_mor(p),
-                                     identity_functor(self.cats[p]))
-        for name, f in list(self.functors.items()):
-            self.nats.setdefault(mt.id_cell(name),
-                                 identity_nat(f, name=mt.id_cell(name)))
+        for p in mt.modes:  # built only where absent
+            if mt.id_mor(p) not in self.functors:
+                self.functors[mt.id_mor(p)] = identity_functor(self.cats[p])
+        for m, f in list(self.functors.items()):
+            if (i := mt.id_cell(m)) not in self.nats:
+                self.nats[i] = identity_nat(f, name=i)
 
     def cat(self, mode: str) -> FinCat:
         return self.cats[mode]
@@ -290,15 +295,18 @@ class Diagram:
             if f.src is not self.cats[m.src] or f.dst is not self.cats[m.dst]:
                 out.append(f"functor for {m.name} has wrong boundary")
                 continue
-            bad = [f"C_{m.name}: {v}" for v in f.validate()]
-            if not bad and self.mt.is_id_mor(m.name) and (
-                    any(f.omap[o] != o for o in f.src.objects) or
-                    any(f.amap[a] != a for a in f.src.arrows)):
-                bad.append(f"C_{m.name} is not the identity functor")
-            out += bad
+            out += [f"C_{m.name}: {v}" for v in f.validate()]
+        return out or self.strictness()
+
+    def strictness(self) -> list[str]:
+        """The strict 2-functor laws on functors: identity functors,
+        composites, each cell's natural transformation (an identity cell is
+        only compared with the identity), then vcompose, wl and wr rows."""
+        out = [f"C_{m} is not the identity functor" for m in self.mt.morphisms
+               if self.mt.is_id_mor(m) and not self.functors[m].same_tables(
+                   identity_functor(self.functors[m].src))]
         if out:
             return out  # the checks below compose the functors' tables
-        # strict functoriality on morphisms: C_{μ∘ν} = C_μ ∘ C_ν as tables
         for (mu, nu), comp in self.mt.compose_table.items():
             lhs = self.functors[comp]
             rhs = compose_functors(self.functors[mu], self.functors[nu])
@@ -314,15 +322,14 @@ class Diagram:
                     n.dst is not self.functors[c.dst]:
                 out.append(f"C_{c.name} has wrong boundary")
                 continue
-            bad = [f"C_{c.name}: {v}" for v in n.validate()]
-            if not bad and self.mt.is_id_cell(c.name) and any(
-                    n.at(o) != n.dst.dst.id_arr(n.src.omap[o])
-                    for o in n.src.src.objects):
+            ident = self.mt.is_id_cell(c.name)
+            bad = [f"C_{c.name}: {v}" for v in n.validate(natural=not ident)]
+            if not bad and ident and \
+                    n.components != identity_nat(n.src).components:
                 bad.append(f"C_{c.name} is not the identity")
             out += bad
         if out:
             return out  # the checks below compose the components
-        # strict 2-functoriality on cells
         for (b, a), v in self.mt.vcompose_table.items():
             na, nb, nv = self.nats[a], self.nats[b], self.nats[v]
             cat = nv.dst.dst

@@ -248,6 +248,19 @@ class ModeTheory:
         return self.adjoints[mor]
 
 
+def opposite(mt: ModeTheory) -> ModeTheory:
+    """M^coop, every morphism and cell reversed: each table is read
+    transposed, and m◁c becomes c▷m and back.  No classes, no adjoints."""
+    def flip(table):
+        return {(y, x): z for (x, y), z in table.items()}
+    return ModeTheory(
+        mt.modes,
+        [Morphism(m.name, m.dst, m.src) for m in mt.morphisms.values()],
+        [Cell(c.name, c.dst, c.src) for c in mt.cells.values()],
+        flip(mt.compose_table), flip(mt.vcompose_table), flip(mt.wr_table),
+        flip(mt.wl_table), {}, [])
+
+
 def _names(*xs) -> tuple:
     """xs, each checked to be a string: every name in a table is one."""
     if not all(isinstance(x, str) for x in xs):

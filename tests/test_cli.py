@@ -153,6 +153,18 @@ def _diagram_with(edit, name="single_arrow"):
     return json.dumps(data)
 
 
+# tables that name an object or arrow their source lacks: (id, name, text)
+UNKNOWN_KEYS = [
+    ("functor-names-unknown-object", "9", _diagram_with(
+        lambda d: d["functors"]["mu"]["objects"].update({"9": "1"}))),
+    ("functor-names-unknown-arrow", "zz", _diagram_with(
+        lambda d: d["functors"]["mu"]["arrows"].update({"zz": "0<=1"}))),
+    ("natural-names-unknown-object", "9", _diagram_with(
+        lambda d: d.update(naturals={"id:mu": {"components": {
+            "0": "id:0", "1": "id:1", "9": "id:1"}}}))),
+]
+
+
 @pytest.mark.parametrize("text", [
     _without_categories(),
     '{"mode_theory": "single_arrow.mt", ',
@@ -179,17 +191,33 @@ def _diagram_with(edit, name="single_arrow"):
     # a second row for 1<=2∘0<=1, before the real one
     _diagram_with(lambda d: d["categories"]["p"]["compose"].insert(
         0, ["1<=2", "0<=1", "id:0"]), "comonad"),
+    *(text for _, _, text in UNKNOWN_KEYS),
+    # an identity cell is checked against the identity, not for naturality,
+    # and still needs a component at every object
+    _diagram_with(lambda d: d.update(naturals={
+        "id:mu": {"components": {"0": "id:0"}}})),
 ], ids=["no-categories", "not-json", "functor-misses-object", "categories-list",
         "functor-arrow-image-list", "natural-component-list",
         "compose-row-of-two", "natural-missing", "natural-misses-object",
         "identity-functor-not-identity", "identity-natural-not-identity",
-        "compose-row-twice"])
+        "compose-row-twice", *(i for i, _, _ in UNKNOWN_KEYS),
+        "identity-natural-misses-object"])
 def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
     f = tmp_path / "bad.dg"
     f.write_text(text)
     assert main(["sem", "laws", str(f)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"ERROR MalformedTable @ {f}:")
+
+
+@pytest.mark.parametrize("name, text", [(n, t) for _, n, t in UNKNOWN_KEYS],
+                         ids=[i for i, _, _ in UNKNOWN_KEYS])
+def test_sem_laws_names_a_key_the_source_lacks(tmp_path, capsys, name, text):
+    f = tmp_path / "bad.dg"
+    f.write_text(text)
+    assert main(["sem", "laws", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f" {name}, not an " in err and "strictness" not in err
 
 
 @pytest.mark.parametrize("cap", ["-1", "abc"])

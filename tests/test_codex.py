@@ -2,6 +2,7 @@
 
 import itertools
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from test_acceptance import _single_arrow_chain
@@ -9,14 +10,15 @@ from test_acceptance import _single_arrow_chain
 from matt.bundled import diagram_path, theory_path
 from matt.codex import (build_bundle, check_oplax_object,
                         check_oplax_morphism, dextrify_colax,
-                        enumerate_codex, isomorphic, lock_functor, mate,
-                        psnat_component, reflect, reflect_colax, transpose,
+                        enumerate_codex, isomorphic, lock_diagram,
+                        lock_functor, mate, psnat_component, reflect,
+                        reflect_colax, transpose,
                         verify_2functor, OplaxObject)
 from matt.errors import CapExceeded, LimitAbsent
 from matt.fincat import (Diagram, FinCat, FinFunctor, FinNat,
                          compose_functors, identity_functor, load_diagram,
                          poset_category)
-from matt.laws import LAWS, law_universal_property
+from matt.laws import LAWS, law_lock_strictness, law_universal_property
 from matt.mode_theory import ModeTheory, load_mode_theory
 
 
@@ -116,14 +118,20 @@ def test_corrupted_object_rejected():
     assert check_oplax_object(d, bad) != []
 
 
-def test_coherence_equations_fire():
-    # C_p the monoid {*; e∘e = e}, C_m the identity and C_eps the identity:
-    # every structure map is id:* or e, and the equations pick out two
+def monoid_comonad():
+    """comonad.mt with C_p the monoid {*; e∘e = e}, C_m the identity and
+    C_eps the identity: every structure map is id:* or e."""
     mt = load_mode_theory(theory_path("comonad"))
     cp = FinCat(["*"], [("e", "*", "*")], [("e", "e", "e")], name="p")
     d = Diagram(mt, {"p": cp}, {"m": identity_functor(cp)}, {})
     d.nats["eps"] = FinNat(d.fun("m"), d.fun("id:p"), {"*": "id:*"})
     assert d.validate() == []
+    return d
+
+
+def test_coherence_equations_fire():
+    # the equations pick out two of the candidate structure maps
+    d = monoid_comonad()
     cx = enumerate_codex(d, "p")
     assert (len(cx.objects), len(cx.cat.arrows), cx.cat.thin) == \
         (2, 10, False)
@@ -175,6 +183,58 @@ def test_lock_strictness_reflective():
     report = verify_2functor(bundle("reflective"))
     assert all(ok for _, ok, _ in report), \
         [(n, det) for n, ok, det in report if not ok]
+
+
+def monoid_lock_bundle():
+    """The bundle of monoid_comonad, whose incl(id:p) has no limit: its
+    right adjoints stand in, holding only the locks as left and the identity
+    as right."""
+    b = build_bundle(monoid_comonad())
+    cx = b.codexes["p"]
+    b.right_adjoints = {m: SimpleNamespace(
+        left=lock_functor(cx, cx, m), right=identity_functor(cx.cat))
+        for m in b.diagram.mt.morphisms}
+    return b
+
+
+def natural_replacements(nat):
+    """The natural transformations parallel to nat, other than nat."""
+    cat, objs = nat.dst.dst, nat.src.src.objects
+    out = []
+    for pick in itertools.product(*(cat.hom(nat.src.omap[o], nat.dst.omap[o])
+                                    for o in objs)):
+        alt = FinNat(nat.src, nat.dst, dict(zip(objs, pick)))
+        if alt.components != nat.components and alt.validate() == []:
+            out.append(alt)
+    return out
+
+
+def test_locks_form_a_strict_2functor_on_a_codex_that_is_not_thin():
+    b = monoid_lock_bundle()
+    assert not b.codexes["p"].cat.thin
+    assert lock_diagram(b).strictness() == []
+    report = verify_2functor(b)
+    assert report[0] == ("lock-2functor", True, "")
+    assert all(ok for _, ok, _ in report)
+
+
+# lock(eps): lock(id:p) => lock(m) and lock(id:m) each have exactly one
+# natural replacement: the first breaks eps▷m = id:m, read m◁eps in M^coop,
+# the second is not the identity
+@pytest.mark.parametrize("cell, row", [
+    ("eps", "C_(m◁eps) differs at "),
+    ("id:m", "C_id:m is not the identity"),
+])
+def test_lock_strictness_rejects_a_natural_lock_cell(monkeypatch, cell, row):
+    b = monoid_lock_bundle()
+    ld = lock_diagram(b)
+    [alt] = natural_replacements(ld.nat(cell))
+    ld.nats[cell] = alt
+    assert any(v.startswith(row) for v in ld.strictness())
+    monkeypatch.setattr("matt.codex.lock_diagram", lambda bundle: ld)
+    ok, detail = law_lock_strictness(b.diagram, b, None)
+    assert not ok and detail.startswith("lock-2functor: " + row)
+    assert detail.endswith(" (◁, ▷ and ∘ read in M^coop)")
 
 
 def test_lock_functor_validates():

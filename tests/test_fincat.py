@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.codex import enumerate_codex
 from matt.errors import CapExceeded, MalformedTable, NotComposable
-from matt.fincat import (Cone, FinCat, FinFunctor, all_cones,
+from matt.fincat import (Cone, FinCat, FinFunctor, FinNat, all_cones,
                          check_preserves_limit, comma,
                          compose_functors, factorizations, identity_functor,
                          is_iso, is_terminal_cone, isomorphic, limit,
@@ -74,6 +74,16 @@ def test_functor_validation():
     assert f.validate() == []
     bad = FinFunctor(c, c, {"0": "1", "1": "0"}, {"0<=1": "0<=1"})
     assert bad.validate() != []  # not monotone
+
+
+def test_validation_names_keys_the_source_lacks():
+    c = two_chain()
+    f = FinFunctor(c, c, {"0": "0", "1": "1", "9": "1"},
+                   {"0<=1": "0<=1", "zz": "0<=1"})
+    assert f.validate() == ["object map names 9, not an object of the source",
+                            "arrow map names zz, not an arrow of the source"]
+    n = FinNat(f, f, {"0": "id:0", "1": "id:1", "9": "id:1"})
+    assert n.validate() == ["components name 9, not an object of the source"]
 
 
 def test_functor_composition():

@@ -124,12 +124,18 @@ NOT_THIN = {
 }
 
 
-@pytest.mark.parametrize("name", list(NOT_THIN))
-def test_laws_on_categories_that_are_not_thin(tmp_path, name):
-    theory, cats, functors, failing = NOT_THIN[name]
+def not_thin_diagram(tmp_path, name):
+    theory, cats, functors, _ = NOT_THIN[name]
     path = tmp_path / f"{name}.dg"
     path.write_text(json.dumps({"mode_theory": str(theory_path(theory)),
                                 "categories": cats, "functors": functors}))
+    return path
+
+
+@pytest.mark.parametrize("name", list(NOT_THIN))
+def test_laws_on_categories_that_are_not_thin(tmp_path, name):
+    failing = NOT_THIN[name][3]
+    path = not_thin_diagram(tmp_path, name)
     d = load_diagram(path)
     for p in d.mt.modes:
         assert not d.cat(p).thin and not enumerate_codex(d, p).cat.thin, p
@@ -242,6 +248,25 @@ def test_a_right_adjoint_error_fails_only_the_laws_that_read_them(
                "pointwise-limits", "2functor", "universal-property"}
     assert results == {name: (False, "probe") if name in readers
                        else (True, "") for name in LAWS}
+
+
+# single_arrow: its codex at p fails first under cap 0; z2: incl(mu) and
+# incl(id:p) are built before incl(id:q) finds no limit
+@pytest.mark.parametrize("diagram, cap, builder, calls", [
+    (lambda tmp: diagram_path("single_arrow"), 0, "enumerate_codex", 1),
+    (lambda tmp: not_thin_diagram(tmp, "z2"), None, "incl", 3),
+], ids=["single_arrow-cap-0", "z2"])
+def test_a_family_that_fails_is_built_once(monkeypatch, tmp_path, diagram,
+                                           cap, builder, calls):
+    counted = []
+
+    def counting(*args, _real=getattr(codex, builder), **kw):
+        counted.append(args)
+        return _real(*args, **kw)
+
+    monkeypatch.setattr(codex, builder, counting)
+    run_law_suite(diagram(tmp_path), cap=cap)
+    assert len(counted) == calls
 
 
 # --- the law output, pinned byte for byte --------------------------------------

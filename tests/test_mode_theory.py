@@ -13,8 +13,9 @@ import pytest
 
 from matt.bundled import THEORY_NAMES, theory_path
 from matt.errors import IllTypedCellExpression, MalformedTable, NotComposable
-from matt.mode_theory import (Violation, load_mode_theory,
-                              mode_theory_from_data, validate_mode_theory)
+from matt.mode_theory import (Morphism, Violation, load_mode_theory,
+                              mode_theory_from_data, opposite,
+                              validate_mode_theory)
 
 
 def theory_data(name):
@@ -325,3 +326,31 @@ def test_interchange_must_hold():
         [["m", "a", "y"]], [["b", "k", "x"]])
     assert violations(data) == (Violation(
         "interchange", "(b▷k)∘(m◁a) = x but (m◁a)∘(b▷k) = y"),)
+
+
+# --- the opposite theory ---------------------------------------------------------
+
+def two_category(mt):
+    return (mt.modes, mt.morphisms, mt.cells, mt.compose_table,
+            mt.vcompose_table, mt.wl_table, mt.wr_table)
+
+
+@pytest.mark.parametrize("name", THEORY_NAMES)
+def test_opposite_is_a_2_category_and_an_involution(name):
+    # the classes are dropped, so only the identities' classes fail
+    mt = load_mode_theory(theory_path(name))
+    op = opposite(mt)
+    assert {v.axiom for v in validate_mode_theory(op).violations} == \
+        {"identity-sharp", "identity-transparent"}
+    assert two_category(opposite(op)) == two_category(mt)
+
+
+def test_opposite_reverses_morphisms_cells_and_whiskering():
+    mt = load_mode_theory(theory_path("reflective"))
+    op = opposite(mt)
+    eta = mt.cell("eta")  # eta: id:p => nu∘mu
+    assert op.mor("mu") == Morphism("mu", mt.mor("mu").dst, mt.mor("mu").src)
+    assert (op.cell("eta").src, op.cell("eta").dst) == (eta.dst, eta.src)
+    assert op.compose("mu", "nu") == mt.compose("nu", "mu")
+    assert op.wr("eta", "mu") == mt.wl("mu", "eta")
+    assert op.wl("nu", "eta") == mt.wr("eta", "nu")
