@@ -12,9 +12,12 @@ Terms:  \\x. t   |  t u  |  mod[mor] t  |  let[frame,mor] mod x = d in b (motive
 Types:  (x :^ mor T) -> T  |  F[mor] T  |  U[mor] T  |  Name args
 
 Morphism and cell names may be qualified (id:p, id:id:p).  An omitted ^mor
-annotation means the identity ("id").  Line comments start with "--".
+annotation means the identity ("id").  Line comments start with "--".  Only
+space, tab, "\\r" and "\\n" separate tokens: any other character that starts
+no token, such as a form feed, a no-break space or "é", is an error.
 
-Every span is the source offset where its node or declaration starts;
+The tokenizer is one `re.split` of the source, a single scan in C.  Every
+span is the source offset where its node or declaration starts;
 `SourceLines` turns an offset into a line and column only when a diagnostic
 is printed.
 
@@ -28,25 +31,27 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice
+from operator import itemgetter
 from typing import Optional
 
 from .errors import ParseError
 from .syntax import (App, Const, FMod, Lam, LetMod, ModIntro, Open, Pi, Shut,
                      Signature, UMod, Var, fresh)
 
-# One match per token: the blanks, newlines and comments before it, then the
-# token, a stray character, or nothing.  The token is optional so that a
-# match never backtracks into a comment to find one: a file that ends in
-# "-- x (y)" ends in a match with no token, not in the token ")".
-_TOKEN = re.compile(r"""
-  (?:[ \t\r\n]+|--[^\n]*)*
-  (?:
-    (?P<sym>->|:\^|mode-theory\b|[()\[\],;=@.^\\:])
-  | (?P<string>"[^"\n]*")
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<bad>.)
-  )?
-""", re.X)
+# every character but a blank starts a match, if only the catch-all's
+_TOKEN = re.compile(r"""(
+    ->|--[^\n]*|:\^|mode-theory\b|[()\[\],;=@.^\\:]
+  | "[^"\n]*"
+  | [A-Za-z_][A-Za-z0-9_']*
+  | [^ \t\r\n]
+)""", re.X)
+# A token's kind by its text, else by its first character.  A kind of None,
+# as for a lone '"', or no kind marks a stray character.
+_KIND_OF_TEXT = {**{s: s for s in ("->", ":^", "mode-theory",
+                                  *"()[],;=@.^\\:")}, '"': None}
+_NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_KIND_OF_START = {**dict.fromkeys(_NAME_START, "name"), '"': "string"}
 
 _KEYWORDS = {"const", "def", "mod", "let", "in", "motive", "shut", "open",
              "Type"}
@@ -74,18 +79,26 @@ class Tokens:
 
 
 def tokenize(src: str) -> Tokens:
-    kinds, texts, offs = [], [], []
-    add_kind, add_text, add_off = kinds.append, texts.append, offs.append
-    for m in _TOKEN.finditer(src):
-        group = m.lastgroup
-        if group is None:  # only blanks and comments up to the end
-            continue
-        text = m.group(group)
-        if group == "bad":
-            raise ParseError(f"unexpected character {text!r}", m.start(group))
-        add_kind(text if group == "sym" else group)
-        add_text(text)
-        add_off(m.start(group))
+    """The tokens of `src`, or a ParseError at its first stray character.
+
+    `re.split` gives the texts of tokens, comments and stray characters as
+    its odd pieces and the blanks between them as its even ones; a text
+    starts at the summed length of the pieces before it.  The catch-all is
+    `[^ \\t\\r\\n]`, not `\\S`, and names are ASCII, not `\\w`, so that a
+    form feed, a no-break space or an "é" stays a stray character.
+    """
+    pieces = _TOKEN.split(src)
+    texts = pieces[1::2]
+    offs = list(islice(accumulate(map(len, pieces)), 0, len(pieces) - 1, 2))
+    del pieces  # its lengths are summed: free it before more lists are built
+    if "--" in src:
+        code = [t[:2] != "--" for t in texts]
+        texts, offs = list(compress(texts, code)), list(compress(offs, code))
+    kinds = list(map(_KIND_OF_TEXT.get, texts,
+                     map(_KIND_OF_START.get, map(itemgetter(0), texts))))
+    if None in kinds:
+        i = kinds.index(None)
+        raise ParseError(f"unexpected character {texts[i]!r}", offs[i])
     end = [None] * Tokens.PAST_END
     kinds += end
     texts += end

@@ -218,10 +218,13 @@ def _reference_outcome(src):
         return ("ParseError", e.message, e.span)
 
 
+# letters outside ASCII, blanks other than space, tab, "\r" and "\n", and
+# digits outside ASCII are stray characters
+UNICODE = ["é", "ß", "\x0b", "\x0c", "\xa0", "\u2003", "٣"]
 PIECES = ["x", "A0", "_b'", "Type", "mode", "mode-theory", "mode-theoryx",
           "->", ":^", ":", "(", ")", "[", "]", ",", ";", "=", "@", ".", "^",
           "\\", '"p.mt"', '"', " ", "  ", "\t", "\n", "\r\n", "\r",
-          "-- c", "--", "-", "$", "#", "?"]
+          "-- c", "--", "-", "$", "#", "?", "-->", "->-", *UNICODE]
 
 
 @settings(max_examples=400, deadline=None)
@@ -231,7 +234,8 @@ def test_tokenize_matches_reference(src):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.text(alphabet=" \t\r\n-:^>\"$#?abm(;", max_size=30))
+@given(st.text(alphabet=" \t\r\n-:^>\"$#?abm(;" + "".join(UNICODE),
+               max_size=30))
 def test_tokenize_matches_reference_on_characters(src):
     assert _outcome(src) == _reference_outcome(src)
 

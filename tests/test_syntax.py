@@ -1,5 +1,7 @@
 """Context normalization, lock bookkeeping, and key transport."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +11,8 @@ from matt.bundled import theory_path
 from matt.cli import main
 from matt.errors import ModeMismatch, NotTangible
 from matt.mode_theory import load_mode_theory, mode_theory_from_data
-from matt.syntax import (App, Const, ConstDecl, Context, FMod, Lam, LetMod,
-                         LockEntry, ModIntro, Open, Param, Pi, Shut,
+from matt.syntax import (SLOTS, App, Const, ConstDecl, Context, FMod, Lam,
+                         LetMod, LockEntry, ModIntro, Open, Param, Pi, Shut,
                          Signature, UMod, Var, VarEntry, _lock_mor,
                          apply_key, children, empty_context, find_var,
                          locks_after_map, push_lock, push_var, rebuild,
@@ -405,3 +407,82 @@ def test_apply_key_matches_full_traversal(name, data):
     assert got == _ak_full(mt, sig, t, c, la)
     if mt.is_id_cell(c):
         assert got is t
+
+
+# --- the node contract: what the record classes keep of frozen dataclasses ---
+
+V = Var("x", "k", 1)
+# the repr texts of V, of A and of a parameter
+VS = "Var(name='x', key='k', span=1)"
+AS = "Const(name='A', args=(), span=None)"
+PS = f"Param(name='x', mor='mu', ty={AS})"
+# one instance of every record class, with the repr a plain frozen dataclass
+# gives it
+NODES = [
+    (V, VS),
+    (Lam("x", V, 2), f"Lam(var='x', body={VS}, span=2)"),
+    (App(V, V, "mu", 3), f"App(fn={VS}, arg={VS}, mor='mu', span=3)"),
+    (ModIntro("mu", V, 4), f"ModIntro(mor='mu', body={VS}, span=4)"),
+    (LetMod("id:q", "mu", "y", A, V, "x", V, 5),
+     f"LetMod(frame='id:q', mor='mu', yvar='y', motive={AS}, "
+     f"scrutinee={VS}, xvar='x', body={VS}, span=5)"),
+    (Shut("mu", V, 6), f"Shut(mor='mu', body={VS}, span=6)"),
+    (Open("mu", V, 7), f"Open(mor='mu', body={VS}, span=7)"),
+    (Const("c", (V, A), 8), f"Const(name='c', args=({VS}, {AS}), span=8)"),
+    (Pi("mu", "x", A, A, 9), f"Pi(mor='mu', var='x', dom={AS}, cod={AS}, "
+                             f"span=9)"),
+    (FMod("mu", A, 10), f"FMod(mor='mu', ty={AS}, span=10)"),
+    (UMod("mu", A, 11), f"UMod(mor='mu', ty={AS}, span=11)"),
+    (Param("x", "mu", A), PS),
+    (ConstDecl("c", "p", (Param("x", "mu", A),), A),
+     f"ConstDecl(name='c', mode='p', params=({PS},), result={AS})"),
+    (LockEntry("mu"), "LockEntry(mor='mu')"),
+    (VarEntry("x", "mu", A), f"VarEntry(name='x', mor='mu', ty={AS})"),
+    (Context("p", (LockEntry("mu"),)),
+     "Context(mode='p', entries=(LockEntry(mor='mu'),))"),
+]
+
+
+def _name(t):
+    return type(t).__name__
+
+
+def test_node_cases_cover_every_record_class():
+    records = {c for c in vars(matt.syntax).values()
+               if isinstance(c, type) and dataclasses.is_dataclass(c)}
+    assert {type(t) for t, _ in NODES} == records
+
+
+@pytest.mark.parametrize("t,text", NODES, ids=[_name(t) for t, _ in NODES])
+def test_node_repr_is_the_dataclass_text(t, text):
+    assert repr(t) == text
+
+
+@pytest.mark.parametrize("t", [t for t, _ in NODES], ids=_name)
+def test_node_fields_cannot_be_assigned(t):
+    for f in dataclasses.fields(t):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, f.name, getattr(t, f.name))
+
+
+@pytest.mark.parametrize("t", [t for t, _ in NODES if hasattr(t, "span")],
+                         ids=_name)
+def test_node_span_takes_no_part_in_equality(t):
+    other = dataclasses.replace(t, span=t.span + 100)
+    assert other.span == t.span + 100
+    assert other == t and hash(other) == hash(t)
+
+
+@pytest.mark.parametrize("t", [t for t, _ in NODES if type(t) in SLOTS],
+                         ids=_name)
+def test_rebuild_keeps_class_and_span(t):
+    kids = [u for u, *_ in children(t)]
+    assert rebuild(t, list(kids)) is t
+    new = [Var(f"z{i}", None) for i in range(len(kids))]
+    out = rebuild(t, new)
+    assert type(out) is type(t) and out.span == t.span
+    assert [u for u, *_ in children(out)] == new
+    subterms = {name for name, _, _ in SLOTS[type(t)]}
+    for f in dataclasses.fields(t):
+        if f.name not in subterms:
+            assert getattr(out, f.name) == getattr(t, f.name)
