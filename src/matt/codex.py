@@ -22,6 +22,14 @@ categories, and lock(pi) -| radj(pi) between codexes, whose right adjoints
 are the negative modalities.  Each right adjoint is assembled pointwise from
 limits (incl over comma categories, radj over a diagram of inclusions), and
 sends an arrow to the arrow its map of diagrams induces between the limits.
+
+When every base category is thin, so is the codex, and parallel arrows are
+equal: every cocycle, cell-action and structure square holds as soon as its
+hom-sets are inhabited, and a mediating arrow is the one arrow of its
+hom-set.  enumerate_codex then takes the one arrow of each structure-map and
+component hom-set and reads each composite off its ends, and
+codex_right_adjoint builds no mates and composes no legs.  Every other
+diagram takes the general path, which decides each equation.
 """
 
 from __future__ import annotations
@@ -242,13 +250,16 @@ def _arrow_name(cats: dict, comps: dict, src: OplaxObject,
 
 
 def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
-    """Exhaustively build the codex category at mode r as a FinCat."""
+    """Exhaustively build the codex category at mode r as a FinCat.  Over
+    thin base categories an object is a family whose structure-map hom-sets
+    are all inhabited, and no equation is checked."""
     ix = codex_index(d, r)
     mus, cats, keys = ix.mus, ix.cats, [t.key for t in ix.decomps]
     est = math.prod(len(cats[mu].objects) for mu in mus)
     if cap is not None and est > cap:
         raise CapExceeded(f"codex at {r}: component search size {est} "
                           f"exceeds cap {cap}")
+    thin = all(c.thin for c in cats.values())  # each t.cat is cats[t.nu]
 
     objs: list[OplaxObject] = []
     for combo in itertools.product(*(cats[mu].objects for mu in mus)):
@@ -261,10 +272,16 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
                 break
             choices.append(opts)
         else:
+            if thin:
+                objs.append(OplaxObject.of(
+                    r, comps, {k: c[0] for k, c in zip(keys, choices)}))
+                continue
             for pick in itertools.product(*choices):
                 smaps = dict(zip(keys, pick))
                 if not _structure_violations(ix, comps, smaps):
                     objs.append(OplaxObject.of(r, comps, smaps))
+    if thin:
+        return CodexCategory(d, r, ix, _thin_codex(cats, objs, r))
 
     arrows = []
     for g in objs:
@@ -294,6 +311,28 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
             rows.append((bn, an, _arrow_name(cats, comps, asrc, bdst)))
     return CodexCategory(d, r, ix, FinCat(objs, arrows, rows,
                                           name=f"Codex({r})"))
+
+
+def _thin_codex(cats: dict, objs: list, r: str) -> FinCat:
+    """The codex on objs over thin base categories cats: an arrow g -> h
+    wherever every component hom-set is inhabited, with the one composite
+    of each composable pair read off its ends."""
+    mus = sorted(cats)
+    ends = {}  # (i, j) -> the arrow objs[i] -> objs[j], i != j
+    for i, g in enumerate(objs):
+        for j, h in enumerate(objs):
+            if i != j:
+                homs = [cats[mu].hom(g.component(mu), h.component(mu))
+                        for mu in mus]
+                if all(homs):
+                    ends[i, j] = (tuple(zip(mus, (a[0] for a in homs))), g, h)
+    succ: list = [[] for _ in objs]
+    for i, j in ends:
+        succ[i].append(j)
+    rows = [(ends[j, k], f, ends[i, k] if i != k else id_name(objs[i]))
+            for (i, j), f in ends.items() for k in succ[j]]
+    return FinCat(objs, [(n, n[1], n[2]) for n in ends.values()], rows,
+                  name=f"Codex({r})")
 
 
 # --- lock functors and reflection ----------------------------------------------
@@ -510,8 +549,11 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     pim = {mu: mt.compose(pi, mu) for mu in ix.mus}
     adj = {mu: adjs[k] for mu, k in pim.items()}
     trips = [t for t in ix.decomps if not t.identity]
-    mates = {t.key: mate(cx_s, adj[t.mu], adj[t.nu], t.rho,
-                         mt.wl(pi, t.alpha)) for t in trips}
+    # in a thin codex the limits read no edges and each mediating arrow is
+    # the one arrow of its hom-set, so neither mates nor legs are composed
+    thin = cx_s.cat.thin
+    mates = {} if thin else {t.key: mate(cx_s, adj[t.mu], adj[t.nu], t.rho,
+                                         mt.wl(pi, t.alpha)) for t in trips}
 
     cones = {}
     omap = {}
@@ -522,8 +564,9 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
         for t in trips:
             right, x, c = adj[t.nu].right, delta.component(t.mu), ("c", t.key)
             nodes[c] = right.omap[t.fun.omap[x]]
-            edges += [(("n", t.nu), c, right.amap[delta.smap(t.key)]),
-                      (("n", t.mu), c, mates[t.key].at(x))]
+            if not thin:
+                edges += [(("n", t.nu), c, right.amap[delta.smap(t.key)]),
+                          (("n", t.mu), c, mates[t.key].at(x))]
         cone = limit(cx_s.cat, nodes, edges, cap=cap)
         if cone is None:
             raise LimitAbsent(f"codex_right_adjoint({pi}): no limit "
@@ -533,6 +576,11 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
 
     amap = {}
     for name, a in cx_r.cat.arrows.items():
+        if thin:
+            amap[name] = _mediating(
+                cx_s.cat, omap[a.src], omap[a.dst], (),
+                "codex_right_adjoint({}): image of an arrow", pi)
+            continue
         theta = cx_r.theta(name)
         maps = {("n", mu): adj[mu].right.amap[theta[mu]] for mu in ix.mus}
         maps.update((("c", t.key), adj[t.nu].right.amap[
@@ -555,10 +603,13 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     for gamma in cx_s.objects:
         delta = lock.omap[gamma]
         cone = cones[delta]
-        wanted = {("n", mu): adj[mu].unit[gamma] for mu in ix.mus}
-        for t in trips:
-            edge = adj[t.nu].right.amap[delta.smap(t.key)]
-            wanted[("c", t.key)] = cx_s.cat.comp(edge, wanted[("n", t.nu)])
+        wanted = {}
+        if not thin:
+            wanted = {("n", mu): adj[mu].unit[gamma] for mu in ix.mus}
+            for t in trips:
+                edge = adj[t.nu].right.amap[delta.smap(t.key)]
+                wanted[("c", t.key)] = cx_s.cat.comp(edge,
+                                                     wanted[("n", t.nu)])
         unit[gamma] = _mediating(
             cx_s.cat, gamma, omap[delta],
             ((cone.leg(k), v) for k, v in wanted.items()),

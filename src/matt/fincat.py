@@ -10,8 +10,10 @@ codex categories) compute it first and pass it in.
 A FinCat records whether it is thin: at most one arrow per hom-set.  In a
 thin FinCat every cone commutes, so a limit is a greatest lower bound of the
 diagram's objects, found by ANDing down-set bitmasks indexed at
-construction.  Any other FinCat is searched for a terminal cone among all
-cones.  Both paths bound the number of candidate cones by a configurable cap.
+construction, and a mediating arrow is the one arrow of its hom-set, found
+without composing a leg.  Any other FinCat is searched for a terminal cone
+among all cones.  Both paths bound the number of candidate cones by a
+configurable cap.
 """
 
 from __future__ import annotations
@@ -113,11 +115,11 @@ class FinCat:
             if self.comp(n, self.identities[a.src]) != n or \
                     self.comp(self.identities[a.dst], n) != n:
                 out.append(f"unit law fails at {n}")
-        arrs = list(self.arrows.values())
-        for f in arrs:
-            for g in arrs:
-                if g.src != f.dst:
-                    continue
+        out_of: dict = {}
+        for a in self.arrows.values():
+            out_of.setdefault(a.src, []).append(a)
+        for f in self.arrows.values():
+            for g in out_of[f.dst]:
                 try:
                     gf = self.comp(g.name, f.name)
                     ga = self.arr(gf)
@@ -128,9 +130,7 @@ class FinCat:
                     out.append(f"composite {g.name}∘{f.name} has wrong "
                                f"boundary")
                     continue
-                for h in arrs:
-                    if h.src != g.dst:
-                        continue
+                for h in out_of[g.dst]:
                     try:
                         if self.comp(h.name, gf) != \
                                 self.comp(self.comp(h.name, g.name), f.name):
@@ -442,7 +442,11 @@ def all_cones(c: FinCat, nodes: dict, edges, cap: Optional[int] = None,
 
 def factorizations(c: FinCat, x, y, pairs) -> list:
     """The arrows u: x → y with leg∘u == want for every (leg, want) pair,
-    in hom order: the candidate mediating arrows into a cone."""
+    in hom order: the candidate mediating arrows into a cone.  In a thin c
+    parallel arrows are equal, so every arrow x → y factors and pairs is
+    not read."""
+    if c.thin:
+        return c.hom(x, y)
     pairs = list(pairs)
     return [u for u in c.hom(x, y)
             if all(c.comp(leg, u) == want for leg, want in pairs)]

@@ -6,10 +6,12 @@ from functools import reduce
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_codex import monoid_comonad
 
 from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
-from matt.codex import enumerate_codex
-from matt.errors import CapExceeded, MalformedTable, NotComposable
+from matt.codex import _mediating, enumerate_codex
+from matt.errors import (CapExceeded, LimitAbsent, MalformedTable,
+                         NotComposable)
 from matt.fincat import (Cone, FinCat, FinFunctor, FinNat, all_cones,
                          check_preserves_limit, comma,
                          compose_functors, factorizations, identity_functor,
@@ -308,6 +310,34 @@ def test_factorizations_counts_and_hom_order():
     assert factorizations(c, "a", "b", [("id:b", "g")]) == ["g"]
     assert factorizations(c, "a", "b", [("id:b", "f"), ("id:b", "g")]) == []
     assert factorizations(c, "b", "a", []) == []
+
+
+def unread_pairs():
+    raise AssertionError("the pairs were read")
+    yield
+
+
+def test_factorizations_in_a_thin_category_read_no_pairs():
+    # parallel arrows are equal, so the one arrow of the hom-set factors
+    c = diamond()
+    assert factorizations(c, "b", "t", unread_pairs()) == ["b<=t"]
+    assert factorizations(c, "x", "y", unread_pairs()) == []
+
+
+def test_factorizations_filter_by_the_pairs_when_not_thin():
+    cp = monoid_comonad().cat("p")  # {*; e∘e = e}
+    assert not cp.thin
+    assert factorizations(cp, "*", "*", [("e", "e")]) == ["e", "id:*"]
+    assert factorizations(cp, "*", "*", [("id:*", "e")]) == ["e"]
+    assert factorizations(cp, "*", "*", [("e", "id:*")]) == []
+    with pytest.raises(AssertionError, match="pairs were read"):
+        factorizations(cp, "*", "*", unread_pairs())
+
+
+def test_mediating_arrow_absent_from_an_empty_hom_set():
+    with pytest.raises(LimitAbsent, match="search x to y has 0"):
+        _mediating(diamond(), "x", "y", unread_pairs(), "search {} to {}",
+                   "x", "y")
 
 
 def test_is_iso():
