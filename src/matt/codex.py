@@ -12,16 +12,18 @@ handed back as plain FinCats so the limit machinery applies to them unchanged.
 A CodexCategory holds its index (codex_index), computed once per mode: the
 morphisms into the mode, a record per decomposition with the category and
 functor its structure map reads, and the cocycle and cell-action equations
-as rows.  Constructions read the index, so they do no mode-theory arithmetic
-per object or arrow, and return the codex's own instances.  Lock functors act
+as rows; read for one pi, the same rows are the comma categories pi down nu.
+Constructions read the index, so they do no mode-theory arithmetic per
+object or arrow, and return the codex's own instances.  Lock functors act
 by composition on the index, and reflect projects a component.
 
 The codex gives two families of adjunctions, both held in one record,
 Adjunction: reflect(pi) -| incl(pi) between the codex and the base
 categories, and lock(pi) -| radj(pi) between codexes, whose right adjoints
 are the negative modalities.  Each right adjoint is assembled pointwise from
-limits (incl over comma categories, radj over a diagram of inclusions), and
-sends an arrow to the arrow its map of diagrams induces between the limits.
+limits (incl over the comma categories in the index, radj over a diagram of
+inclusions), and sends an arrow to the arrow its map of diagrams induces
+between the limits.
 
 When every base category is thin, so is the codex, and parallel arrows are
 equal: every cocycle, cell-action and structure square holds as soon as its
@@ -41,9 +43,8 @@ from functools import cached_property
 
 from .errors import (CapExceeded, LimitAbsent, MalformedTable, MattError,
                      NotColax, NotComposable)
-from .fincat import (Diagram, FinCat, FinFunctor, FinNat, comma,
-                     compose_functors, factorizations, id_name, isomorphic,
-                     limit)
+from .fincat import (Diagram, FinCat, FinFunctor, FinNat, compose_functors,
+                     factorizations, id_name, isomorphic, limit)
 from .mode_theory import opposite
 
 
@@ -108,7 +109,13 @@ class CodexIndex:
     per key, in sorted key order; and the coherence equations on components c
     and structure maps s as rows.  A cocycle row (t1, t2, t3, cat, fun) asks
     cat.comp(fun.amap[s[t1]], s[t2]) == s[t3], an action row (t1, beta, nat,
-    mu1, t3, cat) asks cat.comp(nat.at(c[mu1]), s[t1]) == s[t3]."""
+    mu1, t3, cat) asks cat.comp(nat.at(c[mu1]), s[t1]) == s[t3].
+
+    Read for a fixed pi, the rows are also the comma categories pi down nu:
+    the decompositions t with t.mu == pi are the objects of pi down t.nu, the
+    action rows with mu1 == pi its arrows t1 -> t3 by beta, and the cocycle
+    rows whose t1 decomposes pi the map that t2 induces from pi down t2.mu to
+    pi down t2.nu."""
     mus: list
     cats: dict
     decomps: list
@@ -118,7 +125,8 @@ class CodexIndex:
 
 def codex_index(d: Diagram, r: str) -> CodexIndex:
     """The index of the codex at mode r: all the mode-theory arithmetic the
-    codex constructions need, done once."""
+    codex constructions need, incl's comma categories included, done
+    once."""
     mt = d.mt
     mus = [m.name for m in mt.morphisms_into(r)]
     keys = []
@@ -405,7 +413,8 @@ class Adjunction:
     left.src to an arrow x -> right(left(x)); counit maps each object y of
     right.src to an arrow left(right(y)) -> y.  cones holds the limit cones
     the right adjoint was assembled from: keyed by (object of C_r, nu) for
-    incl, by object of the codex at r for radj."""
+    incl, whose node keys are the decomposition triples (nu, sigma, beta) of
+    pi, and by object of the codex at r for radj."""
     pi: str
     left: FinFunctor
     right: FinFunctor
@@ -433,9 +442,32 @@ def _induced(c: FinCat, c1, c2, maps: dict, what: str, *args):
                        for k, f in maps.items()), what, *args)
 
 
+def comma_shapes(mt, ix: CodexIndex, pi: str):
+    """The comma categories pi down nu, for every nu in ix.mus, read off the
+    index rows.  nodes[nu] lists the decompositions (nu, sigma, beta) of pi,
+    each with C_sigma, and edges[nu] the non-identity cell actions on them as
+    (t1, t3, C_beta).  legs[t.key] pairs each node of pi down t.mu with the
+    node of pi down t.nu that its cocycle with t sends it to."""
+    of_pi = {t.key: t.fun for t in ix.decomps if t.mu == pi}
+    nodes = {nu: [] for nu in ix.mus}
+    for k, f in of_pi.items():
+        nodes[k[0]].append((k, f))
+    edges = {nu: [] for nu in ix.mus}
+    for k, beta, nat, mu1, k3, _ in ix.actions:
+        if mu1 == pi and not mt.is_id_cell(beta):
+            edges[k[0]].append((k, k3, nat))
+    legs = {t.key: [] for t in ix.decomps}
+    for k1, k2, k3, _, _ in ix.cocycles:
+        if k1 in of_pi:
+            legs[k2].append((k1, k3))
+    return nodes, edges, legs
+
+
 def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     """reflect(pi) -| incl(pi), with incl computed pointwise by limits over
-    the comma categories pi down nu."""
+    the comma categories pi down nu, read off the index of the codex.  A
+    cone's node keys are the decomposition triples (nu, sigma, beta) of pi;
+    the counit is the leg at (pi, id, id:pi)."""
     d, mt = cx_s.diagram, cx_s.diagram.mt
     m = mt.mor(pi)
     if m.dst != cx_s.mode:
@@ -443,26 +475,15 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     r = m.src
     cr = d.cat(r)
     ix = cx_s.index
-    # per nu, pi down nu as (node, C_sigma) and (src, dst, C_gamma) lists;
-    # per t, the pairs of a node o of pi down mu and the node t sends o to
-    shapes = {}
-    for nu in ix.mus:
-        k = comma(mt, pi, nu)
-        shapes[nu] = ([(o, d.fun(o[0])) for o in k.objects],
-                      [(a.src, a.dst, d.nat(n[0]))
-                       for n, a in k.arrows.items()
-                       if n not in k.identities.values()])
-    legs = {t.key: [(o, (mt.compose(t.rho, o[0]),
-                         mt.vcomp(mt.wr(t.alpha, o[0]), o[1])))
-                    for o, _ in shapes[t.mu][0]] for t in ix.decomps}
+    nodes, edges, legs = comma_shapes(mt, ix, pi)
 
     cones = {}
     omap = {}
     for g in cr.objects:
         comps = {}
-        for nu, (nodes, edges) in shapes.items():
-            cone = limit(ix.cats[nu], {o: f.omap[g] for o, f in nodes},
-                         [(a, b, n.at(g)) for a, b, n in edges], cap=cap)
+        for nu in ix.mus:
+            cone = limit(ix.cats[nu], {k: f.omap[g] for k, f in nodes[nu]},
+                         [(a, b, n.at(g)) for a, b, n in edges[nu]], cap=cap)
             if cone is None:
                 raise LimitAbsent(f"incl({pi}): component at {nu} of {g} "
                                   "has no limit")
@@ -485,12 +506,12 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     for fname, fa in cr.arrows.items():
         comps = {nu: _induced(
             ix.cats[nu], cones[(fa.src, nu)], cones[(fa.dst, nu)],
-            {o: f.amap[fname] for o, f in shapes[nu][0]},
+            {k: f.amap[fname] for k, f in nodes[nu]},
             "incl({}): image of {} at {}", pi, fname, nu)
             for nu in ix.mus}
         amap[fname] = cx_s.arrow(comps, omap[fa.src], omap[fa.dst])
 
-    counit_key = (mt.id_mor(r), mt.id_cell(pi))
+    counit_key = (pi, mt.id_mor(r), mt.id_cell(pi))
     counit = {g: cones[(g, pi)].leg(counit_key) for g in cr.objects}
     unit = {}
     for delta in cx_s.objects:
@@ -500,8 +521,7 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
             cone = cones[(g, nu)]
             comps[nu] = _mediating(
                 ix.cats[nu], delta.component(nu), omap[g].component(nu),
-                ((cone.leg(o), delta.smap((nu, o[0], o[1])))
-                 for o, _ in shapes[nu][0]),
+                ((cone.leg(k), delta.smap(k)) for k, _ in nodes[nu]),
                 "incl({}): unit at {} of {}", pi, nu, delta)
         unit[delta] = cx_s.arrow(comps, delta, omap[g])
     return Adjunction(pi, reflect(cx_s, pi),
@@ -686,7 +706,7 @@ def psnat_component(bundle: CodexBundle, pi: str, delta: OplaxObject):
     outer = bundle.codexes[s].theta(leg)[mt.id_mor(s)]
     inner_cone = bundle.adjunctions[pi].cones[
         (delta.component(mt.id_mor(r)), mt.id_mor(s))]
-    inner = inner_cone.leg((pi, mt.id_cell(pi)))
+    inner = inner_cone.leg((mt.id_mor(s), pi, mt.id_cell(pi)))
     return d.cat(s).comp(inner, outer)
 
 

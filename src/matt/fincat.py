@@ -4,8 +4,8 @@ Everything is finite and checked exhaustively.  Identity arrows are
 synthesized (named "id:<obj>" for string objects, ("id", obj) otherwise) and
 never override user-supplied table rows.  Hom-sets are indexed by
 (source, target) at construction, and a FinCat is never changed after it is
-built: constructions that derive their composition table (comma categories,
-codex categories) compute it first and pass it in.
+built: constructions that derive their composition table (codex categories)
+compute it first and pass it in.
 
 A FinCat records whether it is thin: at most one arrow per hom-set.  In a
 thin FinCat every cone commutes, so a limit is a greatest lower bound of the
@@ -352,45 +352,6 @@ class Diagram:
                     out.append(f"C_({c}▷{m}) differs at {o}")
                     break
         return out
-
-
-# --- comma categories of the mode theory --------------------------------------
-
-def comma(mt: ModeTheory, pi: str, nu: str) -> FinCat:
-    """The category ϖ↓ν of pairs (σ, β: ϖ ⇒ ν∘σ) for ϖ: r→s, ν: p→s.
-
-    Objects are the pairs; an arrow (σ,β) → (σ',β') is a cell γ: σ ⇒ σ'
-    with (ν◁γ)∘β = β', named by the triple (γ, src pair, dst pair)."""
-    mpi, mnu = mt.mor(pi), mt.mor(nu)
-    if mpi.dst != mnu.dst:
-        raise NotComposable(f"comma({pi},{nu}): targets differ")
-    r, p = mpi.src, mnu.src
-    objects = []
-    for sigma in mt.morphisms_between(r, p):
-        comp = mt.compose(nu, sigma.name)
-        for beta in mt.cells_from_to(pi, comp):
-            objects.append((sigma.name, beta.name))
-    arrows = []
-    for (s1, b1) in objects:
-        for (s2, b2) in objects:
-            for gamma in (c.name for c in mt.cells_from_to(s1, s2)):
-                if mt.vcomp(mt.wl(nu, gamma), b1) == b2:
-                    if mt.is_id_cell(gamma) and (s1, b1) == (s2, b2):
-                        continue  # synthesized identity
-                    arrows.append(Arrow((gamma, (s1, b1), (s2, b2)),
-                                        (s1, b1), (s2, b2)))
-    # composites of non-identity arrows by their cells; FinCat adds the rows
-    # that involve an identity and rejects a row naming an unknown arrow
-    rows = []
-    for a in arrows:
-        for b in arrows:
-            if b.src == a.dst:
-                g = mt.vcomp(b.name[0], a.name[0])
-                h = id_name(a.src) if mt.is_id_cell(g) and a.src == b.dst \
-                    else (g, a.src, b.dst)
-                rows.append((b.name, a.name, h))
-    return FinCat(objects, [(a.name, a.src, a.dst) for a in arrows], rows,
-                  name=f"({pi}↓{nu})")
 
 
 # --- limits ------------------------------------------------------------------

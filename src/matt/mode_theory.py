@@ -160,11 +160,6 @@ class ModeTheory:
 
     # -- lookups ----------------------------------------------------------
 
-    def cells_from_to(self, src_mor: str, dst_mor: str) -> list[Cell]:
-        return sorted((c for c in self.cells.values()
-                       if c.src == src_mor and c.dst == dst_mor),
-                      key=lambda c: c.name)
-
     def mor(self, name: str) -> Morphism:
         try:
             return self.morphisms[name]
@@ -204,10 +199,6 @@ class ModeTheory:
     def morphisms_into(self, mode: str) -> list[Morphism]:
         return sorted((m for m in self.morphisms.values() if m.dst == mode),
                       key=lambda m: m.name)
-
-    def morphisms_between(self, src: str, dst: str) -> list[Morphism]:
-        return sorted((m for m in self.morphisms.values()
-                       if m.src == src and m.dst == dst), key=lambda m: m.name)
 
     # -- algebra ----------------------------------------------------------
 

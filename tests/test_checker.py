@@ -4,7 +4,7 @@ import pytest
 
 from matt.bundled import theory_path
 from matt.checker import Kernel, NoMotive
-from matt.cli import check_file
+from matt.cli import check_file, main
 from matt.errors import (ConversionFailure, ExpectedF, ExpectedPi,
                          KeyTypeMismatch, NotSharp, NotSinister,
                          NotTransparent, UnknownConstant)
@@ -238,6 +238,94 @@ def test_conversion_failure_reports():
     ctx = empty_context("p")
     with pytest.raises(ConversionFailure):
         k.check(ctx, Const("a0", ()), Const("A2", ()))
+
+
+# --- comparison of arguments under a variable head ---------------------------
+
+def check_lines(tmp_path, theory, lines):
+    f = tmp_path / "src.matt"
+    f.write_text("".join(line + "\n" for line in lines))
+    return check_file(f, load_mode_theory(theory_path(theory)))
+
+
+# per former: theory, mode, declarations, a bound variable (or ""), the
+# type of g's argument, g's result type, an argument t, a term α-equivalent
+# to t, and a term that differs from t
+UNDER_A_VARIABLE_HEAD = {
+    "lambda": ("trivial", "p", ["const A : Type @ p;", "const a0 : A @ p;"],
+               "", "(x : A) -> A", "A", r"\x. x", r"\y. y", r"\x. a0"),
+    "mod": ("single_arrow", "q",
+            ["const A : Type @ p;", "const a0 : A @ p;",
+             "const B : Type @ q;"],
+            "", "F[mu] ((x : A) -> A)", "B", r"mod[mu] (\x. x)",
+            r"mod[mu] (\y. y)", r"mod[mu] (\x. a0)"),
+    "shut": ("2ltt", "e",
+             ["const B : Type @ f;", "const b0 : B @ f;",
+              "const C : Type @ e;"],
+             "", "U[iota] ((x : B) -> B)", "C", r"shut[iota] (\x. x)",
+             r"shut[iota] (\y. y)", r"shut[iota] (\x. b0)"),
+    "let-mod": ("single_arrow", "q",
+                ["const A : Type @ p;", "const a0 : A @ p;",
+                 "const B : Type @ q;"],
+                "y", "F[mu] A", "B",
+                "let[id:q, mu] mod x = y in mod[mu] x motive F[mu] A",
+                "let[id:q, mu] mod z = y in mod[mu] z motive F[mu] A",
+                "let[id:q, mu] mod x = y in mod[mu] a0 motive F[mu] A"),
+}
+
+
+@pytest.mark.parametrize("former", list(UNDER_A_VARIABLE_HEAD))
+def test_arguments_of_a_variable_head_compare_up_to_renaming(tmp_path,
+                                                             former):
+    # R (g t) against R (g u), for a bound g, compares t with u structurally
+    theory, mode, consts, var, dom, res, t, same, other = \
+        UNDER_A_VARIABLE_HEAD[former]
+
+    def claim(name, u):
+        bound = f"({var} : F[mu] A) -> " if var else ""
+        lams = f"\\{var}. " if var else ""
+        return (f"def {name} @ {mode} : {bound}(g : (k : {dom}) -> {res}) -> "
+                f"(r : R (g ({t}))) -> R (g ({u})) = {lams}\\g. \\r. r;")
+
+    lines = consts + [f"const R : (v : {res}) Type @ {mode};",
+                      claim("same", same), claim("other", other)]
+    diags, n = check_lines(tmp_path, theory, lines)
+    assert n == len(lines) - 1
+    assert [(d.code, d.line) for d in diags] == \
+        [("ConversionFailure", len(lines))]
+
+
+def test_a_bare_lambda_head_cannot_be_inferred(tmp_path):
+    diags, n = check_lines(tmp_path, "trivial", [
+        "const A : Type @ p;", "const a0 : A @ p;",
+        r"def d @ p : A = (\x. x) a0;"])
+    assert [(d.code, d.line, d.message) for d in diags] == \
+        [("ExpectedPi", 3, "cannot infer the type of a bare λ")]
+    assert main(["check", "--mode-theory", str(theory_path("trivial")),
+                 str(tmp_path / "src.matt")]) == 1
+
+
+TWO_LEVEL = ["const B : Type @ f;", "const b0 : B @ f;",
+             "const C : Type @ e;", "const c0 : C @ e;"]
+SINGLE_ARROW = ["const A : Type @ p;", "const a0 : A @ p;"]
+
+
+@pytest.mark.parametrize("theory,consts,decl,code", [
+    ("2ltt", TWO_LEVEL, "def d @ f : B = mod[iota] c0;", "NotSharp"),
+    ("2ltt", TWO_LEVEL, "def d @ f : B = let[id:f, iota] mod x = b0 in b0;",
+     "NotSharp"),
+    ("single_arrow", SINGLE_ARROW, "def d @ p : A = shut[mu] a0;",
+     "NotSinister"),
+    ("single_arrow", SINGLE_ARROW, "def d @ p : A = open[mu] a0;",
+     "NotSinister"),
+], ids=["mod", "let-mod", "shut", "open"])
+def test_annotations_outside_their_class_are_rejected(tmp_path, theory,
+                                                      consts, decl, code):
+    # each term is checked at a type its former does not make, so it is
+    # inferred, and its annotation checked there
+    diags, n = check_lines(tmp_path, theory, consts + [decl])
+    assert [(d.code, d.line) for d in diags] == [(code, len(consts) + 1)]
+    assert n == len(consts)
 
 
 # --- negatives ---------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from matt.bundled import FIXTURES, diagram_path, theory_path
 from matt.cli import check_file, cmd_check, cmd_modes_validate, main
+from matt.mode_theory import load_mode_theory
 
 CORPUS = FIXTURES / "corpus"
 
@@ -322,6 +323,15 @@ def test_check_bad_declared_mode_theory_exits_two(tmp_path, capsys, content):
         assert line.startswith(f"ERROR MalformedTable @ {mt}:0:0: ")
 
 
+def test_check_missing_declared_mode_theory_exits_two(tmp_path, capsys):
+    f = tmp_path / "src.matt"
+    f.write_text('mode-theory "missing.mt";\nconst A : Type @ p;\n')
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR ParseError @ {f}:1:13: [Errno 2] No such file or "
+        f"directory: '{tmp_path / 'missing.mt'}'\n")
+
+
 def test_invalid_mode_theory_names_each_axiom_once(tmp_path, capsys):
     # neither identity is transparent: two violations of one axiom
     mt = tmp_path / "bad.mt"
@@ -534,3 +544,25 @@ def test_a_call_leaves_no_cyclic_garbage(capsys, argv):
     finally:
         gc.enable()
     assert found == 0
+
+
+@pytest.mark.parametrize("theory,lines", [
+    ("single_arrow", ["const A : Type @ p;",
+                      "const f : (k : (x : A) -> A) A @ p;",
+                      r"def d2 @ p : A = f \x. x;"]),
+    ("single_arrow", ["const A : Type @ p;", "const a0 : A @ p;",
+                      "const B : Type @ q;",
+                      "const h : (y : F[mu] A) B @ q;",
+                      "def d3 @ q : B = h mod[mu] a0;"]),
+    ("2ltt", ["const B : Type @ f;", "const b0 : B @ f;",
+              "const C : Type @ e;", "const k : (M : U[iota] B) C @ e;",
+              "const g : (x : B) B @ f;",
+              "def d4 @ e : C = k shut[iota] b0;",
+              "def d5 @ f : B = g open[iota] shut[iota] b0;"]),
+], ids=["lambda", "mod", "shut-open"])
+def test_a_trailing_argument_needs_no_parentheses(tmp_path, theory, lines):
+    # a λ, mod, shut or open argument closes its spine: it runs to the end
+    f = tmp_path / "src.matt"
+    f.write_text("".join(line + "\n" for line in lines))
+    assert check_file(f, load_mode_theory(theory_path(theory))) == \
+        ([], len(lines))

@@ -1,4 +1,4 @@
-"""Finite categories: laws, comma categories, and limit search."""
+"""Finite categories: laws and limit search."""
 
 import math
 from functools import reduce
@@ -8,16 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_codex import monoid_comonad
 
-from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
+from matt.bundled import DIAGRAM_NAMES, diagram_path
 from matt.codex import _mediating, enumerate_codex
 from matt.errors import (CapExceeded, LimitAbsent, MalformedTable,
                          NotComposable)
 from matt.fincat import (Cone, FinCat, FinFunctor, FinNat, all_cones,
-                         check_preserves_limit, comma,
-                         compose_functors, factorizations, identity_functor,
-                         is_iso, is_terminal_cone, isomorphic, limit,
-                         load_diagram, poset_category)
-from matt.mode_theory import load_mode_theory
+                         check_preserves_limit, compose_functors,
+                         factorizations, identity_functor, is_iso,
+                         is_terminal_cone, isomorphic, limit, load_diagram,
+                         poset_category)
 
 
 def two_chain():
@@ -262,44 +261,6 @@ def test_thin_limit_among_isomorphic_objects():
               for s in range(20)}
     assert apexes == {"a", "b"}
     assert limit(c, {"l": "a", "r": "b"}, []).apex == "a"  # objects order
-
-
-# --- comma categories -----------------------------------------------------------
-
-def test_comma_single_arrow():
-    mt = load_mode_theory(theory_path("single_arrow"))
-    c = comma(mt, "id:q", "mu")  # sigma: q -> p: none exist
-    assert c.objects == []
-    c2 = comma(mt, "mu", "id:q")  # sigma: p -> q: only mu, beta: mu => mu
-    assert c2.objects == [("mu", "id:mu")]
-    c3 = comma(mt, "id:q", "id:q")
-    assert c3.objects == [("id:q", "id:id:q")]
-    assert c3.validate() == []
-
-
-def test_comma_reflective():
-    mt = load_mode_theory(theory_path("reflective"))
-    # numu ↓ id:p : pairs (sigma: p->p, beta: numu => sigma)
-    c = comma(mt, "numu", "id:p")
-    assert ("numu", "id:numu") in c.objects
-    assert c.validate() == []
-    # identity comma always contains (1, 1) and it is initial when pi = 1
-    c1 = comma(mt, "id:p", "id:p")
-    assert ("id:p", "id:id:p") in c1.objects
-    base = ("id:p", "id:id:p")
-    for o in c1.objects:
-        assert len(c1.hom(base, o)) == 1
-
-
-def test_comma_arrows_compose_by_cells():
-    mt = load_mode_theory(theory_path("semilattice"))
-    c = comma(mt, "a", "id:p")  # pairs (sigma: p->p, beta: a => sigma)
-    assert set(c.objects) == {("a", "id:a"), ("id:p", "le")}
-    assert c.validate() == []
-    [arr] = [a for a in c.arrows.values()
-             if a.src == ("a", "id:a") and a.dst == ("id:p", "le")
-             and a.name not in c.identities.values()]
-    assert arr.name[0] == "le"
 
 
 # --- mediating arrows and isomorphisms ----------------------------------------

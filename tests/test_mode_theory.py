@@ -313,6 +313,35 @@ def test_whiskering_along_a_composite_is_whiskering_twice(axiom):
     assert {v.axiom for v in found} == {axiom}, found
 
 
+# on the inner morphism a, b with b∘a = a; on the composite x, y with
+# x∘y = x; whiskering a to y and b to x then sends b∘a = a to y but the
+# composite of the whiskers to x∘y = x
+WHISKER_FUNCTORIAL = {
+    "whisker-left-functorial": three_modes(
+        [("n", "p", "q"), ("m", "q", "r"), ("mn", "p", "r")],
+        [["m", "n", "mn"]],
+        [("a", "n", "n"), ("b", "n", "n"), ("x", "mn", "mn"),
+         ("y", "mn", "mn")],
+        [["a", "a", "a"], ["a", "b", "b"], ["b", "a", "a"], ["b", "b", "b"],
+         ["x", "x", "x"], ["x", "y", "x"], ["y", "x", "y"], ["y", "y", "y"]],
+        [["m", "a", "y"], ["m", "b", "x"]], []),
+    "whisker-right-functorial": three_modes(
+        [("k", "p", "q"), ("m", "q", "r"), ("mk", "p", "r")],
+        [["m", "k", "mk"]],
+        [("a", "m", "m"), ("b", "m", "m"), ("x", "mk", "mk"),
+         ("y", "mk", "mk")],
+        [["a", "a", "a"], ["a", "b", "b"], ["b", "a", "a"], ["b", "b", "b"],
+         ["x", "x", "x"], ["x", "y", "x"], ["y", "x", "y"], ["y", "y", "y"]],
+        [], [["a", "k", "y"], ["b", "k", "x"]]),
+}
+
+
+@pytest.mark.parametrize("axiom", list(WHISKER_FUNCTORIAL))
+def test_whiskering_preserves_vertical_composites(axiom):
+    found = violations(WHISKER_FUNCTORIAL[axiom])
+    assert {v.axiom for v in found} == {axiom}, found
+
+
 def test_interchange_must_hold():
     # a on k and b on m idempotent; on m∘k the cells x, y with x∘y = x and
     # y∘x = y, so the two ways round the square, x∘y and y∘x, differ

@@ -72,6 +72,16 @@ def test_modal_formers():
     assert d.term == Shut("iota", Open("iota", Var("M", None)))
 
 
+def test_trailing_arguments_take_the_rest_of_the_term():
+    [d] = parse_program(r"def a @ p : A = f \x. x;")
+    assert d.term == App(Var("f", None), Lam("x", Var("x", None)))
+    [d] = parse_program("def a @ e : C = k shut[iota] open[iota] b0 c;")
+    assert d.term == App(Var("k", None), Shut("iota", Open(
+        "iota", App(Var("b0", None), Var("c", None)))))
+    [d] = parse_program("def a @ q : B = h mod[mu] a0;")
+    assert d.term == App(Var("h", None), ModIntro("mu", Var("a0", None)))
+
+
 def test_let_mod_with_motive():
     src = "def e @ q : B = let[id:q, mu] mod x = y in x motive B;"
     [d] = parse_program(src)
