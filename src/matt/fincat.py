@@ -7,13 +7,19 @@ never override user-supplied table rows.  Hom-sets are indexed by
 built: constructions that derive their composition table (codex categories)
 compute it first and pass it in.
 
-A FinCat records whether it is thin: at most one arrow per hom-set.  In a
-thin FinCat every cone commutes, so a limit is a greatest lower bound of the
-diagram's objects, found by ANDing down-set bitmasks indexed at
-construction, and a mediating arrow is the one arrow of its hom-set, found
-without composing a leg.  Any other FinCat is searched for a terminal cone
-among all cones.  Both paths bound the number of candidate cones by a
-configurable cap.
+A FinCat records whether it is thin: at most one arrow per hom-set.  Its
+objects have integer positions, and each position has the bitmask of the
+positions below it, its down-set, both built at construction.  In a thin
+FinCat every cone commutes, so a limit is a greatest lower bound of the
+diagram's objects, found by ANDing down-set masks, and a mediating arrow is
+the one arrow of its hom-set, found without composing a leg.  Any other
+FinCat is searched for a terminal cone among all cones.  Both paths bound
+the number of candidate cones by a configurable cap.
+
+`first_unpreserved_limit` checks that functors preserve the binary and
+empty limits of their source.  On a thin source with thin targets it works
+on positions and masks alone and builds no cone; otherwise it takes `limit`
+and `check_preserves_limit`, one diagram at a time.
 """
 
 from __future__ import annotations
@@ -74,13 +80,14 @@ class FinCat:
         for n, a in self.arrows.items():
             self.compose.setdefault((n, self.identities[a.src]), n)
             self.compose.setdefault((self.identities[a.dst], n), n)
-        # thin: at most one arrow per hom-set.  _down maps each object to
-        # the mask of objects with an arrow into it (bit i: objects[i]).
+        # thin: at most one arrow per hom-set.  _pos maps each object to its
+        # position i in objects, and _down[i] is the mask of the positions
+        # with an arrow into objects[i].
         self.thin = all(len(h) == 1 for h in self._hom.values())
-        bit = {o: 1 << i for i, o in enumerate(self.objects)}
-        self._down = dict.fromkeys(self.objects, 0)
+        self._pos = {o: i for i, o in enumerate(self.objects)}
+        self._down = [0] * len(self.objects)
         for (x, y) in self._hom:
-            self._down[y] |= bit[x]
+            self._down[self._pos[y]] |= 1 << self._pos[x]
 
     def arr(self, name) -> Arrow:
         try:
@@ -434,15 +441,31 @@ def isomorphic(c: FinCat, a, b) -> bool:
     return any(is_iso(c, f) for f in c.hom(a, b))
 
 
+def _down_of(c: FinCat, x) -> int:
+    """The down-set mask of x in c, 0 for an object c lacks."""
+    i = c._pos.get(x)
+    return 0 if i is None else c._down[i]
+
+
 def _lower_bounds(c: FinCat, nodes: dict, cap: Optional[int]) -> int:
     """In a thin c, the mask of objects with an arrow into every node.  Each
     is the apex of exactly one cone, so its popcount is the cone search size
     that cap bounds."""
     lower = (1 << len(c.objects)) - 1
     for x in nodes.values():
-        lower &= c._down.get(x, 0)
+        lower &= _down_of(c, x)
     _check_cap(lower.bit_count(), cap)
     return lower
+
+
+def _ranks(n: int, order: Optional[int]):
+    """The positions of n objects in apex search order: shuffled by order
+    when it is given."""
+    if order is None:
+        return range(n)
+    ranks = list(range(n))
+    random.Random(order).shuffle(ranks)
+    return ranks
 
 
 def limit(c: FinCat, nodes: dict, edges=(), cap: Optional[int] = None,
@@ -459,13 +482,9 @@ def limit(c: FinCat, nodes: dict, edges=(), cap: Optional[int] = None,
         return next((cand for cand in cones if _is_terminal(c, cand, cones)),
                     None)
     lower = _lower_bounds(c, nodes, cap)
-    ranks = range(len(c.objects))
-    if order is not None:
-        ranks = list(ranks)
-        random.Random(order).shuffle(ranks)
-    for i in ranks:
-        apex = c.objects[i]
-        if lower >> i & 1 and c._down[apex] & lower == lower:
+    for i in _ranks(len(c.objects), order):
+        if lower >> i & 1 and c._down[i] & lower == lower:
+            apex = c.objects[i]
             keys = sorted(nodes, key=repr)
             return Cone(apex, tuple((k, c._hom[(apex, nodes[k])][0])
                                     for k in keys))
@@ -484,7 +503,7 @@ def is_terminal_cone(c: FinCat, nodes: dict, edges, cone: Cone,
         if a is None or a.src != cone.apex or a.dst != x:
             return False
     if c.thin:
-        return c._down.get(cone.apex, 0) & lower == lower
+        return _down_of(c, cone.apex) & lower == lower
     return _is_terminal(c, cone, cones)
 
 
@@ -496,6 +515,82 @@ def check_preserves_limit(f: FinFunctor, nodes: dict, edges, cone: Cone,
     img_cone = Cone(f.omap[cone.apex],
                     tuple((k, f.amap[a]) for k, a in cone.legs))
     return is_terminal_cone(f.dst, img_nodes, img_edges, img_cone, cap=cap)
+
+
+def _binary_diagrams(c: FinCat):
+    """The diagrams whose limits first_unpreserved_limit checks, as
+    (positions, nodes): each pair of objects of c, in
+    combinations_with_replacement order, then the empty diagram."""
+    objs = c.objects
+    for i, j in itertools.combinations_with_replacement(range(len(objs)), 2):
+        yield (i, j), {"l": objs[i], "r": objs[j]}
+    yield (), {}
+
+
+def _leg_lands(c: FinCat, f: FinFunctor, a: int, e: int) -> bool:
+    """Whether f sends the arrow of c from position a to position e to an
+    arrow between their images: is_terminal_cone's check of a leg's ends."""
+    src, dst = c.objects[a], c.objects[e]
+    img = f.dst.arrows.get(f.amap[c._hom[(src, dst)][0]])
+    return img is not None and img.src == f.omap[src] and \
+        img.dst == f.omap[dst]
+
+
+def first_unpreserved_limit(c: FinCat, functors: list,
+                            cap: Optional[int] = None,
+                            order: Optional[int] = None
+                            ) -> Optional[tuple[FinFunctor, dict]]:
+    """The first binary or empty limit of c that one of functors, each out
+    of c, does not preserve, as (functor, nodes); None when every functor
+    preserves every such limit.
+
+    The diagrams run as _binary_diagrams lists them, and for each diagram
+    the functors in their order.  When c and every target are thin, the
+    limit is the first position, in limit's search order, whose down-set
+    mask is the nodes' common one, and a functor preserves it when the
+    mask of its image's down-set holds the images' common lower bounds: no
+    cone is built.  cap bounds the same lower-bound counts as limit and
+    is_terminal_cone, and order permutes the search as in limit.  Any
+    other input takes limit and check_preserves_limit.
+    """
+    if not (c.thin and all(f.dst.thin for f in functors)):
+        for _, nodes in _binary_diagrams(c):
+            cone = limit(c, nodes, [], cap=cap, order=order)
+            if cone is not None:
+                for f in functors:
+                    if not check_preserves_limit(f, nodes, [], cone, cap=cap):
+                        return f, nodes
+        return None
+    down, n = c._down, len(c.objects)
+    meets: dict = {}  # down-set mask -> its first position in search order
+    for a in _ranks(n, order):
+        meets.setdefault(down[a], a)
+    # per functor: its object map on positions, its target's down-sets, and
+    # _leg_lands memoised by (a, e)
+    images = [(f, [f.dst._pos[f.omap[o]] for o in c.objects], f.dst._down,
+               {}) for f in functors]
+    for ends, nodes in _binary_diagrams(c):
+        lower = (1 << n) - 1
+        for e in ends:
+            lower &= down[e]
+        _check_cap(lower.bit_count(), cap)
+        a = meets.get(lower)
+        if a is None:
+            continue
+        for f, pos, tdown, legs in images:
+            tlower = (1 << len(tdown)) - 1
+            for e in ends:
+                tlower &= tdown[pos[e]]
+            _check_cap(tlower.bit_count(), cap)
+            for e in ends:
+                ok = legs.get((a, e))
+                if ok is None:
+                    ok = legs[a, e] = _leg_lands(c, f, a, e)
+                if not ok:
+                    return f, nodes
+            if tdown[pos[a]] & tlower != tlower:
+                return f, nodes
+    return None
 
 
 # --- serialization -------------------------------------------------------------

@@ -8,12 +8,10 @@ asked for it instead of aborting the suite.
 
 from __future__ import annotations
 
-import itertools
-
 from .codex import (build_bundle, dextrify_colax, psnat_component,
                     reflect_colax, transpose)
 from .errors import MattError, MalformedTable, ParseError
-from .fincat import (check_preserves_limit, is_iso, isomorphic, limit,
+from .fincat import (first_unpreserved_limit, is_iso, isomorphic,
                      load_diagram)
 
 
@@ -92,27 +90,15 @@ def law_pseudonat(d, bundle, cap):
     return True, ""
 
 
-def _binary_limits(cat, cap):
-    for x, y in itertools.combinations_with_replacement(cat.objects, 2):
-        nodes = {"l": x, "r": y}
-        cone = limit(cat, nodes, [], cap=cap)
-        if cone is not None:
-            yield nodes, cone
-    cone = limit(cat, {}, [], cap=cap)
-    if cone is not None:
-        yield {}, cone
-
-
 def law_limit_preservation(d, bundle, cap):
     """Every functor in the diagram preserves the binary and empty limits
     that exist in its source."""
     for m in d.mt.morphisms.values():
         f = d.fun(m.name)
-        for nodes, cone in _binary_limits(f.src, cap):
-            if not check_preserves_limit(f, nodes, [], cone, cap=cap):
-                what = "terminal object" if not nodes else \
-                    f"meet of {nodes['l']} and {nodes['r']}"
-                return False, f"{m.name} does not preserve the {what}"
+        if hit := first_unpreserved_limit(f.src, [f], cap=cap):
+            what = f"meet of {hit[1]['l']} and {hit[1]['r']}" if hit[1] \
+                else "terminal object"
+            return False, f"{m.name} does not preserve the {what}"
     return True, ""
 
 
@@ -124,11 +110,9 @@ def law_pointwise_limits(d, bundle, cap):
         fs = [family[m.name].left
               for family in (bundle.adjunctions, bundle.right_adjoints)
               for m in mt.morphisms.values() if m.dst == p]
-        for nodes, cone in _binary_limits(cx.cat, cap):
-            for f in fs:
-                if not check_preserves_limit(f, nodes, [], cone, cap=cap):
-                    return False, f"{f.name} does not preserve a limit " \
-                                  f"in the codex at {p}"
+        if hit := first_unpreserved_limit(cx.cat, fs, cap=cap):
+            return False, f"{hit[0].name} does not preserve a limit " \
+                          f"in the codex at {p}"
     return True, ""
 
 

@@ -89,6 +89,10 @@ class ModeTheory:
         self.adjoints: dict[str, Adjoint] = {a.mor: a for a in adjoints}
         self._synthesize_identities()
         self._check_references()
+        into: dict[str, list[Morphism]] = {p: [] for p in self.modes}
+        for m in sorted(self.morphisms.values(), key=lambda m: m.name):
+            into[m.dst].append(m)
+        self._into = {p: tuple(ms) for p, ms in into.items()}
 
     # -- construction ----------------------------------------------------
 
@@ -196,9 +200,9 @@ class ModeTheory:
     def in_class(self, cls: str, mor: str) -> bool:
         return mor in self.classes[cls]
 
-    def morphisms_into(self, mode: str) -> list[Morphism]:
-        return sorted((m for m in self.morphisms.values() if m.dst == mode),
-                      key=lambda m: m.name)
+    def morphisms_into(self, mode: str) -> tuple[Morphism, ...]:
+        """The morphisms with target mode, sorted by name."""
+        return self._into.get(mode, ())
 
     # -- algebra ----------------------------------------------------------
 

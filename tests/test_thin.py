@@ -6,18 +6,24 @@ single_arrow.mt, C_p = O(Q), C_q = O(P) and C_mu = h⁻¹, so every base
 category and every codex is thin.  The thin fast path of `enumerate_codex`
 and `codex_right_adjoint` decides no equation; these tests check what it
 builds against the equations it skips, and against the general path.
+The mask path of `first_unpreserved_limit` is checked against limit cones
+on these frames and their codexes, and on random preorders.
 """
 
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fincat import preorders
 
 from matt.bundled import theory_path
 from matt.codex import (build_bundle, check_oplax_morphism,
                         check_oplax_object, codex_index, enumerate_codex,
                         OplaxObject)
-from matt.fincat import Diagram, FinFunctor, poset_category
+from matt.errors import CapExceeded
+from matt.fincat import (Diagram, FinFunctor, check_preserves_limit,
+                         first_unpreserved_limit, identity_functor, limit,
+                         poset_category)
 from matt.laws import LAWS
 from matt.mode_theory import load_mode_theory
 
@@ -148,3 +154,121 @@ def test_thin_adjoints_match_the_general_path(d):
             assert adj.right.omap == other.right.omap
             assert adj.right.amap == other.right.amap
             assert (adj.unit, adj.counit) == (other.unit, other.counit)
+
+
+# --- limit preservation from down-set masks, against the cone path ---------
+
+def cone_path(c, functors, cap, order):
+    """The reference for first_unpreserved_limit: a limit cone per binary
+    and empty diagram, in the same order, and check_preserves_limit per
+    functor."""
+    diagrams = [{"l": x, "r": y} for x, y in
+                itertools.combinations_with_replacement(c.objects, 2)]
+    for nodes in diagrams + [{}]:
+        cone = limit(c, nodes, [], cap=cap, order=order)
+        if cone is not None:
+            for f in functors:
+                if not check_preserves_limit(f, nodes, [], cone, cap=cap):
+                    return f, nodes
+    return None
+
+
+def outcome(search):
+    try:
+        return search()
+    except CapExceeded as e:
+        return str(e)
+
+
+def assert_matches_the_cone_path(c, functors):
+    assert c.thin and all(f.dst.thin for f in functors)
+    for order in [None, *range(5)]:
+        for cap in [None, 0, 1, 2, 3]:
+            got = outcome(lambda: first_unpreserved_limit(
+                c, functors, cap=cap, order=order))
+            assert got == outcome(lambda: cone_path(c, functors, cap, order)), \
+                (order, cap)
+
+
+def inclusion(c, extra, leq, name):
+    """The inclusion of a thin c into the preorder leq on its objects and
+    one more, extra."""
+    t = poset_category(c.objects + [extra], leq, name=name)
+    assert t.thin and t.validate() == []
+    return FinFunctor(c, t, {o: o for o in c.objects},
+                      {n: t.hom(a.src, a.dst)[0] for n, a in c.arrows.items()},
+                      name=name)
+
+
+def drops_the_top(c):
+    """Into c under a new top T: keeps every meet, drops c's top."""
+    return inclusion(c, "T", lambda u, v: v == "T" or
+                     (u != "T" and bool(c.hom(u, v))), "drops-the-top")
+
+
+def drops_a_meet(c, x, y):
+    """Into c with a new B below x and y and not below their meet, when x
+    and y are incomparable: B sits above what is below x and y and not
+    above either, and below what is above x or y."""
+    def leq(u, v):
+        if u == v:
+            return True
+        if u == "B":
+            return bool(c.hom(x, v) or c.hom(y, v))
+        if v == "B":
+            return bool(c.hom(u, x) and c.hom(u, y)) and \
+                not (c.hom(x, u) or c.hom(y, u))
+        return bool(c.hom(u, v))
+    return inclusion(c, "B", leq, "drops-a-meet")
+
+
+def misroutes(c, u):
+    """The identity, except that the arrow u goes to the identity at its
+    source: a leg's image with the wrong boundary."""
+    amap = {n: n for n in c.arrows}
+    amap[u] = c.id_arr(c.arrows[u].src)
+    return FinFunctor(c, c, {o: o for o in c.objects}, amap,
+                      name="misroutes")
+
+
+def meets_of_incomparables(c) -> list:
+    """The pairs of incomparable objects of a thin c that have a meet."""
+    out = []
+    for x, y in itertools.combinations(c.objects, 2):
+        lower = [o for o in c.objects if c.hom(o, x) and c.hom(o, y)]
+        if not (c.hom(x, y) or c.hom(y, x)) and \
+                any(all(c.hom(o, m) for o in lower) for m in lower):
+            out.append((x, y))
+    return out
+
+
+@st.composite
+def thin_functors(draw, c):
+    """A list of functors out of a thin c, each thin-valued: some keep
+    every limit, drop the top, drop a meet, or map a leg wrongly."""
+    fs = [identity_functor(c), drops_the_top(c)]
+    if pairs := meets_of_incomparables(c):
+        fs.append(drops_a_meet(c, *draw(st.sampled_from(pairs))))
+    moved = [n for n, a in c.arrows.items() if a.src != a.dst]
+    if moved:
+        fs.append(misroutes(c, draw(st.sampled_from(moved))))
+    return draw(st.permutations(fs))[:draw(st.integers(1, len(fs)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(preorders(), locale_diagrams(max_points=3).map(
+    lambda d: d.cat("p"))), st.data())
+def test_mask_path_matches_the_cone_path(c, data):
+    assert_matches_the_cone_path(c, data.draw(thin_functors(c)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(locale_diagrams(max_points=3), st.data())
+def test_mask_path_matches_the_cone_path_on_codexes(d, data):
+    b = build_bundle(d)
+    for p in d.mt.modes:
+        cx = b.codexes[p].cat
+        fs = [family[m.name].left
+              for family in (b.adjunctions, b.right_adjoints)
+              for m in d.mt.morphisms.values() if m.dst == p]
+        assert_matches_the_cone_path(cx, fs + data.draw(thin_functors(cx)))
