@@ -30,8 +30,16 @@ equal: every cocycle, cell-action and structure square holds as soon as its
 hom-sets are inhabited, and a mediating arrow is the one arrow of its
 hom-set.  enumerate_codex then takes the one arrow of each structure-map and
 component hom-set and reads each composite off its ends, and
-codex_right_adjoint builds no mates and composes no legs.  Every other
-diagram takes the general path, which decides each equation.
+codex_right_adjoint builds no mates and composes no legs.  The CodexCategory
+records that its bases are thin, and the constructions read the arrows they
+need off hom-sets: the arrow maps of locks, reflections, incl and
+dextrification, the lock cells, incl's unit and radj's counit each take the
+one arrow between the images of its ends (CodexCategory.one_arrow), and
+incl's object at each base object is the one codex object with the limit
+apexes as components (CodexCategory.obj_of).  Where a hom-set is empty, or
+no object has those components, the construction takes the general path,
+which fails as it always did.  Every other diagram takes the general path,
+which decides each equation.
 """
 
 from __future__ import annotations
@@ -163,16 +171,23 @@ def codex_index(d: Diagram, r: str) -> CodexIndex:
 @dataclass
 class CodexCategory:
     """The codex category at a mode, built only by enumerate_codex with its
-    index.  obj and arrow return the enumerated instances, never an equal
-    copy."""
+    index; thin when every base category was thin as it was built.  obj,
+    obj_of, arrow and one_arrow return the enumerated instances, never an
+    equal copy."""
     diagram: Diagram
     mode: str
     index: CodexIndex
     cat: FinCat
+    thin: bool
     _instances: dict = field(init=False, repr=False, compare=False)
+    _by_comps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._instances = {o: o for o in self.cat.objects}
+        # over thin bases the components fix an object: each structure map
+        # is the one arrow of its hom-set
+        self._by_comps = {o.components: o for o in self.cat.objects} \
+            if self.thin else {}
 
     @property
     def objects(self):
@@ -183,11 +198,22 @@ class CodexCategory:
         or None when they do not form one."""
         return self._instances.get(OplaxObject.of(self.mode, comps, smaps))
 
+    def obj_of(self, comps: dict):
+        """Over thin bases, the object with these components; None when
+        there is none or a base is not thin."""
+        return self._by_comps.get(tuple(sorted(comps.items())))
+
     def arrow(self, comps: dict, src: OplaxObject, dst: OplaxObject):
         """The name of the arrow src -> dst with these components, as the
         codex holds it."""
         return self.cat.arr(_arrow_name(self.index.cats, comps, src,
                                         dst)).name
+
+    def one_arrow(self, src: OplaxObject, dst: OplaxObject):
+        """Over thin bases, the one arrow src -> dst; None when there is
+        none or a base is not thin, where the caller builds it from its
+        components."""
+        return self.cat.one_arrow(src, dst) if self.thin else None
 
     def theta(self, name) -> dict:
         """Per-index components of a codex arrow."""
@@ -289,7 +315,7 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
                 if not _structure_violations(ix, comps, smaps):
                     objs.append(OplaxObject.of(r, comps, smaps))
     if thin:
-        return CodexCategory(d, r, ix, _thin_codex(cats, objs, r))
+        return CodexCategory(d, r, ix, _thin_codex(cats, objs, r), thin)
 
     arrows = []
     for g in objs:
@@ -318,7 +344,7 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
             comps = {mu: cats[mu].comp(tb[mu], ta[mu]) for mu in mus}
             rows.append((bn, an, _arrow_name(cats, comps, asrc, bdst)))
     return CodexCategory(d, r, ix, FinCat(objs, arrows, rows,
-                                          name=f"Codex({r})"))
+                                          name=f"Codex({r})"), thin)
 
 
 def _thin_codex(cats: dict, objs: list, r: str) -> FinCat:
@@ -366,9 +392,12 @@ def lock_functor(cx_r: CodexCategory, cx_q: CodexCategory,
                                  "enumerated")
     amap = {}
     for name, a in cx_r.cat.arrows.items():
-        th = cx_r.theta(name)
-        amap[name] = cx_q.arrow({nu: th[k] for nu, k in along.items()},
-                                omap[a.src], omap[a.dst])
+        src, dst = omap[a.src], omap[a.dst]
+        amap[name] = cx_q.one_arrow(src, dst)
+        if amap[name] is None:
+            th = cx_r.theta(name)
+            amap[name] = cx_q.arrow({nu: th[k] for nu, k in along.items()},
+                                    src, dst)
     return FinFunctor(cx_r.cat, cx_q.cat, omap, amap, name=f"lock({mu})")
 
 
@@ -383,8 +412,12 @@ def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
     fm = bundle.right_adjoints[c.src].left
     keys = {nu: (mt.compose(c.dst, nu), mt.id_mor(mt.mor(nu).src),
                  mt.wr(beta, nu)) for nu in cx_q.index.mus}
-    comps = {g: cx_q.arrow({nu: g.smap(k) for nu, k in keys.items()},
-                           fm2.omap[g], fm.omap[g]) for g in cx_r.objects}
+    comps = {}
+    for g in cx_r.objects:
+        comps[g] = cx_q.one_arrow(fm2.omap[g], fm.omap[g])
+        if comps[g] is None:
+            comps[g] = cx_q.arrow({nu: g.smap(k) for nu, k in keys.items()},
+                                  fm2.omap[g], fm.omap[g])
     return FinNat(fm2, fm, comps, name=f"lock({beta})")
 
 
@@ -396,7 +429,12 @@ def reflect(cx_q: CodexCategory, mu: str) -> FinFunctor:
         raise NotComposable(f"reflect: {mu} does not land in {cx_q.mode}")
     cp = d.cat(m.src)
     omap = {g: g.component(mu) for g in cx_q.objects}
-    amap = {name: cx_q.theta(name)[mu] for name in cx_q.cat.arrows}
+    amap = {}
+    for name, a in cx_q.cat.arrows.items():
+        amap[name] = cp.one_arrow(omap[a.src], omap[a.dst]) \
+            if cx_q.thin else None
+        if amap[name] is None:
+            amap[name] = cx_q.theta(name)[mu]
     return FinFunctor(cx_q.cat, cp, omap, amap, name=f"reflect({mu})")
 
 
@@ -489,6 +527,9 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
                                   "has no limit")
             comps[nu] = cone.apex
             cones[(g, nu)] = cone
+        omap[g] = cx_s.obj_of(comps)
+        if omap[g] is not None:
+            continue
         smaps = {}
         for t in ix.decomps:
             conemu, conenu = cones[(g, t.mu)], cones[(g, t.nu)]
@@ -504,6 +545,9 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
 
     amap = {}
     for fname, fa in cr.arrows.items():
+        amap[fname] = cx_s.one_arrow(omap[fa.src], omap[fa.dst])
+        if amap[fname] is not None:
+            continue
         comps = {nu: _induced(
             ix.cats[nu], cones[(fa.src, nu)], cones[(fa.dst, nu)],
             {k: f.amap[fname] for k, f in nodes[nu]},
@@ -516,6 +560,9 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     unit = {}
     for delta in cx_s.objects:
         g = delta.component(pi)
+        unit[delta] = cx_s.one_arrow(delta, omap[g])
+        if unit[delta] is not None:
+            continue
         comps = {}
         for nu in ix.mus:
             cone = cones[(g, nu)]
@@ -612,6 +659,9 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     counit = {}
     for delta in cx_r.objects:
         apex = omap[delta]
+        counit[delta] = cx_r.one_arrow(lock.omap[apex], delta)
+        if counit[delta] is not None:
+            continue
         comps = {}
         for mu in ix.mus:
             legc = cx_s.theta(cones[delta].leg(("n", mu)))[pim[mu]]
@@ -793,6 +843,9 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict) -> dict:
                                "codex axioms")
         amap = {}
         for name, a in cx_r.cat.arrows.items():
+            amap[name] = cx_r.one_arrow(omap[a.src], omap[a.dst])
+            if amap[name] is not None:
+                continue
             comps = {mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
                      for mu in ix.mus}
             amap[name] = cx_r.arrow(comps, omap[a.src], omap[a.dst])

@@ -104,6 +104,12 @@ class FinCat:
     def hom(self, x, y) -> list:
         return list(self._hom.get((x, y), ()))
 
+    def one_arrow(self, x, y):
+        """The first arrow x → y in hom order, or None when there is none:
+        in a thin category, the one arrow x → y."""
+        h = self._hom.get((x, y))
+        return h[0] if h else None
+
     def comp(self, g, f):
         """g∘f (first f, then g)."""
         try:
@@ -613,7 +619,8 @@ def load_diagram(path) -> Diagram:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         mt_path = path.parent / data["mode_theory"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        # json raises RecursionError on arrays or objects nested too deep
         raise MalformedTable(f"diagram file is malformed: {e!r}") from None
     mt = load_valid_mode_theory(mt_path)
     try:

@@ -304,7 +304,8 @@ def mode_theory_from_data(data: dict) -> ModeTheory:
 def load_mode_theory(path) -> ModeTheory:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # json raises RecursionError on arrays or objects nested too deep
         raise MalformedTable(f"{path}: {e}") from None
     return mode_theory_from_data(data)
 

@@ -197,12 +197,13 @@ UNKNOWN_KEYS = [
     # and still needs a component at every object
     _diagram_with(lambda d: d.update(naturals={
         "id:mu": {"components": {"0": "id:0"}}})),
+    "[" * 100000,
 ], ids=["no-categories", "not-json", "functor-misses-object", "categories-list",
         "functor-arrow-image-list", "natural-component-list",
         "compose-row-of-two", "natural-missing", "natural-misses-object",
         "identity-functor-not-identity", "identity-natural-not-identity",
         "compose-row-twice", *(i for i, _, _ in UNKNOWN_KEYS),
-        "identity-natural-misses-object"])
+        "identity-natural-misses-object", "deeply-nested"])
 def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
     f = tmp_path / "bad.dg"
     f.write_text(text)
@@ -303,10 +304,11 @@ def _reflective_with(edit):
     _reflective_with(lambda d: d["cells"].insert(
         0, {"name": "eta", "src": "id:p", "dst": "id:p"})),
     _reflective_with(lambda d: d["adjoints"].insert(0, d["adjoints"][0])),
+    b"[" * 100000,
 ], ids=["not-utf8", "not-json", "malformed-table", "morphism-name-list",
         "cell-name-list", "classes-list", "class-not-list", "mode-null",
         "compose-row-twice", "whisker-row-twice", "morphism-twice",
-        "cell-twice", "adjoint-twice"])
+        "cell-twice", "adjoint-twice", "deeply-nested"])
 def test_check_bad_declared_mode_theory_exits_two(tmp_path, capsys, content):
     mt = tmp_path / "bad.mt"
     mt.write_bytes(content)

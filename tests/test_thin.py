@@ -4,27 +4,33 @@ A finite poset P gives the frame O(P) of its down-sets, a thin category,
 and a monotone h: P → Q gives the inverse image h⁻¹: O(Q) → O(P).  Over
 single_arrow.mt, C_p = O(Q), C_q = O(P) and C_mu = h⁻¹, so every base
 category and every codex is thin.  The thin fast path of `enumerate_codex`
-and `codex_right_adjoint` decides no equation; these tests check what it
-builds against the equations it skips, and against the general path.
+and `codex_right_adjoint` decides no equation, and the lock, reflection,
+inclusion and dextrification maps read their arrows off hom-sets; these
+tests check what it builds against the equations it skips, and against the
+general path, construction by construction and law by law.
 The mask path of `first_unpreserved_limit` is checked against limit cones
 on these frames and their codexes, and on random preorders.
 """
 
 import itertools
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fincat import preorders
 
-from matt.bundled import theory_path
+from matt import laws
+from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.codex import (build_bundle, check_oplax_morphism,
-                        check_oplax_object, codex_index, enumerate_codex,
-                        OplaxObject)
-from matt.errors import CapExceeded
+                        check_oplax_object, codex_index, dextrify_colax,
+                        enumerate_codex, lock_cell, OplaxObject,
+                        reflect_colax)
+from matt.errors import CapExceeded, MattError
 from matt.fincat import (Diagram, FinFunctor, check_preserves_limit,
                          first_unpreserved_limit, identity_functor, limit,
-                         poset_category)
-from matt.laws import LAWS
+                         load_diagram, poset_category)
+from matt.laws import LAWS, run_law_suite
 from matt.mode_theory import load_mode_theory
 
 SINGLE_ARROW = load_mode_theory(theory_path("single_arrow"))
@@ -79,6 +85,34 @@ def locale_diagrams(draw, max_points=4):
             for n, a in oq.arrows.items()}
     d = Diagram(SINGLE_ARROW, {"p": oq, "q": op},
                 {"mu": FinFunctor(oq, op, omap, amap, name="mu")}, {})
+    assert d.validate() == []
+    return d
+
+
+def doubled(c, x):
+    """The thin c with a copy x' of its object x: x and x' are distinct and
+    isomorphic, so c is no longer a poset, and each meet of c is still one."""
+    def orig(o):
+        return x if o == f"{x}'" else o
+    return poset_category(c.objects + [f"{x}'"],
+                          lambda u, v: bool(c.hom(orig(u), orig(v))),
+                          name=c.name)
+
+
+@st.composite
+def doubled_locale_diagrams(draw):
+    """locale_diagrams on posets of 1 or 2 points with one object of each
+    frame doubled, and mu sending a copy where it sends its original."""
+    d = draw(locale_diagrams(max_points=2))
+    mu = d.fun("mu")
+    x = draw(st.sampled_from(mu.src.objects))
+    cp = doubled(mu.src, x)
+    cq = doubled(mu.dst, draw(st.sampled_from(mu.dst.objects)))
+    omap = {**mu.omap, f"{x}'": mu.omap[x]}
+    amap = {n: cq.hom(omap[a.src], omap[a.dst])[0]
+            for n, a in cp.arrows.items()}
+    d = Diagram(SINGLE_ARROW, {"p": cp, "q": cq},
+                {"mu": FinFunctor(cp, cq, omap, amap, name="mu")}, {})
     assert d.validate() == []
     return d
 
@@ -140,20 +174,61 @@ def test_thin_enumeration_matches_the_general_path(d):
         assert cat.compose == general.compose
 
 
-@settings(max_examples=30, deadline=None)
-@given(locale_diagrams(max_points=3))
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(locale_diagrams(max_points=3), doubled_locale_diagrams()))
 def test_thin_adjoints_match_the_general_path(d):
-    thin = build_bundle(d)
-    thin.right_adjoints  # builds every family
+    thin = constructions(build_bundle(d))  # before d is marked not thin
+    assert constructions(general_bundle(d)) == thin
+
+
+def constructions(b) -> dict:
+    """The tables of every construction on bundle b, or the class and
+    message of the first error: per adjunction, its left (reflect or lock)
+    and right (incl or radj) functors, unit, counit and cones; each lock
+    cell's components; and the dextrified component projections."""
+    out = {}
+    try:
+        for family in ("adjunctions", "right_adjoints"):
+            for m, adj in getattr(b, family).items():
+                out[family, m] = [(f.omap, f.amap)
+                                  for f in (adj.left, adj.right)] + \
+                    [adj.unit, adj.counit, adj.cones]
+        for beta in b.diagram.mt.cells:
+            out["lock", beta] = lock_cell(b, beta).components
+        for r, f in dextrify_colax(b, *reflect_colax(b)).items():
+            out["dextrify", r] = (f.omap, f.amap)
+    except MattError as e:
+        return {"error": (type(e), str(e))}
+    return out
+
+
+def general_bundle(d, cap=None):
+    """build_bundle on the general path: d's categories are marked not thin
+    first, and the codexes as soon as they are built."""
     mark_not_thin(d.cats.values())
-    general = build_bundle(d)
-    mark_not_thin(cx.cat for cx in general.codexes.values())
-    for family in ("adjunctions", "right_adjoints"):
-        for m, adj in getattr(thin, family).items():
-            other = getattr(general, family)[m]
-            assert adj.right.omap == other.right.omap
-            assert adj.right.amap == other.right.amap
-            assert (adj.unit, adj.counit) == (other.unit, other.counit)
+    b = build_bundle(d, cap)
+    mark_not_thin(cx.cat for cx in b.codexes.values())
+    return b
+
+
+def law_suite(d, general=False) -> dict:
+    """run_law_suite on the diagram d, on the general path when asked."""
+    with mock.patch.object(laws, "load_diagram", lambda path: d), \
+            mock.patch.object(laws, "build_bundle",
+                              general_bundle if general else build_bundle):
+        return run_law_suite(None)
+
+
+@pytest.mark.parametrize("name", list(DIAGRAM_NAMES) + ["nonpreserving"])
+def test_law_suite_matches_the_general_path_on_bundled_diagrams(name):
+    path = diagram_path(name)
+    assert run_law_suite(path) == law_suite(load_diagram(path), general=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(locale_diagrams(max_points=3), doubled_locale_diagrams()))
+def test_law_suite_matches_the_general_path_on_frames(d):
+    assert law_suite(d) == law_suite(d, general=True)
 
 
 # --- limit preservation from down-set masks, against the cone path ---------
