@@ -28,18 +28,21 @@ between the limits.
 When every base category is thin, so is the codex, and parallel arrows are
 equal: every cocycle, cell-action and structure square holds as soon as its
 hom-sets are inhabited, and a mediating arrow is the one arrow of its
-hom-set.  enumerate_codex then takes the one arrow of each structure-map and
-component hom-set and reads each composite off its ends, and
-codex_right_adjoint builds no mates and composes no legs.  The CodexCategory
-records that its bases are thin, and the constructions read the arrows they
-need off hom-sets: the arrow maps of locks, reflections, incl and
-dextrification, the lock cells, incl's unit and radj's counit each take the
-one arrow between the images of its ends (CodexCategory.one_arrow), and
-incl's object at each base object is the one codex object with the limit
-apexes as components (CodexCategory.obj_of).  Where a hom-set is empty, or
-no object has those components, the construction takes the general path,
-which fails as it always did.  Every other diagram takes the general path,
-which decides each equation.
+hom-set.  enumerate_codex then takes the one arrow of each structure-map
+hom-set, and the codex is a ThinCat: an arrow g -> h wherever every
+component hom-set is inhabited, found from the bases' down-set masks and
+named by the positions of g and h, with no composition table.  Its
+components are read off its ends (CodexCategory.theta).  The CodexCategory
+records that its bases are thin, and every construction keys on that
+record: codex_right_adjoint builds no mates and composes no legs, and the
+others read the arrows they need off hom-sets: the arrow maps of locks,
+reflections, incl and dextrification, the lock cells, incl's unit and
+radj's counit each take the one arrow between the images of its ends
+(CodexCategory.one_arrow), and incl's object at each base object is the one
+codex object with the limit apexes as components (CodexCategory.obj_of).
+Where a hom-set is empty, or no object has those components, the
+construction takes the general path, which fails as it always did.  Every
+other diagram takes the general path, which decides each equation.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ from functools import cached_property
 
 from .errors import (CapExceeded, LimitAbsent, MalformedTable, MattError,
                      NotColax, NotComposable)
-from .fincat import (Diagram, FinCat, FinFunctor, FinNat, compose_functors,
-                     factorizations, id_name, isomorphic, limit)
+from .fincat import (Diagram, FinCat, FinFunctor, FinNat, ThinCat,
+                     compose_functors, factorizations, id_name, isomorphic,
+                     limit, product_arrows)
 from .mode_theory import opposite
 
 
@@ -64,8 +68,8 @@ class OplaxObject:
     structure: sorted tuple of ((nu, rho, alpha), arrow) pairs.
 
     The hash and the lookups by index are built once, at construction:
-    codex objects sit inside every codex arrow name and are hashed on each
-    hom or table lookup.
+    codex objects key every hom-set and object map, and sit inside every
+    arrow name of a codex built on the general path.
     """
     mode: str
     components: tuple
@@ -216,8 +220,12 @@ class CodexCategory:
         return self.cat.one_arrow(src, dst) if self.thin else None
 
     def theta(self, name) -> dict:
-        """Per-index components of a codex arrow."""
+        """Per-index components of a codex arrow; over thin bases, the one
+        base arrow between the components of its ends."""
         a = self.cat.arr(name)
+        if self.thin:
+            return {mu: self.index.cats[mu].one_arrow(x, a.dst.component(mu))
+                    for mu, x in a.src.components}
         if name == self.cat.identities.get(a.src):
             return _identity_family(self.index.cats, a.src)
         return dict(name[0])
@@ -286,7 +294,8 @@ def _arrow_name(cats: dict, comps: dict, src: OplaxObject,
 def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
     """Exhaustively build the codex category at mode r as a FinCat.  Over
     thin base categories an object is a family whose structure-map hom-sets
-    are all inhabited, and no equation is checked."""
+    are all inhabited, no equation is checked, and the FinCat is a
+    ThinCat."""
     ix = codex_index(d, r)
     mus, cats, keys = ix.mus, ix.cats, [t.key for t in ix.decomps]
     est = math.prod(len(cats[mu].objects) for mu in mus)
@@ -314,8 +323,12 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
                 smaps = dict(zip(keys, pick))
                 if not _structure_violations(ix, comps, smaps):
                     objs.append(OplaxObject.of(r, comps, smaps))
-    if thin:
-        return CodexCategory(d, r, ix, _thin_codex(cats, objs, r), thin)
+    if thin:  # an arrow wherever every component hom-set is inhabited
+        cat = ThinCat(objs, product_arrows(
+            [cats[mu] for mu in mus],
+            [[g.component(mu) for mu in mus] for g in objs]),
+            name=f"Codex({r})")
+        return CodexCategory(d, r, ix, cat, thin)
 
     arrows = []
     for g in objs:
@@ -345,28 +358,6 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
             rows.append((bn, an, _arrow_name(cats, comps, asrc, bdst)))
     return CodexCategory(d, r, ix, FinCat(objs, arrows, rows,
                                           name=f"Codex({r})"), thin)
-
-
-def _thin_codex(cats: dict, objs: list, r: str) -> FinCat:
-    """The codex on objs over thin base categories cats: an arrow g -> h
-    wherever every component hom-set is inhabited, with the one composite
-    of each composable pair read off its ends."""
-    mus = sorted(cats)
-    ends = {}  # (i, j) -> the arrow objs[i] -> objs[j], i != j
-    for i, g in enumerate(objs):
-        for j, h in enumerate(objs):
-            if i != j:
-                homs = [cats[mu].hom(g.component(mu), h.component(mu))
-                        for mu in mus]
-                if all(homs):
-                    ends[i, j] = (tuple(zip(mus, (a[0] for a in homs))), g, h)
-    succ: list = [[] for _ in objs]
-    for i, j in ends:
-        succ[i].append(j)
-    rows = [(ends[j, k], f, ends[i, k] if i != k else id_name(objs[i]))
-            for (i, j), f in ends.items() for k in succ[j]]
-    return FinCat(objs, [(n, n[1], n[2]) for n in ends.values()], rows,
-                  name=f"Codex({r})")
 
 
 # --- lock functors and reflection ----------------------------------------------
@@ -618,7 +609,7 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     trips = [t for t in ix.decomps if not t.identity]
     # in a thin codex the limits read no edges and each mediating arrow is
     # the one arrow of its hom-set, so neither mates nor legs are composed
-    thin = cx_s.cat.thin
+    thin = cx_s.thin
     mates = {} if thin else {t.key: mate(cx_s, adj[t.mu], adj[t.nu], t.rho,
                                          mt.wl(pi, t.alpha)) for t in trips}
 

@@ -4,8 +4,13 @@ Everything is finite and checked exhaustively.  Identity arrows are
 synthesized (named "id:<obj>" for string objects, ("id", obj) otherwise) and
 never override user-supplied table rows.  Hom-sets are indexed by
 (source, target) at construction, and a FinCat is never changed after it is
-built: constructions that derive their composition table (codex categories)
-compute it first and pass it in.
+built.
+
+A ThinCat is the engine's thin category on positions: the arrow from the
+i-th object to the j-th is named by the pair (i, j), (i, i) is the identity,
+and a composite is read off the ends of its factors, so no composition table
+is built or checked.  The thin codex categories are ThinCats; categories
+read from files keep their tables.
 
 A FinCat records whether it is thin: at most one arrow per hom-set.  Its
 objects have integer positions, and each position has the bitmask of the
@@ -14,7 +19,10 @@ FinCat every cone commutes, so a limit is a greatest lower bound of the
 diagram's objects, found by ANDing down-set masks, and a mediating arrow is
 the one arrow of its hom-set, found without composing a leg.  Any other
 FinCat is searched for a terminal cone among all cones.  Both paths bound
-the number of candidate cones by a configurable cap.
+the number of candidate cones by a configurable cap.  For the same reason
+the validators read boundaries where they can: on a thin category a
+composite on its boundary is the composite, and on a thin target a square
+whose sides have the right ends commutes.
 
 `first_unpreserved_limit` checks that functors preserve the binary and
 empty limits of their source.  On a thin source with thin targets it works
@@ -121,37 +129,106 @@ class FinCat:
             raise NotComposable(f"{g}∘{f}: {fa.dst} != {ga.src}")
         raise MalformedTable(f"missing composition {g}∘{f} in {self.name}")
 
+    def out_of(self) -> dict:
+        """The arrows out of each object, in arrow order."""
+        out: dict = {o: [] for o in self.objects}
+        for a in self.arrows.values():
+            out[a.src].append(a)
+        return out
+
     def validate(self) -> list[str]:
-        """Exhaustive category laws; returns human-readable violations."""
+        """Exhaustive category laws; returns human-readable violations.
+        When the category is thin and every composite lies on its
+        boundary, associativity holds, as parallel arrows are equal, and
+        its loop is not run."""
         out = []
         for n, a in self.arrows.items():
             if self.comp(n, self.identities[a.src]) != n or \
                     self.comp(self.identities[a.dst], n) != n:
                 out.append(f"unit law fails at {n}")
-        out_of: dict = {}
-        for a in self.arrows.values():
-            out_of.setdefault(a.src, []).append(a)
+        out_of = self.out_of()
+        pairs = []  # (f, g, g∘f or None, its violation or None)
         for f in self.arrows.values():
             for g in out_of[f.dst]:
                 try:
-                    gf = self.comp(g.name, f.name)
-                    ga = self.arr(gf)
+                    ga = self.arr(self.comp(g.name, f.name))
+                except (NotComposable, MalformedTable) as e:
+                    pairs.append((f, g, None, str(e)))
+                    continue
+                pairs.append((f, g, ga.name, None)
+                             if (ga.src, ga.dst) == (f.src, g.dst) else
+                             (f, g, None, f"composite {g.name}∘{f.name} has "
+                              f"wrong boundary"))
+        if self.thin and not any(bad for *_, bad in pairs):
+            return out
+        for f, g, gf, bad in pairs:
+            if bad is not None:
+                out.append(bad)
+                continue
+            for h in out_of[g.dst]:
+                try:
+                    if self.comp(h.name, gf) != \
+                            self.comp(self.comp(h.name, g.name), f.name):
+                        out.append(f"associativity fails at "
+                                   f"{h.name},{g.name},{f.name}")
                 except (NotComposable, MalformedTable) as e:
                     out.append(str(e))
-                    continue
-                if (ga.src, ga.dst) != (f.src, g.dst):
-                    out.append(f"composite {g.name}∘{f.name} has wrong "
-                               f"boundary")
-                    continue
-                for h in out_of[g.dst]:
-                    try:
-                        if self.comp(h.name, gf) != \
-                                self.comp(self.comp(h.name, g.name), f.name):
-                            out.append(f"associativity fails at "
-                                       f"{h.name},{g.name},{f.name}")
-                    except (NotComposable, MalformedTable) as e:
-                        out.append(str(e))
         return out
+
+
+class ThinCat(FinCat):
+    """A thin category on positions, built by the engine.  The arrow from
+    objects[i] to objects[j] is named (i, j) and (i, i) is the identity;
+    ends lists the pairs i != j with an arrow, in arrow order, each pair
+    the arrow's name, and is closed under composition.  No table is held:
+    comp reads a composite off the ends of its factors."""
+
+    def __init__(self, objects, ends, name: str = ""):
+        self.name = name
+        self.objects = objs = list(objects)
+        self.arrows = {n: Arrow(n, objs[n[0]], objs[n[1]]) for n in ends}
+        self.identities = {}
+        for i, o in enumerate(objs):
+            self.identities[o] = n = (i, i)
+            self.arrows[n] = Arrow(n, o, o)
+        self._hom = {(a.src, a.dst): [n] for n, a in self.arrows.items()}
+        self.thin = True
+        self._pos = {o: i for i, o in enumerate(objs)}
+        self._down = [0] * len(objs)
+        for (i, j) in self.arrows:
+            self._down[j] |= 1 << i
+
+    def comp(self, g, f):
+        """g∘f (first f, then g): the arrow from f's source to g's target,
+        as this category holds it."""
+        ga, fa = self.arr(g), self.arr(f)
+        if f[1] != g[0]:
+            raise NotComposable(f"{g}∘{f}: {fa.dst} != {ga.src}")
+        return self.arrows[f[0], g[1]].name
+
+
+def product_arrows(cats: list, families: list) -> list:
+    """In the product of the thin categories cats, the pairs (i, j), i != j,
+    with an arrow from families[i] to families[j], in that order; each
+    family holds one object of each category.  up[i] is the mask of the j
+    with an arrow families[i] -> families[j]: per category, those whose
+    object lies above the object of families[i]."""
+    n = len(families)
+    up = [(1 << n) - 1] * n
+    for k, c in enumerate(cats):
+        pos = [c._pos[f[k]] for f in families]
+        at = [0] * len(c.objects)  # position in c -> the i there
+        for i, x in enumerate(pos):
+            at[x] |= 1 << i
+        above = [0] * len(c.objects)  # position in c -> the i above it
+        for y, down in enumerate(c._down):
+            for x in range(len(above)):
+                if down >> x & 1:
+                    above[x] |= at[y]
+        for i, x in enumerate(pos):
+            up[i] &= above[x]
+    return [(i, j) for i in range(n) for j in range(n)
+            if i != j and up[i] >> j & 1]
 
 
 def poset_category(objects, leq: Callable, name: str = "") -> FinCat:
@@ -172,13 +249,25 @@ def poset_category(objects, leq: Callable, name: str = "") -> FinCat:
 class FinFunctor:
     def __init__(self, src: FinCat, dst: FinCat, omap: dict, amap: dict,
                  name: str = ""):
+        """omap and amap are held, not copied; amap gains the images of
+        the identity arrows it leaves out, as a functor read from a file
+        may."""
         self.name = name
         self.src, self.dst = src, dst
-        self.omap = dict(omap)
-        self.amap = dict(amap)
-        for o in src.objects:
-            if o in self.omap and self.omap[o] in dst.identities:
-                self.amap.setdefault(src.id_arr(o), dst.id_arr(self.omap[o]))
+        self.omap = omap
+        self.amap = amap
+        if not amap.keys() >= src.arrows.keys():
+            for o in src.objects:
+                if o in omap and omap[o] in dst.identities:
+                    amap.setdefault(src.id_arr(o), dst.id_arr(omap[o]))
+
+    def lands(self, name) -> bool:
+        """Whether the image of the source arrow name runs between the
+        images of its ends; False when an image is missing."""
+        a = self.src.arrows[name]
+        img = self.dst.arrows.get(self.amap.get(name))
+        return img is not None and \
+            (img.src, img.dst) == (self.omap.get(a.src), self.omap.get(a.dst))
 
     def validate(self) -> list[str]:
         out = [f"object map misses {o}" for o in self.src.objects
@@ -201,10 +290,9 @@ class FinFunctor:
         for o in self.src.objects:
             if self.amap[self.src.id_arr(o)] != self.dst.id_arr(self.omap[o]):
                 out.append(f"identity at {o} not preserved")
+        out_of = self.src.out_of()
         for f in self.src.arrows.values():
-            for g in self.src.arrows.values():
-                if g.src != f.dst:
-                    continue
+            for g in out_of[f.dst]:
                 lhs = self.amap[self.src.comp(g.name, f.name)]
                 rhs = self.dst.comp(self.amap[g.name], self.amap[f.name])
                 if lhs != rhs:
@@ -212,9 +300,18 @@ class FinFunctor:
                                f"{g.name}∘{f.name}")
         return out
 
-    def same_tables(self, other: "FinFunctor") -> bool:
-        return self.omap == other.omap and \
-            all(self.amap[a] == other.amap[a] for a in self.src.arrows)
+    def maps_like(self, obj: Callable, arr: Callable) -> bool:
+        """Whether this functor sends each object o of its source to obj(o)
+        and each arrow a to arr(a); its maps are presumed total, as
+        validate checks."""
+        objs, arrows = self.src.objects, self.src.arrows
+        # lists compare an element to itself without calling its __eq__
+        return [self.omap[o] for o in objs] == [obj(o) for o in objs] and \
+            [self.amap[a] for a in arrows] == [arr(a) for a in arrows]
+
+
+def _same(x):
+    return x
 
 
 def identity_functor(c: FinCat) -> FinFunctor:
@@ -241,6 +338,10 @@ class FinNat:
         return self.components[obj]
 
     def validate(self, natural: bool = True) -> list[str]:
+        """Components, then naturality when asked.  On a thin target,
+        presumed a category as Diagram.validate checks before strictness,
+        naturality holds once both functors send every arrow between the
+        images of its ends."""
         cat = self.dst.dst
         out = [f"components name {o}, not an object of the source"
                for o in self.components if o not in self.src.src.identities]
@@ -253,7 +354,11 @@ class FinNat:
                 out.append(f"component at {o} has wrong boundary")
         if out or not natural:
             return out  # naturality composes the components
-        for f in self.src.src.arrows.values():
+        arrows = self.src.src.arrows
+        if cat.thin and all(f.lands(n) for f in (self.src, self.dst)
+                            for n in arrows):
+            return out  # each square's sides are parallel, so equal
+        for f in arrows.values():
             lhs = cat.comp(self.dst.amap[f.name], self.components[f.src])
             rhs = cat.comp(self.components[f.dst], self.src.amap[f.name])
             if lhs != rhs:
@@ -312,18 +417,20 @@ class Diagram:
         return out or self.strictness()
 
     def strictness(self) -> list[str]:
-        """The strict 2-functor laws on functors: identity functors,
-        composites, each cell's natural transformation (an identity cell is
-        only compared with the identity), then vcompose, wl and wr rows."""
+        """The strict 2-functor laws on functors, which validate has
+        checked: identity functors, composites, each cell's natural
+        transformation (an identity cell is only compared with the
+        identity), then vcompose, wl and wr rows.  Tables are compared in
+        place."""
         out = [f"C_{m} is not the identity functor" for m in self.mt.morphisms
-               if self.mt.is_id_mor(m) and not self.functors[m].same_tables(
-                   identity_functor(self.functors[m].src))]
+               if self.mt.is_id_mor(m) and
+               not self.functors[m].maps_like(_same, _same)]
         if out:
             return out  # the checks below compose the functors' tables
         for (mu, nu), comp in self.mt.compose_table.items():
-            lhs = self.functors[comp]
-            rhs = compose_functors(self.functors[mu], self.functors[nu])
-            if not lhs.same_tables(rhs):
+            g, f = self.functors[mu], self.functors[nu]
+            if not self.functors[comp].maps_like(
+                    lambda o: g.omap[f.omap[o]], lambda a: g.amap[f.amap[a]]):
                 out.append(f"strictness fails: C_({mu}∘{nu}) != "
                            f"C_{mu}∘C_{nu}")
         for c in self.mt.cells.values():
@@ -337,8 +444,9 @@ class Diagram:
                 continue
             ident = self.mt.is_id_cell(c.name)
             bad = [f"C_{c.name}: {v}" for v in n.validate(natural=not ident)]
-            if not bad and ident and \
-                    n.components != identity_nat(n.src).components:
+            f = n.src
+            if not bad and ident and any(
+                    n.at(o) != f.dst.id_arr(f.omap[o]) for o in f.src.objects):
                 bad.append(f"C_{c.name} is not the identity")
             out += bad
         if out:
@@ -533,15 +641,6 @@ def _binary_diagrams(c: FinCat):
     yield (), {}
 
 
-def _leg_lands(c: FinCat, f: FinFunctor, a: int, e: int) -> bool:
-    """Whether f sends the arrow of c from position a to position e to an
-    arrow between their images: is_terminal_cone's check of a leg's ends."""
-    src, dst = c.objects[a], c.objects[e]
-    img = f.dst.arrows.get(f.amap[c._hom[(src, dst)][0]])
-    return img is not None and img.src == f.omap[src] and \
-        img.dst == f.omap[dst]
-
-
 def first_unpreserved_limit(c: FinCat, functors: list,
                             cap: Optional[int] = None,
                             order: Optional[int] = None
@@ -572,7 +671,7 @@ def first_unpreserved_limit(c: FinCat, functors: list,
     for a in _ranks(n, order):
         meets.setdefault(down[a], a)
     # per functor: its object map on positions, its target's down-sets, and
-    # _leg_lands memoised by (a, e)
+    # whether it lands the arrow from position a to e, memoised by (a, e)
     images = [(f, [f.dst._pos[f.omap[o]] for o in c.objects], f.dst._down,
                {}) for f in functors]
     for ends, nodes in _binary_diagrams(c):
@@ -590,8 +689,9 @@ def first_unpreserved_limit(c: FinCat, functors: list,
             _check_cap(tlower.bit_count(), cap)
             for e in ends:
                 ok = legs.get((a, e))
-                if ok is None:
-                    ok = legs[a, e] = _leg_lands(c, f, a, e)
+                if ok is None:  # is_terminal_cone's check of a leg's ends
+                    ok = legs[a, e] = f.lands(
+                        c._hom[(c.objects[a], c.objects[e])][0])
                 if not ok:
                     return f, nodes
             if tdown[pos[a]] & tlower != tlower:
@@ -636,8 +736,8 @@ def diagram_from_data(mt: ModeTheory, data: dict) -> Diagram:
     for mor, fd in data.get("functors", {}).items():
         m = mt.mor(mor)
         functors[mor] = FinFunctor(cats[m.src], cats[m.dst],
-                                   fd["objects"], fd.get("arrows", {}),
-                                   name=mor)
+                                   dict(fd["objects"]),
+                                   dict(fd.get("arrows", {})), name=mor)
     diagram = Diagram(mt, cats, functors, {})
     for cell, nd in data.get("naturals", {}).items():
         c = mt.cell(cell)

@@ -447,6 +447,7 @@ def _check_category(elems, table, ident, axiom, bad):
 def _check_two_category(mt: ModeTheory, bad):
     """The whiskering axioms and interchange, all guarded lookups."""
     vc = mt.vcompose_table
+    modes = {c: mt.cell_modes(c) for c in mt.cells}  # (source, target)
     for b in mt.cells.values():
         for a in mt.cells.values():
             if a.dst != b.src:
@@ -454,8 +455,9 @@ def _check_two_category(mt: ModeTheory, bad):
             ba = vc.get((b.name, a.name))
             if ba is None:
                 continue
+            src, dst = modes[a.name]
             for r in mt.morphisms.values():
-                if r.dst == mt.cell_modes(a.name)[0]:
+                if r.dst == src:
                     br = mt.wr_table.get((b.name, r.name))
                     ar = mt.wr_table.get((a.name, r.name))
                     bar = mt.wr_table.get((ba, r.name))
@@ -463,7 +465,7 @@ def _check_two_category(mt: ModeTheory, bad):
                         bad("whisker-right-functorial",
                             f"({b.name}▷{r.name})∘({a.name}▷{r.name}) != "
                             f"({b.name}∘{a.name})▷{r.name}")
-                if r.src == mt.cell_modes(a.name)[1]:
+                if r.src == dst:
                     rb = mt.wl_table.get((r.name, b.name))
                     ra = mt.wl_table.get((r.name, a.name))
                     rba = mt.wl_table.get((r.name, ba))
@@ -482,7 +484,7 @@ def _check_two_category(mt: ModeTheory, bad):
                 if nr and got and got != id_cell_name(nr):
                     bad("whisker-left-identity", f"{n.name}◁1_{r.name} = {got}")
     for b in mt.cells.values():
-        src, dst = mt.cell_modes(b.name)
+        src, dst = modes[b.name]
         got = mt.wl_table.get((id_mor_name(dst), b.name))
         if got not in (None, b.name):
             bad("whisker-left-unital", f"1◁{b.name} = {got}")
@@ -491,11 +493,12 @@ def _check_two_category(mt: ModeTheory, bad):
             bad("whisker-right-unital", f"{b.name}▷1 = {got}")
     for m in mt.morphisms.values():
         for b in mt.cells.values():
-            if m.src != mt.cell_modes(b.name)[1]:
+            src, dst = modes[b.name]
+            if m.src != dst:
                 continue
             mb = mt.wl_table.get((m.name, b.name))
             for s in mt.morphisms.values():
-                if s.dst != mt.cell_modes(b.name)[0]:
+                if s.dst != src:
                     continue
                 bs = mt.wr_table.get((b.name, s.name))
                 if mb is None or bs is None:

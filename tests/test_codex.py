@@ -276,8 +276,17 @@ def test_constructions_return_enumerated_instances(name):
     functors += list(dextrify_colax(b, g, gamma).values())
     codex_of = {id(cx.cat): cx for cx in b.codexes.values()}
     for cx in b.codexes.values():  # composites, too, are the codex's own
-        assert all(cx.cat.arrows[h].name is h
-                   for h in cx.cat.compose.values())
+        out_of = cx.cat.out_of()
+        for f in cx.cat.arrows.values():
+            tf = cx.theta(f.name)
+            for g in out_of[f.dst]:
+                h = cx.cat.arr(cx.cat.comp(g.name, f.name))
+                assert cx.cat.arrows[h.name].name is h.name
+                # and componentwise: an arrow is fixed by its ends and theta
+                tg = cx.theta(g.name)
+                assert (h.src, h.dst) == (f.src, g.dst)
+                assert cx.theta(h.name) == {
+                    mu: cx.index.cats[mu].comp(tg[mu], tf[mu]) for mu in tf}
     for f in functors:
         cx = codex_of[id(f.dst)]
         own = {id(o) for o in cx.objects}
@@ -571,8 +580,8 @@ def test_oplax_object_hash_is_structural():
                              tuple([*o.structure]))
         assert via_of == direct == o
         assert hash(via_of) == hash(direct) == hash(o)
-    # arrow names, which hold codex objects, key the same arrow across a
-    # second enumeration of a reloaded diagram
+    # arrow names key the same arrow, between equal codex objects, across
+    # a second enumeration of a reloaded diagram
     for name in ["comonad", "reflective"]:
         cx1 = enumerate_codex(load_diagram(diagram_path(name)), "p")
         cx2 = enumerate_codex(load_diagram(diagram_path(name)), "p")

@@ -1,10 +1,11 @@
 """Finite categories: laws and limit search."""
 
+import itertools
 import math
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_codex import monoid_comonad
 
@@ -95,7 +96,8 @@ def test_functor_composition():
                     "x<=t": "id:1", "y<=t": "id:1"})
     assert f.validate() == []
     gf = compose_functors(identity_functor(c), f)
-    assert gf.same_tables(f)
+    assert gf.maps_like(lambda o: f.omap[o], lambda a: f.amap[a])
+    assert not gf.maps_like(lambda o: f.omap[o], lambda a: "id:1")
 
 
 # --- bundled diagrams ----------------------------------------------------------
@@ -105,6 +107,44 @@ def test_functor_composition():
 def test_bundled_diagrams_validate(name):
     d = load_diagram(diagram_path(name))
     assert d.validate() == [], d.validate()
+
+
+def built_functor_rows(d) -> list:
+    """The rows of Diagram.strictness on functors, checked against functors
+    built as they are named, with identity_functor and compose_functors."""
+    def same(f, g):
+        return f.omap == g.omap and \
+            all(f.amap[a] == g.amap[a] for a in f.src.arrows)
+    out = [f"C_{m} is not the identity functor" for m in d.mt.morphisms
+           if d.mt.is_id_mor(m) and
+           not same(d.functors[m], identity_functor(d.functors[m].src))]
+    return out or [f"strictness fails: C_({mu}∘{nu}) != C_{mu}∘C_{nu}"
+                   for (mu, nu), h in d.mt.compose_table.items()
+                   if not same(d.functors[h], compose_functors(
+                       d.functors[mu], d.functors[nu]))]
+
+
+@pytest.mark.parametrize("name", list(DIAGRAM_NAMES) + ["nonpreserving"])
+def test_strictness_compares_functor_tables_in_place(name):
+    """Each functor of a bundled diagram, identities too, replaced by each
+    constant functor: strictness compares the tables in place, and its
+    functor rows are those of the built functors."""
+    d = load_diagram(diagram_path(name))
+    rows = 0
+    for m, f in d.functors.items():
+        for y in f.dst.objects:
+            e = load_diagram(diagram_path(name))
+            f = e.functors[m]
+            e.functors[m] = FinFunctor(
+                f.src, f.dst, {o: y for o in f.src.objects},
+                {a: f.dst.id_arr(y) for a in f.src.arrows})
+            want = built_functor_rows(e)
+            rows += len(want)
+            got = e.strictness()
+            assert got[:len(want)] == want
+            assert not any("functor" in v or v.startswith("strictness")
+                           for v in got[len(want):])
+    assert rows > 0
 
 
 def test_negative_diagram_still_wellformed():
@@ -342,3 +382,121 @@ def test_hom_index_matches_linear_scan():
         for p, cat in d.cats.items():
             _assert_hom_matches_scan(cat)
             _assert_hom_matches_scan(enumerate_codex(d, p).cat)
+
+
+# --- validator shortcuts against their full loops ---------------------------
+# On a thin category FinCat.validate skips associativity once every
+# composite lies on its boundary, and FinNat.validate skips naturality once
+# both functors' arrow images have the right ends.  Each must report what
+# its full loop reports, run with thin forced False as test_thin's
+# mark_not_thin does, here on preorders with one corrupted entry.
+
+def outcome(check):
+    """The violations check returns, or the class and text it raises."""
+    try:
+        return check()
+    except (MalformedTable, NotComposable) as e:
+        return type(e), str(e)
+
+
+def same_as_full_loop(cat, check):
+    """check's outcome, after asserting that it is the same with cat's
+    thin flag forced False."""
+    assert cat.thin
+    got = outcome(check)
+    cat.thin = False
+    try:
+        assert outcome(check) == got
+    finally:
+        cat.thin = True
+    return got
+
+
+def moving_arrows(c) -> list:
+    return [n for n, a in c.arrows.items() if a.src != a.dst]
+
+
+def rebuilt(c, table: dict) -> FinCat:
+    """c with its composition table replaced by table."""
+    return FinCat(c.objects,
+                  [(n, a.src, a.dst) for n, a in c.arrows.items()
+                   if n not in c.identities.values()],
+                  [(g, f, h) for (g, f), h in table.items()], name=c.name)
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A preorder with one corrupted row: a composite off its boundary, a
+    unit row naming an arrow not parallel to its arrow, or a missing row."""
+    c = draw(preorders())
+    moving = moving_arrows(c)
+    assume(moving)
+    table = dict(c.compose)  # (g, f) -> g∘f
+    kind = draw(st.sampled_from(["off-boundary", "unit", "missing"]))
+    if kind == "unit":
+        f = draw(st.sampled_from(moving))
+        a = c.arrows[f]
+        table[(f, c.id_arr(a.src))] = c.id_arr(a.src)
+        return rebuilt(c, table)
+    pairs = [(g, f) for (g, f) in table if f in moving and g in moving]
+    assume(pairs)
+    g, f = draw(st.sampled_from(pairs))
+    if kind == "missing":
+        del table[(g, f)]
+    else:
+        table[(g, f)] = g  # from f's target, not its source
+    return rebuilt(c, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_tables())
+def test_category_shortcut_reports_what_the_full_loop_does(c):
+    got = same_as_full_loop(c, c.validate)
+    assert got != []  # each corruption is a violation
+
+
+@given(preorders())
+def test_category_shortcut_on_a_lawful_preorder(c):
+    assert same_as_full_loop(c, c.validate) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(preorders(), st.data())
+def test_natural_shortcut_reports_what_the_full_loop_does(c, data):
+    """The identity on an identity functor, with either a component off its
+    boundary, or one functor sending an arrow to the identity at its
+    source, off its boundary."""
+    moving = moving_arrows(c)
+    assume(moving)
+    u = data.draw(st.sampled_from(moving))
+    ident = identity_functor(c)
+    off = FinFunctor(c, c, {o: o for o in c.objects},
+                     {**ident.amap, u: c.id_arr(c.arrows[u].src)})
+    comps = {o: c.id_arr(o) for o in c.objects}
+    if data.draw(st.booleans()):
+        comps[c.arrows[u].src] = u
+        n = FinNat(ident, ident, comps)
+    else:
+        n = FinNat(*data.draw(st.permutations([ident, off])), comps)
+    got = same_as_full_loop(c, n.validate)
+    assert got != []
+    assert same_as_full_loop(c, FinNat(ident, ident, {
+        o: c.id_arr(o) for o in c.objects}).validate) == []
+
+
+def test_functor_walks_the_pairs_that_compose():
+    """Out of a preorder into the two-element group {id:*, z}: each arrow
+    image is on its boundary, and composition holds only where z's count
+    adds up, so the violations are compared with a walk over all pairs."""
+    z2 = FinCat(["*"], [("z", "*", "*")], [("z", "z", "id:*")])
+    c = diamond()
+    for pick in itertools.product(["id:*", "z"], repeat=len(c.arrows)):
+        amap = dict(zip(c.arrows, pick))
+        f = FinFunctor(c, z2, {o: "*" for o in c.objects}, amap)
+        want = [f"identity at {o} not preserved" for o in c.objects
+                if amap[c.id_arr(o)] != "id:*"]
+        want += [f"composition not preserved at {g.name}∘{h.name}"
+                 for h in c.arrows.values() for g in c.arrows.values()
+                 if g.src == h.dst and amap[c.comp(g.name, h.name)] !=
+                 z2.comp(amap[g.name], amap[h.name])]
+        assert f.validate() == want
