@@ -31,18 +31,15 @@ hom-sets are inhabited, and a mediating arrow is the one arrow of its
 hom-set.  enumerate_codex then takes the one arrow of each structure-map
 hom-set, and the codex is a ThinCat: an arrow g -> h wherever every
 component hom-set is inhabited, found from the bases' down-set masks and
-named by the positions of g and h, with no composition table.  Its
-components are read off its ends (CodexCategory.theta).  The CodexCategory
-records that its bases are thin, and every construction keys on that
-record: codex_right_adjoint builds no mates and composes no legs, and the
-others read the arrows they need off hom-sets: the arrow maps of locks,
-reflections, incl and dextrification, the lock cells, incl's unit and
-radj's counit each take the one arrow between the images of its ends
-(CodexCategory.one_arrow), and incl's object at each base object is the one
-codex object with the limit apexes as components (CodexCategory.obj_of).
-Where a hom-set is empty, or no object has those components, the
-construction takes the general path, which fails as it always did.  Every
-other diagram takes the general path, which decides each equation.
+named by the positions of g and h, with no composition table.  The
+CodexCategory records that its bases are thin and decides what that buys:
+arrow(src, dst, comps) is the one arrow of its hom-set, with no components
+computed, component(name, mu) the one base arrow between the components
+of its ends, and obj_of finds an object by its components.  Where a
+hom-set is empty, or no object has those components, the general path
+runs and fails as it always did.  codex_right_adjoint builds no mates and
+composes no legs over a thin codex.  Every other diagram takes the general
+path, which decides each equation.
 """
 
 from __future__ import annotations
@@ -176,8 +173,8 @@ def codex_index(d: Diagram, r: str) -> CodexIndex:
 class CodexCategory:
     """The codex category at a mode, built only by enumerate_codex with its
     index; thin when every base category was thin as it was built.  obj,
-    obj_of, arrow and one_arrow return the enumerated instances, never an
-    equal copy."""
+    obj_of and arrow return the enumerated instances, never an equal
+    copy."""
     diagram: Diagram
     mode: str
     index: CodexIndex
@@ -207,28 +204,32 @@ class CodexCategory:
         there is none or a base is not thin."""
         return self._by_comps.get(tuple(sorted(comps.items())))
 
-    def arrow(self, comps: dict, src: OplaxObject, dst: OplaxObject):
-        """The name of the arrow src -> dst with these components, as the
-        codex holds it."""
-        return self.cat.arr(_arrow_name(self.index.cats, comps, src,
+    def arrow(self, src: OplaxObject, dst: OplaxObject, comps):
+        """The arrow src -> dst as the codex holds it: over thin bases the
+        one arrow of its hom-set, else, or when there is none, the arrow
+        with the components comps() returns; comps is called at most once,
+        and only before this returns."""
+        if self.thin:
+            one = self.cat.one_arrow(src, dst)
+            if one is not None:
+                return one
+        return self.cat.arr(_arrow_name(self.index.cats, comps(), src,
                                         dst)).name
 
-    def one_arrow(self, src: OplaxObject, dst: OplaxObject):
-        """Over thin bases, the one arrow src -> dst; None when there is
-        none or a base is not thin, where the caller builds it from its
-        components."""
-        return self.cat.one_arrow(src, dst) if self.thin else None
-
-    def theta(self, name) -> dict:
-        """Per-index components of a codex arrow; over thin bases, the one
-        base arrow between the components of its ends."""
+    def component(self, name, mu):
+        """The mu-component of a codex arrow: over thin bases the one base
+        arrow between the mu-components of its ends."""
         a = self.cat.arr(name)
         if self.thin:
-            return {mu: self.index.cats[mu].one_arrow(x, a.dst.component(mu))
-                    for mu, x in a.src.components}
+            return self.index.cats[mu].one_arrow(a.src.component(mu),
+                                                 a.dst.component(mu))
         if name == self.cat.identities.get(a.src):
-            return _identity_family(self.index.cats, a.src)
-        return dict(name[0])
+            return self.index.cats[mu].id_arr(a.src.component(mu))
+        return dict(name[0])[mu]
+
+    def theta(self, name) -> dict:
+        """Per-index components of a codex arrow."""
+        return {mu: self.component(name, mu) for mu in self.index.mus}
 
 
 def _structure_violations(ix: CodexIndex, comps, smaps) -> list[str]:
@@ -381,14 +382,9 @@ def lock_functor(cx_r: CodexCategory, cx_q: CodexCategory,
         if omap[g] is None:
             raise MalformedTable(f"lock({mu}): image of {g} was not "
                                  "enumerated")
-    amap = {}
-    for name, a in cx_r.cat.arrows.items():
-        src, dst = omap[a.src], omap[a.dst]
-        amap[name] = cx_q.one_arrow(src, dst)
-        if amap[name] is None:
-            th = cx_r.theta(name)
-            amap[name] = cx_q.arrow({nu: th[k] for nu, k in along.items()},
-                                    src, dst)
+    amap = {name: cx_q.arrow(omap[a.src], omap[a.dst], lambda: {
+        nu: cx_r.component(name, k) for nu, k in along.items()})
+        for name, a in cx_r.cat.arrows.items()}
     return FinFunctor(cx_r.cat, cx_q.cat, omap, amap, name=f"lock({mu})")
 
 
@@ -403,12 +399,8 @@ def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
     fm = bundle.right_adjoints[c.src].left
     keys = {nu: (mt.compose(c.dst, nu), mt.id_mor(mt.mor(nu).src),
                  mt.wr(beta, nu)) for nu in cx_q.index.mus}
-    comps = {}
-    for g in cx_r.objects:
-        comps[g] = cx_q.one_arrow(fm2.omap[g], fm.omap[g])
-        if comps[g] is None:
-            comps[g] = cx_q.arrow({nu: g.smap(k) for nu, k in keys.items()},
-                                  fm2.omap[g], fm.omap[g])
+    comps = {g: cx_q.arrow(fm2.omap[g], fm.omap[g], lambda: {
+        nu: g.smap(k) for nu, k in keys.items()}) for g in cx_r.objects}
     return FinNat(fm2, fm, comps, name=f"lock({beta})")
 
 
@@ -420,12 +412,7 @@ def reflect(cx_q: CodexCategory, mu: str) -> FinFunctor:
         raise NotComposable(f"reflect: {mu} does not land in {cx_q.mode}")
     cp = d.cat(m.src)
     omap = {g: g.component(mu) for g in cx_q.objects}
-    amap = {}
-    for name, a in cx_q.cat.arrows.items():
-        amap[name] = cp.one_arrow(omap[a.src], omap[a.dst]) \
-            if cx_q.thin else None
-        if amap[name] is None:
-            amap[name] = cx_q.theta(name)[mu]
+    amap = {name: cx_q.component(name, mu) for name in cx_q.cat.arrows}
     return FinFunctor(cx_q.cat, cp, omap, amap, name=f"reflect({mu})")
 
 
@@ -534,34 +521,23 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
             raise MalformedTable(f"incl({pi}): computed object for {g} was "
                                  "not enumerated")
 
-    amap = {}
-    for fname, fa in cr.arrows.items():
-        amap[fname] = cx_s.one_arrow(omap[fa.src], omap[fa.dst])
-        if amap[fname] is not None:
-            continue
-        comps = {nu: _induced(
-            ix.cats[nu], cones[(fa.src, nu)], cones[(fa.dst, nu)],
-            {k: f.amap[fname] for k, f in nodes[nu]},
-            "incl({}): image of {} at {}", pi, fname, nu)
-            for nu in ix.mus}
-        amap[fname] = cx_s.arrow(comps, omap[fa.src], omap[fa.dst])
+    amap = {fname: cx_s.arrow(omap[fa.src], omap[fa.dst], lambda: {
+        nu: _induced(ix.cats[nu], cones[(fa.src, nu)], cones[(fa.dst, nu)],
+                     {k: f.amap[fname] for k, f in nodes[nu]},
+                     "incl({}): image of {} at {}", pi, fname, nu)
+        for nu in ix.mus}) for fname, fa in cr.arrows.items()}
 
     counit_key = (pi, mt.id_mor(r), mt.id_cell(pi))
     counit = {g: cones[(g, pi)].leg(counit_key) for g in cr.objects}
-    unit = {}
-    for delta in cx_s.objects:
+    def unit_at(delta, nu):
         g = delta.component(pi)
-        unit[delta] = cx_s.one_arrow(delta, omap[g])
-        if unit[delta] is not None:
-            continue
-        comps = {}
-        for nu in ix.mus:
-            cone = cones[(g, nu)]
-            comps[nu] = _mediating(
-                ix.cats[nu], delta.component(nu), omap[g].component(nu),
-                ((cone.leg(k), delta.smap(k)) for k, _ in nodes[nu]),
-                "incl({}): unit at {} of {}", pi, nu, delta)
-        unit[delta] = cx_s.arrow(comps, delta, omap[g])
+        return _mediating(
+            ix.cats[nu], delta.component(nu), omap[g].component(nu),
+            ((cones[(g, nu)].leg(k), delta.smap(k)) for k, _ in nodes[nu]),
+            "incl({}): unit at {} of {}", pi, nu, delta)
+
+    unit = {delta: cx_s.arrow(delta, omap[delta.component(pi)], lambda: {
+        nu: unit_at(delta, nu) for nu in ix.mus}) for delta in cx_s.objects}
     return Adjunction(pi, reflect(cx_s, pi),
                       FinFunctor(cr, cx_s.cat, omap, amap, name=f"incl({pi})"),
                       unit, counit, cones)
@@ -647,18 +623,11 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
                               "codex_right_adjoint({}): image of an arrow", pi)
     lock = lock_functor(cx_s, cx_r, pi)
 
-    counit = {}
-    for delta in cx_r.objects:
-        apex = omap[delta]
-        counit[delta] = cx_r.one_arrow(lock.omap[apex], delta)
-        if counit[delta] is not None:
-            continue
-        comps = {}
-        for mu in ix.mus:
-            legc = cx_s.theta(cones[delta].leg(("n", mu)))[pim[mu]]
-            comps[mu] = ix.cats[mu].comp(
-                adj[mu].counit[delta.component(mu)], legc)
-        counit[delta] = cx_r.arrow(comps, lock.omap[apex], delta)
+    counit = {delta: cx_r.arrow(lock.omap[omap[delta]], delta, lambda: {
+        mu: ix.cats[mu].comp(adj[mu].counit[delta.component(mu)],
+                             cx_s.component(cones[delta].leg(("n", mu)),
+                                            pim[mu]))
+        for mu in ix.mus}) for delta in cx_r.objects}
 
     unit = {}
     for gamma in cx_s.objects:
@@ -744,7 +713,7 @@ def psnat_component(bundle: CodexBundle, pi: str, delta: OplaxObject):
     r, s = mt.mor(pi).src, mt.mor(pi).dst
     radj = bundle.right_adjoints[pi]
     leg = radj.cones[delta].leg(("n", mt.id_mor(r)))
-    outer = bundle.codexes[s].theta(leg)[mt.id_mor(s)]
+    outer = bundle.codexes[s].component(leg, mt.id_mor(s))
     inner_cone = bundle.adjunctions[pi].cones[
         (delta.component(mt.id_mor(r)), mt.id_mor(s))]
     inner = inner_cone.leg((mt.id_mor(s), pi, mt.id_cell(pi)))
@@ -832,14 +801,9 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict) -> dict:
             if omap[gobj] is None:
                 raise NotColax(f"dextrified object for {gobj} violates the "
                                "codex axioms")
-        amap = {}
-        for name, a in cx_r.cat.arrows.items():
-            amap[name] = cx_r.one_arrow(omap[a.src], omap[a.dst])
-            if amap[name] is not None:
-                continue
-            comps = {mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
-                     for mu in ix.mus}
-            amap[name] = cx_r.arrow(comps, omap[a.src], omap[a.dst])
+        amap = {name: cx_r.arrow(omap[a.src], omap[a.dst], lambda: {
+            mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
+            for mu in ix.mus}) for name, a in cx_r.cat.arrows.items()}
         out[r] = FinFunctor(cx_r.cat, cx_r.cat, omap, amap,
                             name=f"dextrify({r})")
     return out

@@ -445,9 +445,21 @@ def _check_category(elems, table, ident, axiom, bad):
 
 
 def _check_two_category(mt: ModeTheory, bad):
-    """The whiskering axioms and interchange, all guarded lookups."""
-    vc = mt.vcompose_table
+    """The whiskering axioms and interchange, all guarded lookups.  Rows are
+    well-typed (`_check_table_shapes`), so a lookup of a pair that does not
+    compose, or of a missing (None) operand, finds no row.  The morphisms
+    each loop walks are those whose modes can compose, listed once per mode
+    in table order, so every violation is found in the order of a walk over
+    all of them."""
+    vc, wl, wr, comp = (mt.vcompose_table, mt.wl_table, mt.wr_table,
+                        mt.compose_table)
     modes = {c: mt.cell_modes(c) for c in mt.cells}  # (source, target)
+    mors = list(mt.morphisms.values())
+    into = {p: [r for r in mors if r.dst == p] for p in mt.modes}
+    # (p, q) -> the morphisms into p or out of q: those that whisker a cell
+    # between p and q on the right or on the left
+    near = {(p, q): [r for r in mors if r.dst == p or r.src == q]
+            for p, q in {(m.src, m.dst) for m in mors}}
     for b in mt.cells.values():
         for a in mt.cells.values():
             if a.dst != b.src:
@@ -455,68 +467,59 @@ def _check_two_category(mt: ModeTheory, bad):
             ba = vc.get((b.name, a.name))
             if ba is None:
                 continue
-            src, dst = modes[a.name]
-            for r in mt.morphisms.values():
-                if r.dst == src:
-                    br = mt.wr_table.get((b.name, r.name))
-                    ar = mt.wr_table.get((a.name, r.name))
-                    bar = mt.wr_table.get((ba, r.name))
-                    if br and ar and bar and vc.get((br, ar)) not in (None, bar):
-                        bad("whisker-right-functorial",
-                            f"({b.name}▷{r.name})∘({a.name}▷{r.name}) != "
-                            f"({b.name}∘{a.name})▷{r.name}")
-                if r.src == dst:
-                    rb = mt.wl_table.get((r.name, b.name))
-                    ra = mt.wl_table.get((r.name, a.name))
-                    rba = mt.wl_table.get((r.name, ba))
-                    if rb and ra and rba and vc.get((rb, ra)) not in (None, rba):
-                        bad("whisker-left-functorial",
-                            f"{r.name}◁({b.name}∘{a.name}) != "
-                            f"({r.name}◁{b.name})∘({r.name}◁{a.name})")
-    for n in mt.morphisms.values():
-        for r in mt.morphisms.values():
-            if r.dst == n.src:
-                nr = mt.compose_table.get((n.name, r.name))
-                got = mt.wr_table.get((id_cell_name(n.name), r.name))
-                if nr and got and got != id_cell_name(nr):
-                    bad("whisker-right-identity", f"1_{n.name}▷{r.name} = {got}")
-                got = mt.wl_table.get((n.name, id_cell_name(r.name)))
-                if nr and got and got != id_cell_name(nr):
-                    bad("whisker-left-identity", f"{n.name}◁1_{r.name} = {got}")
+            for r in near[modes[a.name]]:
+                br = wr.get((b.name, r.name))
+                ar = wr.get((a.name, r.name))
+                bar = wr.get((ba, r.name))
+                if br and ar and bar and vc.get((br, ar)) not in (None, bar):
+                    bad("whisker-right-functorial",
+                        f"({b.name}▷{r.name})∘({a.name}▷{r.name}) != "
+                        f"({b.name}∘{a.name})▷{r.name}")
+                rb = wl.get((r.name, b.name))
+                ra = wl.get((r.name, a.name))
+                rba = wl.get((r.name, ba))
+                if rb and ra and rba and vc.get((rb, ra)) not in (None, rba):
+                    bad("whisker-left-functorial",
+                        f"{r.name}◁({b.name}∘{a.name}) != "
+                        f"({r.name}◁{b.name})∘({r.name}◁{a.name})")
+    for n in mors:
+        for r in into[n.src]:
+            nr = comp.get((n.name, r.name))
+            got = wr.get((id_cell_name(n.name), r.name))
+            if nr and got and got != id_cell_name(nr):
+                bad("whisker-right-identity", f"1_{n.name}▷{r.name} = {got}")
+            got = wl.get((n.name, id_cell_name(r.name)))
+            if nr and got and got != id_cell_name(nr):
+                bad("whisker-left-identity", f"{n.name}◁1_{r.name} = {got}")
     for b in mt.cells.values():
         src, dst = modes[b.name]
-        got = mt.wl_table.get((id_mor_name(dst), b.name))
+        got = wl.get((id_mor_name(dst), b.name))
         if got not in (None, b.name):
             bad("whisker-left-unital", f"1◁{b.name} = {got}")
-        got = mt.wr_table.get((b.name, id_mor_name(src)))
+        got = wr.get((b.name, id_mor_name(src)))
         if got not in (None, b.name):
             bad("whisker-right-unital", f"{b.name}▷1 = {got}")
-    for m in mt.morphisms.values():
+    for m in mors:
         for b in mt.cells.values():
             src, dst = modes[b.name]
-            if m.src != dst:
+            mb = wl.get((m.name, b.name))
+            if mb is None:  # m does not start where b ends
                 continue
-            mb = mt.wl_table.get((m.name, b.name))
-            for s in mt.morphisms.values():
-                if s.dst != src:
+            for s in into[src]:
+                bs = wr.get((b.name, s.name))
+                if bs is None:
                     continue
-                bs = mt.wr_table.get((b.name, s.name))
-                if mb is None or bs is None:
-                    continue
-                left = mt.wr_table.get((mb, s.name))
-                right = mt.wl_table.get((m.name, bs))
+                left = wr.get((mb, s.name))
+                right = wl.get((m.name, bs))
                 if left is not None and right is not None and left != right:
                     bad("whisker-associative",
                         f"({m.name}◁{b.name})▷{s.name} != {m.name}◁({b.name}▷{s.name})")
-    # Rows are well-typed (`_check_table_shapes`), so a lookup of a pair that
-    # does not compose, or of a missing (None) operand, finds no row.
-    wl, wr, comp = mt.wl_table, mt.wr_table, mt.compose_table
     for b in mt.cells.values():
-        for n in mt.morphisms.values():
+        for n in near[modes[b.name]]:
             nb, bn = wl.get((n.name, b.name)), wr.get((b.name, n.name))
             if nb is None and bn is None:
                 continue
-            for m in mt.morphisms.values():
+            for m in near[n.src, n.dst]:
                 left = wl.get((m.name, nb))
                 right = wl.get((comp.get((m.name, n.name)), b.name))
                 if None not in (left, right) and left != right:

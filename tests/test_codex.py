@@ -16,7 +16,7 @@ from matt.codex import (build_bundle, check_oplax_object,
                         lock_functor, mate, psnat_component, reflect,
                         reflect_colax, transpose,
                         verify_2functor, OplaxObject)
-from matt.errors import CapExceeded, LimitAbsent
+from matt.errors import CapExceeded, LimitAbsent, MalformedTable
 from matt.fincat import (Diagram, FinCat, FinFunctor, FinNat,
                          compose_functors, identity_functor, load_diagram,
                          poset_category)
@@ -149,6 +149,42 @@ def test_coherence_equations_fire():
     assert "cocycle fails" in bad and "cell action fails" in bad
     assert "identity decomposition" in bad and "is not the identity" in bad
 
+
+
+def test_arrow_on_a_thin_codex_computes_no_components():
+    # an inhabited hom-set of a thin codex fixes its arrow
+    cx = enumerate_codex(diag("single_arrow"), "q")
+    assert cx.thin
+
+    def unread():
+        raise AssertionError("components computed for a thin hom-set")
+
+    for name, a in cx.cat.arrows.items():
+        assert cx.arrow(a.src, a.dst, unread) == name
+
+
+def test_arrow_on_an_empty_thin_hom_set_takes_the_general_path():
+    cx = enumerate_codex(diag("single_arrow"), "q")
+    at = {(o.component("id:q"), o.component("mu")): o for o in cx.objects}
+    src, dst = at[("1", "1")], at[("0", "0")]
+    assert cx.thin and cx.cat.hom(src, dst) == []
+    calls = []
+
+    def comps():
+        calls.append(1)
+        return {mu: cx.index.cats[mu].id_arr("0") for mu in cx.index.mus}
+
+    with pytest.raises(MalformedTable, match="unknown arrow"):
+        cx.arrow(src, dst, comps)
+    assert calls == [1]
+
+
+def test_arrow_on_a_general_codex_is_named_by_its_components():
+    # parallel arrows differ, so arrow must not take the first of a hom-set
+    cx = enumerate_codex(monoid_comonad(), "p")
+    assert not cx.thin
+    for name, a in cx.cat.arrows.items():
+        assert cx.arrow(a.src, a.dst, lambda: cx.theta(name)) == name
 
 def test_mode_theory_arithmetic_is_independent_of_the_codex_size(
         monkeypatch):
