@@ -325,9 +325,7 @@ class Kernel:
                                   f"{u.name}^{u.key}")
             return ok
         if isinstance(t, App) and isinstance(u, App):
-            return self._whnf_eq(ctx, t.fn, u.fn, reduced=True) and \
-                self._whnf_eq(push_lock(mt, ctx, t.mor) if t.mor else ctx,
-                              t.arg, u.arg)
+            return self._spine_eq(ctx, t, u) is not None
         if isinstance(t, Lam) and isinstance(u, Lam):
             z = fresh("z")
             return self._whnf_eq(ctx, rename_var(t.body, {t.var: z}),
@@ -359,6 +357,23 @@ class Kernel:
             return self._convert_spines(ctx, t.name, t.args, u.args)
         self.trace.append(f"head mismatch: {show(t)} vs {show(u)}")
         return False
+
+    def _spine_eq(self, ctx: Context, t, u):
+        """The type of the neutral t when t and u are equal, else None.
+
+        An application spine is compared as MTT compares neutrals: the
+        heads structurally, then each argument by `convert` at its Pi
+        domain, under its lock, so η holds under the arguments.  The head's
+        type is inferred once the heads agree."""
+        if not (isinstance(t, App) and isinstance(u, App)):
+            if not self._whnf_eq(ctx, t, u, reduced=True):
+                return None
+            return self.infer(ctx, t)[0]
+        fty = self._spine_eq(ctx, t.fn, u.fn)
+        if fty is None or not self.convert(push_lock(self.mt, ctx, fty.mor),
+                                           fty.dom, t.arg, u.arg):
+            return None
+        return subst(self.mt, self.sig, fty.cod, {fty.var: t.arg}, ctx)
 
 
 def show(t) -> str:

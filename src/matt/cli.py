@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checker import Kernel
@@ -22,11 +21,12 @@ from .mode_theory import (ModeTheory, load_mode_theory, load_valid_mode_theory,
                           validate_mode_theory)
 from .parser import (SourceLines, SurfaceConst, SurfaceDef, SurfaceModeTheory,
                      parse_program, resolve_term, resolve_type)
+from .record import record, replace
 from .syntax import (ConstDecl, Param, Signature, empty_context, fresh,
                      push_lock, push_var)
 
 
-@dataclass
+@record
 class Diagnostic:
     code: str
     file: str

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (CapExceeded, LimitAbsent, MalformedTable, MattError,
@@ -55,9 +54,10 @@ from .fincat import (Diagram, FinCat, FinFunctor, FinNat, ThinCat,
                      compose_functors, factorizations, id_name, isomorphic,
                      limit, product_arrows)
 from .mode_theory import opposite
+from .record import field, frozen, record
 
 
-@dataclass(frozen=True)
+@frozen
 class OplaxObject:
     """One object of a codex category.
 
@@ -96,7 +96,7 @@ class OplaxObject:
         return self._smaps[triple]
 
 
-@dataclass(frozen=True)
+@frozen
 class Decomposition:
     """One decomposition alpha: mu => nu . rho into the mode.  Its structure
     map, keyed (nu, rho, alpha), runs nu-component -> fun(mu-component) in
@@ -111,7 +111,7 @@ class Decomposition:
     identity: bool
 
 
-@dataclass
+@record
 class CodexIndex:
     """What the mode theory fixes about every codex object at one mode:
     mus, the morphisms into it, with cats[mu] = C_{src mu}; one Decomposition
@@ -169,7 +169,7 @@ def codex_index(d: Diagram, r: str) -> CodexIndex:
                       decomps, cocycles, actions)
 
 
-@dataclass
+@record
 class CodexCategory:
     """The codex category at a mode, built only by enumerate_codex with its
     index; thin when every base category was thin as it was built.  obj,
@@ -418,7 +418,7 @@ def reflect(cx_q: CodexCategory, mu: str) -> FinFunctor:
 
 # --- adjunctions ----------------------------------------------------------------
 
-@dataclass
+@record
 class Adjunction:
     """left(pi) left adjoint to right(pi), for pi: r -> s, with its witnesses.
 
@@ -669,11 +669,12 @@ def _family(build):
     return cached_property(get)
 
 
-@dataclass
+@record
 class CodexBundle:
     """Codex categories at every mode with both adjunction families, each
     keyed by morphism, and each built whole when a law first reads it, or
     failed once for every read."""
+    __slots__ = ("__dict__",)  # where the families are cached
     diagram: Diagram
     cap: int | None = None
     failed: dict = field(default_factory=dict, init=False, repr=False,

@@ -35,18 +35,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional
 
 from .errors import CapExceeded, MalformedTable, NotComposable
 from .mode_theory import ModeTheory, require_unique
+from .record import field, frozen
 
 
 def id_name(obj):
     return f"id:{obj}" if isinstance(obj, str) else ("id", obj)
 
 
-@dataclass(frozen=True)
+@frozen
 class Arrow:
     name: Hashable
     src: Hashable
@@ -477,7 +477,7 @@ class Diagram:
 
 # --- limits ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Cone:
     apex: Hashable
     legs: tuple  # (node key, arrow name) pairs, in the repr order of the keys

@@ -18,29 +18,29 @@ with the unit-law rows of the four tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IllTypedCellExpression, MalformedTable, NotComposable
+from .record import frozen
 
 CLASS_NAMES = ("tangible", "sharp", "transparent", "sinister")
 
 
-@dataclass(frozen=True)
+@frozen
 class Morphism:
     name: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Cell:
     name: str
     src: str  # morphism name
     dst: str  # morphism name
 
 
-@dataclass(frozen=True)
+@frozen
 class Adjoint:
     mor: str
     dagger: str
@@ -48,13 +48,13 @@ class Adjoint:
     counit: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Violation:
     axiom: str
     message: str
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidationReport:
     violations: tuple[Violation, ...]
 

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 from operator import itemgetter
 from typing import Optional
 
 from .errors import ParseError
+from .record import record
 from .syntax import (App, Const, FMod, Lam, LetMod, ModIntro, Open, Pi, Shut,
                      Signature, UMod, Var, fresh)
 
@@ -124,13 +124,13 @@ class SourceLines:
 
 # --- surface declarations ----------------------------------------------------
 
-@dataclass
+@record
 class SurfaceModeTheory:
     path: str
     span: int
 
 
-@dataclass
+@record
 class SurfaceConst:
     name: str
     params: list  # of (name, mor, surface type, span)
@@ -139,7 +139,7 @@ class SurfaceConst:
     span: int
 
 
-@dataclass
+@record
 class SurfaceDef:
     name: str
     mode: str

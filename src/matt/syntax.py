@@ -20,11 +20,11 @@ traverse terms through it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .errors import ModeMismatch, NotTangible, UnknownConstant
 from .mode_theory import ModeTheory
+from .record import field, frozen
 
 _fresh_counter = itertools.count()
 
@@ -37,39 +37,23 @@ def fresh(stem: str = "x") -> str:
 Span = Optional[int]  # the source offset where the node's syntax starts
 
 
-def _node(cls):
-    """`cls` as a frozen dataclass with slots, whose `__init__` stores each
-    field through its slot's descriptor, twice as fast as `object.__setattr__`
-    (the dataclass writes no `__init__`, so import compiles no more code)."""
-    names = tuple(cls.__annotations__)
-    env = {}  # gains a setter per field once the slots exist
-    exec(f"def __init__(self, {', '.join(names)}):\n" +
-         "".join(f"    set_{n}(self, {n})\n" for n in names), env)
-    cls.__init__ = env["__init__"]
-    cls.__init__.__defaults__ = tuple(  # a field's default, or a bare one
-        getattr(v, "default", v) for n, v in vars(cls).items() if n in names)
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    env.update((f"set_{n}", getattr(cls, n).__set__) for n in names)
-    return cls
-
-
 # --- terms and types --------------------------------------------------------
 
-@_node
+@frozen
 class Var:
     name: str
     key: Optional[str]  # cell name; None until elaborated
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class Lam:
     var: str
     body: "Term"
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class App:
     fn: "Term"
     arg: "Term"
@@ -77,14 +61,14 @@ class App:
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class ModIntro:
     mor: str
     body: "Term"
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class LetMod:
     frame: str  # ν
     mor: str    # μ
@@ -96,21 +80,21 @@ class LetMod:
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class Shut:
     mor: str
     body: "Term"
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class Open:
     mor: str
     body: "Term"
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class Const:
     """A signature constant applied to one argument per parameter: a type
     when its declaration has no result type, a term otherwise."""
@@ -119,7 +103,7 @@ class Const:
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class Pi:
     mor: str
     var: str
@@ -128,14 +112,14 @@ class Pi:
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class FMod:
     mor: str
     ty: "TypeExpr"
     span: Span = field(default=None, compare=False)
 
 
-@_node
+@frozen
 class UMod:
     mor: str
     ty: "TypeExpr"
@@ -148,14 +132,14 @@ TypeExpr = Union[Pi, FMod, UMod, Const]
 
 # --- signatures -------------------------------------------------------------
 
-@_node
+@frozen
 class Param:
     name: str
     mor: str
     ty: TypeExpr
 
 
-@_node
+@frozen
 class ConstDecl:
     name: str
     mode: str
@@ -181,19 +165,19 @@ class Signature:
 
 # --- contexts ---------------------------------------------------------------
 
-@_node
+@frozen
 class LockEntry:
     mor: str
 
 
-@_node
+@frozen
 class VarEntry:
     name: str
     mor: str
     ty: TypeExpr
 
 
-@_node
+@frozen
 class Context:
     mode: str          # current mode (after all entries)
     entries: tuple = ()
@@ -327,7 +311,7 @@ def rebuild(t, new: list):
             if new[k] is not old:
                 changes[name] = new[k]
             k += 1
-    return type(t)(*[changes.get(f, getattr(t, f)) for f in t.__slots__]) \
+    return type(t)(*[changes.get(f, getattr(t, f)) for f in t._fields]) \
         if changes else t
 
 

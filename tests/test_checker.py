@@ -153,9 +153,6 @@ def test_eta_pi_under_constant_arguments(tmp_path):
     assert "constants differ: gg vs gg2" in d2.trace
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: a spine headed by "
-                   "a variable is compared without types, so η is lost "
-                   "under its arguments")
 def test_eta_pi_under_variable_arguments(tmp_path):
     f = tmp_path / "eta.matt"
     f.write_text("const A : Type @ p;\n"
@@ -165,6 +162,25 @@ def test_eta_pi_under_variable_arguments(tmp_path):
                  "(r : R (f gg)) -> R (f (\\x. gg x)) = \\f. \\r. r;\n")
     diags, n = check_file(f, load_mode_theory(theory_path("trivial")))
     assert (diags, n) == ([], 4)
+
+
+def test_eta_pi_under_variable_arguments_behind_a_lock(tmp_path):
+    # f's argument sits under the lock mu of f's Pi, and is compared there
+    # at the Pi's domain; a different constant in its place still fails
+    f = tmp_path / "eta.matt"
+    sig = ("(f : (k :^ mu ((x : A) -> A)) -> B) -> (r : R (f gg)) -> R ")
+    f.write_text("const A : Type @ p;\n"
+                 "const gg : ((x : A) -> A) @ p;\n"
+                 "const gg2 : ((x : A) -> A) @ p;\n"
+                 "const B : Type @ q;\n"
+                 "const R : (y : B) Type @ q;\n"
+                 f"def d @ q : {sig}(f (\\x. gg x)) = \\f. \\r. r;\n"
+                 f"def d2 @ q : {sig}(f gg2) = \\f. \\r. r;\n")
+    diags, n = check_file(f, load_mode_theory(theory_path("single_arrow")))
+    assert n == 6
+    [d2] = diags
+    assert (d2.code, d2.line) == ("ConversionFailure", 7)
+    assert "constants differ: gg vs gg2" in d2.trace
 
 
 def test_beta_f():

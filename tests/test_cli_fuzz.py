@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from matt.bundled import FIXTURES, diagram_path, theory_path
 from matt.cli import main
+from matt.parser import tokenize
 
 # arbitrary bytes, plus valid UTF-8 (at most 4 bytes a character) so that
 # some inputs reach the parsers
@@ -96,3 +97,46 @@ def test_one_replaced_value_never_tracebacks(data):
                     contextlib.redirect_stderr(err):
                 code = main(argv + [str(f)])
             assert code in (0, 1, 2), argv
+
+
+# --- structured fuzzing: one token of a bundled corpus file mutated ----------
+
+CORPUS = sorted((FIXTURES / "corpus").glob("*.matt"))
+
+
+def _absolute(path: Path) -> str:
+    """The file's text, its mode-theory path made absolute so that the
+    mutant can be checked from another directory."""
+    return path.read_text().replace('"../theories/',
+                                    f'"{FIXTURES / "theories"}/')
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_mutated_token_never_tracebacks(data):
+    src = _absolute(data.draw(st.sampled_from(CORPUS), label="file"))
+    toks = tokenize(src)
+    spans = [(o, o + len(t))
+             for o, t in zip(toks.offs, toks.texts[:len(toks)])]
+    i = data.draw(st.integers(0, len(spans) - 1), label="token")
+    op = data.draw(st.sampled_from(["delete", "duplicate", "swap"]),
+                   label="op")
+    pieces = [src[a:b] for a, b in spans]
+    if op == "delete":
+        pieces[i] = ""
+    elif op == "duplicate":
+        pieces[i] += " " + pieces[i]
+    else:
+        j = data.draw(st.integers(0, len(spans) - 1), label="with")
+        pieces[i], pieces[j] = pieces[j], pieces[i]
+    gaps = [src[b:a] for (_, b), (a, _) in zip(spans, spans[1:])]
+    mutant = src[:spans[0][0]] + "".join(
+        p + g for p, g in zip(pieces, gaps + [src[spans[-1][1]:]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "f.matt"
+        f.write_text(mutant)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(f)])
+        assert code in (0, 1, 2), mutant
+        assert "Traceback" not in err.getvalue(), mutant
