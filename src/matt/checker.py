@@ -27,6 +27,9 @@ class Kernel:
         self.mt = mt
         self.sig = sig if sig is not None else Signature()
         self.trace: list[str] = []
+        # λ binders the comparison is under whose types are unknown; while
+        # there are any, application spines compare untyped
+        self._untyped = 0
 
     # -- helpers ----------------------------------------------------------
 
@@ -325,11 +328,19 @@ class Kernel:
                                   f"{u.name}^{u.key}")
             return ok
         if isinstance(t, App) and isinstance(u, App):
-            return self._spine_eq(ctx, t, u) is not None
+            if not self._untyped:
+                return self._spine_eq(ctx, t, u) is not None
+            return self._whnf_eq(ctx, t.fn, u.fn, reduced=True) and \
+                self._whnf_eq(push_lock(mt, ctx, t.mor) if t.mor else ctx,
+                              t.arg, u.arg)
         if isinstance(t, Lam) and isinstance(u, Lam):
             z = fresh("z")
-            return self._whnf_eq(ctx, rename_var(t.body, {t.var: z}),
-                                 rename_var(u.body, {u.var: z}))
+            self._untyped += 1
+            try:
+                return self._whnf_eq(ctx, rename_var(t.body, {t.var: z}),
+                                     rename_var(u.body, {u.var: z}))
+            finally:
+                self._untyped -= 1
         if isinstance(t, ModIntro) and isinstance(u, ModIntro):
             return t.mor == u.mor and \
                 self._whnf_eq(push_lock(mt, ctx, t.mor), t.body, u.body)
@@ -348,6 +359,10 @@ class Kernel:
                                  u.scrutinee):
                 return False
             z = fresh("z")
+            if not self._untyped:
+                # z is the scrutinee's unwrapped value, as _infer_letmod binds x
+                dty = self.infer(push_lock(mt, ctx, t.frame), t.scrutinee)[0]
+                ctx = push_var(mt, ctx, z, mt.compose(t.frame, t.mor), dty.ty)
             return self._whnf_eq(ctx, rename_var(t.body, {t.xvar: z}),
                                  rename_var(u.body, {u.xvar: z}))
         if isinstance(t, Const) and isinstance(u, Const):
@@ -364,7 +379,8 @@ class Kernel:
         An application spine is compared as MTT compares neutrals: the
         heads structurally, then each argument by `convert` at its Pi
         domain, under its lock, so η holds under the arguments.  The head's
-        type is inferred once the heads agree."""
+        type is inferred once the heads agree, so every variable of t must
+        be typed by ctx: _whnf_eq calls this only outside untyped λ bodies."""
         if not (isinstance(t, App) and isinstance(u, App)):
             if not self._whnf_eq(ctx, t, u, reduced=True):
                 return None

@@ -29,8 +29,12 @@ argument or attribute names replaced by the fields; the other methods are
 shared.  The class keeps its bases and its type, `type`, so `isinstance`
 takes its fast path.  `_fields` names the fields in order.
 
-A record has at most eight fields, as many as the templates take, and
-inherits none.  A class whose instances need a `__dict__` (for
+A record has one to eight fields, as many as the templates take, at least
+one that `__init__` takes and one that is compared, and inherits none;
+`record` and `frozen` refuse other classes with a `TypeError`.  Methods
+shared by all records, reading the fields through an
+`operator.attrgetter`, would lift the limit, but time 1.5 to 2 times the
+templates' equality and hashing.  A class whose instances need a `__dict__` (for
 `functools.cached_property`) lists `"__dict__"` in its own `__slots__`.
 """
 
@@ -223,9 +227,6 @@ def _make_init(cls, specs, post_init):
            for n in params[len(params) - len(defaults):]):
         raise TypeError(f"{cls.__name__}: a field without a default follows "
                         "one with a default")
-    if any(not f.init and f.default is not _MISSING for f in specs.values()):
-        raise TypeError(f"{cls.__name__}: an init=False field takes a "
-                        "default_factory, not a default")
     setters = [getattr(cls, n).__set__ for n in params]
     factories = [(getattr(cls, n).__set__, f.default_factory)
                  for n, f in specs.items()
@@ -249,6 +250,24 @@ def _make_init(cls, specs, post_init):
         defaults or None)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
+
+
+def _refuse_unsupported(cls, specs):
+    """Raise TypeError for field options, and for field counts, that the
+    templates cannot serve."""
+    name = cls.__name__
+    if any(not f.init and f.default is not _MISSING for f in specs.values()):
+        raise TypeError(f"{name}: an init=False field takes a "
+                        "default_factory, not a default")
+    if any(f.init and f.default_factory is not None for f in specs.values()):
+        raise TypeError(f"{name}: a field that __init__ takes has a "
+                        "default, not a default_factory")
+    if len(specs) >= len(_INITS) or \
+            not any(f.compare for f in specs.values()) or \
+            not any(f.init for f in specs.values()):
+        raise TypeError(f"{name}: a record has one to {len(_INITS) - 1} "
+                        "fields, as many as its templates take, and at least "
+                        "one that __init__ takes and one that is compared")
 
 
 def _repr(self):
@@ -283,6 +302,7 @@ def _remake(cls, immutable: bool):
     for n in cls.__annotations__:
         v = ns.pop(n, _MISSING)
         specs[n] = v if isinstance(v, field) else field(v)
+    _refuse_unsupported(cls, specs)
     ns["__slots__"] = tuple(ns.get("__slots__", ())) + tuple(specs)
     ns["__qualname__"] = cls.__qualname__
     ns.setdefault("__repr__", _repr)

@@ -183,6 +183,54 @@ def test_eta_pi_under_variable_arguments_behind_a_lock(tmp_path):
     assert "constants differ: gg vs gg2" in d2.trace
 
 
+def _r_of_g_under_let(tmp_path, motive, body_t, body_u, ydom="F[mu] A"):
+    """A file whose one definition holds when g (let mod x = y in body_t)
+    and g (let mod x = y in body_u) are convertible, compared as arguments
+    of a variable g at mode q of single_arrow."""
+    def arg(body):
+        return f"g (let[id:q, mu] mod x = y in {body} motive {motive})"
+    f = tmp_path / "let.matt"
+    f.write_text("const A : Type @ p;\n"
+                 "const a0 : A @ p;\n"
+                 "const a1 : A @ p;\n"
+                 "const gg : ((w : A) -> A) @ p;\n"
+                 "const B : Type @ q;\n"
+                 "const R : (y : B) Type @ q;\n"
+                 f"def d @ q : (y : {ydom}) -> (g : (k : {motive}) -> B) -> "
+                 f"(r : R ({arg(body_t)})) -> R ({arg(body_u)}) = "
+                 "\\y. \\g. \\r. r;\n")
+    return check_file(f, load_mode_theory(theory_path("single_arrow")))
+
+
+def test_spine_headed_by_a_let_bound_variable(tmp_path):
+    # the let's bound variable is typed while its branches are compared, so
+    # a spine it heads compares by its Pi type
+    ydom, motive = "F[mu] ((w : A) -> A)", "F[mu] A"
+    assert _r_of_g_under_let(tmp_path, motive, "mod[mu] (x a0)",
+                             "mod[mu] (x a0)", ydom) == ([], 7)
+    ([d], n) = _r_of_g_under_let(tmp_path, motive, "mod[mu] (x a0)",
+                                 "mod[mu] (x a1)", ydom)
+    assert (n, d.code, d.line) == (6, "ConversionFailure", 7)
+    assert "constants differ: a0 vs a1" in d.trace
+    # η under x's argument
+    ydom = "F[mu] ((k : (w : A) -> A) -> A)"
+    assert _r_of_g_under_let(tmp_path, motive, "mod[mu] (x gg)",
+                             "mod[mu] (x (\\w. gg w))", ydom) == ([], 7)
+
+
+def test_spine_headed_by_an_untyped_lambda_variable(tmp_path):
+    # λ bodies compare without their binder's type; a spine headed by the
+    # binder compares untyped, as it did before spines were typed
+    motive = "(v : (w :^ mu A) -> B) -> B"
+    assert _r_of_g_under_let(tmp_path, motive, "\\v. v x",
+                             "\\v. v x") == ([], 7)
+    ([d], n) = _r_of_g_under_let(tmp_path, motive, "\\v. v x",
+                                 "\\v. v a0")
+    assert (n, d.code, d.line) == (6, "ConversionFailure", 7)
+    assert d.trace[-1].startswith("head mismatch: z") and \
+        d.trace[-1].endswith(" vs a0")
+
+
 def test_beta_f():
     k = single_arrow_kernel()
     ctx = empty_context("q")

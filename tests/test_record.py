@@ -121,6 +121,29 @@ def test_fields_that_dataclasses_would_refuse_are_refused():
         @frozen
         class Worse:
             x: int = field(default=0, init=False)
+    # dataclasses would call the factory; the templates take only defaults
+    with pytest.raises(TypeError, match="not a default_factory"):
+        @record
+        class Factory:
+            x: list = field(default_factory=list)
+
+
+def test_records_beyond_the_templates_are_refused_by_name():
+    with pytest.raises(TypeError, match="^Wide: a record has one to 8"):
+        frozen(type("Wide", (), {"__annotations__": {
+            f"x{i}": int for i in range(9)}}))
+    with pytest.raises(TypeError, match="^Empty: a record has one to 8"):
+        @frozen
+        class Empty:
+            pass
+    with pytest.raises(TypeError, match="^Uncompared: a record has"):
+        @frozen
+        class Uncompared:
+            x: int = field(compare=False)
+    with pytest.raises(TypeError, match="^Uninitialised: a record has"):
+        @record
+        class Uninitialised:
+            x: list = field(init=False, default_factory=list)
 
 
 def test_records_are_plain_classes():
