@@ -1,9 +1,13 @@
 """Bidirectional type checker and conversion for the modal kernel.
 
 Checking is parameterized by a validated mode theory and a signature of
-constants.  Conversion is type-directed: η at function types and at the
-negative modality (via open after a unit key), weak-head β everywhere,
-structural comparison at the positive modality and at base types.
+constants.  Conversion is one type-directed algorithm, as MTT decides it:
+η at function types and at the negative modality (via open after a unit
+key); at every other type the weak-head normal forms, two `mod` bodies
+compared at the inner type and anything else as neutrals.  A neutral's
+arguments are compared at its head's parameter or Pi domain types, and
+two `let mod` branches at the motive instantiated at the unwrapped
+variable, so η holds everywhere under a neutral.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ class Kernel:
         self.mt = mt
         self.sig = sig if sig is not None else Signature()
         self.trace: list[str] = []
-        # λ binders the comparison is under whose types are unknown; while
-        # there are any, application spines compare untyped
-        self._untyped = 0
 
     # -- helpers ----------------------------------------------------------
 
@@ -224,48 +225,56 @@ class Kernel:
 
     # -- conversion --------------------------------------------------------
 
+    def _same(self, m: str, n: str) -> bool:
+        """Whether two modality annotations agree; a trace line if not."""
+        if m != n:
+            self.trace.append(f"modalities differ: {m} vs {n}")
+        return m == n
+
     def convert_types(self, ctx: Context, a, b) -> bool:
         mt = self.mt
         if type(a) is not type(b):
             self.trace.append(f"type head mismatch: {show(a)} vs {show(b)}")
             return False
         if isinstance(a, Pi):
-            if a.mor != b.mor:
-                return False
-            if not self.convert_types(push_lock(mt, ctx, a.mor), a.dom, b.dom):
+            if not (self._same(a.mor, b.mor) and self.convert_types(
+                    push_lock(mt, ctx, a.mor), a.dom, b.dom)):
                 return False
             z = fresh("z")
             ctx2 = push_var(mt, ctx, z, a.mor, a.dom)
             return self.convert_types(ctx2, rename_var(a.cod, {a.var: z}),
                                       rename_var(b.cod, {b.var: z}))
         if isinstance(a, FMod):
-            return a.mor == b.mor and \
+            return self._same(a.mor, b.mor) and \
                 self.convert_types(push_lock(mt, ctx, a.mor), a.ty, b.ty)
         if isinstance(a, UMod):
-            if a.mor != b.mor:
+            if not self._same(a.mor, b.mor):
                 return False
             dag = mt.dagger(a.mor).dagger
             return self.convert_types(push_lock(mt, ctx, dag), a.ty, b.ty)
-        if isinstance(a, Const):
-            if a.name != b.name:
-                self.trace.append(f"type constants differ: {a.name} vs {b.name}")
-                return False
-            return self._convert_spines(ctx, a.name, a.args, b.args)
-        return False
+        if a.name != b.name:
+            self.trace.append(f"type constants differ: {a.name} vs {b.name}")
+            return False
+        return self._convert_spines(ctx, a.name, a.args, b.args) is not None
 
-    def _convert_spines(self, ctx: Context, name: str, xs, ys) -> bool:
+    def _convert_spines(self, ctx: Context, name: str, xs, ys):
+        """Compare two spines of a constant, each argument at its parameter
+        type under its lock; the substitution of xs for the parameters when
+        they agree, else None."""
         mt = self.mt
         decl = self.sig.lookup(name)
         sub = {}
         for p, x, y in zip(decl.params, xs, ys):
             ty = subst(mt, self.sig, p.ty, sub, ctx) if sub else p.ty
             if not self.convert(push_lock(mt, ctx, p.mor), ty, x, y):
-                return False
+                return None
             sub[p.name] = x
-        return True
+        return sub
 
     def convert(self, ctx: Context, a, t, u) -> bool:
-        """Type-directed term conversion at type a."""
+        """Type-directed term conversion at type a: η at Pi and at U, then
+        the weak-head normal forms, compared under mod at F and as neutrals
+        otherwise."""
         mt = self.mt
         if isinstance(a, Pi):
             z = fresh("z")
@@ -279,15 +288,71 @@ class Kernel:
             t2 = Open(a.mor, apply_key(mt, self.sig, t, adj.unit, ctx))
             u2 = Open(a.mor, apply_key(mt, self.sig, u, adj.unit, ctx))
             return self.convert(ctx2, a.ty, t2, u2)
-        if isinstance(a, FMod):
-            tw, uw = self.whnf(ctx, t), self.whnf(ctx, u)
-            if isinstance(tw, ModIntro) and isinstance(uw, ModIntro):
-                if tw.mor != uw.mor:
-                    return False
-                return self.convert(push_lock(mt, ctx, a.mor), a.ty,
-                                    tw.body, uw.body)
-            return self._whnf_eq(ctx, tw, uw, reduced=True)
-        return self._whnf_eq(ctx, t, u)
+        t, u = self.whnf(ctx, t), self.whnf(ctx, u)
+        if isinstance(a, FMod) and isinstance(t, ModIntro) and \
+                isinstance(u, ModIntro):
+            return self._same(t.mor, u.mor) and \
+                self.convert(push_lock(mt, ctx, a.mor), a.ty, t.body, u.body)
+        return self._neutral(ctx, t, u) is not None
+
+    def _neutral(self, ctx: Context, t, u):
+        """The type of the neutral t when it equals the neutral u, else None.
+
+        Both are weak-head normal.  Neutrals compare as MTT compares them:
+        the heads structurally; an application argument by `convert` at its
+        Pi domain, under its lock; a constant's arguments at its parameter
+        types; two let-mod branches by `convert` at the motive instantiated
+        at the unwrapped variable, bound at frame∘mor as `_infer_letmod`
+        binds it.  Each type comes from the compared terms, which are
+        elaborated, so nothing is re-checked."""
+        mt, sig = self.mt, self.sig
+        if isinstance(t, Var) and isinstance(u, Var):
+            if t.name == u.name and t.key == u.key:
+                return self.infer(ctx, t)[0]
+            self.trace.append(f"variables differ: {t.name}^{t.key} vs "
+                              f"{u.name}^{u.key}")
+            return None
+        if isinstance(t, App) and isinstance(u, App):
+            fty = self._neutral(ctx, t.fn, u.fn)
+            if fty is None or not self.convert(push_lock(mt, ctx, fty.mor),
+                                               fty.dom, t.arg, u.arg):
+                return None
+            return subst(mt, sig, fty.cod, {fty.var: t.arg}, ctx)
+        if isinstance(t, Open) and isinstance(u, Open):
+            if not self._same(t.mor, u.mor):
+                return None
+            ty = self._neutral(push_lock(mt, ctx, t.mor), t.body, u.body)
+            if ty is None:
+                return None
+            return apply_key(mt, sig, ty.ty, mt.dagger(t.mor).counit, ctx)
+        if isinstance(t, LetMod) and isinstance(u, LetMod):
+            if not (self._same(t.frame, u.frame) and self._same(t.mor, u.mor)):
+                return None
+            dty = self._neutral(push_lock(mt, ctx, t.frame), t.scrutinee,
+                                u.scrutinee)
+            if dty is None:
+                return None
+            z = fresh("z")
+            nm = mt.compose(t.frame, t.mor)
+            ctx_z = push_var(mt, ctx, z, nm, dty.ty)
+            unwrapped = ModIntro(t.mor, Var(z, mt.id_cell(nm)))
+            branch_ty = subst(mt, sig, t.motive, {t.yvar: unwrapped}, ctx_z)
+            if not self.convert(ctx_z, branch_ty,
+                                rename_var(t.body, {t.xvar: z}),
+                                rename_var(u.body, {u.xvar: z})):
+                return None
+            return subst(mt, sig, t.motive, {t.yvar: t.scrutinee}, ctx)
+        if isinstance(t, Const) and isinstance(u, Const):
+            if t.name != u.name:
+                self.trace.append(f"constants differ: {t.name} vs {u.name}")
+                return None
+            sub = self._convert_spines(ctx, t.name, t.args, u.args)
+            if sub is None:
+                return None
+            result = sig.lookup(t.name).result
+            return subst(mt, sig, result, sub, ctx) if sub else result
+        self.trace.append(f"head mismatch: {show(t)} vs {show(u)}")
+        return None
 
     # -- weak-head reduction -------------------------------------------------
 
@@ -315,81 +380,6 @@ class Kernel:
                     continue
                 return Open(t.mor, body, t.span)
             return t
-
-    def _whnf_eq(self, ctx: Context, t, u, reduced=False) -> bool:
-        """Untyped structural comparison of weak-head normal forms."""
-        mt = self.mt
-        if not reduced:
-            t, u = self.whnf(ctx, t), self.whnf(ctx, u)
-        if isinstance(t, Var) and isinstance(u, Var):
-            ok = t.name == u.name and t.key == u.key
-            if not ok:
-                self.trace.append(f"variables differ: {t.name}^{t.key} vs "
-                                  f"{u.name}^{u.key}")
-            return ok
-        if isinstance(t, App) and isinstance(u, App):
-            if not self._untyped:
-                return self._spine_eq(ctx, t, u) is not None
-            return self._whnf_eq(ctx, t.fn, u.fn, reduced=True) and \
-                self._whnf_eq(push_lock(mt, ctx, t.mor) if t.mor else ctx,
-                              t.arg, u.arg)
-        if isinstance(t, Lam) and isinstance(u, Lam):
-            z = fresh("z")
-            self._untyped += 1
-            try:
-                return self._whnf_eq(ctx, rename_var(t.body, {t.var: z}),
-                                     rename_var(u.body, {u.var: z}))
-            finally:
-                self._untyped -= 1
-        if isinstance(t, ModIntro) and isinstance(u, ModIntro):
-            return t.mor == u.mor and \
-                self._whnf_eq(push_lock(mt, ctx, t.mor), t.body, u.body)
-        if isinstance(t, Shut) and isinstance(u, Shut):
-            if t.mor != u.mor:
-                return False
-            dag = mt.dagger(t.mor).dagger
-            return self._whnf_eq(push_lock(mt, ctx, dag), t.body, u.body)
-        if isinstance(t, Open) and isinstance(u, Open):
-            return t.mor == u.mor and \
-                self._whnf_eq(push_lock(mt, ctx, t.mor), t.body, u.body)
-        if isinstance(t, LetMod) and isinstance(u, LetMod):
-            if (t.frame, t.mor) != (u.frame, u.mor):
-                return False
-            if not self._whnf_eq(push_lock(mt, ctx, t.frame), t.scrutinee,
-                                 u.scrutinee):
-                return False
-            z = fresh("z")
-            if not self._untyped:
-                # z is the scrutinee's unwrapped value, as _infer_letmod binds x
-                dty = self.infer(push_lock(mt, ctx, t.frame), t.scrutinee)[0]
-                ctx = push_var(mt, ctx, z, mt.compose(t.frame, t.mor), dty.ty)
-            return self._whnf_eq(ctx, rename_var(t.body, {t.xvar: z}),
-                                 rename_var(u.body, {u.xvar: z}))
-        if isinstance(t, Const) and isinstance(u, Const):
-            if t.name != u.name:
-                self.trace.append(f"constants differ: {t.name} vs {u.name}")
-                return False
-            return self._convert_spines(ctx, t.name, t.args, u.args)
-        self.trace.append(f"head mismatch: {show(t)} vs {show(u)}")
-        return False
-
-    def _spine_eq(self, ctx: Context, t, u):
-        """The type of the neutral t when t and u are equal, else None.
-
-        An application spine is compared as MTT compares neutrals: the
-        heads structurally, then each argument by `convert` at its Pi
-        domain, under its lock, so η holds under the arguments.  The head's
-        type is inferred once the heads agree, so every variable of t must
-        be typed by ctx: _whnf_eq calls this only outside untyped λ bodies."""
-        if not (isinstance(t, App) and isinstance(u, App)):
-            if not self._whnf_eq(ctx, t, u, reduced=True):
-                return None
-            return self.infer(ctx, t)[0]
-        fty = self._spine_eq(ctx, t.fn, u.fn)
-        if fty is None or not self.convert(push_lock(self.mt, ctx, fty.mor),
-                                           fty.dom, t.arg, u.arg):
-            return None
-        return subst(self.mt, self.sig, fty.cod, {fty.var: t.arg}, ctx)
 
 
 def show(t) -> str:

@@ -218,9 +218,9 @@ def test_spine_headed_by_a_let_bound_variable(tmp_path):
                              "mod[mu] (x (\\w. gg w))", ydom) == ([], 7)
 
 
-def test_spine_headed_by_an_untyped_lambda_variable(tmp_path):
-    # λ bodies compare without their binder's type; a spine headed by the
-    # binder compares untyped, as it did before spines were typed
+def test_spine_headed_by_a_lambda_variable_in_a_branch(tmp_path):
+    # two λ branches compare by η at the motive, a Pi, so the binder is a
+    # typed variable and a spine it heads compares by its Pi type
     motive = "(v : (w :^ mu A) -> B) -> B"
     assert _r_of_g_under_let(tmp_path, motive, "\\v. v x",
                              "\\v. v x") == ([], 7)
@@ -229,6 +229,79 @@ def test_spine_headed_by_an_untyped_lambda_variable(tmp_path):
     assert (n, d.code, d.line) == (6, "ConversionFailure", 7)
     assert d.trace[-1].startswith("head mismatch: z") and \
         d.trace[-1].endswith(" vs a0")
+
+
+def test_eta_pi_inside_a_let_mod_branch(tmp_path):
+    # the branches are compared at the motive, a Pi, so η holds there
+    def let(body):
+        return f"let[id:q, mu] mod x = y in {body} motive (z : B) -> B"
+
+    def check(branch):
+        return check_lines(tmp_path, "single_arrow", [
+            "const A : Type @ p;", "const B : Type @ q;",
+            "const R : (r : (z : B) -> B) Type @ q;",
+            "const ff : ((x :^ mu A) -> (z : B) -> B) @ q;",
+            f"def d @ q : (y : F[mu] A) -> (r : R ({let('ff x')})) -> "
+            f"R ({let(branch)}) = \\y. \\r. r;"])
+
+    assert check(r"\z. ff x z") == ([], 5)
+    ([d], n) = check(r"\z. ff x (ff x z)")
+    assert (n, d.code, d.line) == (4, "ConversionFailure", 5)
+    assert d.trace[-1].startswith("head mismatch: z")
+
+
+def test_eta_u_inside_a_let_mod_branch(tmp_path):
+    def let(body):
+        return f"let[id:e, id:e] mod x = y in {body} motive U[iota] B"
+    assert check_lines(tmp_path, "2ltt", [
+        "const B : Type @ f;", "const C : Type @ e;",
+        "const h : (x : C) U[iota] B @ e;",
+        "const Q : (M : U[iota] B) Type @ e;",
+        f"def d @ e : (y : F[id:e] C) -> (r : Q ({let('h x')})) -> "
+        f"Q ({let('shut[iota] open[iota] (h x)')}) = \\y. \\r. r;"]) == \
+        ([], 5)
+
+
+@pytest.mark.parametrize("decl", [
+    "const k : ((x :^ mu A) -> B) @ q; def g @ q : (y : F[mu] A) -> B = k;",
+    "const m : F[mu] A @ q; def n @ q : F[id:q] (F[mu] A) = m;",
+], ids=["pi", "f"])
+def test_a_modality_mismatch_leaves_one_trace_line(tmp_path, decl):
+    ([d], _) = check_lines(tmp_path, "single_arrow",
+                           ["const A : Type @ p;", "const B : Type @ q;",
+                            decl])
+    assert d.code == "ConversionFailure"
+    assert d.trace == ("modalities differ: mu vs id:q",)
+
+
+def test_a_constant_head_is_typed_without_rechecking_its_spine(
+        tmp_path, monkeypatch):
+    # the head c a0 of the spine c a0 a0 is typed from its elaborated
+    # argument, so comparing two such spines elaborates nothing again
+    calls, depth = [], [0]
+    convert_types, spine_types = Kernel.convert_types, Kernel._spine_types
+
+    def counting_convert_types(self, *args):
+        depth[0] += 1
+        try:
+            return convert_types(self, *args)
+        finally:
+            depth[0] -= 1
+
+    def counting_spine_types(self, ctx, name, args):
+        if depth[0]:
+            calls.append(name)
+        return spine_types(self, ctx, name, args)
+
+    monkeypatch.setattr(Kernel, "convert_types", counting_convert_types)
+    monkeypatch.setattr(Kernel, "_spine_types", counting_spine_types)
+    assert check_lines(tmp_path, "trivial", [
+        "const A : Type @ p;", "const a0 : A @ p;",
+        "const c : (x : A) ((y : A) -> A) @ p;",
+        "const R : (x : A) Type @ p;",
+        "const r : R (c (c a0 a0) a0) @ p;",
+        "def d @ p : R (c (c a0 a0) a0) = r;"]) == ([], 6)
+    assert calls == []
 
 
 def test_beta_f():

@@ -11,9 +11,11 @@ from matt.bundled import FIXTURES, theory_path
 from matt.checker import Kernel
 from matt.cli import _check_decl, check_file, main
 from matt.mode_theory import load_mode_theory
-from matt.parser import SurfaceDef, parse_program, resolve_term, resolve_type
-from matt.syntax import (Const, Lam, Signature, Var, VarEntry, apply_key,
-                         children, empty_context, fresh, rebuild)
+from matt.parser import (SurfaceDef, SurfaceModeTheory, parse_program,
+                         resolve_term, resolve_type)
+from matt.syntax import (App, Const, ConstDecl, Lam, Pi, Signature, Var,
+                         VarEntry, apply_key, children, empty_context, fresh,
+                         rebuild)
 
 CORPUS = FIXTURES / "corpus"
 GOLDEN = Path(__file__).parent / "golden" / "check_corpus.txt"
@@ -99,6 +101,46 @@ def render_corpus_runs() -> str:
 def test_check_output_is_pinned():
     assert render_corpus_runs() == GOLDEN.read_text(encoding="utf-8")
 
+
+
+# --- conversion on every elaborated definition ---------------------------------
+
+def elaborated_defs(path):
+    """(kernel, name, elaborated term, elaborated type) for each definition
+    of a corpus file, checked in order as `matt check` checks it."""
+    decls = parse_program(path.read_text(encoding="utf-8"))
+    [theory] = [d.path for d in decls if isinstance(d, SurfaceModeTheory)]
+    kernel = Kernel(load_mode_theory(path.parent / theory), Signature())
+    out = []
+    for d in decls:
+        if isinstance(d, SurfaceDef):
+            ctx = empty_context(d.mode)
+            ty = kernel.check_type(ctx, resolve_type(d.ty, {}, kernel.sig))
+            t = kernel.check(ctx, resolve_term(d.term, {}, kernel.sig), ty)
+            kernel.sig.declare(ConstDecl(d.name, d.mode, (), ty))
+            out.append((kernel, d, t, ty))
+        elif not isinstance(d, SurfaceModeTheory):
+            _check_decl(kernel, d)
+    return out
+
+
+def test_every_definition_rechecks_and_converts_with_itself():
+    # re-checking an elaborated term is the identity; the term converts
+    # with itself, and at a Pi type with its η-expansion
+    n = 0
+    for p in POSITIVE:
+        for kernel, d, t, ty in elaborated_defs(p):
+            ctx = empty_context(d.mode)
+            assert kernel.check(ctx, t, ty) == t, (p.name, d.name)
+            assert kernel.convert(ctx, ty, t, t), (p.name, d.name)
+            if isinstance(ty, Pi):
+                z = fresh("z")
+                zv = Var(z, kernel.mt.id_cell(ty.mor))
+                eta = Lam(z, App(t, zv, ty.mor))
+                assert kernel.convert(ctx, ty, t, eta), (p.name, d.name)
+                assert kernel.convert(ctx, ty, eta, t), (p.name, d.name)
+                n += 1
+    assert n >= 12, n  # the Pi-typed definitions of the corpus
 
 
 # --- telescopes, λ-runs and redex towers against one name at a time ------------
