@@ -98,6 +98,15 @@ def test_modes_validate_malformed_exits_two(tmp_path):
     assert cmd_modes_validate(str(f)) == 2
 
 
+def test_modes_validate_unknown_class_exits_two(tmp_path, capsys):
+    data = json.loads(theory_path("reflective").read_text())
+    data["classes"]["sinster"] = data["classes"].pop("sinister")
+    f = tmp_path / "misspelt.mt"
+    f.write_text(json.dumps(data))
+    assert main(["modes", "validate", str(f)]) == 2
+    assert "unknown class sinster" in capsys.readouterr().err
+
+
 def test_main_dispatch(capsys):
     assert main(["modes", "validate", str(theory_path("trivial"))]) == 0
     assert main(["check", str(CORPUS / "semilattice_ok.matt")]) == 0

@@ -102,6 +102,15 @@ def test_unknown_reference_raises():
         mode_theory_from_data(data)
 
 
+def test_unknown_class_name_raises():
+    # a misspelt class would drop its morphisms from that class unseen:
+    # here mu would quietly stop being sinister
+    data = theory_data("reflective")
+    data["classes"]["sinster"] = data["classes"].pop("sinister")
+    with pytest.raises(MalformedTable, match="unknown class sinster"):
+        mode_theory_from_data(data)
+
+
 # --- the ten axiom-class mutants -------------------------------------------
 
 def check_mutant(data, axiom):
@@ -143,19 +152,23 @@ def test_mutant_transparent_not_tangible():
     check_mutant(data, "transparent-tangible")
 
 
+# only identity cells, so locally posetal, but the identity cells of
+# (a∘a)∘b and a∘(a∘b) differ: whiskering is not associative either
+COMPOSE_NOT_ASSOCIATIVE = {
+    "modes": ["p"],
+    "morphisms": [{"name": "a", "src": "p", "dst": "p"},
+                  {"name": "b", "src": "p", "dst": "p"}],
+    "compose": [["a", "a", "b"], ["a", "b", "id:p"],
+                ["b", "a", "a"], ["b", "b", "id:p"]],
+    "cells": [], "vcompose": [], "whisker_left": [], "whisker_right": [],
+    "classes": {"tangible": ["id:p", "a", "b"], "sharp": ["id:p"],
+                "transparent": ["id:p"], "sinister": []},
+    "adjoints": [],
+}
+
+
 def test_mutant_compose_not_associative():
-    data = {
-        "modes": ["p"],
-        "morphisms": [{"name": "a", "src": "p", "dst": "p"},
-                      {"name": "b", "src": "p", "dst": "p"}],
-        "compose": [["a", "a", "b"], ["a", "b", "id:p"],
-                    ["b", "a", "a"], ["b", "b", "id:p"]],
-        "cells": [], "vcompose": [], "whisker_left": [], "whisker_right": [],
-        "classes": {"tangible": ["id:p", "a", "b"], "sharp": ["id:p"],
-                    "transparent": ["id:p"], "sinister": []},
-        "adjoints": [],
-    }
-    check_mutant(data, "compose-associative")
+    check_mutant(COMPOSE_NOT_ASSOCIATIVE, "compose-associative")
 
 
 def test_mutant_compose_not_unital():
@@ -342,19 +355,50 @@ def test_whiskering_preserves_vertical_composites(axiom):
     assert {v.axiom for v in found} == {axiom}, found
 
 
+# a on k and b on m idempotent; on m∘k the cells x, y with x∘y = x and
+# y∘x = y, so the two ways round the square, x∘y and y∘x, differ
+INTERCHANGE = three_modes(
+    [("k", "p", "q"), ("m", "q", "r"), ("mk", "p", "r")],
+    [["m", "k", "mk"]],
+    [("a", "k", "k"), ("b", "m", "m"), ("x", "mk", "mk"),
+     ("y", "mk", "mk")],
+    [["a", "a", "a"], ["b", "b", "b"], ["x", "x", "x"],
+     ["x", "y", "x"], ["y", "x", "y"], ["y", "y", "y"]],
+    [["m", "a", "y"]], [["b", "k", "x"]])
+
+
 def test_interchange_must_hold():
-    # a on k and b on m idempotent; on m∘k the cells x, y with x∘y = x and
-    # y∘x = y, so the two ways round the square, x∘y and y∘x, differ
-    data = three_modes(
+    assert violations(INTERCHANGE) == (Violation(
+        "interchange", "(b▷k)∘(m◁a) = x but (m◁a)∘(b▷k) = y"),)
+
+
+# Two theories that are not locally posetal, each with an idempotent cell
+# parallel to an identity cell, so validation runs its full loops
+WHISKER_SQUARES = {
+    # 1_{id_q}▷k should be 1_k, but is y; m◁y = 1_{m∘k} keeps whiskering
+    # associative
+    "whisker-right-identity": (three_modes(
         [("k", "p", "q"), ("m", "q", "r"), ("mk", "p", "r")],
         [["m", "k", "mk"]],
-        [("a", "k", "k"), ("b", "m", "m"), ("x", "mk", "mk"),
-         ("y", "mk", "mk")],
-        [["a", "a", "a"], ["b", "b", "b"], ["x", "x", "x"],
-         ["x", "y", "x"], ["y", "x", "y"], ["y", "y", "y"]],
-        [["m", "a", "y"]], [["b", "k", "x"]])
-    assert violations(data) == (Violation(
-        "interchange", "(b▷k)∘(m◁a) = x but (m◁a)∘(b▷k) = y"),)
+        [("y", "k", "k")], [["y", "y", "y"]],
+        [["m", "y", "id:mk"]], [["id:id:q", "k", "y"]]),
+        "1_id:q▷k = y"),
+    # an endo-cell e of id_q whiskered by m is 1_m, so (m◁e)▷k = 1_{m∘k};
+    # whiskered by k it is y, and m◁y = x
+    "whisker-associative": (three_modes(
+        [("k", "p", "q"), ("m", "q", "r"), ("mk", "p", "r")],
+        [["m", "k", "mk"]],
+        [("e", "id:q", "id:q"), ("y", "k", "k"), ("x", "mk", "mk")],
+        [["e", "e", "e"], ["y", "y", "y"], ["x", "x", "x"]],
+        [["m", "e", "id:m"], ["m", "y", "x"]], [["e", "k", "y"]]),
+        "(m◁e)▷k != m◁(e▷k)"),
+}
+
+
+@pytest.mark.parametrize("axiom", list(WHISKER_SQUARES))
+def test_whisker_axiom_flagged_alone(axiom):
+    data, message = WHISKER_SQUARES[axiom]
+    assert violations(data) == (Violation(axiom, message),)
 
 
 # --- the opposite theory ---------------------------------------------------------
