@@ -265,11 +265,20 @@ def opposite(mt: ModeTheory) -> ModeTheory:
         flip(mt.wl_table), {}, [])
 
 
-def _names(*xs) -> tuple:
-    """xs, each checked to be a string: every name in a table is one."""
-    if not all(isinstance(x, str) for x in xs):
-        raise TypeError(f"{list(xs)!r} holds a value that is not a name")
-    return xs
+def require_list(v) -> list:
+    """v, checked to be a list: a string read in its place would give its
+    characters, and an object its keys."""
+    if not isinstance(v, list):
+        raise TypeError(f"{v!r} is not a list")
+    return v
+
+
+def _names(xs: list) -> tuple:
+    """The list xs, each entry checked to be a string: every name in a
+    table is one."""
+    if not all(isinstance(x, str) for x in require_list(xs)):
+        raise TypeError(f"{xs!r} holds a value that is not a name")
+    return tuple(xs)
 
 
 def require_unique(what: str, keys) -> None:
@@ -287,24 +296,24 @@ def mode_theory_from_data(data: dict) -> ModeTheory:
         raise MalformedTable("mode theory file must contain an object")
 
     def records(key, cls, *fields):  # keyed by their first field
-        out = [cls(*_names(*(d[f] for f in fields)))
+        out = [cls(*_names([d[f] for f in fields]))
                for d in data.get(key, [])]
         require_unique(f"the {key} list", (getattr(x, fields[0]) for x in out))
         return out
 
     def table(key):  # rows [x, y, z] as {(x, y): z}
-        rows = [_names(*r) for r in data.get(key, [])]
+        rows = [_names(r) for r in data.get(key, [])]
         require_unique(f"the {key} table", ((x, y) for x, y, _ in rows))
         return {(x, y): z for x, y, z in rows}
 
     try:
         return ModeTheory(
-            _names(*data.get("modes", [])),
+            _names(data.get("modes", [])),
             records("morphisms", Morphism, "name", "src", "dst"),
             records("cells", Cell, "name", "src", "dst"),
             table("compose"), table("vcompose"), table("whisker_left"),
             table("whisker_right"),
-            {k: _names(*v) for k, v in data.get("classes", {}).items()},
+            {k: _names(v) for k, v in data.get("classes", {}).items()},
             records("adjoints", Adjoint, "mor", "dagger", "unit", "counit"))
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise MalformedTable(f"mode theory file is malformed: {e}") from None

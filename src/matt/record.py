@@ -22,21 +22,25 @@ with:
   and the state that `copy` and `pickle` restore past them.
 
 These are the methods `dataclasses` writes for `@dataclass(eq=True)`, with
-`frozen=True, slots=True` for `frozen`, and they run as fast, but none is
-compiled at import.  Each class's `__init__`, `__eq__` and `__hash__` is a
-copy of a template below, of the class's arity, with the template's
-argument or attribute names replaced by the fields; the other methods are
-shared.  The class keeps its bases and its type, `type`, so `isinstance`
+`frozen=True, slots=True` for `frozen`, but none is compiled at import.
+Each class's `__init__` is a copy of a template below, of the class's
+arity, with the template's argument names replaced by the fields, so it
+stores its arguments as fast as a compiled one: a check-synth round of the
+benchmark constructs tens of thousands of records.  The other methods are
+shared by every record; `__eq__` and `__hash__` read the class's
+`_compared`, an `operator.attrgetter` of its compared fields, since no
+benchmark workload calls them often enough for a copy per class to pay
+(`OplaxObject`, hashed most, keeps its own `__hash__`).  The class keeps its bases and its type, `type`, so `isinstance`
 takes its fast path.  `_fields` names the fields in order.
 
-A record has one to eight fields, as many as the templates take, at least
-one that `__init__` takes and one that is compared, and inherits none;
-`record` and `frozen` refuse other classes with a `TypeError`.  Methods
-shared by all records, reading the fields through an
-`operator.attrgetter`, would lift the limit, but time 1.5 to 2 times the
-templates' equality and hashing.  A class whose instances need a `__dict__` (for
+A record has one to eight fields, as many as the `__init__` templates
+take, at least one that `__init__` takes and one that is compared, and
+inherits none; `record` and `frozen` refuse other classes with a
+`TypeError`.  A class whose instances need a `__dict__` (for
 `functools.cached_property`) lists `"__dict__"` in its own `__slots__`.
 """
+
+import operator
 
 _MISSING = object()
 
@@ -105,118 +109,32 @@ def _init8(self, a0, a1, a2, a3, a4, a5, a6, a7):
     s0(self, a0); s1(self, a1); s2(self, a2); s3(self, a3)  # noqa: E702, F821
     s4(self, a4); s5(self, a5); s6(self, a6); s7(self, a7)  # noqa: E702, F821
 
-# --- __eq__ and __hash__ templates, by arity --------------------------------
-# Each reads the attributes f0, f1, ... that _renamed replaces by fields.
-
-def _eq1(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0,) == (other.f0,)
-    return NotImplemented
-
-
-def _eq2(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1) == (other.f0, other.f1)
-    return NotImplemented
-
-
-def _eq3(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1, self.f2) == (other.f0, other.f1, other.f2)
-    return NotImplemented
-
-
-def _eq4(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1, self.f2, self.f3) == \
-            (other.f0, other.f1, other.f2, other.f3)
-    return NotImplemented
-
-
-def _eq5(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1, self.f2, self.f3, self.f4) == \
-            (other.f0, other.f1, other.f2, other.f3, other.f4)
-    return NotImplemented
-
-
-def _eq6(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1, self.f2, self.f3, self.f4, self.f5) == \
-            (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5)
-    return NotImplemented
-
-
-def _eq7(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1, self.f2, self.f3, self.f4, self.f5,
-                self.f6) == \
-            (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5,
-             other.f6)
-    return NotImplemented
-
-
-def _eq8(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1, self.f2, self.f3, self.f4, self.f5,
-                self.f6, self.f7) == \
-            (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5,
-             other.f6, other.f7)
-    return NotImplemented
-
-
-def _hash1(self):
-    return hash((self.f0,))
-
-
-def _hash2(self):
-    return hash((self.f0, self.f1))
-
-
-def _hash3(self):
-    return hash((self.f0, self.f1, self.f2))
-
-
-def _hash4(self):
-    return hash((self.f0, self.f1, self.f2, self.f3))
-
-
-def _hash5(self):
-    return hash((self.f0, self.f1, self.f2, self.f3, self.f4))
-
-
-def _hash6(self):
-    return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5))
-
-
-def _hash7(self):
-    return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5,
-                 self.f6))
-
-
-def _hash8(self):
-    return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5,
-                 self.f6, self.f7))
-
 
 _INITS = (None, _init1, _init2, _init3, _init4, _init5, _init6, _init7,
           _init8)
-_EQS = (None, _eq1, _eq2, _eq3, _eq4, _eq5, _eq6, _eq7, _eq8)
-_HASHES = (None, _hash1, _hash2, _hash3, _hash4, _hash5, _hash6, _hash7,
-           _hash8)
-_FunctionType = type(_hash1)
+_FunctionType = type(_init1)
 
 
-def _renamed(cls, template, names, name):
-    """`cls`'s method `name`: a copy of a comparison template that reads
-    the fields `names`."""
-    code = template.__code__
-    fields = {f"f{i}": n for i, n in enumerate(names)}
-    code = code.replace(co_name=name, co_names=tuple(
-        fields.get(n, n) for n in code.co_names))
-    fn = _FunctionType(code, template.__globals__, name)
-    fn.__qualname__ = f"{cls.__qualname__}.{name}"
-    return fn
+# --- __eq__ and __hash__, shared by every record ---------------------------
+
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return self._compared(self) == self._compared(other)
+    return NotImplemented
+
+
+def __hash__(self):
+    return hash(self._compared(self))
+
+
+def _tuple_getter(names):
+    """The getter of the tuple of the fields `names`, as a class attribute
+    that an instance reads unbound.  attrgetter gives one field's bare
+    value, so one field is wrapped in a 1-tuple."""
+    get = operator.attrgetter(*names)
+    if len(names) > 1:
+        return get
+    return staticmethod(lambda obj: (get(obj),))
 
 
 def _make_init(cls, specs, post_init):
@@ -254,7 +172,7 @@ def _make_init(cls, specs, post_init):
 
 def _refuse_unsupported(cls, specs):
     """Raise TypeError for field options, and for field counts, that the
-    templates cannot serve."""
+    `__init__` templates cannot serve."""
     name = cls.__name__
     if any(not f.init and f.default is not _MISSING for f in specs.values()):
         raise TypeError(f"{name}: an init=False field takes a "
@@ -312,12 +230,12 @@ def _remake(cls, immutable: bool):
     new = type(cls.__name__, cls.__bases__, ns)
     new._fields = tuple(specs)
     new._repr_fields = tuple(n for n, f in specs.items() if f.repr)
-    key = [n for n, f in specs.items() if f.compare]
-    new.__eq__ = _renamed(new, _EQS[len(key)], key, "__eq__")
+    new._compared = _tuple_getter([n for n, f in specs.items() if f.compare])
+    new.__eq__ = __eq__
     if not immutable:
         new.__hash__ = None
     elif "__hash__" not in ns:
-        new.__hash__ = _renamed(new, _HASHES[len(key)], key, "__hash__")
+        new.__hash__ = __hash__
     new.__init__ = _make_init(new, specs, ns.get("__post_init__"))
     new._init_fields = tuple(n for n, f in specs.items() if f.init)
     return new

@@ -98,6 +98,17 @@ def test_modes_validate_malformed_exits_two(tmp_path):
     assert cmd_modes_validate(str(f)) == 2
 
 
+def test_modes_validate_string_for_a_list_exits_two(tmp_path, capsys):
+    data = json.loads(theory_path("single_arrow").read_text())
+    data["modes"] = "pq"  # not read as ["p", "q"]
+    f = tmp_path / "strings.mt"
+    f.write_text(json.dumps(data))
+    assert main(["modes", "validate", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR MalformedTable @ {f}:0:0: mode theory file is malformed: "
+        "'pq' is not a list\n")
+
+
 def test_modes_validate_unknown_class_exits_two(tmp_path, capsys):
     data = json.loads(theory_path("reflective").read_text())
     data["classes"]["sinster"] = data["classes"].pop("sinister")
@@ -207,12 +218,14 @@ UNKNOWN_KEYS = [
     _diagram_with(lambda d: d.update(naturals={
         "id:mu": {"components": {"0": "id:0"}}})),
     "[" * 100000,
+    # not read as ["0", "1"]
+    _diagram_with(lambda d: d["categories"]["p"].update(objects="01")),
 ], ids=["no-categories", "not-json", "functor-misses-object", "categories-list",
         "functor-arrow-image-list", "natural-component-list",
         "compose-row-of-two", "natural-missing", "natural-misses-object",
         "identity-functor-not-identity", "identity-natural-not-identity",
         "compose-row-twice", *(i for i, _, _ in UNKNOWN_KEYS),
-        "identity-natural-misses-object", "deeply-nested"])
+        "identity-natural-misses-object", "deeply-nested", "objects-string"])
 def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
     f = tmp_path / "bad.dg"
     f.write_text(text)

@@ -1,6 +1,7 @@
 """Finite categories: laws and limit search."""
 
 import itertools
+import json
 import math
 from functools import reduce
 
@@ -9,15 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_codex import monoid_comonad
 
-from matt.bundled import DIAGRAM_NAMES, diagram_path
+from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.codex import _mediating, enumerate_codex
 from matt.errors import (CapExceeded, LimitAbsent, MalformedTable,
                          NotComposable)
 from matt.fincat import (Cone, FinCat, FinFunctor, FinNat, all_cones,
                          check_preserves_limit, compose_functors,
-                         factorizations, identity_functor, is_iso,
-                         is_terminal_cone, isomorphic, limit, load_diagram,
-                         poset_category)
+                         factorizations, first_unpreserved_limit,
+                         identity_functor, is_iso, is_terminal_cone,
+                         isomorphic, limit, load_diagram, poset_category)
 
 
 def two_chain():
@@ -152,6 +153,33 @@ def test_negative_diagram_still_wellformed():
     assert d.validate() == []  # a lawful diagram whose functor drops meets
 
 
+def three_arrow_diagram() -> dict:
+    """The trivial theory's diagram on a, b, c with f: a → b, g: b → c and
+    h = g∘f: every name is one character, so a string of names would read
+    as the list of its characters."""
+    return {"mode_theory": str(theory_path("trivial")), "functors": {},
+            "naturals": {}, "categories": {"p": {
+                "objects": ["a", "b", "c"],
+                "arrows": [["f", "a", "b"], ["g", "b", "c"], ["h", "a", "c"]],
+                "compose": [["g", "f", "h"]]}}}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(objects="abc"),
+    lambda p: p["arrows"].__setitem__(0, "fab"),
+    lambda p: p["compose"].__setitem__(0, "gfh"),
+], ids=["objects", "arrow", "compose-row"])
+def test_diagram_reader_refuses_a_string_for_a_list(tmp_path, edit):
+    f = tmp_path / "strings.dg"
+    data = three_arrow_diagram()
+    f.write_text(json.dumps(data))
+    assert load_diagram(f).validate() == []
+    edit(data["categories"]["p"])
+    f.write_text(json.dumps(data))
+    with pytest.raises(MalformedTable, match="is not a list"):
+        load_diagram(f)
+
+
 # --- limits ---------------------------------------------------------------------
 
 def test_empty_diagram_limit_is_top():
@@ -282,7 +310,7 @@ def test_thin_limit_is_a_greatest_lower_bound(c, data, seed):
 
 def test_terminal_cone_legs_must_land_on_the_nodes():
     # not thin, and no cone over {a, b}: a cone at b with identity legs
-    # misses the node at a, so it is no limit cone on either path
+    # misses the node at a, so it is no limit cone
     c = FinCat(["a", "b"], [("f", "a", "a"), ("g", "a", "a")],
                [("f", "f", "f"), ("g", "g", "g"), ("f", "g", "f"),
                 ("g", "f", "g")])
@@ -291,6 +319,29 @@ def test_terminal_cone_legs_must_land_on_the_nodes():
     assert all_cones(c, nodes, []) == []
     assert not is_terminal_cone(c, nodes, [],
                                 Cone("b", (("l", "id:b"), ("r", "id:b"))))
+
+
+def test_preservation_from_a_parallel_pair_into_a_thin_chain():
+    # not thin: the parallel pair f, g on a, with b terminal.  Into the
+    # chain 0 < ... < 4, b goes to 3, which is not terminal there: the
+    # search takes the cone path, and is_terminal_cone runs on a thin
+    # target.  The caps stop the source's search (2 cones over b, b) or
+    # the target's (4 lower bounds of 3)
+    c = FinCat(["b", "a"], [("f", "a", "a"), ("g", "a", "a"),
+                            ("k", "a", "b")],
+               [("f", "f", "f"), ("g", "g", "g"), ("f", "g", "f"),
+                ("g", "f", "g"), ("k", "f", "k"), ("k", "g", "k")])
+    assert not c.thin and c.validate() == []
+    chain = poset_category([str(i) for i in range(5)], lambda x, y: x <= y)
+    f = FinFunctor(c, chain, {"b": "3", "a": "0"},
+                   {"f": "id:0", "g": "id:0", "k": "0<=3"})
+    assert chain.thin and f.validate() == []
+    assert first_unpreserved_limit(c, [f]) == (f, {})
+    assert first_unpreserved_limit(c, [f], cap=9) == (f, {})
+    for cap, size in [(0, 2), (1, 2), (2, 4), (3, 4)]:
+        with pytest.raises(CapExceeded) as e:
+            first_unpreserved_limit(c, [f], cap=cap)
+        assert str(e.value) == f"cone search size {size} exceeds cap {cap}"
 
 
 def test_thin_limit_among_isomorphic_objects():

@@ -102,6 +102,30 @@ def test_unknown_reference_raises():
         mode_theory_from_data(data)
 
 
+def one_letter_theory() -> dict:
+    """A theory on mode p with an idempotent m: p → p.  Every name is one
+    character, so a string of names would read as the list of its
+    characters."""
+    return {"modes": ["p"],
+            "morphisms": [{"name": "m", "src": "p", "dst": "p"}],
+            "compose": [["m", "m", "m"]],
+            "classes": {"tangible": ["id:p", "m"], "sharp": ["id:p", "m"],
+                        "transparent": ["id:p"], "sinister": []}}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(modes="p"),
+    lambda d: d["compose"].__setitem__(0, "mmm"),
+    lambda d: d["classes"].update(tangible="m"),
+], ids=["modes", "table-row", "class"])
+def test_reader_refuses_a_string_for_a_list(edit):
+    data = one_letter_theory()
+    assert validate_mode_theory(mode_theory_from_data(data)).ok
+    edit(data)
+    with pytest.raises(MalformedTable, match="is not a list"):
+        mode_theory_from_data(data)
+
+
 def test_unknown_class_name_raises():
     # a misspelt class would drop its morphisms from that class unseen:
     # here mu would quietly stop being sinister

@@ -16,6 +16,7 @@ import matt.codex
 import matt.fincat
 import matt.mode_theory
 import matt.parser
+import matt.syntax
 from matt.bundled import DIAGRAM_NAMES, diagram_path
 from matt.cli import Diagnostic
 from matt.codex import (Adjunction, CodexBundle, CodexCategory, CodexIndex,
@@ -70,6 +71,43 @@ def test_frozen_record_compares_and_hashes_its_compare_fields():
     # another class with equal fields is not equal
     assert Point(1, 2) != SimpleNamespace(x=1, y=2)
     assert Point(1).__eq__(SimpleNamespace(x=1, y=0)) is NotImplemented
+
+
+@frozen
+class Single:
+    x: object
+
+
+@frozen
+class Eight:  # as many fields as the __init__ templates take
+    a: int
+    b: int
+    c: int
+    d: int = field(default=0, compare=False)
+    e: int = 0
+    f: int = 0
+    g: int = field(default=0, compare=False)
+    h: int = 0
+
+
+COMPARED = {Single: ("x",), Eight: ("a", "b", "c", "e", "f", "h")}
+
+
+@pytest.mark.parametrize("cls", [Single, Eight], ids=lambda c: c.__name__)
+def test_records_at_the_arity_extremes_compare_and_hash_their_fields(cls):
+    r = cls(*range(1, len(cls._fields) + 1))
+    key = tuple(getattr(r, n) for n in COMPARED[cls])
+    # a one-field record hashes a 1-tuple, not its bare field
+    assert hash(r) == hash(key)
+    assert r == copy.copy(r)
+    for name in cls._fields:
+        other = replace(r, **{name: 100})
+        assert (other == r) is (name not in COMPARED[cls]), name
+        assert (hash(other) == hash(r)) is (name not in COMPARED[cls]), name
+    for stranger in (SimpleNamespace(**{n: getattr(r, n) for n in
+                                        cls._fields}), key, Point(1)):
+        assert r.__eq__(stranger) is NotImplemented
+        assert r != stranger
 
 
 def test_frozen_record_refuses_assignment_and_deletion():
@@ -211,6 +249,15 @@ def test_record_cases_cover_every_record_class():
                if isinstance(c, type) and "_fields" in vars(c)
                and c.__module__ == m.__name__}
     assert {type(t) for t, _ in RECORDS} == records
+
+
+def test_every_record_shares_one_eq_and_hash():
+    records = [c for m in (*MODULES, matt.syntax) for c in vars(m).values()
+               if isinstance(c, type) and "_fields" in vars(c)]
+    assert {c.__eq__ for c in records} == {Point.__eq__}
+    assert {c.__hash__ for c in records} == {Point.__hash__, None,
+                                             OplaxObject.__hash__}
+    assert OplaxObject.__hash__ is not Point.__hash__  # its own
 
 
 @pytest.mark.parametrize("t,text", RECORDS, ids=[_name(t) for t, _ in RECORDS])
