@@ -21,12 +21,12 @@ from .mode_theory import (ModeTheory, load_mode_theory, load_valid_mode_theory,
                           validate_mode_theory)
 from .parser import (SourceLines, SurfaceConst, SurfaceDef, SurfaceModeTheory,
                      parse_program, resolve_term, resolve_type)
-from .record import record, replace
+from .record import frozen
 from .syntax import (ConstDecl, Param, Signature, empty_context, fresh,
                      push_lock, push_var)
 
 
-@record
+@frozen
 class Diagnostic:
     code: str
     file: str
@@ -45,11 +45,11 @@ class Diagnostic:
 
 
 def _diag(err: MattError, filename: str, lines: SourceLines,
-          fallback: int | None = None) -> Diagnostic:
+          fallback: int | None = None, bad_input: bool = False) -> Diagnostic:
     span = err.span if err.span is not None else fallback
     line, col = lines(span) if span is not None else (0, 0)
     return Diagnostic(err.code, filename, line, col, err.message,
-                      getattr(err, "trace", ()))
+                      getattr(err, "trace", ()), bad_input)
 
 
 def check_file(path: Path, mt: ModeTheory | None):
@@ -84,8 +84,8 @@ def check_file(path: Path, mt: ModeTheory | None):
                                             *lines(d.span), str(e)))
                     return diags, checked
                 except MattError as e:
-                    diags.append(replace(_diag(e, filename, lines, d.span),
-                                         bad_input=True))
+                    diags.append(_diag(e, filename, lines, d.span,
+                                       bad_input=True))
                     return diags, checked
             continue
         if mt is None:

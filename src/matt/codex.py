@@ -54,7 +54,7 @@ from .fincat import (Diagram, FinCat, FinFunctor, FinNat, ThinCat,
                      compose_functors, factorizations, id_name, isomorphic,
                      limit, product_arrows)
 from .mode_theory import opposite
-from .record import field, frozen, record
+from .record import frozen
 
 
 @frozen
@@ -68,12 +68,10 @@ class OplaxObject:
     codex objects key every hom-set and object map, and sit inside every
     arrow name of a codex built on the general path.
     """
+    __slots__ = ("_hash", "_comps", "_smaps")
     mode: str
     components: tuple
     structure: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
-    _comps: dict = field(init=False, repr=False, compare=False)
-    _smaps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.mode, self.components,
@@ -111,7 +109,7 @@ class Decomposition:
     identity: bool
 
 
-@record
+@frozen
 class CodexIndex:
     """What the mode theory fixes about every codex object at one mode:
     mus, the morphisms into it, with cats[mu] = C_{src mu}; one Decomposition
@@ -169,26 +167,27 @@ def codex_index(d: Diagram, r: str) -> CodexIndex:
                       decomps, cocycles, actions)
 
 
-@record
+@frozen
 class CodexCategory:
     """The codex category at a mode, built only by enumerate_codex with its
     index; thin when every base category was thin as it was built.  obj,
     obj_of and arrow return the enumerated instances, never an equal
     copy."""
+    __slots__ = ("_instances", "_by_comps")
     diagram: Diagram
     mode: str
     index: CodexIndex
     cat: FinCat
     thin: bool
-    _instances: dict = field(init=False, repr=False, compare=False)
-    _by_comps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._instances = {o: o for o in self.cat.objects}
+        object.__setattr__(self, "_instances",
+                           {o: o for o in self.cat.objects})
         # over thin bases the components fix an object: each structure map
         # is the one arrow of its hom-set
-        self._by_comps = {o.components: o for o in self.cat.objects} \
-            if self.thin else {}
+        object.__setattr__(self, "_by_comps",
+                           {o.components: o for o in self.cat.objects}
+                           if self.thin else {})
 
     @property
     def objects(self):
@@ -418,7 +417,7 @@ def reflect(cx_q: CodexCategory, mu: str) -> FinFunctor:
 
 # --- adjunctions ----------------------------------------------------------------
 
-@record
+@frozen
 class Adjunction:
     """left(pi) left adjoint to right(pi), for pi: r -> s, with its witnesses.
 
@@ -669,16 +668,15 @@ def _family(build):
     return cached_property(get)
 
 
-@record
 class CodexBundle:
     """Codex categories at every mode with both adjunction families, each
     keyed by morphism, and each built whole when a law first reads it, or
-    failed once for every read."""
-    __slots__ = ("__dict__",)  # where the families are cached
-    diagram: Diagram
-    cap: int | None = None
-    failed: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    failed once for every read.  The families are cached in its
+    __dict__."""
+
+    def __init__(self, diagram: Diagram, cap: int | None = None):
+        self.diagram, self.cap = diagram, cap
+        self.failed = {}
 
     @_family
     def codexes(self) -> dict:

@@ -48,8 +48,9 @@ import random
 from typing import Callable, Hashable, Optional
 
 from .errors import CapExceeded, MalformedTable, NotComposable
-from .mode_theory import ModeTheory, require_list, require_unique
-from .record import field, frozen
+from .mode_theory import (ModeTheory, require_list, require_object,
+                          require_unique)
+from .record import frozen
 
 
 def id_name(obj):
@@ -518,9 +519,9 @@ class Diagram:
 
 @frozen
 class Cone:
+    __slots__ = ("_by_key",)
     apex: Hashable
     legs: tuple  # (node key, arrow name) pairs, in the repr order of the keys
-    _by_key: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_key", dict(self.legs))
@@ -767,12 +768,14 @@ def diagram_from_data(mt: ModeTheory, data: dict) -> Diagram:
     for mor, fd in data.get("functors", {}).items():
         m = mt.mor(mor)
         functors[mor] = FinFunctor(cats[m.src], cats[m.dst],
-                                   dict(fd["objects"]),
-                                   dict(fd.get("arrows", {})), name=mor)
+                                   dict(require_object(fd["objects"])),
+                                   dict(require_object(fd.get("arrows", {}))),
+                                   name=mor)
     diagram = Diagram(mt, cats, functors, {})
     for cell, nd in data.get("naturals", {}).items():
         c = mt.cell(cell)
         diagram.nats[cell] = FinNat(diagram.functors[c.src],
                                     diagram.functors[c.dst],
-                                    nd["components"], name=cell)
+                                    require_object(nd["components"]),
+                                    name=cell)
     return diagram

@@ -273,6 +273,14 @@ def require_list(v) -> list:
     return v
 
 
+def require_object(v) -> dict:
+    """v, checked to be an object: dict() would read a list of pairs, or of
+    two-character strings, in its place as the map they spell."""
+    if not isinstance(v, dict):
+        raise TypeError(f"{v!r} is not an object")
+    return v
+
+
 def _names(xs: list) -> tuple:
     """The list xs, each entry checked to be a string: every name in a
     table is one."""
@@ -490,19 +498,12 @@ def _check_category(elems, table, ident, axiom, bad):
 def _check_two_category(mt: ModeTheory, bad):
     """The whiskering axioms and interchange, all guarded lookups.  Rows are
     well-typed (`_check_table_shapes`), so a lookup of a pair that does not
-    compose, or of a missing (None) operand, finds no row.  The morphisms
-    each loop walks are those whose modes can compose, listed once per mode
-    in table order, so every violation is found in the order of a walk over
-    all of them."""
+    compose, or of a missing (None) operand, finds no row, and each loop
+    can walk every morphism.  validate_mode_theory calls this only when
+    `_decided_by_boundaries` fails, on no bundled theory."""
     vc, wl, wr, comp = (mt.vcompose_table, mt.wl_table, mt.wr_table,
                         mt.compose_table)
-    modes = {c: mt.cell_modes(c) for c in mt.cells}  # (source, target)
-    mors = list(mt.morphisms.values())
-    into = {p: [r for r in mors if r.dst == p] for p in mt.modes}
-    # (p, q) -> the morphisms into p or out of q: those that whisker a cell
-    # between p and q on the right or on the left
-    near = {(p, q): [r for r in mors if r.dst == p or r.src == q]
-            for p, q in {(m.src, m.dst) for m in mors}}
+    mors = mt.morphisms.values()
     for b in mt.cells.values():
         for a in mt.cells.values():
             if a.dst != b.src:
@@ -510,7 +511,7 @@ def _check_two_category(mt: ModeTheory, bad):
             ba = vc.get((b.name, a.name))
             if ba is None:
                 continue
-            for r in near[modes[a.name]]:
+            for r in mors:
                 br = wr.get((b.name, r.name))
                 ar = wr.get((a.name, r.name))
                 bar = wr.get((ba, r.name))
@@ -526,7 +527,7 @@ def _check_two_category(mt: ModeTheory, bad):
                         f"{r.name}◁({b.name}∘{a.name}) != "
                         f"({r.name}◁{b.name})∘({r.name}◁{a.name})")
     for n in mors:
-        for r in into[n.src]:
+        for r in mors:
             nr = comp.get((n.name, r.name))
             got = wr.get((id_cell_name(n.name), r.name))
             if nr and got and got != id_cell_name(nr):
@@ -535,7 +536,7 @@ def _check_two_category(mt: ModeTheory, bad):
             if nr and got and got != id_cell_name(nr):
                 bad("whisker-left-identity", f"{n.name}◁1_{r.name} = {got}")
     for b in mt.cells.values():
-        src, dst = modes[b.name]
+        src, dst = mt.cell_modes(b.name)
         got = wl.get((id_mor_name(dst), b.name))
         if got not in (None, b.name):
             bad("whisker-left-unital", f"1◁{b.name} = {got}")
@@ -544,11 +545,10 @@ def _check_two_category(mt: ModeTheory, bad):
             bad("whisker-right-unital", f"{b.name}▷1 = {got}")
     for m in mors:
         for b in mt.cells.values():
-            src, dst = modes[b.name]
             mb = wl.get((m.name, b.name))
             if mb is None:  # m does not start where b ends
                 continue
-            for s in into[src]:
+            for s in mors:
                 bs = wr.get((b.name, s.name))
                 if bs is None:
                     continue
@@ -558,11 +558,11 @@ def _check_two_category(mt: ModeTheory, bad):
                     bad("whisker-associative",
                         f"({m.name}◁{b.name})▷{s.name} != {m.name}◁({b.name}▷{s.name})")
     for b in mt.cells.values():
-        for n in near[modes[b.name]]:
+        for n in mors:
             nb, bn = wl.get((n.name, b.name)), wr.get((b.name, n.name))
             if nb is None and bn is None:
                 continue
-            for m in near[n.src, n.dst]:
+            for m in mors:
                 left = wl.get((m.name, nb))
                 right = wl.get((comp.get((m.name, n.name)), b.name))
                 if None not in (left, right) and left != right:

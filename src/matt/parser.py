@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import ParseError
-from .record import record
+from .record import frozen
 from .syntax import (App, Const, FMod, Lam, LetMod, ModIntro, Open, Pi, Shut,
                      Signature, UMod, Var, fresh)
 
@@ -124,13 +124,13 @@ class SourceLines:
 
 # --- surface declarations ----------------------------------------------------
 
-@record
+@frozen
 class SurfaceModeTheory:
     path: str
     span: int
 
 
-@record
+@frozen
 class SurfaceConst:
     name: str
     params: list  # of (name, mor, surface type, span)
@@ -139,7 +139,7 @@ class SurfaceConst:
     span: int
 
 
-@record
+@frozen
 class SurfaceDef:
     name: str
     mode: str

@@ -1,4 +1,5 @@
-"""Records: classes declared by their annotated fields, as dataclasses are.
+"""Records: immutable classes declared by their annotated fields, as frozen
+dataclasses are.
 
     @frozen
     class Var:
@@ -6,23 +7,21 @@
         key: Optional[str]
         span: Span = field(default=None, compare=False)
 
-`record` (mutable, unhashable) and `frozen` (immutable, hashable) remake
-the class they decorate with one slot per field, in annotation order, and
-with:
-- `__init__` taking the fields that have `init`, in order, with their
-  defaults; it stores each argument through its slot's descriptor, then
-  fills each `init=False` field that has a `default_factory` and calls
+`frozen` remakes the class it decorates with one slot per field, in
+annotation order, and with:
+- `__init__` taking every field, in order, with its default; it stores
+  each argument through its slot's descriptor and then calls
   `__post_init__` when the class defines one;
-- `__repr__` giving `Var(name='x', key=None, span=None)` over the fields
-  that have `repr`;
+- `__repr__` giving `Var(name='x', key=None, span=None)`;
 - `__eq__` between instances of one class, comparing the tuples of the
-  fields that have `compare`, and for `frozen` the `__hash__` of that
-  tuple, unless the class defines its own;
-- for `frozen`, `__setattr__` and `__delattr__` that raise `FrozenError`,
-  and the state that `copy` and `pickle` restore past them.
+  fields that have `compare`, and the `__hash__` of that tuple, unless the
+  class defines its own;
+- `__setattr__` and `__delattr__` that raise `FrozenError`, and the state
+  that `copy` and `pickle` restore past them, through `__init__`, so that
+  `__post_init__` runs again.
 
-These are the methods `dataclasses` writes for `@dataclass(eq=True)`, with
-`frozen=True, slots=True` for `frozen`, but none is compiled at import.
+These are the methods `dataclasses` writes for
+`@dataclass(frozen=True, slots=True)`, but none is compiled at import.
 Each class's `__init__` is a copy of a template below, of the class's
 arity, with the template's argument names replaced by the fields, so it
 stores its arguments as fast as a compiled one: a check-synth round of the
@@ -30,14 +29,15 @@ benchmark constructs tens of thousands of records.  The other methods are
 shared by every record; `__eq__` and `__hash__` read the class's
 `_compared`, an `operator.attrgetter` of its compared fields, since no
 benchmark workload calls them often enough for a copy per class to pay
-(`OplaxObject`, hashed most, keeps its own `__hash__`).  The class keeps its bases and its type, `type`, so `isinstance`
-takes its fast path.  `_fields` names the fields in order.
+(`OplaxObject`, hashed most, keeps its own `__hash__`).  The class keeps
+its bases and its type, `type`, so `isinstance` takes its fast path.
+`_fields` names the fields in order.
 
 A record has one to eight fields, as many as the `__init__` templates
-take, at least one that `__init__` takes and one that is compared, and
-inherits none; `record` and `frozen` refuse other classes with a
-`TypeError`.  A class whose instances need a `__dict__` (for
-`functools.cached_property`) lists `"__dict__"` in its own `__slots__`.
+take, at least one of them compared, and inherits none; `frozen` refuses
+other classes with a `TypeError`.  What a record computes from its fields
+once, `__post_init__` stores with `object.__setattr__` in the extra slots
+that the class lists in its own `__slots__`; they are no fields.
 """
 
 import operator
@@ -50,23 +50,12 @@ class FrozenError(AttributeError):
 
 
 class field:
-    """A field's options, as `dataclasses.field` takes them.  A
-    `default_factory` is called once per instance, for an `init=False`
-    field only."""
-    __slots__ = ("default", "default_factory", "init", "repr", "compare")
+    """A field's default, and whether it takes part in equality and the
+    hash."""
+    __slots__ = ("default", "compare")
 
-    def __init__(self, default=_MISSING, *, default_factory=None, init=True,
-                 repr=True, compare=True):
-        self.default, self.default_factory = default, default_factory
-        self.init, self.repr, self.compare = init, repr, compare
-
-
-def replace(obj, **changes):
-    """A copy of the record `obj` with the `init` fields in `changes`
-    replaced."""
-    cls = type(obj)
-    return cls(**{n: changes.pop(n, getattr(obj, n))
-                  for n in cls._init_fields}, **changes)
+    def __init__(self, default=_MISSING, *, compare=True):
+        self.default, self.compare = default, compare
 
 
 # --- __init__ templates, by arity -------------------------------------------
@@ -138,28 +127,22 @@ def _tuple_getter(names):
 
 
 def _make_init(cls, specs, post_init):
-    params = [n for n, f in specs.items() if f.init]
-    defaults = tuple(specs[n].default for n in params
-                     if specs[n].default is not _MISSING)
+    params = list(specs)
+    defaults = tuple(f.default for f in specs.values()
+                     if f.default is not _MISSING)
     if any(specs[n].default is _MISSING
            for n in params[len(params) - len(defaults):]):
         raise TypeError(f"{cls.__name__}: a field without a default follows "
                         "one with a default")
     setters = [getattr(cls, n).__set__ for n in params]
-    factories = [(getattr(cls, n).__set__, f.default_factory)
-                 for n, f in specs.items()
-                 if not f.init and f.default_factory is not None]
-    if factories or post_init is not None:
+    if post_init is not None:
         # the last store finishes the instance, so the other records'
         # __init__ pays nothing for this
         last = setters[-1]
 
         def store_last_and_finish(self, value):
             last(self, value)
-            for setter, factory in factories:
-                setter(self, factory())
-            if post_init is not None:
-                post_init(self)
+            post_init(self)
         setters[-1] = store_last_and_finish
     code = _INITS[len(params)].__code__
     init = _FunctionType(
@@ -170,27 +153,9 @@ def _make_init(cls, specs, post_init):
     return init
 
 
-def _refuse_unsupported(cls, specs):
-    """Raise TypeError for field options, and for field counts, that the
-    `__init__` templates cannot serve."""
-    name = cls.__name__
-    if any(not f.init and f.default is not _MISSING for f in specs.values()):
-        raise TypeError(f"{name}: an init=False field takes a "
-                        "default_factory, not a default")
-    if any(f.init and f.default_factory is not None for f in specs.values()):
-        raise TypeError(f"{name}: a field that __init__ takes has a "
-                        "default, not a default_factory")
-    if len(specs) >= len(_INITS) or \
-            not any(f.compare for f in specs.values()) or \
-            not any(f.init for f in specs.values()):
-        raise TypeError(f"{name}: a record has one to {len(_INITS) - 1} "
-                        "fields, as many as its templates take, and at least "
-                        "one that __init__ takes and one that is compared")
-
-
 def _repr(self):
     return f"{type(self).__qualname__}(" + ", ".join(
-        f"{n}={getattr(self, n)!r}" for n in self._repr_fields) + ")"
+        f"{n}={getattr(self, n)!r}" for n in self._fields) + ")"
 
 
 def _refuse_setattr(self, name, value):
@@ -201,51 +166,42 @@ def _refuse_delattr(self, name):
     raise FrozenError(f"cannot delete field {name!r}")
 
 
-# copy and pickle store a frozen record's state through object.__setattr__,
-# as for dataclasses
+# copy and pickle restore a record's state through __init__: its stores go
+# past __setattr__, as a frozen dataclass's do, and it reruns __post_init__,
+# which rebuilds the extra slots
 def _getstate(self):
     return [getattr(self, n) for n in self._fields]
 
 
 def _setstate(self, state):
-    for n, v in zip(self._fields, state):
-        object.__setattr__(self, n, v)
+    self.__init__(*state)
 
 
-def _remake(cls, immutable: bool):
+def frozen(cls):
+    """`cls` as an immutable record, hashable when its compared fields
+    are."""
     ns = dict(vars(cls))
-    for n in ("__dict__", "__weakref__"):
+    extra = tuple(ns.get("__slots__", ()))  # filled by __post_init__
+    # the old class's slot descriptors would clash with the new slots
+    for n in ("__dict__", "__weakref__", *extra):
         ns.pop(n, None)
     specs = {}
     for n in cls.__annotations__:
         v = ns.pop(n, _MISSING)
         specs[n] = v if isinstance(v, field) else field(v)
-    _refuse_unsupported(cls, specs)
-    ns["__slots__"] = tuple(ns.get("__slots__", ())) + tuple(specs)
-    ns["__qualname__"] = cls.__qualname__
+    if len(specs) >= len(_INITS) or \
+            not any(f.compare for f in specs.values()):
+        raise TypeError(f"{cls.__name__}: a record has one to "
+                        f"{len(_INITS) - 1} fields, as many as its templates "
+                        "take, and at least one that is compared")
+    ns.update(__slots__=extra + tuple(specs), __qualname__=cls.__qualname__,
+              __setattr__=_refuse_setattr, __delattr__=_refuse_delattr,
+              __getstate__=_getstate, __setstate__=_setstate)
     ns.setdefault("__repr__", _repr)
-    if immutable:
-        ns.update(__setattr__=_refuse_setattr, __delattr__=_refuse_delattr,
-                  __getstate__=_getstate, __setstate__=_setstate)
+    ns.setdefault("__hash__", __hash__)
+    ns["__eq__"] = __eq__
     new = type(cls.__name__, cls.__bases__, ns)
     new._fields = tuple(specs)
-    new._repr_fields = tuple(n for n, f in specs.items() if f.repr)
     new._compared = _tuple_getter([n for n, f in specs.items() if f.compare])
-    new.__eq__ = __eq__
-    if not immutable:
-        new.__hash__ = None
-    elif "__hash__" not in ns:
-        new.__hash__ = __hash__
     new.__init__ = _make_init(new, specs, ns.get("__post_init__"))
-    new._init_fields = tuple(n for n, f in specs.items() if f.init)
     return new
-
-
-def record(cls):
-    """`cls` as a mutable record: unhashable, since it compares by value."""
-    return _remake(cls, immutable=False)
-
-
-def frozen(cls):
-    """`cls` as an immutable, hashable record."""
-    return _remake(cls, immutable=True)

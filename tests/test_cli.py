@@ -220,12 +220,15 @@ UNKNOWN_KEYS = [
     "[" * 100000,
     # not read as ["0", "1"]
     _diagram_with(lambda d: d["categories"]["p"].update(objects="01")),
+    # not read as {"0": "0", "1": "1"}
+    _diagram_with(lambda d: d["functors"]["mu"].update(objects=["00", "11"])),
 ], ids=["no-categories", "not-json", "functor-misses-object", "categories-list",
         "functor-arrow-image-list", "natural-component-list",
         "compose-row-of-two", "natural-missing", "natural-misses-object",
         "identity-functor-not-identity", "identity-natural-not-identity",
         "compose-row-twice", *(i for i, _, _ in UNKNOWN_KEYS),
-        "identity-natural-misses-object", "deeply-nested", "objects-string"])
+        "identity-natural-misses-object", "deeply-nested", "objects-string",
+        "functor-objects-list"])
 def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
     f = tmp_path / "bad.dg"
     f.write_text(text)
@@ -524,6 +527,21 @@ def test_resolution_errors_belong_to_their_declaration(tmp_path, capsys):
         ("UnknownConstant", "7:1", "constant A declared twice")]
     assert n == 3
     assert main(["check", str(f)]) == 2
+
+
+def test_resolution_reads_the_first_of_two_declarations(tmp_path, capsys):
+    # the second c is refused, so c a0 is split at the arity of the first,
+    # checked c: no parser that reads the text alone could know which
+    f = _trivial_file(tmp_path, ["const A : Type @ p;", "const a0 : A @ p;",
+                                 "const c : A @ p;",
+                                 "const c : (x : A) A @ p;",
+                                 "def d @ p : A = c a0;"])
+    diags, n = check_file(f, None)
+    assert _rendered(diags) == [
+        ("UnknownConstant", "5:1", "constant c declared twice"),
+        ("ExpectedPi", "6:17", "application head has type A")]
+    assert n == 3
+    assert main(["check", str(f)]) == 1
 
 
 @pytest.mark.parametrize("head", ["El", "A"])

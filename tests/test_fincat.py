@@ -180,6 +180,35 @@ def test_diagram_reader_refuses_a_string_for_a_list(tmp_path, edit):
         load_diagram(f)
 
 
+def single_arrow_diagram() -> dict:
+    """The single_arrow diagram, with the identity natural transformation on
+    C_mu given by its components."""
+    data = json.loads(diagram_path("single_arrow").read_text())
+    data["mode_theory"] = str(theory_path("single_arrow"))
+    data["naturals"] = {"id:mu": {"components": {"0": "id:0", "1": "id:1"}}}
+    return data
+
+
+# each list is one that dict() reads as the map of the bundled file
+@pytest.mark.parametrize("path, value", [
+    (("functors", "mu", "objects"), ["00", "11"]),
+    (("functors", "mu", "arrows"), [["0<=1", "0<=1"]]),
+    (("naturals", "id:mu", "components"), [["0", "id:0"], ["1", "id:1"]]),
+], ids=["functor-objects", "functor-arrows", "components"])
+def test_diagram_reader_refuses_a_list_for_a_map(tmp_path, path, value):
+    f = tmp_path / "lists.dg"
+    data = single_arrow_diagram()
+    f.write_text(json.dumps(data))
+    assert load_diagram(f).validate() == []
+    *outer, key = path
+    table = reduce(dict.__getitem__, outer, data)
+    assert dict(value) == table[key]
+    table[key] = value
+    f.write_text(json.dumps(data))
+    with pytest.raises(MalformedTable, match="is not an object"):
+        load_diagram(f)
+
+
 # --- limits ---------------------------------------------------------------------
 
 def test_empty_diagram_limit_is_top():

@@ -1,5 +1,5 @@
-"""The record classes: what they keep of dataclasses, and what importing
-the command line loads."""
+"""The record classes: what they keep of frozen dataclasses, and what
+importing the command line loads."""
 
 import copy
 import inspect
@@ -19,14 +19,14 @@ import matt.parser
 import matt.syntax
 from matt.bundled import DIAGRAM_NAMES, diagram_path
 from matt.cli import Diagnostic
-from matt.codex import (Adjunction, CodexBundle, CodexCategory, CodexIndex,
-                        Decomposition, OplaxObject, build_bundle,
-                        enumerate_codex)
+from matt.codex import (Adjunction, CodexCategory, CodexIndex, Decomposition,
+                        OplaxObject, build_bundle, enumerate_codex)
 from matt.fincat import Arrow, Cone, load_diagram
 from matt.mode_theory import (Adjoint, Cell, Morphism, ValidationReport,
                               Violation)
 from matt.parser import SurfaceConst, SurfaceDef, SurfaceModeTheory
-from matt.record import FrozenError, field, frozen, record, replace
+import matt.record
+from matt.record import FrozenError, field, frozen
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -38,17 +38,6 @@ class Point:
     x: int
     y: int = 0
     tag: str = field(default="", compare=False)
-
-
-@record
-class Box:
-    label: str
-    items: list = field(default_factory=list, init=False, repr=False,
-                        compare=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.size = len(self.label)
 
 
 def test_frozen_record_init_defaults_and_keywords():
@@ -101,7 +90,8 @@ def test_records_at_the_arity_extremes_compare_and_hash_their_fields(cls):
     assert hash(r) == hash(key)
     assert r == copy.copy(r)
     for name in cls._fields:
-        other = replace(r, **{name: 100})
+        other = cls(*[100 if n == name else getattr(r, n)
+                      for n in cls._fields])
         assert (other == r) is (name not in COMPARED[cls]), name
         assert (hash(other) == hash(r)) is (name not in COMPARED[cls]), name
     for stranger in (SimpleNamespace(**{n: getattr(r, n) for n in
@@ -128,42 +118,22 @@ def test_frozen_record_copies_and_pickles():
         assert q == p and q.tag == "t" and q is not p
 
 
-def test_mutable_record_fills_factories_then_runs_post_init():
-    a, b = Box("abc"), Box("abc")
-    assert a.size == 3 and a.items == [] and a.items is not b.items
-    assert str(inspect.signature(Box)) == "(label)"
-    assert repr(a) == "Box(label='abc')"
-    a.items.append(1)
-    assert a == b  # items takes no part in equality; size does
-    a.label = "x"
-    assert a != b
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(b)
-
-
-def test_replace_copies_with_changes():
-    assert replace(Point(1, 2, "t"), y=5) == Point(1, 5)
-    assert replace(Point(1, 2, "t"), y=5).tag == "t"
-    assert replace(Box("ab"), label="abcd").size == 4
-    with pytest.raises(TypeError):
-        replace(Box("ab"), size=1)  # an init=False field
-
-
 def test_fields_that_dataclasses_would_refuse_are_refused():
     with pytest.raises(TypeError, match="without a default"):
         @frozen
         class Bad:
             x: int = 0
             y: int
-    with pytest.raises(TypeError, match="default_factory"):
-        @frozen
-        class Worse:
-            x: int = field(default=0, init=False)
-    # dataclasses would call the factory; the templates take only defaults
-    with pytest.raises(TypeError, match="not a default_factory"):
-        @record
-        class Factory:
-            x: list = field(default_factory=list)
+
+
+def test_field_takes_only_a_default_and_a_compare_flag():
+    # every field is an argument of __init__ and a part of the repr; what
+    # a record computes after init lives in slots of its own
+    for option in ("init", "repr", "default_factory"):
+        with pytest.raises(TypeError):
+            field(**{option: False})
+    for name in ("record", "replace"):
+        assert not hasattr(matt.record, name)
 
 
 def test_records_beyond_the_templates_are_refused_by_name():
@@ -178,17 +148,12 @@ def test_records_beyond_the_templates_are_refused_by_name():
         @frozen
         class Uncompared:
             x: int = field(compare=False)
-    with pytest.raises(TypeError, match="^Uninitialised: a record has"):
-        @record
-        class Uninitialised:
-            x: list = field(init=False, default_factory=list)
 
 
 def test_records_are_plain_classes():
     # a metaclass would send every isinstance test through
     # __instancecheck__, which the checker's dispatch would pay for
     assert type(Point) is type and Point.__mro__ == (Point, object)
-    assert type(Box) is type and Box.__mro__ == (Box, object)
 
 
 # --- the records of mode_theory, fincat, codex, parser and cli --------------
@@ -223,7 +188,6 @@ RECORDS = [
     (Adjunction("mu", "L", "R", {}, {}, {}),
      "Adjunction(pi='mu', left='L', right='R', unit={}, counit={}, "
      "cones={})"),
-    (CodexBundle("D", 5), "CodexBundle(diagram='D', cap=5)"),
     (SurfaceModeTheory("m.mt", 0), "SurfaceModeTheory(path='m.mt', span=0)"),
     (SurfaceConst("c", [("x", "mu", "A", 3)], None, "p", 1),
      "SurfaceConst(name='c', params=[('x', 'mu', 'A', 3)], result=None, "
@@ -235,9 +199,6 @@ RECORDS = [
      "trace=(), bad_input=False)"),
 ]
 MODULES = (matt.mode_theory, matt.fincat, matt.codex, matt.parser, matt.cli)
-# the classes that were frozen dataclasses; the others were mutable
-FROZEN = {Morphism, Cell, Adjoint, Violation, ValidationReport, Arrow, Cone,
-          OplaxObject, Decomposition}
 
 
 def _name(t):
@@ -255,7 +216,7 @@ def test_every_record_shares_one_eq_and_hash():
     records = [c for m in (*MODULES, matt.syntax) for c in vars(m).values()
                if isinstance(c, type) and "_fields" in vars(c)]
     assert {c.__eq__ for c in records} == {Point.__eq__}
-    assert {c.__hash__ for c in records} == {Point.__hash__, None,
+    assert {c.__hash__ for c in records} == {Point.__hash__,
                                              OplaxObject.__hash__}
     assert OplaxObject.__hash__ is not Point.__hash__  # its own
 
@@ -267,19 +228,20 @@ def test_record_repr_is_the_dataclass_text(t, text):
 
 @pytest.mark.parametrize("t", [t for t, _ in RECORDS], ids=_name)
 def test_record_is_frozen_and_hashable_or_mutable_and_unhashable(t):
-    if type(t) in FROZEN:
-        assert hash(t) == hash(copy.copy(t))
-        for name in t._fields:
-            with pytest.raises(FrozenError):
-                setattr(t, name, None)
-    else:
+    # every record is frozen; one whose fields hold a mutable value, a list
+    # or a dict, is unhashable, as a tuple that holds one is
+    for name in t._fields:
+        with pytest.raises(FrozenError):
+            setattr(t, name, None)
+        with pytest.raises(FrozenError):
+            delattr(t, name)
+    try:
+        hash(t._compared(t))
+    except TypeError:
         with pytest.raises(TypeError, match="unhashable"):
             hash(t)
-
-
-# the fields computed after init, which take no part in equality
-UNCOMPARED = {"_hash", "_comps", "_smaps", "_by_key", "_instances",
-              "_by_comps", "failed"}
+    else:
+        assert hash(t) == hash(copy.copy(t))
 
 
 @pytest.mark.parametrize("t", [t for t, _ in RECORDS], ids=_name)
@@ -287,16 +249,7 @@ def test_record_equality_reads_every_field_set_at_init(t):
     for name in t._fields:
         other = copy.copy(t)
         object.__setattr__(other, name, ("changed", getattr(t, name)))
-        assert (other == t) is (name in UNCOMPARED), name
-
-
-def test_diagnostic_is_unhashable_and_replace_keeps_its_fields():
-    d = Diagnostic("E1", "f.matt", 1, 2, "msg", ("a",))
-    with pytest.raises(TypeError):
-        hash(d)
-    bad = replace(d, bad_input=True)
-    assert bad.bad_input and bad.trace == ("a",) and bad != d
-    assert not d.bad_input
+        assert other != t, name
 
 
 def test_oplax_object_keeps_its_precomputed_hash():
@@ -314,6 +267,55 @@ def test_cone_leg_reads_the_map_built_after_init():
     c = Cone("x", (("a", "f"), ("b", "g")))
     assert c.leg("a") == "f" and c.leg("b") == "g"
     assert c == Cone("x", (("a", "f"), ("b", "g")))
+    # the map is a slot of its own, not a field
+    assert Cone._fields == ("apex", "legs")
+    assert str(inspect.signature(Cone)) == "(apex, legs)"
+
+
+def _copies(x):
+    return copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))
+
+
+def test_oplax_object_copies_rebuild_hash_and_lookups():
+    o = OplaxObject.of("q", {"id:q": "a", "mu": "b"}, {("x", "y", "z"): "f"})
+    for q in _copies(o):
+        assert q == o and hash(q) == hash(o) and q._comps is not o._comps
+        assert {q: 1}[o] == 1
+        assert q.component("mu") == "b" and q.smap(("x", "y", "z")) == "f"
+
+
+def test_oplax_object_unpickled_under_another_hash_seed_hashes_afresh():
+    # the hash of strings changes with PYTHONHASHSEED, so a hash carried in
+    # the pickle would miss an equal object built in the loading process
+    make = ("from matt.codex import OplaxObject; "
+            "o = OplaxObject.of('q', {'id:q': 'a'}, {('x', 'y', 'z'): 'f'}); ")
+
+    def run(seed, code, data=None):
+        return subprocess.run(
+            [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, "
+                                         f"{str(SRC)!r}); {make}{code}"],
+            input=data, capture_output=True, check=True, timeout=60,
+            env={"PYTHONHASHSEED": str(seed)}).stdout
+    data = run(1, "import pickle; sys.stdout.buffer.write(pickle.dumps(o))")
+    assert run(2, "import pickle; q = pickle.loads(sys.stdin.buffer.read()); "
+                  "print({q: 1}.get(o))", data) == b"1\n"
+
+
+def test_cone_copies_rebuild_their_legs():
+    c = Cone("x", (("a", "f"), ("b", "g")))
+    for q in _copies(c):
+        assert q == c and q._by_key is not c._by_key
+        assert q.leg("a") == "f" and q.leg("b") == "g"
+
+
+def test_codex_category_copies_rebuild_their_lookups():
+    d = load_diagram(diagram_path("reflective"))
+    for mode in d.mt.modes:
+        cx = enumerate_codex(d, mode)
+        for q in _copies(cx):
+            for o in q.objects:
+                assert q.obj(dict(o.components), dict(o.structure)) is o
+                assert q.obj_of(dict(o.components)) is (o if q.thin else None)
 
 
 @pytest.mark.parametrize("name", DIAGRAM_NAMES)
@@ -332,8 +334,8 @@ def test_codex_bundle_caches_its_families():
     assert b.failed == {} and b.failed is not build_bundle(d).failed
     assert b.codexes is b.codexes
     assert b.adjunctions is b.adjunctions
-    assert set(vars(b)) == {"codexes", "adjunctions"}
-    assert b == build_bundle(d)  # failed and the cached families aside
+    assert set(vars(b)) == {"diagram", "cap", "failed", "codexes",
+                            "adjunctions"}
 
 
 # --- what `matt check` pays to start ----------------------------------------

@@ -11,7 +11,7 @@ from matt.bundled import theory_path
 from matt.cli import main
 from matt.errors import ModeMismatch, NotTangible
 from matt.mode_theory import load_mode_theory, mode_theory_from_data
-from matt.record import FrozenError, replace
+from matt.record import FrozenError
 from matt.syntax import (SLOTS, App, Const, ConstDecl, Context, FMod, Lam,
                          LetMod, LockEntry, ModIntro, Open, Param, Pi, Shut,
                          Signature, UMod, Var, VarEntry, _lock_mor,
@@ -477,7 +477,8 @@ def test_node_equality_reads_every_field_but_span(t):
 @pytest.mark.parametrize("t", [t for t, _ in NODES if hasattr(t, "span")],
                          ids=_name)
 def test_node_span_takes_no_part_in_equality(t):
-    other = replace(t, span=t.span + 100)
+    other = type(t)(*[t.span + 100 if name == "span" else getattr(t, name)
+                      for name in t._fields])
     assert other.span == t.span + 100
     assert other == t and hash(other) == hash(t)
 
