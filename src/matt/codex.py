@@ -35,11 +35,17 @@ named by the positions of g and h, with no composition table.  The
 CodexCategory records that its bases are thin and decides what that buys:
 arrow(src, dst, comps) is the one arrow of its hom-set, with no components
 computed, component(name, mu) the one base arrow between the components
-of its ends, and obj_of finds an object by its components.  Where a
-hom-set is empty, or no object has those components, the general path
-runs and fails as it always did.  codex_right_adjoint builds no mates and
-composes no legs over a thin codex.  Every other diagram takes the general
-path, which decides each equation.
+of its ends, and obj_of finds an object by its components, as
+lock_functor finds each image.  Into a thin category, the arrow maps of
+locks, reflections, inclusions, right adjoints and dextrifications send
+each arrow to the arrow between the positions of the images of its ends
+(_arrow_map), hashing no codex object per arrow.  Where a hom-set is
+empty, or no object has those components, the general path runs and
+fails as it always did.  codex_right_adjoint builds no mates and composes
+no legs over a thin codex, and verify_2functor decides the lock diagram
+into thin codexes by boundaries once every lock functor lands
+(lock_strictness).  Every other diagram takes the general path, which
+decides each equation.
 """
 
 from __future__ import annotations
@@ -376,15 +382,32 @@ def lock_functor(cx_r: CodexCategory, cx_q: CodexCategory,
             for t in cx_q.index.decomps}
     omap = {}
     for g in cx_r.objects:
-        omap[g] = cx_q.obj({nu: g.component(k) for nu, k in along.items()},
-                           {t: g.smap(k) for t, k in keys.items()})
+        comps = {nu: g.component(k) for nu, k in along.items()}
+        omap[g] = cx_q.obj_of(comps) if cx_q.thin else cx_q.obj(
+            comps, {t: g.smap(k) for t, k in keys.items()})
         if omap[g] is None:
             raise MalformedTable(f"lock({mu}): image of {g} was not "
                                  "enumerated")
-    amap = {name: cx_q.arrow(omap[a.src], omap[a.dst], lambda: {
-        nu: cx_r.component(name, k) for nu, k in along.items()})
-        for name, a in cx_r.cat.arrows.items()}
+    amap = _arrow_map(cx_r.cat, cx_q.cat, omap, lambda name, a: cx_q.arrow(
+        omap[a.src], omap[a.dst], lambda: {
+            nu: cx_r.component(name, k) for nu, k in along.items()}))
     return FinFunctor(cx_r.cat, cx_q.cat, omap, amap, name=f"lock({mu})")
+
+
+def _arrow_map(src: FinCat, dst: FinCat, omap: dict, image) -> dict:
+    """A functor's arrow map, image(name, arrow) at each arrow of src, but
+    into a thin dst the arrow of dst between the images of its ends, read on
+    positions: no object is hashed per arrow.  Where dst has no such arrow,
+    image runs and fails as it would have."""
+    if not dst.thin:
+        return {n: image(n, a) for n, a in src.arrows.items()}
+    img = [dst._pos[omap[o]] for o in src.objects]
+    amap = {}
+    for n in src.arrows:
+        i, j = src.ends(n)
+        one = dst.arrow_at(img[i], img[j])
+        amap[n] = image(n, src.arrows[n]) if one is None else one
+    return amap
 
 
 def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
@@ -411,7 +434,8 @@ def reflect(cx_q: CodexCategory, mu: str) -> FinFunctor:
         raise NotComposable(f"reflect: {mu} does not land in {cx_q.mode}")
     cp = d.cat(m.src)
     omap = {g: g.component(mu) for g in cx_q.objects}
-    amap = {name: cx_q.component(name, mu) for name in cx_q.cat.arrows}
+    amap = _arrow_map(cx_q.cat, cp, omap,
+                      lambda name, a: cx_q.component(name, mu))
     return FinFunctor(cx_q.cat, cp, omap, amap, name=f"reflect({mu})")
 
 
@@ -520,11 +544,13 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
             raise MalformedTable(f"incl({pi}): computed object for {g} was "
                                  "not enumerated")
 
-    amap = {fname: cx_s.arrow(omap[fa.src], omap[fa.dst], lambda: {
-        nu: _induced(ix.cats[nu], cones[(fa.src, nu)], cones[(fa.dst, nu)],
-                     {k: f.amap[fname] for k, f in nodes[nu]},
-                     "incl({}): image of {} at {}", pi, fname, nu)
-        for nu in ix.mus}) for fname, fa in cr.arrows.items()}
+    amap = _arrow_map(cr, cx_s.cat, omap, lambda fname, fa: cx_s.arrow(
+        omap[fa.src], omap[fa.dst], lambda: {
+            nu: _induced(ix.cats[nu], cones[(fa.src, nu)],
+                         cones[(fa.dst, nu)],
+                         {k: f.amap[fname] for k, f in nodes[nu]},
+                         "incl({}): image of {} at {}", pi, fname, nu)
+            for nu in ix.mus}))
 
     counit_key = (pi, mt.id_mor(r), mt.id_cell(pi))
     counit = {g: cones[(g, pi)].leg(counit_key) for g in cr.objects}
@@ -607,19 +633,19 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
         omap[delta] = cone.apex
         cones[delta] = cone
 
-    amap = {}
-    for name, a in cx_r.cat.arrows.items():
+    def image(name, a):
         if thin:
-            amap[name] = _mediating(
-                cx_s.cat, omap[a.src], omap[a.dst], (),
-                "codex_right_adjoint({}): image of an arrow", pi)
-            continue
+            return _mediating(cx_s.cat, omap[a.src], omap[a.dst], (),
+                              "codex_right_adjoint({}): image of an arrow",
+                              pi)
         theta = cx_r.theta(name)
         maps = {("n", mu): adj[mu].right.amap[theta[mu]] for mu in ix.mus}
         maps.update((("c", t.key), adj[t.nu].right.amap[
             t.fun.amap[theta[t.mu]]]) for t in trips)
-        amap[name] = _induced(cx_s.cat, cones[a.src], cones[a.dst], maps,
-                              "codex_right_adjoint({}): image of an arrow", pi)
+        return _induced(cx_s.cat, cones[a.src], cones[a.dst], maps,
+                        "codex_right_adjoint({}): image of an arrow", pi)
+
+    amap = _arrow_map(cx_r.cat, cx_s.cat, omap, image)
     lock = lock_functor(cx_s, cx_r, pi)
 
     counit = {delta: cx_r.arrow(lock.omap[omap[delta]], delta, lambda: {
@@ -728,12 +754,22 @@ def lock_diagram(bundle: CodexBundle) -> Diagram:
                     for beta in bundle.diagram.mt.cells})
 
 
+def lock_strictness(ld: Diagram) -> list[str]:
+    """`Diagram.strictness` on a lock diagram.  The codexes are categories
+    as enumerated, and once every lock functor lands, read on positions,
+    the thin ones are passed as lawful: each equation into one of them
+    then compares parallel arrows and is decided by boundaries."""
+    lands = all(f.lands_all() for f in ld.functors.values())
+    return ld.strictness(tuple(c for c in ld.cats.values() if c.thin)
+                         if lands else ())
+
+
 def verify_2functor(bundle: CodexBundle) -> list[tuple]:
-    """The locks as a strict 2-functor (`Diagram.strictness` on
+    """The locks as a strict 2-functor (`lock_strictness` on
     `lock_diagram`, a lock- row per violation); right adjoints' composites."""
     mt, cx, radj = bundle.diagram.mt, bundle.codexes, bundle.right_adjoints
     report = [("lock-2functor", False, f"{v} (◁, ▷ and ∘ read in M^coop)")
-              for v in lock_diagram(bundle).strictness()] or \
+              for v in lock_strictness(lock_diagram(bundle))] or \
         [("lock-2functor", True, "")]
     for (g, f), h in mt.compose_table.items():
         rg, rf, rh = radj[g].right, radj[f].right, radj[h].right
@@ -800,9 +836,10 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict) -> dict:
             if omap[gobj] is None:
                 raise NotColax(f"dextrified object for {gobj} violates the "
                                "codex axioms")
-        amap = {name: cx_r.arrow(omap[a.src], omap[a.dst], lambda: {
-            mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
-            for mu in ix.mus}) for name, a in cx_r.cat.arrows.items()}
+        amap = _arrow_map(cx_r.cat, cx_r.cat, omap, lambda name, a: cx_r.arrow(
+            omap[a.src], omap[a.dst], lambda: {
+                mu: g[mt.mor(mu).src].amap[locks[mu].amap[name]]
+                for mu in ix.mus}))
         out[r] = FinFunctor(cx_r.cat, cx_r.cat, omap, amap,
                             name=f"dextrify({r})")
     return out

@@ -28,13 +28,21 @@ validated clean in the same call, and then skips the composition loop of
 each functor whose arrow images land, compares a composite functor with
 the composite of its factors on objects alone, and skips the vcompose,
 wl and wr rows when every category is thin.  `codex.verify_2functor`
-runs `Diagram.strictness` on the lock diagram with every loop, as nothing
-in its call checks the lock functors' boundaries.
+passes the thin codexes to `Diagram.strictness` in the same way, once it
+has checked that every lock functor lands.
+
+Boundaries are read on positions: `FinCat.ends` gives the positions of an
+arrow's ends, `FinCat.arrow_at` the arrow between two positions, and
+`FinFunctor.lands` compares an arrow image's ends with the positions of
+the images of its source's ends, so no object is hashed per arrow; on a
+ThinCat both are the arrow's name.  In a thin category `is_iso` asks
+whether an arrow runs back, so `isomorphic` whether arrows run both ways.
 
 `first_unpreserved_limit` checks that functors preserve the binary and
 empty limits of their source.  On a thin source with thin targets it works
-on positions and masks alone and builds no cone; otherwise it takes `limit`
-and `check_preserves_limit`, one diagram at a time.  `is_terminal_cone`,
+on positions and masks alone and builds no cone, and checks no leg of a
+functor that lands every arrow; otherwise it takes `limit` and
+`check_preserves_limit`, one diagram at a time.  `is_terminal_cone`,
 which `check_preserves_limit` calls, searches all cones on every category,
 thin or not, so the tests hold the mask path to a reference that shares
 none of its mask code.
@@ -129,6 +137,16 @@ class FinCat:
         h = self._hom.get((x, y))
         return h[0] if h else None
 
+    def arrow_at(self, i, j):
+        """one_arrow from the i-th object to the j-th."""
+        return self.one_arrow(self.objects[i], self.objects[j])
+
+    def ends(self, name):
+        """The positions (i, j) of the ends of the arrow name, or None when
+        it names no arrow."""
+        a = self.arrows.get(name)
+        return None if a is None else (self._pos[a.src], self._pos[a.dst])
+
     def comp(self, g, f):
         """g∘f (first f, then g)."""
         try:
@@ -209,6 +227,13 @@ class ThinCat(FinCat):
         for (i, j) in self.arrows:
             self._down[j] |= 1 << i
 
+    def arrow_at(self, i, j):
+        a = self.arrows.get((i, j))
+        return None if a is None else a.name
+
+    def ends(self, name):
+        return name if name in self.arrows else None
+
     def comp(self, g, f):
         """g∘f (first f, then g): the arrow from f's source to g's target,
         as this category holds it."""
@@ -272,13 +297,24 @@ class FinFunctor:
                 if o in omap and omap[o] in dst.identities:
                     amap.setdefault(src.id_arr(o), dst.id_arr(omap[o]))
 
-    def lands(self, name) -> bool:
+    def image_positions(self) -> list:
+        """The target position of the image of each source object, in
+        source order; None where the object map misses the object or names
+        no object of the target."""
+        pos = self.dst._pos
+        return [pos.get(self.omap.get(o)) for o in self.src.objects]
+
+    def lands(self, name, img) -> bool:
         """Whether the image of the source arrow name runs between the
-        images of its ends; False when an image is missing."""
-        a = self.src.arrows[name]
-        img = self.dst.arrows.get(self.amap.get(name))
-        return img is not None and \
-            (img.src, img.dst) == (self.omap.get(a.src), self.omap.get(a.dst))
+        images of its ends, read on positions: img is image_positions(),
+        so no object is hashed here.  False when an image is missing."""
+        i, j = self.src.ends(name)
+        return self.dst.ends(self.amap.get(name)) == (img[i], img[j])
+
+    def lands_all(self) -> bool:
+        """Whether every arrow image lands."""
+        img = self.image_positions()
+        return all(self.lands(n, img) for n in self.src.arrows)
 
     def validate(self, lawful=()) -> list[str]:
         """Maps, boundaries, then identities and composition.  lawful holds
@@ -373,11 +409,9 @@ class FinNat:
                 out.append(f"component at {o} has wrong boundary")
         if out or not natural:
             return out  # naturality composes the components
-        arrows = self.src.src.arrows
-        if cat.thin and all(f.lands(n) for f in (self.src, self.dst)
-                            for n in arrows):
+        if cat.thin and self.src.lands_all() and self.dst.lands_all():
             return out  # each square's sides are parallel, so equal
-        for f in arrows.values():
+        for f in self.src.src.arrows.values():
             lhs = cat.comp(self.dst.amap[f.name], self.components[f.src])
             rhs = cat.comp(self.components[f.dst], self.src.amap[f.name])
             if lhs != rhs:
@@ -448,14 +482,14 @@ class Diagram:
         place, and the mode theory's tables are presumed well-shaped, as
         validate_mode_theory checks.
 
-        lawful holds the categories that validate has found clean in the
-        same call, in which it has also found every functor's arrow images
-        on their boundaries.  Into a thin one of them, a composite functor
-        whose object map is right has the right arrow map; when every
-        category is a thin one of them, the vcompose, wl and wr rows
+        lawful holds categories known to be categories, into which every
+        functor's arrow images are known to land: validate passes those it
+        has found clean, and codex.lock_strictness the thin codexes once
+        every lock functor lands.  Into a thin one of them, a composite
+        functor whose object map is right has the right arrow map; when
+        every category is a thin one of them, the vcompose, wl and wr rows
         compare parallel components, whose boundaries the natural
-        transformations' checks fix, and are not run.  verify_2functor
-        passes none: nothing in its call checks the lock functors."""
+        transformations' checks fix, and are not run."""
         out = [f"C_{m} is not the identity functor" for m in self.mt.morphisms
                if self.mt.is_id_mor(m) and
                not self.functors[m].maps_like(_same, _same)]
@@ -584,7 +618,10 @@ def _is_terminal(c: FinCat, cone: Cone, cones) -> bool:
 
 
 def is_iso(c: FinCat, f) -> bool:
-    """Whether f has a two-sided inverse."""
+    """Whether f has a two-sided inverse: in a thin c, whether an arrow
+    runs back, as both composites are then endo-arrows, so identities."""
+    if c.thin and (ends := c.ends(f)) is not None:
+        return c.arrow_at(ends[1], ends[0]) is not None
     a = c.arr(f)
     return any(c.comp(h, f) == c.id_arr(a.src) and
                c.comp(f, h) == c.id_arr(a.dst)
@@ -592,6 +629,8 @@ def is_iso(c: FinCat, f) -> bool:
 
 
 def isomorphic(c: FinCat, a, b) -> bool:
+    """Whether some arrow a → b is iso: in a thin c, as is_iso reads it,
+    whether arrows run both ways."""
     return any(is_iso(c, f) for f in c.hom(a, b))
 
 
@@ -703,9 +742,9 @@ def first_unpreserved_limit(c: FinCat, functors: list,
     for a in _ranks(n, order):
         meets.setdefault(down[a], a)
     # per functor: its object map on positions, its target's down-sets, and
-    # whether it lands the arrow from position a to e, memoised by (a, e)
+    # whether it lands every arrow, when no leg need be checked
     images = [(f, [f.dst._pos[f.omap[o]] for o in c.objects], f.dst._down,
-               {}) for f in functors]
+               f.lands_all()) for f in functors]
     for ends, nodes in _binary_diagrams(c):
         lower = (1 << n) - 1
         for e in ends:
@@ -714,18 +753,15 @@ def first_unpreserved_limit(c: FinCat, functors: list,
         a = meets.get(lower)
         if a is None:
             continue
-        for f, pos, tdown, legs in images:
+        for f, pos, tdown, lands in images:
             tlower = (1 << len(tdown)) - 1
             for e in ends:
                 tlower &= tdown[pos[e]]
             _check_cap(tlower.bit_count(), cap)
-            for e in ends:
-                ok = legs.get((a, e))
-                if ok is None:  # is_terminal_cone's check of a leg's ends
-                    ok = legs[a, e] = f.lands(
-                        c._hom[(c.objects[a], c.objects[e])][0])
-                if not ok:
-                    return f, nodes
+            # is_terminal_cone's check of the legs' ends
+            if not lands and not all(f.lands(c.arrow_at(a, e), pos)
+                                     for e in ends):
+                return f, nodes
             if tdown[pos[a]] & tlower != tlower:
                 return f, nodes
     return None

@@ -416,35 +416,53 @@ def _decided_by_boundaries(mt: ModeTheory) -> bool:
 
 
 def _check_table_shapes(mt: ModeTheory):
-    for (g, f), h in mt.compose_table.items():
-        gm, fm, hm = mt.mor(g), mt.mor(f), mt.mor(h)
-        if fm.dst != gm.src or (hm.src, hm.dst) != (fm.src, gm.dst):
+    """Each row of the four tables names morphisms or cells whose modes and
+    boundaries fit; the first bad row raises.  The ends of every name are
+    read from two dicts built once, morphism name -> (src, dst) and cell
+    name -> (src mor, dst mor, (src mode, dst mode)); a name they lack
+    raises as mt.mor, mt.cell and mt.cell_modes do."""
+    mors = {n: (m.src, m.dst) for n, m in mt.morphisms.items()}
+    cells = {n: (c.src, c.dst, mors.get(c.src)) for n, c in mt.cells.items()}
+    comp = mt.compose_table
+    for (g, f), h in comp.items():
+        try:
+            gm, fm, hm = mors[g], mors[f], mors[h]
+        except KeyError:  # raises at the first unknown name, as before
+            mt.mor(g), mt.mor(f), mt.mor(h)
+        if fm[1] != gm[0] or hm != (fm[0], gm[1]):
             raise MalformedTable(f"compose entry ({g},{f})->{h} has mismatched modes")
     for (b, a), c in mt.vcompose_table.items():
-        bc, ac, cc = mt.cell(b), mt.cell(a), mt.cell(c)
-        if ac.dst != bc.src or (cc.src, cc.dst) != (ac.src, bc.dst):
+        try:
+            bc, ac, cc = cells[b], cells[a], cells[c]
+        except KeyError:
+            mt.cell(b), mt.cell(a), mt.cell(c)
+        if ac[1] != bc[0] or cc[:2] != (ac[0], bc[1]):
             raise MalformedTable(f"vcompose entry ({b},{a})->{c} has mismatched cells")
     for (m, c), r in mt.wl_table.items():
-        cc, rc = mt.cell(c), mt.cell(r)
-        if mt.mor(m).src != mt.cell_modes(c)[1]:
+        try:
+            cc, rc, mm = cells[c], cells[r], mors[m]
+        except KeyError:
+            mt.cell(c), mt.cell(r), mt.mor(m)
+        if mm[0] != (cc[2] or mt.cell_modes(c))[1]:
             raise MalformedTable(f"whisker_left entry ({m},{c}) has mismatched modes")
-        if mt.is_id_mor(m):
+        if m == id_mor_name(mm[0]):
             continue  # 1◁β = β is whisker-left-unital, not a compose row
-        want_src = mt.compose_table.get((m, cc.src))
-        want_dst = mt.compose_table.get((m, cc.dst))
+        want_src, want_dst = comp.get((m, cc[0])), comp.get((m, cc[1]))
         if want_src is not None and want_dst is not None and \
-                (rc.src, rc.dst) != (want_src, want_dst):
+                rc[:2] != (want_src, want_dst):
             raise MalformedTable(f"whisker_left entry ({m},{c})->{r} has wrong boundary")
     for (c, m), r in mt.wr_table.items():
-        cc, rc = mt.cell(c), mt.cell(r)
-        if mt.mor(m).dst != mt.cell_modes(c)[0]:
+        try:
+            cc, rc, mm = cells[c], cells[r], mors[m]
+        except KeyError:
+            mt.cell(c), mt.cell(r), mt.mor(m)
+        if mm[1] != (cc[2] or mt.cell_modes(c))[0]:
             raise MalformedTable(f"whisker_right entry ({c},{m}) has mismatched modes")
-        if mt.is_id_mor(m):
+        if m == id_mor_name(mm[0]):
             continue  # β▷1 = β is whisker-right-unital
-        want_src = mt.compose_table.get((cc.src, m))
-        want_dst = mt.compose_table.get((cc.dst, m))
+        want_src, want_dst = comp.get((cc[0], m)), comp.get((cc[1], m))
         if want_src is not None and want_dst is not None and \
-                (rc.src, rc.dst) != (want_src, want_dst):
+                rc[:2] != (want_src, want_dst):
             raise MalformedTable(f"whisker_right entry ({c},{m})->{r} has wrong boundary")
 
 

@@ -1,0 +1,145 @@
+"""A ledger of mutants: deliberate faults, each with the tests that catch it.
+
+Each entry names a file under src/, an exact text that occurs there once,
+its replacement, and the tests expected to fail once it is made.  Run from
+the repository root:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+The script copies src/, tests/ and pyproject.toml to a temporary directory
+and runs pytest there, as pyproject.toml puts its own src/ first on the
+path.  It first runs every named test on the unchanged copy, which must
+pass.  Then, per mutant, it makes the replacement in the copy and runs only
+that mutant's tests, under HYPOTHESIS_PROFILE=no-shrink (tests/conftest.py),
+so that a failing example is reported as found and not shrunk.  It exits 1
+when a mutant survives that is not marked equivalent, or when a replacement
+no longer matches its file exactly once.  Pytest does not collect this
+file: its name does not start with test_.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name: (file under src/, text, replacement, tests, equivalent or None)
+MUTANTS = {
+    # the thin arrow map of a functor between codexes, as lock_functor,
+    # incl and radj take it: only a doubled frame has an arrow back, so
+    # only there does the swapped image exist and go unnoticed by the map
+    "lock-arrow-ends-swapped": (
+        "matt/codex.py",
+        "one = dst.arrow_at(img[i], img[j])",
+        "one = dst.arrow_at(img[j], img[i])",
+        ["tests/test_thin.py::test_thin_adjoints_match_the_general_path"],
+        None),
+    "lock-strictness-lawful-without-lands": (
+        "matt/codex.py",
+        "lands = all(f.lands_all() for f in ld.functors.values())",
+        "lands = True",
+        ["tests/test_boundaries.py::"
+         "test_lock_strictness_keeps_its_loops_on_thin_codexes"],
+        None),
+    "thin-is-iso-always-true": (
+        "matt/fincat.py",
+        "return c.arrow_at(ends[1], ends[0]) is not None",
+        "return True",
+        ["tests/test_boundaries.py::test_thin_isos_match_the_full_loops",
+         "tests/test_fincat.py::test_is_iso"],
+        None),
+    "hom-bijection-returns-before-comparing": (
+        "matt/laws.py",
+        "                if thin:\n                    lpos, rpos = thin\n",
+        "                if thin:\n                    return True, \"\"\n",
+        ["tests/test_boundaries.py::"
+         "test_thin_hom_bijection_matches_the_full_loops"],
+        None),
+    "opposite-whiskers-not-swapped": (
+        "matt/mode_theory.py",
+        "flip(mt.wr_table),\n        flip(mt.wl_table), {}, [])",
+        "flip(mt.wl_table),\n        flip(mt.wr_table), {}, [])",
+        ["tests/test_mode_theory.py::"
+         "test_opposite_reverses_morphisms_cells_and_whiskering"],
+        None),
+    "thin-comp-first-factor": (
+        "matt/fincat.py",
+        "return self.arrows[f[0], g[1]].name",
+        "return g",
+        ["tests/test_codex.py::test_constructions_return_enumerated_instances"],
+        None),
+    "codex-component-ends-swapped": (
+        "matt/codex.py",
+        "one_arrow(a.src.component(mu),\n"
+        "                                                 a.dst.component(mu))",
+        "one_arrow(a.dst.component(mu),\n"
+        "                                                 a.src.component(mu))",
+        ["tests/test_thin.py::test_thin_codex_meets_the_general_equations"],
+        None),
+}
+
+
+def pytest(copy: Path, tests: list) -> int:
+    env = {**os.environ, "HYPOTHESIS_PROFILE": "no-shrink",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def run(names: list) -> int:
+    bad = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for d in ("src", "tests"):
+            shutil.copytree(ROOT / d, copy / d, ignore=shutil.ignore_patterns(
+                "__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        src = copy / "src"
+        tests = sorted({t for n in names for t in MUTANTS[n][3]})
+        if pytest(copy, tests) != 0:
+            print("the named tests fail on the unchanged source")
+            return 1
+        for name in names:
+            file, old, new, tests, equivalent = MUTANTS[name]
+            path = src / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"{name}: the text occurs {text.count(old)} times in "
+                      f"{file}")
+                bad.append(name)
+                continue
+            start = time.monotonic()
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            try:
+                code = pytest(copy, tests)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            took = f"{time.monotonic() - start:.1f} s"
+            if code == 1:
+                print(f"{name}: caught ({took})")
+            elif code == 0 and equivalent:
+                print(f"{name}: survives, equivalent: {equivalent} ({took})")
+            else:
+                print(f"{name}: " + ("SURVIVES" if code == 0 else
+                                     f"pytest exit {code}") + f" ({took})")
+                bad.append(name)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    asked = sys.argv[1:] or list(MUTANTS)
+    unknown = [n for n in asked if n not in MUTANTS]
+    if unknown:
+        sys.exit(f"unknown mutants: {', '.join(unknown)}; known: "
+                 + ", ".join(MUTANTS))
+    sys.exit(run(asked))

@@ -9,6 +9,13 @@ boundaries it has checked.  The full loops stay callable: a theory with
 thin flag forced False, as test_thin's mark_not_thin does, take them.
 Each mutant of a bundled theory or diagram must be reported as the full
 loops report it, and the bundled inputs must never enter those loops.
+
+The same holds on thin codexes: `verify_2functor` (through
+`lock_strictness`) decides the lock diagram by boundaries once every lock
+functor lands, `is_iso` and `isomorphic` read a thin category's hom-sets,
+and the hom bijection of an adjunction into a thin category compares
+hom-sets for emptiness once every transpose lands.  Each is held to its
+full loops on mutants, and categories that are not thin still enter them.
 """
 
 from unittest import mock
@@ -20,14 +27,15 @@ from test_laws import IDEMPOTENT, Z2
 from test_mode_theory import (COMPOSE_NOT_ASSOCIATIVE, INTERCHANGE,
                               WHISKER_COMPOSE, WHISKER_FUNCTORIAL,
                               WHISKER_SQUARES)
-from test_thin import locale_diagrams
+from test_thin import frames, locale_diagrams
 
-from matt import mode_theory
+from matt import laws, mode_theory
 from matt.bundled import DIAGRAM_NAMES, THEORY_NAMES, diagram_path, theory_path
 from matt.errors import MalformedTable, NotComposable
-from matt.codex import build_bundle, lock_diagram, verify_2functor
+from matt.codex import (build_bundle, lock_diagram, lock_strictness,
+                        verify_2functor)
 from matt.fincat import (Diagram, FinFunctor, diagram_from_data,
-                         fincat_from_data, load_diagram)
+                         fincat_from_data, is_iso, isomorphic, load_diagram)
 from matt.mode_theory import (Cell, load_mode_theory, mode_theory_from_data,
                               validate_mode_theory)
 
@@ -149,19 +157,25 @@ def mutate_diagram(d, draw, kinds=("object", "arrow", "component",
         f.amap[a] = draw(st.sampled_from(list(f.dst.arrows)))
 
 
+def with_thin_forced_false(cats, check):
+    """The outcome of check with the thin flag of each of cats forced
+    False, as test_thin's mark_not_thin does."""
+    thin = [c for c in cats if c.thin]
+    for c in thin:
+        c.thin = False
+    try:
+        return outcome(check)
+    finally:
+        for c in thin:
+            c.thin = True
+
+
 def same_as_full_loops(d, check=None):
     """The outcome of check, d.validate by default, after asserting that it
     is the same with every category's thin flag forced False."""
     check = check or d.validate
     got = outcome(check)
-    thin = [c for c in d.cats.values() if c.thin]
-    for c in thin:
-        c.thin = False
-    try:
-        assert outcome(check) == got
-    finally:
-        for c in thin:
-            c.thin = True
+    assert with_thin_forced_false(d.cats.values(), check) == got
     return got
 
 
@@ -186,15 +200,23 @@ def test_bundled_diagrams_validate_through_the_full_loops(name):
     assert same_as_full_loops(load_diagram(diagram_path(name))) == []
 
 
+def lock_diagrams():
+    """The lock diagrams of the bundled diagrams and of thin frames."""
+    return st.one_of(st.sampled_from(DIAGRAMS).map(
+        lambda name: load_diagram(diagram_path(name))), frames()).map(
+        lambda d: lock_diagram(build_bundle(d)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(DIAGRAMS), st.data())
-def test_lock_strictness_keeps_its_loops_on_thin_codexes(name, data):
-    """verify_2functor's strictness on the lock diagram, whose codexes are
-    thin but whose functors nothing has checked, with one lock functor's
-    image or one lock cell's component replaced."""
-    ld = lock_diagram(build_bundle(load_diagram(diagram_path(name))))
+@given(lock_diagrams(), st.data())
+def test_lock_strictness_keeps_its_loops_on_thin_codexes(ld, data):
+    """lock_strictness, verify_2functor's entry into the strictness loops,
+    on a lock diagram whose codexes are thin, with one lock functor's
+    object or arrow image or one lock cell's component replaced: it keeps
+    the loops until every lock functor lands, and then reports what they
+    do."""
     mutate_diagram(ld, data.draw, ("object", "arrow", "component"))
-    same_as_full_loops(ld, ld.strictness)
+    same_as_full_loops(ld, lambda: lock_strictness(ld))
 
 
 def test_a_functor_into_a_category_that_is_not_thin_is_checked():
@@ -287,6 +309,80 @@ def test_a_diagram_that_is_not_thin_enters_the_component_rows(
 
 
 @pytest.mark.parametrize("name", DIAGRAMS)
-def test_lock_strictness_enters_the_component_rows(full_loops_refused, name):
+def test_bundled_lock_diagrams_skip_the_component_rows(full_loops_refused,
+                                                       name):
+    b = build_bundle(load_diagram(diagram_path(name)))
+    assert all(cx.cat.thin for cx in b.codexes.values())
+    assert all(ok for _, ok, _ in verify_2functor(b))
+
+
+@pytest.mark.parametrize("cat", [IDEMPOTENT, Z2], ids=["idempotent", "z2"])
+def test_a_lock_diagram_that_is_not_thin_enters_the_component_rows(
+        full_loops_refused, cat):
+    """The idempotent monoid and Z/2 over the trivial theory: each codex
+    is the category itself, not thin."""
+    d = diagram_from_data(load_mode_theory(theory_path("trivial")),
+                          {"categories": {"p": cat}})
+    b = build_bundle(d)
+    assert not b.codexes["p"].cat.thin
     with pytest.raises(Entered):
-        verify_2functor(build_bundle(load_diagram(diagram_path(name))))
+        verify_2functor(b)
+
+
+# --- isos and the hom bijection on thin categories --------------------------------
+
+def isos(c) -> tuple:
+    """is_iso at every arrow and isomorphic at every pair of objects of c."""
+    return ([is_iso(c, f) for f in c.arrows],
+            [isomorphic(c, x, y) for x in c.objects for y in c.objects])
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames())
+def test_thin_isos_match_the_full_loops(d):
+    b = build_bundle(d)
+    for c in [*d.cats.values(), *(cx.cat for cx in b.codexes.values())]:
+        assert c.thin
+        assert isos(c) == with_thin_forced_false([c], lambda: isos(c))
+
+
+def mutate_adjunction(adj, draw):
+    """adj with its right adjoint's object or arrow image or a unit
+    component replaced by any object or arrow of the top category, or with
+    its right adjoint made constant at an object above every object, when
+    there is one, and each unit component the arrow into it.  The last
+    keeps every transpose landing, so the hom-sets decide alone."""
+    top, right = adj.left.src, adj.right
+    tops = [t for t in top.objects if all(top.hom(x, t) for x in top.objects)]
+    kind = draw(st.sampled_from(["none", "object", "arrow", "unit"] +
+                                (["constant"] if tops else [])))
+    if kind == "object":
+        right.omap[draw(st.sampled_from(right.src.objects))] = \
+            draw(st.sampled_from(top.objects))
+    elif kind == "arrow":
+        right.amap[draw(st.sampled_from(list(right.src.arrows)))] = \
+            draw(st.sampled_from(list(top.arrows)))
+    elif kind == "unit":
+        adj.unit[draw(st.sampled_from(top.objects))] = \
+            draw(st.sampled_from(list(top.arrows)))
+    elif kind == "constant":
+        t = draw(st.sampled_from(tops))
+        right.omap.update((y, t) for y in right.src.objects)
+        right.amap.update((a, top.id_arr(t)) for a in right.src.arrows)
+        adj.unit.update((x, top.hom(x, t)[0]) for x in top.objects)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames(), st.data())
+def test_thin_hom_bijection_matches_the_full_loops(d, data):
+    """The hom bijection of both adjunction families, one adjunction
+    mutated, against the full loops on the same maps."""
+    b = build_bundle(d)
+    family = getattr(b, data.draw(st.sampled_from(["adjunctions",
+                                                   "right_adjoints"])))
+    adj = family[data.draw(st.sampled_from(sorted(family)))]
+    mutate_adjunction(adj, data.draw)
+    got = outcome(lambda: laws._hom_bijection(family))
+    cats = [*d.cats.values(), *(cx.cat for cx in b.codexes.values())]
+    assert got == with_thin_forced_false(
+        cats, lambda: laws._hom_bijection(family))

@@ -102,6 +102,39 @@ def test_unknown_reference_raises():
         mode_theory_from_data(data)
 
 
+# one row of reflective.mt (mu: p -> q, nu: q -> p, eta: id:p => numu) put
+# in or replaced, and the message of the one bad row
+SHAPE_ERRORS = {
+    "compose": ("compose", ["mu", "mu", "mu"],
+                "compose entry (mu,mu)->mu has mismatched modes"),
+    "vcompose": ("vcompose", ["eta", "eta", "eta"],
+                 "vcompose entry (eta,eta)->eta has mismatched cells"),
+    "whisker_left-modes": ("whisker_left", ["nu", "eta", "eta"],
+                           "whisker_left entry (nu,eta) has mismatched "
+                           "modes"),
+    "whisker_left-boundary": ("whisker_left", ["mu", "eta", "eta"],
+                              "whisker_left entry (mu,eta)->eta has wrong "
+                              "boundary"),
+    "whisker_right-modes": ("whisker_right", ["eta", "mu", "eta"],
+                            "whisker_right entry (eta,mu) has mismatched "
+                            "modes"),
+    "whisker_right-boundary": ("whisker_right", ["eta", "nu", "eta"],
+                               "whisker_right entry (eta,nu)->eta has wrong "
+                               "boundary"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_ERRORS))
+def test_a_row_off_its_shape_raises_its_message(case):
+    table, row, message = SHAPE_ERRORS[case]
+    data = theory_data("reflective")
+    data[table] = [r for r in data[table] if r[:2] != row[:2]] + [row]
+    mt = mode_theory_from_data(data)
+    with pytest.raises(MalformedTable) as e:
+        validate_mode_theory(mt)
+    assert str(e.value) == message
+
+
 def one_letter_theory() -> dict:
     """A theory on mode p with an idempotent m: p → p.  Every name is one
     character, so a string of names would read as the list of its

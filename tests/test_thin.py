@@ -3,7 +3,10 @@
 A finite poset P gives the frame O(P) of its down-sets, a thin category,
 and a monotone h: P → Q gives the inverse image h⁻¹: O(Q) → O(P).  Over
 single_arrow.mt, C_p = O(Q), C_q = O(P) and C_mu = h⁻¹, so every base
-category and every codex is thin.  The thin fast path of `enumerate_codex`
+category and every codex is thin.  Over reflective.mt, for an order
+embedding h, nu ↦ h_*, the right adjoint of h⁻¹, numu ↦ h_*h⁻¹ and eta is
+the unit: a lock with a non-identity cell and an adjoint on the thin
+path.  The thin fast path of `enumerate_codex`
 and `codex_right_adjoint` decides no equation, and the lock, reflection,
 inclusion and dextrification maps read their arrows off hom-sets; these
 tests check what it builds against the equations it skips, and against the
@@ -27,7 +30,7 @@ from matt.codex import (build_bundle, check_oplax_morphism,
                         enumerate_codex, lock_cell, OplaxObject,
                         reflect_colax)
 from matt.errors import CapExceeded, MattError
-from matt.fincat import (Diagram, FinFunctor, check_preserves_limit,
+from matt.fincat import (Diagram, FinFunctor, FinNat, check_preserves_limit,
                          first_unpreserved_limit, identity_functor, limit,
                          load_diagram, poset_category)
 from matt.laws import LAWS, run_law_suite
@@ -76,15 +79,78 @@ def locale_diagrams(draw, max_points=4):
                             if x < y < np_ and below_q[h[y]] >> h[x] & 1})
     oq, op = frame(below_q, "p"), frame(below_p, "q")
 
-    def inverse(name):
-        m = int(name[1:])
-        return f"D{sum(1 << x for x in range(np_) if m >> h[x] & 1)}"
+    def inverse(m):
+        return sum(1 << x for x in range(np_) if m >> h[x] & 1)
 
-    omap = {o: inverse(o) for o in oq.objects}
-    amap = {n: op.hom(omap[a.src], omap[a.dst])[0]
-            for n, a in oq.arrows.items()}
     d = Diagram(SINGLE_ARROW, {"p": oq, "q": op},
-                {"mu": FinFunctor(oq, op, omap, amap, name="mu")}, {})
+                {"mu": monotone(oq, op, inverse, "mu")}, {})
+    assert d.validate() == []
+    return d
+
+
+REFLECTIVE = load_mode_theory(theory_path("reflective"))
+
+
+def monotone(src, dst, fn, name):
+    """The functor between frames that sends each down-set D<m> of src to
+    D<fn(m)> and each arrow to the one arrow between the images of its
+    ends."""
+    omap = {o: f"D{fn(int(o[1:]))}" for o in src.objects}
+    amap = {n: dst.hom(omap[a.src], omap[a.dst])[0]
+            for n, a in src.arrows.items()}
+    return FinFunctor(src, dst, omap, amap, name=name)
+
+
+@st.composite
+def embeddings(draw, max_points=4):
+    """A random poset Q of 1 to max_points points and an order embedding
+    h: P → Q, as (below_q, below_p, h): P is a nonempty set of points of Q
+    with Q's order, and h lists them."""
+    nq = draw(st.integers(1, max_points))
+    upward = st.tuples(st.integers(0, max_points - 1),
+                       st.integers(0, max_points - 1))
+    below_q = closure(nq, {(x, y) for x, y in draw(st.sets(upward))
+                           if x < y < nq})
+    h = sorted(draw(st.sets(st.integers(0, nq - 1), min_size=1)))
+    below_p = [sum(1 << i for i, x in enumerate(h) if below_q[y] >> x & 1)
+               for y in h]
+    return below_q, below_p, h
+
+
+def direct_image(below_q, h):
+    """h_*, the right adjoint of h⁻¹, on point masks: the y of Q whose
+    every preimage below it lies in the down-set."""
+    return lambda d: sum(1 << y for y in range(len(below_q))
+                         if all(d >> i & 1 for i, x in enumerate(h)
+                                if below_q[y] >> x & 1))
+
+
+def reflective_frames(below_q, below_p, h, nu=None):
+    """reflective over C_p = O(Q) and C_q = O(P) for an order embedding h:
+    mu ↦ h⁻¹, nu ↦ h_* (or nu(below_q, h) when given), numu ↦ h_*h⁻¹ and
+    eta the unit U ≤ h_*h⁻¹U.  h⁻¹h_* = id strictly, as h is an order
+    embedding."""
+    oq, op = frame(below_q, "p"), frame(below_p, "q")
+    direct = direct_image(below_q, h)
+
+    def inverse(m):
+        return sum(1 << i for i, x in enumerate(h) if m >> x & 1)
+
+    mu = monotone(oq, op, inverse, "mu")
+    nu_f = monotone(op, oq, (nu or direct_image)(below_q, h), "nu")
+    numu = monotone(oq, oq, lambda m: direct(inverse(m)), "numu")
+    d = Diagram(REFLECTIVE, {"p": oq, "q": op},
+                {"mu": mu, "nu": nu_f, "numu": numu}, {})
+    d.nats["eta"] = FinNat(d.functors["id:p"], numu,
+                           {o: oq.hom(o, numu.omap[o])[0]
+                            for o in oq.objects}, name="eta")
+    return d
+
+
+@st.composite
+def reflective_locale_diagrams(draw, max_points=3):
+    """reflective_frames for a random order embedding."""
+    d = reflective_frames(*draw(embeddings(max_points)))
     assert d.validate() == []
     return d
 
@@ -147,12 +213,34 @@ def test_thin_codex_meets_the_general_equations(d):
 
 
 @settings(max_examples=40, deadline=None)
-@given(locale_diagrams())
+@given(st.one_of(locale_diagrams(), reflective_locale_diagrams()))
 def test_all_laws_pass_on_frames_and_inverse_images(d):
     b = build_bundle(d)
     for name, law in LAWS.items():
         ok, detail = law(d, b, None)
         assert ok, (name, detail)
+
+
+def left_image(below_q, h):
+    """h_!, the left adjoint of h⁻¹, on point masks: the down-closure of
+    the image of the down-set."""
+    return lambda d: sum(1 << y for y in range(len(below_q))
+                         if any(d >> i & 1 and below_q[x] >> y & 1
+                                for i, x in enumerate(h)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(embeddings())
+def test_reflective_frames_fail_with_a_monotone_nu_that_is_not_h_star(e):
+    """nu ↦ h_!, monotone and a section of h⁻¹ as h_* is, but not its right
+    adjoint unless h is onto: Diagram.validate fails the two composites
+    that read C_nu after C_mu or before C_numu."""
+    below_q, _, h = e
+    d = reflective_frames(*e, nu=left_image)
+    onto = len(h) == len(below_q)
+    assert d.validate() == ([] if onto else [
+        "strictness fails: C_(nu∘mu) != C_nu∘C_mu",
+        "strictness fails: C_(numu∘nu) != C_numu∘C_nu"])
 
 
 def mark_not_thin(cats):
@@ -194,8 +282,15 @@ def test_thin_enumeration_matches_the_general_path(d):
         assert arrows_and_composites(cx) == arrows_and_composites(general)
 
 
+def frames(max_points=3):
+    """Every strategy of thin frame diagrams: single_arrow's inverse
+    images, plain and doubled, and reflective's embeddings."""
+    return st.one_of(locale_diagrams(max_points), doubled_locale_diagrams(),
+                     reflective_locale_diagrams(max_points))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(locale_diagrams(max_points=3), doubled_locale_diagrams()))
+@given(frames())
 def test_thin_adjoints_match_the_general_path(d):
     thin = constructions(build_bundle(d))  # before d is marked not thin
     assert constructions(general_bundle(d)) == thin
@@ -264,7 +359,7 @@ def test_law_suite_matches_the_general_path_on_bundled_diagrams(name):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(locale_diagrams(max_points=3), doubled_locale_diagrams()))
+@given(frames())
 def test_law_suite_matches_the_general_path_on_frames(d):
     assert law_suite(d) == law_suite(d, general=True)
 
