@@ -17,13 +17,15 @@ Constructions read the index, so they do no mode-theory arithmetic per
 object or arrow, and return the codex's own instances.  Lock functors act
 by composition on the index, and reflect projects a component.
 
-The codex gives two families of adjunctions, both held in one record,
-Adjunction: reflect(pi) -| incl(pi) between the codex and the base
-categories, and lock(pi) -| radj(pi) between codexes, whose right adjoints
-are the negative modalities.  Each right adjoint is assembled pointwise from
-limits (incl over the comma categories in the index, radj over a diagram of
-inclusions), and sends an arrow to the arrow its map of diagrams induces
-between the limits.
+The locks and lock cells are read off the codexes alone, as MTT's context
+locks are; a CodexBundle builds each once, and lock(pi) -| radj(pi) takes
+its lock from there.  The codex gives two families of adjunctions, both held
+in one record, Adjunction: reflect(pi) -| incl(pi) between the codex and the
+base categories, and lock(pi) -| radj(pi) between codexes, whose right
+adjoints are the negative modalities.  Each right adjoint is assembled
+pointwise from limits (incl over the comma categories in the index, radj over
+a diagram of inclusions), and sends an arrow to the arrow its map of
+diagrams induces between the limits.
 
 When every base category is thin, so is the codex, and parallel arrows are
 equal: every cocycle, cell-action and structure square holds as soon as its
@@ -417,8 +419,7 @@ def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
     c = mt.cell(beta)
     m = mt.mor(c.src)
     cx_r, cx_q = bundle.codexes[m.dst], bundle.codexes[m.src]
-    fm2 = bundle.right_adjoints[c.dst].left
-    fm = bundle.right_adjoints[c.src].left
+    fm2, fm = bundle.locks[c.dst], bundle.locks[c.src]
     keys = {nu: (mt.compose(c.dst, nu), mt.id_mor(mt.mor(nu).src),
                  mt.wr(beta, nu)) for nu in cx_q.index.mus}
     comps = {g: cx_q.arrow(fm2.omap[g], fm.omap[g], lambda: {
@@ -595,10 +596,11 @@ def mate(cx_s: CodexCategory, adj_mu: Adjunction, adj_nu: Adjunction,
 
 
 def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
-                        adjs: dict, cap=None) -> Adjunction:
+                        lock: FinFunctor, adjs: dict,
+                        cap=None) -> Adjunction:
     """lock(pi) -| radj(pi) for pi: r -> s, with radj assembled as a limit
-    of inclusions; adjs maps every composite pi . mu to its reflect -| incl
-    Adjunction."""
+    of inclusions; lock is lock(pi), and adjs maps every composite pi . mu
+    to its reflect -| incl Adjunction."""
     mt = cx_r.diagram.mt
     m = mt.mor(pi)
     if (m.src, m.dst) != (cx_r.mode, cx_s.mode):
@@ -646,7 +648,6 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
                         "codex_right_adjoint({}): image of an arrow", pi)
 
     amap = _arrow_map(cx_r.cat, cx_s.cat, omap, image)
-    lock = lock_functor(cx_s, cx_r, pi)
 
     counit = {delta: cx_r.arrow(lock.omap[omap[delta]], delta, lambda: {
         mu: ix.cats[mu].comp(adj[mu].counit[delta.component(mu)],
@@ -695,10 +696,12 @@ def _family(build):
 
 
 class CodexBundle:
-    """Codex categories at every mode with both adjunction families, each
-    keyed by morphism, and each built whole when a law first reads it, or
-    failed once for every read.  The families are cached in its
-    __dict__."""
+    """Codex categories at every mode and the families built from them:
+    the locks and lock cells, read off the codexes alone; the lock-2functor
+    rows, off the locks and cells alone; reflect -| incl and lock -| radj,
+    keyed by morphism; and the comparisons of the right adjoints.  Each
+    family is built whole when a law first reads it, or failed once for
+    every read, and cached in the bundle's __dict__."""
 
     def __init__(self, diagram: Diagram, cap: int | None = None):
         self.diagram, self.cap = diagram, cap
@@ -710,6 +713,22 @@ class CodexBundle:
                 for p in self.diagram.mt.modes}
 
     @_family
+    def locks(self) -> dict:  # lock(mu), from the codex at dst mu to src mu
+        cx = self.codexes
+        return {m.name: lock_functor(cx[m.dst], cx[m.src], m.name)
+                for m in self.diagram.mt.morphisms.values()}
+
+    @_family
+    def lock_cells(self) -> dict:
+        return {beta: lock_cell(self, beta) for beta in self.diagram.mt.cells}
+
+    @_family
+    def lock_rows(self) -> list[tuple]:  # a lock-2functor row per violation
+        return [("lock-2functor", False, f"{v} (◁, ▷ and ∘ read in M^coop)")
+                for v in lock_strictness(lock_diagram(self))] or \
+            [("lock-2functor", True, "")]
+
+    @_family
     def adjunctions(self) -> dict:  # reflect -| incl
         return {m.name: incl(self.codexes[m.dst], m.name, cap=self.cap)
                 for m in self.diagram.mt.morphisms.values()}
@@ -718,14 +737,17 @@ class CodexBundle:
     def right_adjoints(self) -> dict:  # lock -| radj
         cx = self.codexes
         return {m.name: codex_right_adjoint(cx[m.src], cx[m.dst], m.name,
+                                            self.locks[m.name],
                                             self.adjunctions, cap=self.cap)
                 for m in self.diagram.mt.morphisms.values()}
 
     @_family
-    def report(self) -> list[tuple]:
-        """verify_2functor's report, computed once for every law that reads
-        it."""
-        return verify_2functor(self)
+    def comparisons(self) -> dict:
+        """psnat_component per morphism, then per codex object at its
+        source."""
+        return {m.name: {delta: psnat_component(self, m.name, delta)
+                         for delta in self.codexes[m.src].objects}
+                for m in self.diagram.mt.morphisms.values()}
 
 
 def build_bundle(d: Diagram, cap=None) -> CodexBundle:
@@ -749,9 +771,7 @@ def lock_diagram(bundle: CodexBundle) -> Diagram:
     """The locks and lock cells as a diagram over M^coop (`opposite`)."""
     return Diagram(opposite(bundle.diagram.mt),
                    {p: cx.cat for p, cx in bundle.codexes.items()},
-                   {m: adj.left for m, adj in bundle.right_adjoints.items()},
-                   {beta: lock_cell(bundle, beta)
-                    for beta in bundle.diagram.mt.cells})
+                   bundle.locks, bundle.lock_cells)
 
 
 def lock_strictness(ld: Diagram) -> list[str]:
@@ -765,12 +785,10 @@ def lock_strictness(ld: Diagram) -> list[str]:
 
 
 def verify_2functor(bundle: CodexBundle) -> list[tuple]:
-    """The locks as a strict 2-functor (`lock_strictness` on
-    `lock_diagram`, a lock- row per violation); right adjoints' composites."""
+    """The locks as a strict 2-functor (the bundle's lock rows), then the
+    right adjoints' composites."""
     mt, cx, radj = bundle.diagram.mt, bundle.codexes, bundle.right_adjoints
-    report = [("lock-2functor", False, f"{v} (◁, ▷ and ∘ read in M^coop)")
-              for v in lock_strictness(lock_diagram(bundle))] or \
-        [("lock-2functor", True, "")]
+    report = list(bundle.lock_rows)
     for (g, f), h in mt.compose_table.items():
         rg, rf, rh = radj[g].right, radj[f].right, radj[h].right
         bad = [delta for delta in cx[mt.mor(f).src].objects
@@ -787,12 +805,8 @@ def reflect_colax(bundle: CodexBundle):
     """The identity-component projections as a colax transformation into the
     base diagram, with the canonical comparison cells."""
     mt = bundle.diagram.mt
-    g = {p: bundle.adjunctions[mt.id_mor(p)].left for p in mt.modes}
-    gamma = {}
-    for m in mt.morphisms.values():
-        gamma[m.name] = {delta: psnat_component(bundle, m.name, delta)
-                         for delta in bundle.codexes[m.src].objects}
-    return g, gamma
+    return ({p: bundle.adjunctions[mt.id_mor(p)].left for p in mt.modes},
+            bundle.comparisons)
 
 
 def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict) -> dict:
@@ -803,14 +817,11 @@ def dextrify_colax(bundle: CodexBundle, g: dict, gamma: dict) -> dict:
     g: mode -> FinFunctor from the codex to the diagram's category at that
     mode; gamma: morphism rho -> per-object comparison
     G_q(radj(rho) Delta) -> C_rho(G_p Delta)."""
-    mt = bundle.diagram.mt
+    mt, locks, cells = bundle.diagram.mt, bundle.locks, bundle.lock_cells
     out = {}
     for r in mt.modes:
         cx_r = bundle.codexes[r]
         ix = cx_r.index
-        locks = {mu: bundle.right_adjoints[mu].left for mu in ix.mus}
-        cells = {alpha: lock_cell(bundle, alpha) for alpha in dict.fromkeys(
-            t.alpha for t in ix.decomps if not t.identity)}
         omap = {}
         for gobj in cx_r.objects:
             comps = {mu: g[mt.mor(mu).src].omap[locks[mu].omap[gobj]]

@@ -27,7 +27,7 @@ equation into a thin category by boundaries only when every category has
 validated clean in the same call, and then skips the composition loop of
 each functor whose arrow images land, compares a composite functor with
 the composite of its factors on objects alone, and skips the vcompose,
-wl and wr rows when every category is thin.  `codex.verify_2functor`
+wl and wr rows when every category is thin.  `codex.lock_strictness`
 passes the thin codexes to `Diagram.strictness` in the same way, once it
 has checked that every lock functor lands.
 

@@ -8,8 +8,8 @@ asked for it instead of aborting the suite.
 
 from __future__ import annotations
 
-from .codex import (build_bundle, dextrify_colax, psnat_component,
-                    reflect_colax, transpose)
+from .codex import (build_bundle, dextrify_colax, reflect_colax, transpose,
+                    verify_2functor)
 from .errors import MattError, MalformedTable, ParseError
 from .fincat import (first_unpreserved_limit, is_iso, isomorphic,
                      load_diagram)
@@ -98,11 +98,11 @@ def _first_failure(rows):
 
 
 def law_lock_strictness(d, bundle, cap):
-    return _first_failure(r for r in bundle.report if r[0].startswith("lock-"))
+    return _first_failure(bundle.lock_rows)
 
 
 def law_2functor(d, bundle, cap):
-    return _first_failure(bundle.report)
+    return _first_failure(verify_2functor(bundle))
 
 
 def law_radj_triangles(d, bundle, cap):
@@ -111,12 +111,11 @@ def law_radj_triangles(d, bundle, cap):
 
 def law_pseudonat(d, bundle, cap):
     """The identity-component comparison of each right adjoint is iso."""
-    for m in d.mt.morphisms.values():
-        cq = d.cat(m.dst)
-        for delta in bundle.codexes[m.src].objects:
-            if not is_iso(cq, psnat_component(bundle, m.name, delta)):
-                return False, f"comparison for {m.name} at {delta} " \
-                              "is not iso"
+    for m, comparisons in bundle.comparisons.items():
+        cq = d.cat(d.mt.mor(m).dst)
+        for delta, phi in comparisons.items():
+            if not is_iso(cq, phi):
+                return False, f"comparison for {m} at {delta} is not iso"
     return True, ""
 
 
@@ -137,9 +136,9 @@ def law_pointwise_limits(d, bundle, cap):
     mt = d.mt
     for p in mt.modes:
         cx = bundle.codexes[p]
-        fs = [family[m.name].left
-              for family in (bundle.adjunctions, bundle.right_adjoints)
-              for m in mt.morphisms.values() if m.dst == p]
+        into = [m.name for m in mt.morphisms.values() if m.dst == p]
+        fs = [bundle.adjunctions[m].left for m in into] + \
+            [bundle.locks[m] for m in into]
         if hit := first_unpreserved_limit(cx.cat, fs, cap=cap):
             return False, f"{hit[0].name} does not preserve a limit " \
                           f"in the codex at {p}"

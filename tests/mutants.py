@@ -69,6 +69,21 @@ MUTANTS = {
         ["tests/test_mode_theory.py::"
          "test_opposite_reverses_morphisms_cells_and_whiskering"],
         None),
+    # over the reflective monoid, eta's whiskers on the two sides differ,
+    # so lock(eta)'s replacement names each row by the swapped order
+    "opposite-whiskers-not-swapped-in-the-lock-rows": (
+        "matt/mode_theory.py",
+        "flip(mt.wr_table),\n        flip(mt.wl_table), {}, [])",
+        "flip(mt.wl_table),\n        flip(mt.wr_table), {}, [])",
+        ["tests/test_codex.py::test_lock_strictness_rejects_a_natural_lock_cell"
+         "[eta-C_(nu\\u25c1eta) differs at ]"],
+        None),
+    "lock-cell-ends-swapped": (
+        "matt/codex.py",
+        "fm2, fm = bundle.locks[c.dst], bundle.locks[c.src]",
+        "fm2, fm = bundle.locks[c.src], bundle.locks[c.dst]",
+        ["tests/test_codex.py::test_lock_strictness_reflective"],
+        None),
     "thin-comp-first-factor": (
         "matt/fincat.py",
         "return self.arrows[f[0], g[1]].name",

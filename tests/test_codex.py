@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 from test_acceptance import _single_arrow_chain
+from test_laws import NOT_THIN
 
 from matt.bundled import DIAGRAM_NAMES, THEORY_NAMES, diagram_path, theory_path
 from matt.codex import (build_bundle, check_oplax_object,
@@ -18,8 +19,8 @@ from matt.codex import (build_bundle, check_oplax_object,
                         verify_2functor, OplaxObject)
 from matt.errors import CapExceeded, LimitAbsent, MalformedTable
 from matt.fincat import (Diagram, FinCat, FinFunctor, FinNat,
-                         compose_functors, identity_functor, load_diagram,
-                         poset_category)
+                         compose_functors, diagram_from_data,
+                         identity_functor, load_diagram, poset_category)
 from matt.laws import LAWS, law_lock_strictness, law_universal_property
 from matt.mode_theory import ModeTheory, load_mode_theory
 
@@ -223,16 +224,12 @@ def test_lock_strictness_reflective():
         [(n, det) for n, ok, det in report if not ok]
 
 
-def monoid_lock_bundle():
-    """The bundle of monoid_comonad, whose incl(id:p) has no limit: its
-    right adjoints stand in, holding only the locks as left and the identity
-    as right."""
-    b = build_bundle(monoid_comonad())
-    cx = b.codexes["p"]
-    b.right_adjoints = {m: SimpleNamespace(
-        left=lock_functor(cx, cx, m), right=identity_functor(cx.cat))
-        for m in b.diagram.mt.morphisms}
-    return b
+def monoid_reflective():
+    """reflective.mt with both categories the monoid {*; e∘e = e}, mu, nu
+    and numu the identity and eta the identity cell (NOT_THIN in
+    test_laws)."""
+    theory, data, _ = NOT_THIN["reflective-monoid"]
+    return diagram_from_data(load_mode_theory(theory_path(theory)), data)
 
 
 def natural_replacements(nat):
@@ -248,30 +245,46 @@ def natural_replacements(nat):
 
 
 def test_locks_form_a_strict_2functor_on_a_codex_that_is_not_thin():
-    b = monoid_lock_bundle()
+    # monoid_comonad's incl(id:p) has no limit, and the locks need none
+    b = build_bundle(monoid_comonad())
     assert not b.codexes["p"].cat.thin
     assert lock_diagram(b).strictness() == []
-    report = verify_2functor(b)
-    assert report[0] == ("lock-2functor", True, "")
-    assert all(ok for _, ok, _ in report)
+    assert b.lock_rows == [("lock-2functor", True, "")]
+    assert "adjunctions" not in vars(b)
 
 
-# lock(eps): lock(id:p) => lock(m) and lock(id:m) each have exactly one
-# natural replacement: the first breaks eps▷m = id:m, read m◁eps in M^coop,
-# the second is not the identity
-@pytest.mark.parametrize("cell, row", [
-    ("eps", "C_(m◁eps) differs at "),
-    ("id:m", "C_id:m is not the identity"),
-])
-def test_lock_strictness_rejects_a_natural_lock_cell(monkeypatch, cell, row):
-    b = monoid_lock_bundle()
+# Each listed cell has exactly one natural replacement, and strictness
+# refuses it with these rows, in order.  Over the comonad monoid, lock(eps):
+# lock(id:p) => lock(m) breaks eps▷m = id:m and m◁eps = id:m, whose rows
+# mirror each other.  Over the reflective monoid, lock(eta) breaks the two
+# whiskers of eta on each side, which tell apart the two orders of the swap
+# in `opposite`: eta▷nu in M is read nu◁eta in M^coop.  Every replaced
+# identity cell is not the identity.
+NATURAL_LOCK_CELLS = [
+    (monoid_comonad, "eps", ["C_(m◁eps) differs at ",
+                             "C_(eps▷m) differs at "]),
+    (monoid_comonad, "id:m", ["C_id:m is not the identity"]),
+    (monoid_reflective, "eta", [f"C_({w}) differs at " for w in [
+        "nu◁eta", "numu◁eta", "eta▷mu", "eta▷numu"]]),
+    *[(monoid_reflective, cell, [f"C_{cell} is not the identity"])
+      for cell in ["id:mu", "id:nu", "id:numu", "id:id:p", "id:id:q"]],
+]
+
+
+@pytest.mark.parametrize("diagram, cell, rows", NATURAL_LOCK_CELLS,
+                         ids=[f"{c}-{rows[0]}"
+                              for _, c, rows in NATURAL_LOCK_CELLS])
+def test_lock_strictness_rejects_a_natural_lock_cell(monkeypatch, diagram,
+                                                      cell, rows):
+    b = build_bundle(diagram())
     ld = lock_diagram(b)
     [alt] = natural_replacements(ld.nat(cell))
     ld.nats[cell] = alt
-    assert any(v.startswith(row) for v in ld.strictness())
+    assert [next(r for r in rows if v.startswith(r))
+            for v in ld.strictness()] == rows
     monkeypatch.setattr("matt.codex.lock_diagram", lambda bundle: ld)
     ok, detail = law_lock_strictness(b.diagram, b, None)
-    assert not ok and detail.startswith("lock-2functor: " + row)
+    assert not ok and detail.startswith("lock-2functor: " + rows[0])
     assert detail.endswith(" (◁, ▷ and ∘ read in M^coop)")
 
 
@@ -292,7 +305,7 @@ def test_locks_built_once_per_morphism(monkeypatch, name):
     monkeypatch.setattr("matt.codex.lock_functor", counting)
     d = diag(name)
     b = build_bundle(d)
-    b.right_adjoints  # builds the locks, as lock -| radj pairs
+    b.locks
     assert sorted(calls) == sorted(d.mt.morphisms)
     calls.clear()
     assert all(ok for _, ok, _ in verify_2functor(b))
@@ -306,7 +319,7 @@ def test_constructions_return_enumerated_instances(name):
     b = bundle(name)
     mt = b.diagram.mt
     g, gamma = reflect_colax(b)
-    functors = [b.right_adjoints[m].left for m in mt.morphisms]
+    functors = list(b.locks.values())
     functors += [b.adjunctions[m].right for m in mt.morphisms]
     functors += [b.right_adjoints[m].right for m in mt.morphisms]
     functors += list(dextrify_colax(b, g, gamma).values())

@@ -3,15 +3,15 @@
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from matt import codex
+from matt import codex, laws
 from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.cli import cmd_sem_laws, main
-from matt.codex import (Adjunction, CodexBundle, enumerate_codex,
-                        verify_2functor)
+from matt.codex import Adjunction, CodexBundle, enumerate_codex
 from matt.errors import LimitAbsent, ParseError
 from matt.fincat import FinCat, identity_functor, load_diagram
 from matt.laws import (LAWS, law_adjunction, law_radj_triangles,
@@ -52,10 +52,12 @@ def test_only_unknown_law():
 
 
 def sem_laws(name, *args):
-    """Exit code and stdout of `matt sem laws` on a bundled diagram."""
+    """Exit code and stdout of `matt sem laws` on a bundled diagram, named,
+    or on the diagram file at a Path."""
+    path = name if isinstance(name, Path) else diagram_path(name)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rc = main(["sem", "laws", str(diagram_path(name)), *args])
+        rc = main(["sem", "laws", str(path), *args])
     return rc, out.getvalue()
 
 
@@ -114,27 +116,40 @@ Z2 = {"objects": ["*"], "arrows": [["s", "*", "*"]],
       "compose": [["s", "s", "id:*"]]}
 NO_LIMIT = "incl(id:q): component at mu of * has no limit"
 
+# name: (theory, the diagram's categories, functors and naturals, the
+# failing laws with their details)
 NOT_THIN = {
-    "idempotent-monoid": ("trivial", {"p": IDEMPOTENT}, {}, {}),
-    "parallel-pair": ("trivial", {"p": PARALLEL_PAIR}, {}, {}),
-    # Z/2 has no terminal object, so incl(id:q) has no limit to take
-    "z2": ("single_arrow", {"p": Z2, "q": Z2},
-           {"mu": {"objects": {"*": "*"}, "arrows": {"s": "s"}}},
-           {law: NO_LIMIT for law in LAWS if law != "limit-preservation"}),
+    "idempotent-monoid": ("trivial", {"categories": {"p": IDEMPOTENT}}, {}),
+    "parallel-pair": ("trivial", {"categories": {"p": PARALLEL_PAIR}}, {}),
+    # Z/2 has no terminal object, so incl(id:q) has no limit to take; the
+    # locks and their strictness need no inclusion
+    "z2": ("single_arrow", {
+        "categories": {"p": Z2, "q": Z2},
+        "functors": {"mu": {"objects": {"*": "*"}, "arrows": {"s": "s"}}}},
+           {law: NO_LIMIT for law in LAWS
+            if law not in ("limit-preservation", "lock-strictness")}),
+    # the idempotent monoid at both modes, mu, nu and numu the identity and
+    # eta the identity cell: lock(eta) and each identity lock cell have a
+    # natural replacement that strictness refuses
+    "reflective-monoid": ("reflective", {
+        "categories": {"p": IDEMPOTENT, "q": IDEMPOTENT},
+        "functors": dict.fromkeys(["mu", "nu", "numu"], {
+            "objects": {"*": "*"}, "arrows": {"e": "e"}}),
+        "naturals": {"eta": {"components": {"*": "id:*"}}}}, {}),
 }
 
 
 def not_thin_diagram(tmp_path, name):
-    theory, cats, functors, _ = NOT_THIN[name]
+    theory, data, _ = NOT_THIN[name]
     path = tmp_path / f"{name}.dg"
     path.write_text(json.dumps({"mode_theory": str(theory_path(theory)),
-                                "categories": cats, "functors": functors}))
+                                **data}))
     return path
 
 
 @pytest.mark.parametrize("name", list(NOT_THIN))
 def test_laws_on_categories_that_are_not_thin(tmp_path, name):
-    failing = NOT_THIN[name][3]
+    failing = NOT_THIN[name][2]
     path = not_thin_diagram(tmp_path, name)
     d = load_diagram(path)
     for p in d.mt.modes:
@@ -201,18 +216,20 @@ def test_triangle_check_separates_parallel_arrows(unit, counit, expected):
     assert law_adjunction(None, b, None) == expected
 
 
+# the lock rows are built once for both laws that read them; only 2functor
+# adds the right adjoints' composites
 @pytest.mark.parametrize("only", [None, "2functor", "lock-strictness"])
 def test_2functor_report_built_once_per_suite(monkeypatch, only):
-    calls = []
-
-    def counting(bundle):
-        calls.append(bundle)
-        return verify_2functor(bundle)
-
-    monkeypatch.setattr("matt.codex.verify_2functor", counting)
+    composites = 0 if only == "lock-strictness" else 1
+    calls = {"lock_diagram": [], "verify_2functor": []}
+    for module, name in [(codex, "lock_diagram"), (laws, "verify_2functor")]:
+        def counting(bundle, _name=name, _real=getattr(module, name)):
+            calls[_name].append(bundle)
+            return _real(bundle)
+        monkeypatch.setattr(module, name, counting)
     results = run_law_suite(diagram_path("reflective"), only=only)
     assert all(ok for ok, _ in results.values())
-    assert len(calls) == 1
+    assert [len(c) for c in calls.values()] == [1, composites]
 
 
 # --- each codex family is built when a law first reads it -----------------------
@@ -223,6 +240,8 @@ def test_2functor_report_built_once_per_suite(monkeypatch, only):
     ("up-ff", [2, 5, 0]),
     ("adjunction", [2, 5, 0]),
     (None, [2, 5, 5]),
+    ("lock-strictness", [2, 0, 0]),
+    ("pointwise-limits", [2, 5, 0]),
 ])
 def test_laws_build_only_the_families_they_read(monkeypatch, only, built):
     counts = dict.fromkeys(["enumerate_codex", "incl",
@@ -237,6 +256,43 @@ def test_laws_build_only_the_families_they_read(monkeypatch, only, built):
     assert list(counts.values()) == built
 
 
+def test_each_lock_cell_and_comparison_built_once_per_suite(monkeypatch):
+    """One full suite on reflective.dg: each lock is built once, by the
+    locks family and not by a right adjoint, each lock cell once and each
+    comparison of a right adjoint once."""
+    # what each call builds: a lock's morphism, a cell, a (morphism, object)
+    keys = {"lock_functor": lambda args: args[2],
+            "lock_cell": lambda args: args[1],
+            "psnat_component": lambda args: args[1:]}
+    calls = {name: [] for name in keys}
+    in_radj = []
+    for name, key in keys.items():
+        def counting(*args, _name=name, _key=key, _real=getattr(codex, name)):
+            calls[_name].append((_key(args), bool(in_radj)))
+            return _real(*args)
+        monkeypatch.setattr(codex, name, counting)
+
+    def radj(*args, _real=codex.codex_right_adjoint, **kw):
+        in_radj.append(args[2])
+        try:
+            return _real(*args, **kw)
+        finally:
+            in_radj.pop()
+    monkeypatch.setattr(codex, "codex_right_adjoint", radj)
+    results = run_law_suite(diagram_path("reflective"))
+    assert all(ok for ok, _ in results.values())
+    d = load_diagram(diagram_path("reflective"))
+    mt = d.mt
+    assert sorted(calls["lock_functor"]) == [(m, False)
+                                             for m in sorted(mt.morphisms)]
+    assert sorted(calls["lock_cell"]) == [(c, False)
+                                          for c in sorted(mt.cells)]
+    objects = {p: enumerate_codex(d, p).objects for p in mt.modes}
+    assert calls["psnat_component"] == [
+        ((m.name, delta), False) for m in mt.morphisms.values()
+        for delta in objects[m.src]]
+
+
 def test_a_right_adjoint_error_fails_only_the_laws_that_read_them(
         monkeypatch):
     def absent(*args, **kw):
@@ -244,8 +300,8 @@ def test_a_right_adjoint_error_fails_only_the_laws_that_read_them(
 
     monkeypatch.setattr("matt.codex.codex_right_adjoint", absent)
     results = run_law_suite(diagram_path("reflective"))
-    readers = {"lock-strictness", "radj-triangles", "pseudonat",
-               "pointwise-limits", "2functor", "universal-property"}
+    readers = {"radj-triangles", "pseudonat", "2functor",
+               "universal-property"}
     assert results == {name: (False, "probe") if name in readers
                        else (True, "") for name in LAWS}
 
@@ -277,14 +333,19 @@ PINNED_ARGS = ([[]] + [["--cap", str(n)] for n in (0, 1, 5, 50)]
 
 
 def render_pinned_runs() -> str:
-    """`sem laws` stdout and exit code on every bundled diagram, bare, under
-    four caps and with each --only."""
+    """`sem laws` stdout and exit code on every bundled diagram, then on
+    the NOT_THIN fixtures and the fork: bare, under four caps and with each
+    --only."""
     parts = []
-    for name in list(DIAGRAM_NAMES) + ["nonpreserving"]:
-        for args in PINNED_ARGS:
-            rc, out = sem_laws(name, *args)
-            parts.append(f"== {name}.dg {' '.join(args)}".rstrip()
-                         + f" -> exit {rc}\n{out}")
+    with tempfile.TemporaryDirectory() as tmp:
+        diagrams = [*DIAGRAM_NAMES, "nonpreserving"]
+        diagrams += [not_thin_diagram(Path(tmp), name) for name in NOT_THIN]
+        for diagram in diagrams + [fork_diagram(Path(tmp))]:
+            name = getattr(diagram, "stem", diagram)
+            for args in PINNED_ARGS:
+                rc, out = sem_laws(diagram, *args)
+                parts.append(f"== {name}.dg {' '.join(args)}".rstrip()
+                             + f" -> exit {rc}\n{out}")
     return "".join(parts)
 
 

@@ -476,7 +476,6 @@ def test_mask_path_matches_the_cone_path_on_codexes(d, data):
     b = build_bundle(d)
     for p in d.mt.modes:
         cx = b.codexes[p].cat
-        fs = [family[m.name].left
-              for family in (b.adjunctions, b.right_adjoints)
-              for m in d.mt.morphisms.values() if m.dst == p]
+        into = [m.name for m in d.mt.morphisms.values() if m.dst == p]
+        fs = [b.adjunctions[m].left for m in into] + [b.locks[m] for m in into]
         assert_matches_the_cone_path(cx, fs + data.draw(thin_functors(cx)))
