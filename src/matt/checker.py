@@ -94,7 +94,7 @@ class Kernel:
             if self.sig.lookup(a.name).result is not None:
                 raise UnknownConstant(f"{a.name} is not a type constant", a.span)
             args, _ = self._spine_types(ctx, a.name, a.args)
-            return Const(a.name, args, a.span)
+            return Const(a.name, args, a.span) if args else a
         raise UnknownConstant(f"not a type expression: {a!r}")
 
     # -- inference ---------------------------------------------------------

@@ -145,12 +145,18 @@ class ModeTheory:
         # unit-law rows, added only when absent so broken inputs stay broken
         comp, vc, wl, wr = (self.compose_table, self.vcompose_table,
                             self.wl_table, self.wr_table)
+        # is_id_mor and is_id_cell read these, filled here in passing
+        self._id_mors: dict[str, bool] = {}
+        self._id_cells: dict[str, bool] = {}
         for m in self.morphisms.values():
             comp.setdefault((id_mor_name(m.dst), m.name), m.name)
             comp.setdefault((m.name, id_mor_name(m.src)), m.name)
+            self._id_mors[m.name] = m.name == id_mor_name(m.src)
         for c in self.cells.values():
             vc.setdefault((id_cell_name(c.dst), c.name), c.name)
             vc.setdefault((c.name, id_cell_name(c.src)), c.name)
+            self._id_cells[c.name] = \
+                c.src == c.dst and c.name == id_cell_name(c.src)
         for c in self.cells.values():
             s = self.morphisms.get(c.src)
             if s is None:
@@ -195,11 +201,16 @@ class ModeTheory:
         return id_cell_name(mor)
 
     def is_id_mor(self, mor: str) -> bool:
-        return mor == id_mor_name(self.mor(mor).src)
+        try:
+            return self._id_mors[mor]
+        except KeyError:
+            raise MalformedTable(f"unknown morphism {mor}") from None
 
     def is_id_cell(self, c: str) -> bool:
-        cell = self.cell(c)
-        return cell.src == cell.dst and c == id_cell_name(cell.src)
+        try:
+            return self._id_cells[c]
+        except KeyError:
+            raise MalformedTable(f"unknown cell {c}") from None
 
     def cell_modes(self, cell: str) -> tuple[str, str]:
         """(source mode, target mode) of the parallel morphisms under a cell."""

@@ -466,6 +466,8 @@ def resolve_type(a, scope: dict, sig: Signature):
             raise ParseError(
                 f"type constant {a.name} expects {len(decl.params)} "
                 f"arguments, got {len(a.args)}", a.span)
+        if not a.args:
+            return a
         args = tuple(resolve_term(x, scope, sig) for x in a.args)
         return Const(a.name, args, a.span)
     raise ParseError(f"not a type: {a!r}", getattr(a, "span", None))

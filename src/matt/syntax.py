@@ -14,7 +14,9 @@ The table SLOTS is the single statement of the lock discipline (Gratzer,
 Kavvos, Nuyts & Birkedal, "Multimodal Dependent Type Theory", LMCS 2021):
 for each node class it lists the sub-terms, the lock each sits under and
 the variable each binds.  `apply_key`, `subst` and `rename_var` all
-traverse terms through it.
+traverse terms through it.  A childless node, a constant with no
+arguments, passes through every traversal as it is, before SLOTS is read:
+no traversal can change it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 from typing import Mapping, Optional, Union
 
 from .errors import ModeMismatch, NotTangible, UnknownConstant
-from .mode_theory import ModeTheory
+from .mode_theory import ModeTheory, id_mor_name
 from .record import field, frozen
 
 _fresh_counter = itertools.count()
@@ -188,11 +190,11 @@ def empty_context(mode: str) -> Context:
 
 
 def push_lock(mt: ModeTheory, ctx: Context, mor: str) -> Context:
+    if mor == id_mor_name(ctx.mode):
+        return ctx  # an identity at another mode fails the check below
     m = mt.mor(mor)
     if m.dst != ctx.mode:
         raise ModeMismatch(f"lock {mor} expects mode {m.dst}, context is at {ctx.mode}")
-    if mt.is_id_mor(mor):
-        return ctx
     entries = ctx.entries
     if entries and isinstance(entries[-1], LockEntry):
         merged = mt.compose(entries[-1].mor, mor)
@@ -284,7 +286,9 @@ def children(t):
 
     Callers recurse from a plain loop over this generator, not from a
     comprehension or a callback, so a traversal costs one Python frame per
-    nesting level of the term and deep terms fit the recursion limit.
+    nesting level of the term and deep terms fit the recursion limit.  A
+    constant with no arguments has no sub-terms, and every traversal hands
+    it back without calling this.
     """
     for name, lock, binder in SLOTS[type(t)]:
         sub = getattr(t, name)
@@ -338,7 +342,7 @@ def apply_key(mt: ModeTheory, sig: Signature, t, beta: str, ctx: Context):
 
 
 def _ak(mt, sig, t, c, la):
-    if mt.is_id_cell(c):
+    if mt.is_id_cell(c) or type(t) is Const and not t.args:
         return t
     if isinstance(t, Var):
         d = la.get(t.name)
@@ -382,6 +386,8 @@ def _subst(mt, sig, t, sub, ctx, la: list):
         if not la:
             la.append(locks_after_map(mt, ctx))
         return _ak(mt, sig, repl, t.key, la[0])
+    if type(t) is Const and not t.args:
+        return t
     kids = []
     for u, _, _, _ in children(t):
         kids.append(_subst(mt, sig, u, sub, ctx, la))
@@ -399,6 +405,8 @@ def _rename(t, ren):
     if isinstance(t, Var):
         new = ren.get(t.name)
         return t if new is None else Var(new, t.key, t.span)
+    if type(t) is Const and not t.args:
+        return t
     kids = []
     for u, _, _, bound in children(t):
         if bound in ren:

@@ -98,6 +98,52 @@ MUTANTS = {
         "                                                 a.src.component(mu))",
         ["tests/test_thin.py::test_thin_codex_meets_the_general_equations"],
         None),
+    # each tree pass hands back a node it cannot change; widened, a guard
+    # hands back one it should have changed
+    "push-lock-passes-any-identity": (
+        "matt/syntax.py",
+        "if mor == id_mor_name(ctx.mode):",
+        "if mor.startswith(\"id:\"):",
+        ["tests/test_syntax.py::"
+         "test_push_lock_identity_of_another_mode_is_a_mismatch",
+         "tests/test_checker.py::"
+         "test_an_identity_lock_at_another_mode_is_a_mode_mismatch"],
+        None),
+    "subst-passes-any-constant": (
+        "matt/syntax.py",
+        "    if type(t) is Const and not t.args:\n        return t\n"
+        "    kids = []\n    for u, _, _, _ in children(t):",
+        "    if type(t) is Const:\n        return t\n"
+        "    kids = []\n    for u, _, _, _ in children(t):",
+        ["tests/test_syntax.py::test_apply_key_on_deep_term",
+         "tests/test_syntax.py::"
+         "test_subst_and_rename_var_match_full_traversals[reflective]"],
+        None),
+    "rename-passes-any-constant": (
+        "matt/syntax.py",
+        "    if type(t) is Const and not t.args:\n        return t\n"
+        "    kids = []\n    for u, _, _, bound in children(t):",
+        "    if type(t) is Const:\n        return t\n"
+        "    kids = []\n    for u, _, _, bound in children(t):",
+        ["tests/test_checker.py::test_eta_pi_under_variable_arguments",
+         "tests/test_syntax.py::"
+         "test_subst_and_rename_var_match_full_traversals[reflective]"],
+        None),
+    "apply-key-passes-any-constant": (
+        "matt/syntax.py",
+        "if mt.is_id_cell(c) or type(t) is Const and not t.args:",
+        "if mt.is_id_cell(c) or type(t) is Const:",
+        ["tests/test_syntax.py::test_apply_key_lock_of_each_slot[Const.arg1]",
+         "tests/test_syntax.py::test_apply_key_matches_full_traversal"
+         "[semilattice]"],
+        None),
+    "check-type-passes-a-constant-with-arguments": (
+        "matt/checker.py",
+        "return Const(a.name, args, a.span) if args else a",
+        "return a",
+        ["tests/test_checker.py::test_eta_pi_under_constant_arguments",
+         "tests/test_syntax.py::test_apply_key_on_deep_term"],
+        None),
 }
 
 

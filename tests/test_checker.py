@@ -465,6 +465,18 @@ def test_annotations_outside_their_class_are_rejected(tmp_path, theory,
     assert n == len(consts)
 
 
+def test_an_identity_lock_at_another_mode_is_a_mode_mismatch(tmp_path):
+    # id:q is a lock at q; at mode p it is refused, not dropped as the
+    # identity it would be at q
+    diags, n = check_lines(tmp_path, "single_arrow", SINGLE_ARROW + [
+        "def x @ p : F[id:q] A = mod[id:q] a0;",
+        r"def y @ p : (z :^ id:q A) -> A = \z. z;"])
+    assert [(d.code, d.line, d.message) for d in diags] == [
+        ("ModeMismatch", line, "lock id:q expects mode q, context is at p")
+        for line in (3, 4)]
+    assert n == 2
+
+
 # --- negatives ---------------------------------------------------------------
 
 def test_pi_over_sinister_rejected():

@@ -42,8 +42,10 @@ def test_is_id_cell_and_is_id_mor():
     assert mt.is_id_cell("id:numu") and mt.is_id_cell("id:id:p")
     assert not mt.is_id_cell("eta")  # eta : id:p ⇒ numu
     assert mt.is_id_mor("id:q") and not mt.is_id_mor("numu")
-    with pytest.raises(MalformedTable):
+    with pytest.raises(MalformedTable, match="^unknown cell id:ghost$"):
         mt.is_id_cell("id:ghost")
+    with pytest.raises(MalformedTable, match="^unknown morphism ghost$"):
+        mt.is_id_mor("ghost")
 
 
 def test_compose_unit_law():

@@ -70,6 +70,12 @@ def test_push_lock_mode_mismatch(refl):
         push_lock(refl, empty_context("q"), "nu")  # nu lands in p
 
 
+def test_push_lock_identity_of_another_mode_is_a_mismatch(refl):
+    # only the identity at the context's own mode vanishes unchecked
+    with pytest.raises(ModeMismatch):
+        push_lock(refl, empty_context("q"), "id:p")
+
+
 def test_push_var_rejects_non_tangible():
     data = {
         "modes": ["p"],
@@ -336,7 +342,8 @@ def _key_sig(mt):
 def _keyed_term(data, mt, c, la, bound, depth):
     """A random elaborated term whose keys fit a transport along c: every
     free variable v has a key into la[v]∘(source of c), and every lock
-    takes c to its whiskering."""
+    takes c to its whiskering.  Above depth 0, a leaf may be the constant
+    A."""
     def pick(xs):
         return data.draw(st.sampled_from(sorted(xs)))
 
@@ -348,9 +355,11 @@ def _keyed_term(data, mt, c, la, bound, depth):
     into = [m for m in mt.morphisms if mt.mor(m).dst == x]
     left = [m for m in mt.adjoints if mt.mor(mt.dagger(m).dagger).dst == x]
     kinds = ["var"] if depth == 0 else \
-        ["var", "lam", "app", "mod", "open", "let", "const", "pi",
+        ["var", "leaf", "lam", "app", "mod", "open", "let", "const", "pi",
          "fmod"] + (["shut", "umod"] if left else [])
     kind = pick(kinds)
+    if kind == "leaf":
+        return A
     if kind == "var":
         v = pick(set(la) | bound)
         if v in bound:
@@ -382,31 +391,111 @@ def _keyed_term(data, mt, c, la, bound, depth):
     return {"mod": ModIntro, "open": Open, "fmod": FMod}[kind](m, sub(m))
 
 
+def _keyed_setup(data, mt):
+    """A random cell c, a context of three variables v0, v1, v2 at c's
+    target mode, each followed by one random lock, and a term keyed for a
+    transport along c in that context."""
+    # identity and other cells equally often; 2ltt has only identities
+    ids = sorted(k for k in mt.cells if mt.is_id_cell(k))
+    others = sorted(set(mt.cells) - set(ids)) or ids
+    c = data.draw(st.sampled_from(ids) | st.sampled_from(others), label="cell")
+    b = mt.cell_modes(c)[1]
+    entries, mode = [], b
+    for i in (2, 1, 0):
+        # the identity half the time, so that a transport reaches some
+        # variable unwhiskered
+        m = data.draw(st.just(mt.id_mor(mode)) | st.sampled_from(sorted(
+            n for n, m in mt.morphisms.items() if m.src == mode)))
+        mode = mt.mor(m).dst
+        entries[:0] = [VarEntry(f"v{i}", mt.id_mor(mode), A), LockEntry(m)]
+    ctx = Context(b, tuple(entries))
+    t = _keyed_term(data, mt, c, locks_after_map(mt, ctx), frozenset(),
+                    data.draw(st.integers(0, 4), label="depth"))
+    return c, ctx, t
+
+
 @pytest.mark.parametrize("name", ["reflective", "semilattice", "2ltt"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_apply_key_matches_full_traversal(name, data):
     mt = load_mode_theory(theory_path(name))
     sig = _key_sig(mt)
-    # identity and other cells equally often; 2ltt has only identities
-    ids = sorted(k for k in mt.cells if mt.is_id_cell(k))
-    others = sorted(set(mt.cells) - set(ids)) or ids
-    c = data.draw(st.sampled_from(ids) | st.sampled_from(others), label="cell")
-    # three variables v0, v1, v2, each followed by one random lock
-    b = mt.cell_modes(c)[1]
-    entries, mode = [], b
-    for i in (2, 1, 0):
-        m = data.draw(st.sampled_from(sorted(
-            n for n, m in mt.morphisms.items() if m.src == mode)))
-        mode = mt.mor(m).dst
-        entries[:0] = [VarEntry(f"v{i}", mt.id_mor(mode), A), LockEntry(m)]
-    ctx = Context(b, tuple(entries))
-    la = locks_after_map(mt, ctx)
-    t = _keyed_term(data, mt, c, la, frozenset(), data.draw(
-        st.integers(0, 4), label="depth"))
+    c, ctx, t = _keyed_setup(data, mt)
     got = apply_key(mt, sig, t, c, ctx)
-    assert got == _ak_full(mt, sig, t, c, la)
+    assert got == _ak_full(mt, sig, t, c, locks_after_map(mt, ctx))
     if mt.is_id_cell(c):
+        assert got is t
+
+
+def _subst_full(mt, sig, t, sub, la):
+    """subst as one full traversal, with no shortcut."""
+    if isinstance(t, Var):
+        repl = sub.get(t.name)
+        return t if repl is None else _ak_full(mt, sig, repl, t.key, la)
+    kids = []
+    for u, _, _, _ in children(t):
+        kids.append(_subst_full(mt, sig, u, sub, la))
+    return rebuild(t, kids)
+
+
+def _rename_full(t, ren):
+    """rename_var as one full traversal: a binder drops its name from ren."""
+    if isinstance(t, Var):
+        return Var(ren[t.name], t.key, t.span) if t.name in ren else t
+    kids = []
+    for u, _, _, bound in children(t):
+        kids.append(_rename_full(u, {k: n for k, n in ren.items()
+                                     if k != bound}))
+    return rebuild(t, kids)
+
+
+def _free_occurrences(t, bound=frozenset()):
+    """The (name, key) of each free variable occurrence in t."""
+    if isinstance(t, Var):
+        return [] if t.name in bound else [(t.name, t.key)]
+    out = []
+    for u, _, _, b in children(t):
+        out += _free_occurrences(u, bound | {b})
+    return out
+
+
+# the names a keyed term can use, free or bound
+KEYED_NAMES = ["v0", "v1", "v2"] + [f"b{i}{y}" for i in range(4)
+                                    for y in ("", "y")]
+
+
+@pytest.mark.parametrize("name", ["reflective", "semilattice", "2ltt"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_subst_and_rename_var_match_full_traversals(name, data):
+    mt = load_mode_theory(theory_path(name))
+    sig = _key_sig(mt)
+    c, ctx, t = _keyed_setup(data, mt)
+    occurrences = _free_occurrences(t)
+    free = {v for v, _ in occurrences}
+    # a replacement for v is keyed for the identity cell at the one source
+    # mode of v's keys, and its one free variable w is outside ctx, so it
+    # transports along each of them; a v whose keys start at two modes is
+    # not replaced
+    sub = {}
+    replaced = st.sets(st.sampled_from(sorted(free) or ["v0"]), min_size=1)
+    for v in data.draw(replaced, label="replaced"):
+        modes = {mt.cell_modes(k)[0] for u, k in occurrences if u == v}
+        if len(modes) > 1:
+            continue
+        x = modes.pop() if modes else mt.cell_modes(c)[0]
+        sub[v] = _keyed_term(data, mt, mt.id_cell(mt.id_mor(x)), {},
+                             frozenset({"w"}),
+                             data.draw(st.integers(0, 2), label="depth"))
+    got = subst(mt, sig, t, sub, ctx)
+    assert got == _subst_full(mt, sig, t, sub, locks_after_map(mt, ctx))
+    if not set(sub) & free:
+        assert got is t
+    ren = {k: k + "'" for k in data.draw(
+        st.sets(st.sampled_from(KEYED_NAMES), min_size=1), label="renamed")}
+    got = rename_var(t, ren)
+    assert got == _rename_full(t, ren)
+    if not set(ren) & free:
         assert got is t
 
 
