@@ -91,8 +91,11 @@ class Kernel:
             return UMod(mor, self.check_type(push_lock(mt, ctx, dag), a.ty),
                         a.span)
         if isinstance(a, Const):
-            if self.sig.lookup(a.name).result is not None:
+            decl = self.sig.lookup(a.name)
+            if decl.result is not None:
                 raise UnknownConstant(f"{a.name} is not a type constant", a.span)
+            if not a.args and not decl.params and decl.mode == ctx.mode:
+                return a  # a leaf: _spine_types would check nothing more
             args, _ = self._spine_types(ctx, a.name, a.args)
             return Const(a.name, args, a.span) if args else a
         raise UnknownConstant(f"not a type expression: {a!r}")

@@ -16,7 +16,8 @@ annotation means the identity ("id").  Line comments start with "--".  Only
 space, tab, "\\r" and "\\n" separate tokens: any other character that starts
 no token, such as a form feed, a no-break space or "é", is an error.
 
-The tokenizer is one `re.split` of the source, a single scan in C.  Every
+The tokenizer is one `re.split` of the source, a single scan in C, and
+classifies each distinct token text once per call.  Every
 span is the source offset where its node or declaration starts;
 `SourceLines` turns an offset into a line and column only when a diagnostic
 is printed.
@@ -31,7 +32,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from itertools import accumulate, compress, islice
-from operator import itemgetter
 from typing import Optional
 
 from .errors import ParseError
@@ -57,6 +57,16 @@ _KEYWORDS = {"const", "def", "mod", "let", "in", "motive", "shut", "open",
              "Type"}
 # keywords that cannot start an argument of an application spine
 _ENDS_SPINE = _KEYWORDS - {"mod", "shut", "open"}
+
+
+class _Kinds(dict):
+    """Token kinds by text, made for one `tokenize` call: a text that is
+    no symbol is classified by its first character when first met, and
+    remembered for the rest of the call."""
+
+    def __missing__(self, text: str):
+        kind = self[text] = _KIND_OF_START.get(text[0])
+        return kind
 
 
 class Tokens:
@@ -85,7 +95,8 @@ def tokenize(src: str) -> Tokens:
     its odd pieces and the blanks between them as its even ones; a text
     starts at the summed length of the pieces before it.  The catch-all is
     `[^ \\t\\r\\n]`, not `\\S`, and names are ASCII, not `\\w`, so that a
-    form feed, a no-break space or an "é" stays a stray character.
+    form feed, a no-break space or an "é" stays a stray character.  Each
+    distinct text is classified once, by a `_Kinds` made for the call.
     """
     pieces = _TOKEN.split(src)
     texts = pieces[1::2]
@@ -94,8 +105,7 @@ def tokenize(src: str) -> Tokens:
     if "--" in src:
         code = [t[:2] != "--" for t in texts]
         texts, offs = list(compress(texts, code)), list(compress(offs, code))
-    kinds = list(map(_KIND_OF_TEXT.get, texts,
-                     map(_KIND_OF_START.get, map(itemgetter(0), texts))))
+    kinds = list(map(_Kinds(_KIND_OF_TEXT).__getitem__, texts))
     if None in kinds:
         i = kinds.index(None)
         raise ParseError(f"unexpected character {texts[i]!r}", offs[i])
@@ -177,6 +187,10 @@ class Parser:
     # -- qualified names (morphisms and cells, e.g. id:p) --
 
     def qualified(self) -> str:
+        p = self.pos
+        if self.kinds[p] == "name" and self.kinds[p + 1] != ":":
+            self.pos = p + 1
+            return self.texts[p]
         parts = [self.expect("name")]
         while self.at(":") and self.at("name", 1):
             self.pos += 1
@@ -250,34 +264,45 @@ class Parser:
         """`(x :^ mor T)` or `(x : T)`, the omitted annotation written "id",
         as (x, mor, T, offset of x); None, consuming nothing, at anything
         else."""
-        if not (self.at("(") and self.at("name", 1) and
-                (self.at(":^", 2) or self.at(":", 2))):
+        p = self.pos
+        kinds = self.kinds
+        if kinds[p] != "(" or kinds[p + 1] != "name" or \
+                kinds[p + 2] != ":^" and kinds[p + 2] != ":":
             return None
-        self.pos += 1
-        at = self.here()
-        v = self.expect("name")
-        self.pos += 1  # past the ":^" or ":" seen above
-        mor = self.qualified() if self.texts[self.pos - 1] == ":^" else "id"
+        self.pos = p + 3
+        mor = self.qualified() if kinds[p + 2] == ":^" else "id"
         ty = self.type_expr()
         self.expect(")")
-        return v, mor, ty, at
+        return self.texts[p + 1], mor, ty, self.offs[p + 1]
 
     def type_expr(self):
+        # a run of binders `(x :^ m A) -> …` is read in one loop, and its
+        # Π chain built from the right, each Π spanning from its "("
+        pis = []
+        while True:
+            at = self.offs[self.pos]
+            b = self.binder()
+            if b is None:
+                break
+            self.expect("->")
+            pis.append((b, at))
+        ty = self.type_body()
+        for (v, mor, dom, _), at in reversed(pis):
+            ty = Pi(mor, v, dom, ty, at)
+        return ty
+
+    def type_body(self):
+        """A type that does not start with a binder."""
         p = self.pos
         kind, text, at = self.kinds[p], self.texts[p], self.offs[p]
         if kind is None:
             raise ParseError("expected a type", at)
-        b = self.binder()
-        if b is not None:
-            v, mor, dom, _ = b
-            self.expect("->")
-            return Pi(mor, v, dom, self.type_expr(), at)
         if kind == "(":
             self.pos += 1
             inner = self.type_expr()
             self.expect(")")
             return inner
-        if kind == "name" and text in ("F", "U") and self.at("[", 1):
+        if kind == "name" and text in ("F", "U") and self.kinds[p + 1] == "[":
             self.pos += 1
             mor = self.bracket_mor()
             body = self.type_atom()
@@ -285,10 +310,7 @@ class Parser:
             return node(mor, body, at)
         if kind == "name":
             self.pos += 1
-            args = []
-            while self.starts_atom():
-                args.append(self.atom())
-            return Const(text, tuple(args), at)
+            return Const(text, tuple(self.spine()), at)
         raise ParseError(f"expected a type, found {text!r}", at)
 
     def type_atom(self):
@@ -346,22 +368,37 @@ class Parser:
             body = self.term()
             node = {"mod": ModIntro, "shut": Shut, "open": Open}[text]
             return node(mor, body, at)
-        # application spine
         head = self.atom()
-        while self.starts_atom():
-            head = App(head, self.atom(), None, head.span)
+        for arg in self.spine():
+            head = App(head, arg, None, head.span)
         return head
 
-    def starts_atom(self) -> bool:
-        p = self.pos
-        kind = self.kinds[p]
-        if kind == "name":
-            return self.texts[p] not in _ENDS_SPINE
-        return kind == "(" or kind == "\\"
+    def spine(self) -> list:
+        """The arguments of an application spine: atoms up to the first
+        token that starts none."""
+        kinds, texts = self.kinds, self.texts
+        args = []
+        while True:
+            kind = kinds[self.pos]
+            if kind == "name":
+                if texts[self.pos] in _ENDS_SPINE:
+                    return args
+            elif kind != "(" and kind != "\\":
+                return args
+            args.append(self.atom())
 
     def atom(self):
         p = self.pos
-        kind, text, at = self.kinds[p], self.texts[p], self.offs[p]
+        kinds = self.kinds
+        kind, text, at = kinds[p], self.texts[p], self.offs[p]
+        if kind == "name":
+            if kinds[p + 1] == "^":
+                self.pos = p + 2
+                return Var(text, self.qualified(), at)
+            if kinds[p + 1] == "[" and text in ("mod", "shut", "open"):
+                return self.term()
+            self.pos = p + 1
+            return Var(text, None, at)
         if kind == "(":
             self.pos += 1
             inner = self.term()
@@ -369,16 +406,6 @@ class Parser:
             return inner
         if kind == "\\":
             return self.term()  # a trailing lambda argument needs no parens
-        if kind == "name" and text in ("mod", "shut", "open") and \
-                self.at("[", 1):
-            return self.term()
-        if kind == "name":
-            self.pos += 1
-            key = None
-            if self.at("^"):
-                self.pos += 1
-                key = self.qualified()
-            return Var(text, key, at)
         raise ParseError(f"expected a term, found {text!r}", at)
 
 

@@ -334,9 +334,11 @@ def apply_key(mt: ModeTheory, sig: Signature, t, beta: str, ctx: Context):
     is exact on a theory that passes `validate_mode_theory`: there,
     `vcompose-unital` and `whisker-left-identity` make every variable's new
     key its old one, and `whisker-right-identity` keeps the cell an identity
-    under every lock, so the full traversal would rebuild nothing.
+    under every lock, so the full traversal would rebuild nothing.  A
+    constant with no arguments, which has no free variable, returns before
+    the lock map is built.
     """
-    if mt.is_id_cell(beta):
+    if mt.is_id_cell(beta) or type(t) is Const and not t.args:
         return t
     return _ak(mt, sig, t, beta, locks_after_map(mt, ctx))
 

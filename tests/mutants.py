@@ -137,6 +137,36 @@ MUTANTS = {
          "tests/test_syntax.py::test_apply_key_matches_full_traversal"
          "[semilattice]"],
         None),
+    "apply-key-guard-passes-any-constant": (
+        "matt/syntax.py",
+        "if mt.is_id_cell(beta) or type(t) is Const and not t.args:",
+        "if mt.is_id_cell(beta) or type(t) is Const:",
+        ["tests/test_syntax.py::test_apply_key_lock_of_each_slot[Const.arg1]"],
+        None),
+    # a type constant with no arguments skips the spine check, but not
+    # the check of its mode
+    "type-constant-guard-ignores-mode": (
+        "matt/checker.py",
+        "if not a.args and not decl.params and decl.mode == ctx.mode:",
+        "if not a.args and not decl.params:",
+        ["tests/test_checker.py::"
+         "test_a_type_constant_at_another_mode_is_a_mode_mismatch"],
+        None),
+    # the parser reads token kinds directly: a lone name is one followed
+    # by no ":", and a name followed by "^" carries the key after it
+    "qualified-lone-name-ignores-colon": (
+        "matt/parser.py",
+        'if self.kinds[p] == "name" and self.kinds[p + 1] != ":":',
+        'if self.kinds[p] == "name":',
+        ["tests/test_acceptance.py::test_criterion_2_checker_positives"],
+        None),
+    "atom-drops-its-key": (
+        "matt/parser.py",
+        "return Var(text, self.qualified(), at)",
+        "return Var(text, self.qualified() and None, at)",
+        ["tests/test_parser.py::test_keyed_variables_as_spine_arguments",
+         "tests/test_corpus.py::test_positive_files_individually"],
+        None),
     "check-type-passes-a-constant-with-arguments": (
         "matt/checker.py",
         "return Const(a.name, args, a.span) if args else a",

@@ -477,6 +477,20 @@ def test_an_identity_lock_at_another_mode_is_a_mode_mismatch(tmp_path):
     assert n == 2
 
 
+def test_a_type_constant_at_another_mode_is_a_mode_mismatch(tmp_path):
+    # B lives at q: under mu's lock, under F[mu] and at p it is refused,
+    # though it takes no arguments
+    diags, n = check_lines(tmp_path, "single_arrow", [
+        "const B : Type @ q;", "const b0 : B @ q;",
+        r"def d @ q : (x :^ mu B) -> B = \x. b0;",
+        "def e @ q : F[mu] B = mod[mu] b0;",
+        "def f @ p : B = b0;"])
+    assert [(d.code, d.line, d.message) for d in diags] == [
+        ("ModeMismatch", line, "constant B lives at mode q, used at p")
+        for line in (3, 4, 5)]
+    assert n == 2
+
+
 # --- negatives ---------------------------------------------------------------
 
 def test_pi_over_sinister_rejected():

@@ -3,8 +3,10 @@
 import gc
 import io
 import json
+import shutil
 
 import pytest
+from test_parser import KEYED_SPINE
 
 from matt.bundled import FIXTURES, diagram_path, theory_path
 from matt.cli import check_file, cmd_check, cmd_modes_validate, main
@@ -608,3 +610,12 @@ def test_a_trailing_argument_needs_no_parentheses(tmp_path, theory, lines):
     f.write_text("".join(line + "\n" for line in lines))
     assert check_file(f, load_mode_theory(theory_path(theory))) == \
         ([], len(lines))
+
+
+def test_keyed_variables_as_spine_arguments_check(tmp_path, capsys):
+    # x^eps and y^eps are arguments of g's spine, each keyed by the counit
+    shutil.copy(theory_path("comonad"), tmp_path / "comonad.mt")
+    f = tmp_path / "keyed.matt"
+    f.write_text(KEYED_SPINE)
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr() == ("", "")

@@ -283,3 +283,297 @@ def test_spans_are_source_offsets():
     assert (c.span, d.span) == (0, 20)
     assert (d.ty.span, d.term.span) == (src.index("(x"), src.index("\\"))
     assert SourceLines(src)(d.ty.span) == (2, 13)
+
+
+# --- keyed variables as spine arguments --------------------------------------
+
+KEYED_SPINE = (
+    'mode-theory "comonad.mt";\n'
+    "const A : Type @ p;\n"
+    "const a0 : A @ p;\n"
+    "const g : (u : A) (v : A) (w : F[m] A) A @ p;\n"
+    "def k @ p : (x :^ m A) -> (y :^ m A) -> A = "
+    "\\x. \\y. g x^eps y^eps (mod[m] a0);\n")
+
+
+def test_keyed_variables_as_spine_arguments():
+    src = KEYED_SPINE
+    *_, d = parse_program(src)
+    t = d.term.body.body
+    args = []
+    while isinstance(t, App):
+        assert t.span == src.index("g x")  # each App spans from its head
+        args.append(t.arg)
+        t = t.fn
+    head, x, y, last = t, *reversed(args)
+    assert [(v.name, v.key, v.span) for v in (head, x, y)] == [
+        ("g", None, src.index("g x")), ("x", "eps", src.index("x^eps")),
+        ("y", "eps", src.index("y^eps"))]
+    assert last == ModIntro("m", Var("a0", None))
+    assert (last.span, last.body.span) == (src.index("mod[m]"),
+                                          src.index("a0)"))
+
+
+# --- the parser against the recursive descent it replaced ---------------------
+
+class ReferenceParser(Parser):
+    """The parser as it was before binder runs, spines and name atoms were
+    read off the token kinds: one call per token test.  Declarations,
+    `bracket_mor` and `type_atom` are shared."""
+
+    def qualified(self) -> str:
+        parts = [self.expect("name")]
+        while self.at(":") and self.at("name", 1):
+            self.pos += 1
+            parts.append(self.expect("name"))
+        return ":".join(parts)
+
+    def binder(self):
+        if not (self.at("(") and self.at("name", 1) and
+                (self.at(":^", 2) or self.at(":", 2))):
+            return None
+        self.pos += 1
+        at = self.here()
+        v = self.expect("name")
+        self.pos += 1  # past the ":^" or ":" seen above
+        mor = self.qualified() if self.texts[self.pos - 1] == ":^" else "id"
+        ty = self.type_expr()
+        self.expect(")")
+        return v, mor, ty, at
+
+    def type_expr(self):
+        p = self.pos
+        kind, text, at = self.kinds[p], self.texts[p], self.offs[p]
+        if kind is None:
+            raise ParseError("expected a type", at)
+        b = self.binder()
+        if b is not None:
+            v, mor, dom, _ = b
+            self.expect("->")
+            return Pi(mor, v, dom, self.type_expr(), at)
+        if kind == "(":
+            self.pos += 1
+            inner = self.type_expr()
+            self.expect(")")
+            return inner
+        if kind == "name" and text in ("F", "U") and self.at("[", 1):
+            self.pos += 1
+            mor = self.bracket_mor()
+            body = self.type_atom()
+            node = FMod if text == "F" else UMod
+            return node(mor, body, at)
+        if kind == "name":
+            self.pos += 1
+            args = []
+            while self.starts_atom():
+                args.append(self.atom())
+            return Const(text, tuple(args), at)
+        raise ParseError(f"expected a type, found {text!r}", at)
+
+    def term(self):
+        p = self.pos
+        kind, text, at = self.kinds[p], self.texts[p], self.offs[p]
+        if kind is None:
+            raise ParseError("expected a term", at)
+        if kind == "\\":
+            self.pos += 1
+            v = self.expect("name")
+            self.expect(".")
+            return Lam(v, self.term(), at)
+        if kind == "name" and text == "let":
+            self.pos += 1
+            self.expect("[")
+            frame = self.qualified()
+            self.expect(",")
+            mor = self.qualified()
+            self.expect("]")
+            if not self.at_name("mod"):
+                raise ParseError("expected 'mod' after let[...]", self.here())
+            self.pos += 1
+            v = self.expect("name")
+            self.expect("=")
+            scrut = self.term()
+            if not self.at_name("in"):
+                raise ParseError("expected 'in'", self.here())
+            self.pos += 1
+            body = self.term()
+            motive = None
+            if self.at_name("motive"):
+                self.pos += 1
+                motive = self.type_expr()
+            return LetMod(frame, mor, v, motive, scrut, v, body, at)
+        if kind == "name" and text in ("mod", "shut", "open") and \
+                self.at("[", 1):
+            self.pos += 1
+            mor = self.bracket_mor()
+            body = self.term()
+            node = {"mod": ModIntro, "shut": Shut, "open": Open}[text]
+            return node(mor, body, at)
+        head = self.atom()
+        while self.starts_atom():
+            head = App(head, self.atom(), None, head.span)
+        return head
+
+    def starts_atom(self) -> bool:
+        p = self.pos
+        kind = self.kinds[p]
+        if kind == "name":
+            return self.texts[p] not in {"const", "def", "let", "in",
+                                         "motive", "Type"}
+        return kind == "(" or kind == "\\"
+
+    def atom(self):
+        p = self.pos
+        kind, text, at = self.kinds[p], self.texts[p], self.offs[p]
+        if kind == "(":
+            self.pos += 1
+            inner = self.term()
+            self.expect(")")
+            return inner
+        if kind == "\\":
+            return self.term()
+        if kind == "name" and text in ("mod", "shut", "open") and \
+                self.at("[", 1):
+            return self.term()
+        if kind == "name":
+            self.pos += 1
+            key = None
+            if self.at("^"):
+                self.pos += 1
+                key = self.qualified()
+            return Var(text, key, at)
+        raise ParseError(f"expected a term, found {text!r}", at)
+
+
+def _parsed(parser, src):
+    """The declarations' repr, spans included, or the ParseError."""
+    try:
+        return repr(parser(src).parse_program())
+    except ParseError as e:
+        return ("ParseError", e.message, e.span)
+
+
+VARS = st.sampled_from(["x", "y", "f", "a0", "mod", "F"])
+MORS = st.sampled_from(["m", "mu", "id", "id:p", "id:id:q"])
+KEYS = st.sampled_from(["eps", "id:m", "id:id:p", "eta"])
+BLANKS = st.sampled_from([" ", "  ", "\n", " -- c\n"])
+
+
+@st.composite
+def names(draw):
+    """A variable, keyed or not."""
+    v = draw(VARS)
+    return v + "^" + draw(KEYS) if draw(st.booleans()) else v
+
+
+@st.composite
+def terms(draw, depth=3):
+    if depth == 0:
+        return draw(names())
+    sub = terms(depth - 1)
+    form = draw(st.sampled_from(["spine", "spine", "lams", "modal", "let",
+                                 "paren"]))
+    if form == "spine":
+        args = draw(st.lists(st.one_of(names(), sub.map("({})".format)),
+                             max_size=3))
+        if draw(st.booleans()):  # a trailing λ or modal argument
+            args.append(draw(st.sampled_from(["\\z. ", "mod[m] ",
+                                              "shut[mu] ", "open[mu] "]))
+                        + draw(sub))
+        return " ".join([draw(names()), *args])
+    if form == "lams":
+        vs = draw(st.lists(VARS, min_size=1, max_size=3))
+        return "".join(f"\\{v}. " for v in vs) + draw(sub)
+    if form == "modal":
+        former = draw(st.sampled_from(["mod", "shut", "open"]))
+        return f"{former}[{draw(MORS)}] {draw(sub)}"
+    if form == "let":
+        motive = f" motive {draw(types(depth - 1))}" \
+            if draw(st.booleans()) else ""
+        return (f"let[{draw(MORS)}, {draw(MORS)}] mod {draw(VARS)} = "
+                f"{draw(sub)} in {draw(sub)}{motive}")
+    return f"({draw(sub)})"
+
+
+@st.composite
+def binders(draw, depth):
+    annotation = f":^ {draw(MORS)}" if draw(st.booleans()) else ":"
+    return f"({draw(VARS)} {annotation} {draw(types(depth))})"
+
+
+@st.composite
+def type_atoms(draw, depth):
+    form = draw(st.sampled_from(["name", "paren", "modal"]) if depth else
+                st.just("name"))
+    if form == "name":
+        return draw(st.sampled_from(["A", "B"]))
+    if form == "paren":
+        return f"({draw(types(depth - 1))})"
+    return f"{draw(st.sampled_from('FU'))}[{draw(MORS)}] " \
+        f"{draw(type_atoms(depth - 1))}"
+
+
+@st.composite
+def types(draw, depth=2, run=True):
+    # a constant's result takes no binder run: its binders join the
+    # telescope
+    run = draw(st.lists(binders(depth - 1), max_size=3)) \
+        if depth and run else []
+    form = draw(st.sampled_from(["const", "modal", "paren"]) if depth else
+                st.just("const"))
+    if form == "const":
+        args = draw(st.lists(st.one_of(
+            names(), terms(min(depth, 1)).map("({})".format)), max_size=2))
+        body = " ".join([draw(st.sampled_from(["A", "El"])), *args])
+    elif form == "modal":
+        body = f"{draw(st.sampled_from('FU'))}[{draw(MORS)}] " \
+            f"{draw(type_atoms(depth - 1))}"
+    else:
+        body = f"({draw(types(depth - 1))})"
+    return "".join(b + " -> " for b in run) + body
+
+
+@st.composite
+def programs(draw):
+    decls = []
+    for _ in range(draw(st.integers(1, 3))):
+        form = draw(st.sampled_from(["const", "def", "def", "mode-theory"]))
+        if form == "mode-theory":
+            decls.append('mode-theory "t.mt";')
+        elif form == "const":
+            tele = draw(st.lists(binders(1), max_size=2))
+            result = draw(st.one_of(st.just("Type"), types(run=False)))
+            decls.append(f"const c : {' '.join([*tele, result])} @ p;")
+        else:
+            decls.append(f"def d @ p : {draw(types())} = {draw(terms())};")
+    return draw(BLANKS).join(decls)
+
+
+TOKEN_POOL = ["(", ")", "->", ":^", ":", "[", "]", ",", ";", "=", "@", ".",
+              "^", "\\", "x", "F", "U", "mod", "let", "in", "motive", "Type",
+              "shut", "def", '"t.mt"']
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs())
+def test_parser_matches_the_reference(src):
+    parsed = _parsed(Parser, src)
+    assert not isinstance(parsed, tuple), parsed  # every program parses
+    assert parsed == _parsed(ReferenceParser, src)
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs(), st.data())
+def test_parser_matches_the_reference_on_one_token_mutants(src, data):
+    toks = tokenize(src)
+    i = data.draw(st.integers(0, len(toks) - 1))
+    at, end = toks.offs[i], toks.offs[i] + len(toks.texts[i])
+    new = data.draw(st.sampled_from(TOKEN_POOL))
+    edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+    if edit == "replace":
+        src = f"{src[:at]} {new} {src[end:]}"
+    elif edit == "delete":
+        src = src[:at] + " " + src[end:]
+    else:
+        src = f"{src[:at]} {new} {src[at:]}"
+    assert _parsed(Parser, src) == _parsed(ReferenceParser, src)
