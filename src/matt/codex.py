@@ -44,10 +44,11 @@ each arrow to the arrow between the positions of the images of its ends
 (_arrow_map), hashing no codex object per arrow.  Where a hom-set is
 empty, or no object has those components, the general path runs and
 fails as it always did.  codex_right_adjoint builds no mates and composes
-no legs over a thin codex, and verify_2functor decides the lock diagram
-into thin codexes by boundaries once every lock functor lands
-(lock_strictness).  Every other diagram takes the general path, which
-decides each equation.
+no legs for its limits and units over a thin codex.  The bundle's lock
+rows tell `Diagram.strictness` that the codexes are categories, so it
+decides the lock diagram into thin codexes by boundaries once it has
+checked that every lock functor lands.  Every other diagram takes the
+general path, which decides each equation.
 """
 
 from __future__ import annotations
@@ -610,8 +611,8 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     pim = {mu: mt.compose(pi, mu) for mu in ix.mus}
     adj = {mu: adjs[k] for mu, k in pim.items()}
     trips = [t for t in ix.decomps if not t.identity]
-    # in a thin codex the limits read no edges and each mediating arrow is
-    # the one arrow of its hom-set, so neither mates nor legs are composed
+    # in a thin codex the limits read no edges and a unit is the one arrow
+    # of its hom-set, so neither mates nor legs are composed for them
     thin = cx_s.thin
     mates = {} if thin else {t.key: mate(cx_s, adj[t.mu], adj[t.nu], t.rho,
                                          mt.wl(pi, t.alpha)) for t in trips}
@@ -636,10 +637,6 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
         cones[delta] = cone
 
     def image(name, a):
-        if thin:
-            return _mediating(cx_s.cat, omap[a.src], omap[a.dst], (),
-                              "codex_right_adjoint({}): image of an arrow",
-                              pi)
         theta = cx_r.theta(name)
         maps = {("n", mu): adj[mu].right.amap[theta[mu]] for mu in ix.mus}
         maps.update((("c", t.key), adj[t.nu].right.amap[
@@ -724,9 +721,10 @@ class CodexBundle:
 
     @_family
     def lock_rows(self) -> list[tuple]:  # a lock-2functor row per violation
+        # the codexes are categories as enumerated
+        bad = lock_diagram(self).strictness(True)
         return [("lock-2functor", False, f"{v} (◁, ▷ and ∘ read in M^coop)")
-                for v in lock_strictness(lock_diagram(self))] or \
-            [("lock-2functor", True, "")]
+                for v in bad] or [("lock-2functor", True, "")]
 
     @_family
     def adjunctions(self) -> dict:  # reflect -| incl
@@ -772,16 +770,6 @@ def lock_diagram(bundle: CodexBundle) -> Diagram:
     return Diagram(opposite(bundle.diagram.mt),
                    {p: cx.cat for p, cx in bundle.codexes.items()},
                    bundle.locks, bundle.lock_cells)
-
-
-def lock_strictness(ld: Diagram) -> list[str]:
-    """`Diagram.strictness` on a lock diagram.  The codexes are categories
-    as enumerated, and once every lock functor lands, read on positions,
-    the thin ones are passed as lawful: each equation into one of them
-    then compares parallel arrows and is decided by boundaries."""
-    lands = all(f.lands_all() for f in ld.functors.values())
-    return ld.strictness(tuple(c for c in ld.cats.values() if c.thin)
-                         if lands else ())
 
 
 def verify_2functor(bundle: CodexBundle) -> list[tuple]:

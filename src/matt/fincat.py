@@ -17,19 +17,23 @@ objects have integer positions, and each position has the bitmask of the
 positions below it, its down-set, both built at construction.  In a thin
 FinCat every cone commutes, so a limit is a greatest lower bound of the
 diagram's objects, found by ANDing down-set masks, and a mediating arrow is
-the one arrow of its hom-set, found without composing a leg.  Any other
-FinCat is searched for a terminal cone among all cones.  Both paths bound
-the number of candidate cones by a configurable cap.  For the same reason
-the validators read boundaries where they can: on a thin category a
+the one arrow of its hom-set, so a caller that knows the category is thin
+asks `factorizations` for it with no leg to compose.  Any other FinCat is
+searched for a terminal cone among all cones.  Both paths bound the number
+of candidate cones by a configurable cap.  For the same reason the
+validators read boundaries where they can: on a thin category a
 composite on its boundary is the composite, and on a thin target a square
-whose sides have the right ends commutes.  `Diagram.validate` decides an
-equation into a thin category by boundaries only when every category has
-validated clean in the same call, and then skips the composition loop of
-each functor whose arrow images land, compares a composite functor with
-the composite of its factors on objects alone, and skips the vcompose,
-wl and wr rows when every category is thin.  `codex.lock_strictness`
-passes the thin codexes to `Diagram.strictness` in the same way, once it
-has checked that every lock functor lands.
+whose sides have the right ends commutes.  One flag, lawful, tells
+`FinFunctor.validate` and `Diagram.strictness` the one fact they cannot
+see for themselves: every category involved is known to be a category.
+Each checks for itself that the arrow images land before it decides an
+equation into a thin category by boundaries.  `Diagram.validate` passes
+the flag once every category has validated clean in the same call, and
+the codex bundle passes it for its lock diagram, whose codexes are
+categories as enumerated.  Then a functor whose arrow images land skips
+its composition loop, a composite functor is compared with the
+composite of its factors on objects alone, and the vcompose, wl and wr
+rows are skipped when every category is thin.
 
 Boundaries are read on positions: `FinCat.ends` gives the positions of an
 arrow's ends, `FinCat.arrow_at` the arrow between two positions, and
@@ -316,12 +320,12 @@ class FinFunctor:
         img = self.image_positions()
         return all(self.lands(n, img) for n in self.src.arrows)
 
-    def validate(self, lawful=()) -> list[str]:
-        """Maps, boundaries, then identities and composition.  lawful holds
-        the categories the caller has validated clean in the same call:
-        when the source and a thin target are among them, composition is
-        preserved once every arrow image lands, as the two sides of each
-        equation are then parallel, and its loop is not run."""
+    def validate(self, lawful: bool = False) -> list[str]:
+        """Maps, boundaries, then identities and composition.  lawful says
+        that the source and target are known to be categories: then, into
+        a thin target, composition is preserved once every arrow image
+        lands, as checked here, since the two sides of each equation are
+        parallel, and its loop is not run."""
         out = [f"object map misses {o}" for o in self.src.objects
                if o not in self.omap or self.omap[o] not in self.dst.objects]
         out += [f"object map names {o}, not an object of the source"
@@ -342,7 +346,7 @@ class FinFunctor:
         for o in self.src.objects:
             if self.amap[self.src.id_arr(o)] != self.dst.id_arr(self.omap[o]):
                 out.append(f"identity at {o} not preserved")
-        if self.dst.thin and self.src in lawful and self.dst in lawful:
+        if lawful and self.dst.thin:
             return out
         out_of = self.src.out_of()
         for f in self.src.arrows.values():
@@ -456,13 +460,13 @@ class Diagram:
 
     def validate(self) -> list[str]:
         """Categories, functors, then strictness.  When every category
-        validates clean, the functors and strictness may decide an
-        equation into a thin category by boundaries this call has
-        checked (`FinFunctor.validate`, `strictness`)."""
+        validates clean, the functors and strictness are told so, and may
+        decide an equation into a thin category by boundaries
+        (`FinFunctor.validate`, `strictness`)."""
         out = []
         for p, c in self.cats.items():
             out += [f"C_{p}: {v}" for v in c.validate()]
-        lawful = () if out else tuple(self.cats.values())
+        lawful = not out
         for m in self.mt.morphisms.values():
             f = self.functors.get(m.name)
             if f is None:
@@ -474,7 +478,7 @@ class Diagram:
             out += [f"C_{m.name}: {v}" for v in f.validate(lawful)]
         return out or self.strictness(lawful)
 
-    def strictness(self, lawful=()) -> list[str]:
+    def strictness(self, lawful: bool = False) -> list[str]:
         """The strict 2-functor laws on functors, which validate has
         checked: identity functors, composites, each cell's natural
         transformation (an identity cell is only compared with the
@@ -482,12 +486,12 @@ class Diagram:
         place, and the mode theory's tables are presumed well-shaped, as
         validate_mode_theory checks.
 
-        lawful holds categories known to be categories, into which every
-        functor's arrow images are known to land: validate passes those it
-        has found clean, and codex.lock_strictness the thin codexes once
-        every lock functor lands.  Into a thin one of them, a composite
-        functor whose object map is right has the right arrow map; when
-        every category is a thin one of them, the vcompose, wl and wr rows
+        lawful says that every category is known to be a category:
+        validate passes it once they have validated clean, and the codex
+        bundle for its lock diagram.  Then, once every functor's arrow
+        images land, read here on positions, a composite functor into a
+        thin category whose object map is right has the right arrow map;
+        and when every category is thin, the vcompose, wl and wr rows
         compare parallel components, whose boundaries the natural
         transformations' checks fix, and are not run."""
         out = [f"C_{m} is not the identity functor" for m in self.mt.morphisms
@@ -495,9 +499,10 @@ class Diagram:
                not self.functors[m].maps_like(_same, _same)]
         if out:
             return out  # the checks below compose the functors' tables
+        lands = lawful and all(f.lands_all() for f in self.functors.values())
         for (mu, nu), comp in self.mt.compose_table.items():
             g, f, h = self.functors[mu], self.functors[nu], self.functors[comp]
-            decided = h.dst.thin and h.dst in lawful
+            decided = lands and h.dst.thin
             if not h.maps_like(lambda o: g.omap[f.omap[o]], None if decided
                                else lambda a: g.amap[f.amap[a]]):
                 out.append(f"strictness fails: C_({mu}∘{nu}) != "
@@ -518,7 +523,7 @@ class Diagram:
                     n.at(o) != f.dst.id_arr(f.omap[o]) for o in f.src.objects):
                 bad.append(f"C_{c.name} is not the identity")
             out += bad
-        if out or all(c.thin and c in lawful for c in self.cats.values()):
+        if out or lands and all(c.thin for c in self.cats.values()):
             return out  # the checks below compose the components
         return self._component_rows()
 
@@ -598,11 +603,7 @@ def all_cones(c: FinCat, nodes: dict, edges, cap: Optional[int] = None,
 
 def factorizations(c: FinCat, x, y, pairs) -> list:
     """The arrows u: x → y with leg∘u == want for every (leg, want) pair,
-    in hom order: the candidate mediating arrows into a cone.  In a thin c
-    parallel arrows are equal, so every arrow x → y factors and pairs is
-    not read."""
-    if c.thin:
-        return c.hom(x, y)
+    in hom order: the candidate mediating arrows into a cone."""
     pairs = list(pairs)
     return [u for u in c.hom(x, y)
             if all(c.comp(leg, u) == want for leg, want in pairs)]

@@ -41,12 +41,28 @@ MUTANTS = {
         "one = dst.arrow_at(img[j], img[i])",
         ["tests/test_thin.py::test_thin_adjoints_match_the_general_path"],
         None),
+    # strictness is told that the categories are categories, and checks for
+    # itself that the arrow images land before it decides by boundaries
     "lock-strictness-lawful-without-lands": (
-        "matt/codex.py",
-        "lands = all(f.lands_all() for f in ld.functors.values())",
-        "lands = True",
+        "matt/fincat.py",
+        "lands = lawful and all(f.lands_all() for f in self.functors.values())",
+        "lands = lawful",
         ["tests/test_boundaries.py::"
          "test_lock_strictness_keeps_its_loops_on_thin_codexes"],
+        None),
+    "validate-lawful-with-a-broken-category": (
+        "matt/fincat.py",
+        "lawful = not out",
+        "lawful = True",
+        ["tests/test_boundaries.py::"
+         "test_a_functor_out_of_a_category_not_found_lawful_is_checked"],
+        None),
+    "thin-factorizations-ignore-pairs": (
+        "matt/fincat.py",
+        "    pairs = list(pairs)\n",
+        "    pairs = [] if c.thin else list(pairs)\n",
+        ["tests/test_fincat.py::"
+         "test_factorizations_in_a_thin_category_filter_by_the_pairs"],
         None),
     "thin-is-iso-always-true": (
         "matt/fincat.py",

@@ -10,8 +10,9 @@ thin flag forced False, as test_thin's mark_not_thin does, take them.
 Each mutant of a bundled theory or diagram must be reported as the full
 loops report it, and the bundled inputs must never enter those loops.
 
-The same holds on thin codexes: `verify_2functor` (through
-`lock_strictness`) decides the lock diagram by boundaries once every lock
+The same holds on thin codexes: `verify_2functor` tells
+`Diagram.strictness` that the codexes are categories, and strictness
+decides the lock diagram by boundaries once it has checked that every lock
 functor lands, `is_iso` and `isomorphic` read a thin category's hom-sets,
 and the hom bijection of an adjunction into a thin category compares
 hom-sets for emptiness once every transpose lands.  Each is held to its
@@ -21,7 +22,7 @@ full loops on mutants, and categories that are not thin still enter them.
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_laws import IDEMPOTENT, Z2
 from test_mode_theory import (COMPOSE_NOT_ASSOCIATIVE, INTERCHANGE,
@@ -32,8 +33,7 @@ from test_thin import frames, locale_diagrams
 from matt import laws, mode_theory
 from matt.bundled import DIAGRAM_NAMES, THEORY_NAMES, diagram_path, theory_path
 from matt.errors import MalformedTable, NotComposable
-from matt.codex import (build_bundle, lock_diagram, lock_strictness,
-                        verify_2functor)
+from matt.codex import build_bundle, lock_diagram, verify_2functor
 from matt.fincat import (Diagram, FinFunctor, diagram_from_data,
                          fincat_from_data, is_iso, isomorphic, load_diagram)
 from matt.mode_theory import (Cell, load_mode_theory, mode_theory_from_data,
@@ -207,16 +207,34 @@ def lock_diagrams():
         lambda d: lock_diagram(build_bundle(d)))
 
 
+@st.composite
+def mutated_lock_diagrams(draw):
+    """A lock diagram with one lock functor's object or arrow image or one
+    lock cell's component replaced."""
+    ld = draw(lock_diagrams())
+    mutate_diagram(ld, draw, ("object", "arrow", "component"))
+    return ld
+
+
+def reflective_lock_diagram_off_its_ends():
+    """The reflective diagram's lock diagram with lock(mu) sending the
+    arrow (0, 1) to (0, 2), which does not land; lock(mu) is a factor of
+    composites, so only their arrow maps tell it apart."""
+    ld = lock_diagram(build_bundle(load_diagram(diagram_path("reflective"))))
+    f = ld.functors["mu"]
+    f.amap[(0, 1)] = (0, 2)
+    assert not f.lands_all()
+    return ld
+
+
 @settings(max_examples=200, deadline=None)
-@given(lock_diagrams(), st.data())
-def test_lock_strictness_keeps_its_loops_on_thin_codexes(ld, data):
-    """lock_strictness, verify_2functor's entry into the strictness loops,
-    on a lock diagram whose codexes are thin, with one lock functor's
-    object or arrow image or one lock cell's component replaced: it keeps
-    the loops until every lock functor lands, and then reports what they
-    do."""
-    mutate_diagram(ld, data.draw, ("object", "arrow", "component"))
-    same_as_full_loops(ld, lambda: lock_strictness(ld))
+@example(reflective_lock_diagram_off_its_ends())
+@given(mutated_lock_diagrams())
+def test_lock_strictness_keeps_its_loops_on_thin_codexes(ld):
+    """Strictness of a mutated lock diagram whose codexes are thin, told
+    they are categories, as verify_2functor tells it: it keeps the loops
+    until every lock functor lands, and then reports what they do."""
+    same_as_full_loops(ld, lambda: ld.strictness(True))
 
 
 def test_a_functor_into_a_category_that_is_not_thin_is_checked():
@@ -232,8 +250,9 @@ def test_a_functor_into_a_category_that_is_not_thin_is_checked():
 
 def test_a_functor_out_of_a_category_not_found_lawful_is_checked():
     """Into the chain 0 < 1 < 2, from a copy whose composite of 0<=1 and
-    1<=2 is off its boundary: only the target is among those found
-    lawful, so composition is checked."""
+    1<=2 is off its boundary: not told that its categories are
+    categories, the functor checks composition, and so does a diagram
+    whose source category fails to validate."""
     chain = {"objects": ["0", "1", "2"],
              "arrows": [["0<=1", "0", "1"], ["0<=2", "0", "2"],
                         ["1<=2", "1", "2"]],
@@ -243,7 +262,13 @@ def test_a_functor_out_of_a_category_not_found_lawful_is_checked():
     f = FinFunctor(b, c, {o: o for o in b.objects},
                    {a: a for a in b.arrows})
     assert c.thin and c.validate() == [] and b.validate() != []
-    assert f.validate((c,)) == ["composition not preserved at 1<=2∘0<=1"]
+    assert f.validate() == ["composition not preserved at 1<=2∘0<=1"]
+    d = diagram_from_data(load_mode_theory(theory_path("single_arrow")), {
+        "categories": {"p": broken, "q": chain},
+        "functors": {"mu": {"objects": {o: o for o in b.objects},
+                            "arrows": {a: a for a in b.arrows}}}})
+    assert d.validate() == ["C_p: composite 1<=2∘0<=1 has wrong boundary",
+                            "C_mu: composition not preserved at 1<=2∘0<=1"]
 
 
 def test_a_composite_into_a_category_that_is_not_thin_is_compared_on_arrows():

@@ -9,6 +9,7 @@ import pytest
 from test_acceptance import _single_arrow_chain
 from test_laws import NOT_THIN
 
+from matt import codex
 from matt.bundled import DIAGRAM_NAMES, THEORY_NAMES, diagram_path, theory_path
 from matt.codex import (build_bundle, check_oplax_object,
                         check_oplax_morphism, codex_index, comma_shapes,
@@ -18,7 +19,7 @@ from matt.codex import (build_bundle, check_oplax_object,
                         reflect_colax, transpose,
                         verify_2functor, OplaxObject)
 from matt.errors import CapExceeded, LimitAbsent, MalformedTable
-from matt.fincat import (Diagram, FinCat, FinFunctor, FinNat,
+from matt.fincat import (Cone, Diagram, FinCat, FinFunctor, FinNat,
                          compose_functors, diagram_from_data,
                          identity_functor, load_diagram, poset_category)
 from matt.laws import LAWS, law_lock_strictness, law_universal_property
@@ -566,6 +567,40 @@ def test_radj_triangles(name):
             x = ra.left.omap[gamma]
             lhs = cxr.cat.comp(ra.counit[x], ra.left.amap[ra.unit[gamma]])
             assert lhs == cxr.cat.id_arr(x), (m, gamma)
+
+
+def test_radj_without_an_arrow_between_the_images_has_no_image(monkeypatch):
+    """Over the thin codexes of the reflective diagram, limit is patched so
+    that radj(mu) sends the target of an arrow d1 -> d2 to a cone on the
+    same nodes, but with its apex strictly below the image of d1: no arrow
+    runs between the images, so the arrow has none."""
+    b = build_bundle(diag("reflective"))
+    m = b.diagram.mt.mor("mu")
+    cx_r, cx_s = b.codexes[m.src], b.codexes[m.dst]
+    right = b.right_adjoints["mu"].right
+    cs = cx_s.cat
+    assert cs.thin
+    low, high = next(
+        (lo, right.omap[a.dst]) for a in cx_r.cat.arrows.values()
+        for lo in cs.objects
+        if cs.hom(right.omap[a.src], right.omap[a.dst]) and
+        not cs.hom(right.omap[a.dst], right.omap[a.src]) and
+        cs.hom(lo, right.omap[a.src]) and not cs.hom(right.omap[a.src], lo))
+    real_limit = codex.limit
+
+    def lowered(c, nodes, edges=(), cap=None, order=None):
+        cone = real_limit(c, nodes, edges, cap=cap, order=order)
+        if c is not cs or cone.apex != high:
+            return cone
+        return Cone(low, tuple((k, cs.one_arrow(low, nodes[k]))
+                               for k, _ in cone.legs))
+
+    monkeypatch.setattr(codex, "limit", lowered)
+    with pytest.raises(LimitAbsent) as e:
+        codex.codex_right_adjoint(cx_r, cx_s, "mu", b.locks["mu"],
+                                  b.adjunctions)
+    assert str(e.value) == ("codex_right_adjoint(mu): image of an arrow has "
+                            "0 factorizations")
 
 
 @pytest.mark.parametrize("name", ["single_arrow", "comonad", "reflective"])

@@ -398,11 +398,15 @@ def unread_pairs():
     yield
 
 
-def test_factorizations_in_a_thin_category_read_no_pairs():
-    # parallel arrows are equal, so the one arrow of the hom-set factors
+def test_factorizations_in_a_thin_category_filter_by_the_pairs():
+    # with no pair the one arrow of the hom-set factors; a pair whose
+    # wanted composite has other ends rules it out
     c = diamond()
-    assert factorizations(c, "b", "t", unread_pairs()) == ["b<=t"]
-    assert factorizations(c, "x", "y", unread_pairs()) == []
+    assert c.thin
+    assert factorizations(c, "b", "t", []) == ["b<=t"]
+    assert factorizations(c, "b", "t", [("id:t", "b<=t")]) == ["b<=t"]
+    assert factorizations(c, "b", "t", [("id:t", "x<=t")]) == []
+    assert factorizations(c, "x", "y", []) == []
 
 
 def test_factorizations_filter_by_the_pairs_when_not_thin():
@@ -417,8 +421,8 @@ def test_factorizations_filter_by_the_pairs_when_not_thin():
 
 def test_mediating_arrow_absent_from_an_empty_hom_set():
     with pytest.raises(LimitAbsent, match="search x to y has 0"):
-        _mediating(diamond(), "x", "y", unread_pairs(), "search {} to {}",
-                   "x", "y")
+        _mediating(diamond(), "x", "y", [("y<=t", "x<=t")],
+                   "search {} to {}", "x", "y")
 
 
 def test_is_iso():
