@@ -57,7 +57,9 @@ def check_file(path: Path, mt: ModeTheory | None):
 
     Returns (diagnostics, n_checked).  A mode-theory declaration in the file
     is used when no theory was supplied; declarations after a failing one are
-    still attempted so a file reports all its independent errors.
+    still attempted so a file reports all its independent errors.  A file
+    declares at most one mode theory: a second declaration is malformed
+    input, reported at its position before anything is checked.
     """
     filename = str(path)
     try:
@@ -69,6 +71,11 @@ def check_file(path: Path, mt: ModeTheory | None):
         decls = parse_program(src)
     except MattError as e:
         return [_diag(e, filename, lines)], 0
+    declared = [d for d in decls if isinstance(d, SurfaceModeTheory)]
+    if len(declared) > 1:
+        return [Diagnostic("ParseError", filename, *lines(declared[1].span),
+                           "a second mode-theory declaration: a file "
+                           "declares at most one")], 0
 
     diags: list[Diagnostic] = []
     sig = Signature()

@@ -44,9 +44,13 @@ each arrow to the arrow between the positions of the images of its ends
 (_arrow_map), hashing no codex object per arrow.  Where a hom-set is
 empty, or no object has those components, the general path runs and
 fails as it always did.  codex_right_adjoint builds no mates and composes
-no legs for its limits and units over a thin codex.  The bundle's lock
-rows tell `Diagram.strictness` that the codexes are categories, so it
-decides the lock diagram into thin codexes by boundaries once it has
+no legs for its limits and units over a thin codex, and incl passes no
+edges to a limit in a thin base category.  A limit lists a cone's legs in
+the order of its nodes, so the callers fix that order once: comma_shapes
+lists each comma category's nodes in the repr order of their keys, and
+codex_right_adjoint orders its node keys so once per call.  The bundle's
+lock rows tell `Diagram.strictness` that the codexes are categories, so
+it decides the lock diagram into thin codexes by boundaries once it has
 checked that every lock functor lands.  Every other diagram takes the
 general path, which decides each equation.
 """
@@ -486,12 +490,13 @@ def _induced(c: FinCat, c1, c2, maps: dict, what: str, *args):
 def comma_shapes(mt, ix: CodexIndex, pi: str):
     """The comma categories pi down nu, for every nu in ix.mus, read off the
     index rows.  nodes[nu] lists the decompositions (nu, sigma, beta) of pi,
-    each with C_sigma, and edges[nu] the non-identity cell actions on them as
+    each with C_sigma, in the repr order of the keys, the order of the legs
+    of incl's cones, and edges[nu] the non-identity cell actions on them as
     (t1, t3, C_beta).  legs[t.key] pairs each node of pi down t.mu with the
     node of pi down t.nu that its cocycle with t sends it to."""
     of_pi = {t.key: t.fun for t in ix.decomps if t.mu == pi}
     nodes = {nu: [] for nu in ix.mus}
-    for k, f in of_pi.items():
+    for k, f in sorted(of_pi.items(), key=lambda kf: repr(kf[0])):
         nodes[k[0]].append((k, f))
     edges = {nu: [] for nu in ix.mus}
     for k, beta, nat, mu1, k3, _ in ix.actions:
@@ -523,7 +528,9 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     for g in cr.objects:
         comps = {}
         for nu in ix.mus:
-            cone = limit(ix.cats[nu], {k: f.omap[g] for k, f in nodes[nu]},
+            c = ix.cats[nu]  # every cone in a thin c commutes: no edges
+            cone = limit(c, {k: f.omap[g] for k, f in nodes[nu]},
+                         () if c.thin else
                          [(a, b, n.at(g)) for a, b, n in edges[nu]], cap=cap)
             if cone is None:
                 raise LimitAbsent(f"incl({pi}): component at {nu} of {g} "
@@ -617,18 +624,25 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     mates = {} if thin else {t.key: mate(cx_s, adj[t.mu], adj[t.nu], t.rho,
                                          mt.wl(pi, t.alpha)) for t in trips}
 
+    # the limits' node keys in repr order, fixed once, each with the object
+    # map of its inclusion, the index of the component it includes and the
+    # object map applied to that first, None for the identity
+    shape = sorted([(("n", mu), adj[mu].right.omap, mu, None)
+                    for mu in ix.mus] +
+                   [(("c", t.key), adj[t.nu].right.omap, t.mu, t.fun.omap)
+                    for t in trips], key=lambda node: repr(node[0]))
     cones = {}
     omap = {}
     for delta in cx_r.objects:
-        nodes = {("n", mu): adj[mu].right.omap[delta.component(mu)]
-                 for mu in ix.mus}
+        nodes = {}
+        for k, right, mu, first in shape:
+            x = delta.component(mu)
+            nodes[k] = right[x if first is None else first[x]]
         edges = []
-        for t in trips:
+        for t in () if thin else trips:
             right, x, c = adj[t.nu].right, delta.component(t.mu), ("c", t.key)
-            nodes[c] = right.omap[t.fun.omap[x]]
-            if not thin:
-                edges += [(("n", t.nu), c, right.amap[delta.smap(t.key)]),
-                          (("n", t.mu), c, mates[t.key].at(x))]
+            edges += [(("n", t.nu), c, right.amap[delta.smap(t.key)]),
+                      (("n", t.mu), c, mates[t.key].at(x))]
         cone = limit(cx_s.cat, nodes, edges, cap=cap)
         if cone is None:
             raise LimitAbsent(f"codex_right_adjoint({pi}): no limit "

@@ -16,24 +16,25 @@ A FinCat records whether it is thin: at most one arrow per hom-set.  Its
 objects have integer positions, and each position has the bitmask of the
 positions below it, its down-set, both built at construction.  In a thin
 FinCat every cone commutes, so a limit is a greatest lower bound of the
-diagram's objects, found by ANDing down-set masks, and a mediating arrow is
-the one arrow of its hom-set, so a caller that knows the category is thin
-asks `factorizations` for it with no leg to compose.  Any other FinCat is
-searched for a terminal cone among all cones.  Both paths bound the number
-of candidate cones by a configurable cap.  For the same reason the
-validators read boundaries where they can: on a thin category a
-composite on its boundary is the composite, and on a thin target a square
-whose sides have the right ends commutes.  One flag, lawful, tells
-`FinFunctor.validate` and `Diagram.strictness` the one fact they cannot
-see for themselves: every category involved is known to be a category.
-Each checks for itself that the arrow images land before it decides an
-equation into a thin category by boundaries.  `Diagram.validate` passes
-the flag once every category has validated clean in the same call, and
-the codex bundle passes it for its lock diagram, whose codexes are
-categories as enumerated.  Then a functor whose arrow images land skips
-its composition loop, a composite functor is compared with the
-composite of its factors on objects alone, and the vcompose, wl and wr
-rows are skipped when every category is thin.
+diagram's objects, found by ANDing down-set masks, and its cone keeps the
+positions of its apex and nodes and builds a leg only when one is read.  A
+mediating arrow is the one arrow of its hom-set, so a caller that knows
+the category is thin asks `factorizations` for it with no leg to compose.
+Any other FinCat is searched for a terminal cone among all cones.  Both
+paths bound the number of candidate cones by a configurable cap.  For the
+same reason the validators read boundaries where they can: on a thin
+category a composite on its boundary is the composite, and on a thin
+target a square whose sides have the right ends commutes.
+One flag, lawful, tells `FinFunctor.validate` and `Diagram.strictness`
+the one fact they cannot see for themselves: every category involved is
+known to be a category.  Each checks for itself that the arrow images
+land before it decides an equation into a thin category by boundaries.
+`Diagram.validate` passes the flag once every category has validated
+clean in the same call, and the codex bundle passes it for its lock
+diagram, whose codexes are categories as enumerated.  Then a functor
+whose arrow images land skips its composition loop, a composite functor
+is compared with the composite of its factors on objects alone, and the
+vcompose, wl and wr rows are skipped when every category is thin.
 
 Boundaries are read on positions: `FinCat.ends` gives the positions of an
 arrow's ends, `FinCat.arrow_at` the arrow between two positions, and
@@ -558,15 +559,45 @@ class Diagram:
 
 @frozen
 class Cone:
-    __slots__ = ("_by_key",)
+    """A cone: its apex and its legs, (node key, arrow name) pairs in the
+    order of the diagram's nodes.  The cone that `limit` finds in a thin
+    category is built by `on_positions`: it keeps the category and the
+    positions of its apex and nodes, and builds a leg, the arrow from the
+    apex to the node, only when `leg` or `legs` reads it.  A copy holds
+    its legs, as a cone built from them does."""
+    __slots__ = ("_by_key", "_thin")
     apex: Hashable
-    legs: tuple  # (node key, arrow name) pairs, in the repr order of the keys
+    legs: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "_by_key", dict(self.legs))
+        object.__setattr__(self, "_thin", None)
+
+    @classmethod
+    def on_positions(cls, c: FinCat, apex: int, at: dict) -> "Cone":
+        """The cone in the thin c from its apex-th object to the at[key]-th
+        object at each node key, in the order of at."""
+        cone = cls.__new__(cls)
+        object.__setattr__(cone, "apex", c.objects[apex])
+        object.__setattr__(cone, "_thin", (c, apex, at))
+        return cone
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: a thin cone's legs and its map by
+        # key, built together when first read
+        if name != "legs" and name != "_by_key":
+            raise AttributeError(name)
+        c, i, at = self._thin
+        legs = tuple((k, c.arrow_at(i, j)) for k, j in at.items())
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "_by_key", dict(legs))
+        return getattr(self, name)
 
     def leg(self, key):
-        return self._by_key[key]
+        if self._thin is None:
+            return self._by_key[key]
+        c, i, at = self._thin
+        return c.arrow_at(i, at[key])
 
 
 def _check_cap(size: int, cap: Optional[int]):
@@ -585,7 +616,11 @@ def _cones(c: FinCat, keys, edges, apex, choices) -> list[Cone]:
 
 def all_cones(c: FinCat, nodes: dict, edges, cap: Optional[int] = None,
               order: Optional[int] = None) -> list[Cone]:
-    keys = sorted(nodes, key=repr)
+    """Every cone over the diagram, its legs in the order of nodes: per
+    apex in object order, then per leg choice in hom order, the first
+    node's choice varying slowest.  order, when given, shuffles the apexes
+    and then the cones."""
+    keys = list(nodes)
     # each apex's leg choices, one hom-set per node
     per_apex = [(apex, [c.hom(apex, nodes[k]) for k in keys])
                 for apex in c.objects]
@@ -635,18 +670,6 @@ def isomorphic(c: FinCat, a, b) -> bool:
     return any(is_iso(c, f) for f in c.hom(a, b))
 
 
-def _lower_bounds(c: FinCat, nodes: dict, cap: Optional[int]) -> int:
-    """In a thin c, the mask of objects with an arrow into every node, 0
-    when c lacks a node.  Each is the apex of exactly one cone, so its
-    popcount is the cone search size that cap bounds."""
-    lower = (1 << len(c.objects)) - 1
-    for x in nodes.values():
-        i = c._pos.get(x)
-        lower &= 0 if i is None else c._down[i]
-    _check_cap(lower.bit_count(), cap)
-    return lower
-
-
 def _ranks(n: int, order: Optional[int]):
     """The positions of n objects in apex search order: shuffled by order
     when it is given."""
@@ -662,21 +685,30 @@ def limit(c: FinCat, nodes: dict, edges=(), cap: Optional[int] = None,
     """Terminal cone over the diagram, or None when absent.
 
     nodes: mapping key → object; edges: (src key, dst key, arrow) triples.
-    In a thin c every cone commutes, so the limit is a greatest lower bound
-    of the nodes; otherwise the cones are enumerated.  order, when given,
-    permutes the search.
+    A cone lists its legs in the order of nodes: a caller fixes that order
+    once, and no call sorts anything.  In a thin c every cone commutes, so
+    the limit is a greatest lower bound of the nodes: of their common lower
+    bounds, the set bits of the AND of their down-set masks, the first in
+    search order that every other lies below.  The search runs up the
+    positions, or as order shuffles them when it is given.  Each lower
+    bound is the apex of one cone, so cap bounds their number, and the cone
+    found builds its legs only when they are read (`Cone.on_positions`).
+    Any other c has its cones enumerated, in an order that order, when
+    given, permutes.
     """
     if not c.thin:
         cones = all_cones(c, nodes, edges, cap=cap, order=order)
         return next((cand for cand in cones if _is_terminal(c, cand, cones)),
                     None)
-    lower = _lower_bounds(c, nodes, cap)
-    for i in _ranks(len(c.objects), order):
-        if lower >> i & 1 and c._down[i] & lower == lower:
-            apex = c.objects[i]
-            keys = sorted(nodes, key=repr)
-            return Cone(apex, tuple((k, c._hom[(apex, nodes[k])][0])
-                                    for k in keys))
+    pos, down = c._pos, c._down
+    at = {k: pos.get(x) for k, x in nodes.items()}
+    lower = (1 << len(down)) - 1
+    for i in at.values():
+        lower &= 0 if i is None else down[i]  # 0 when c lacks a node
+    _check_cap(lower.bit_count(), cap)
+    for i in _ranks(len(down), order):
+        if lower >> i & 1 and down[i] & lower == lower:
+            return Cone.on_positions(c, i, at)
     return None
 
 

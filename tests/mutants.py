@@ -64,6 +64,34 @@ MUTANTS = {
         ["tests/test_fincat.py::"
          "test_factorizations_in_a_thin_category_filter_by_the_pairs"],
         None),
+    # a thin limit scans the nodes' common lower bounds up the positions,
+    # so among isomorphic meets the lowest position is the apex
+    "thin-limit-scans-from-the-top": (
+        "matt/fincat.py",
+        "    for i in _ranks(len(down), order):\n",
+        "    for i in reversed(_ranks(len(down), order)):\n",
+        ["tests/test_fincat.py::test_thin_limit_among_isomorphic_objects",
+         "tests/test_fincat.py::"
+         "test_thin_limit_matches_the_reference_on_every_preorder_of_three"],
+        None),
+    # a thin cone builds a leg when it is read: the arrow from the apex
+    "thin-cone-leg-reversed": (
+        "matt/fincat.py",
+        "return c.arrow_at(i, at[key])",
+        "return c.arrow_at(at[key], i)",
+        ["tests/test_fincat.py::"
+         "test_thin_limit_builds_a_leg_only_when_one_is_read",
+         "tests/test_fincat.py::test_thin_limit_matches_the_reference"],
+        None),
+    # limit lists the legs in the order of its nodes, so incl's comma
+    # categories list theirs in the repr order of their keys
+    "comma-shapes-unsorted": (
+        "matt/codex.py",
+        "sorted(of_pi.items(), key=lambda kf: repr(kf[0]))",
+        "of_pi.items()",
+        ["tests/test_codex.py::"
+         "test_cones_list_their_legs_in_the_repr_order_of_their_keys"],
+        None),
     "thin-is-iso-always-true": (
         "matt/fincat.py",
         "return c.arrow_at(ends[1], ends[0]) is not None",

@@ -361,6 +361,38 @@ def test_check_missing_declared_mode_theory_exits_two(tmp_path, capsys):
         f"directory: '{tmp_path / 'missing.mt'}'\n")
 
 
+@pytest.mark.parametrize("second", ["comonad.mt", "trivial.mt",
+                                    "missing.mt"])
+def test_a_second_mode_theory_declaration_exits_two(tmp_path, capsys,
+                                                    second):
+    # the second declaration was once passed over, and B checked against
+    # the first theory; whatever it names, it is now malformed input, with
+    # or without --mode-theory, and nothing in the file is checked
+    for name in ("trivial.mt", "comonad.mt"):
+        shutil.copy(theory_path(name[:-3]), tmp_path / name)
+    f = tmp_path / "src.matt"
+    f.write_text('mode-theory "trivial.mt";\nconst A : Type @ p;\n'
+                 f'mode-theory "{second}";\nconst B : Type @ p;\n')
+    want = (f"ERROR ParseError @ {f}:3:13: a second mode-theory "
+            "declaration: a file declares at most one\n")
+    for argv in (["check", str(f)], ["check", "--mode-theory",
+                                     str(theory_path("trivial")), str(f)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == want
+    diags, checked = check_file(f, None)
+    assert [d.render() for d in diags] == [want.rstrip("\n")]
+    assert checked == 0
+
+
+def test_one_mode_theory_declaration_still_checks(tmp_path, capsys):
+    f = tmp_path / "src.matt"
+    f.write_text(f'mode-theory "{theory_path("comonad")}";\n'
+                 'const A : Type @ p;\nconst B : Type @ p;\n')
+    assert check_file(f, None) == ([], 2)
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_invalid_mode_theory_names_each_axiom_once(tmp_path, capsys):
     # neither identity is transparent: two violations of one axiom
     mt = tmp_path / "bad.mt"

@@ -1,6 +1,7 @@
 """Codex categories: enumeration oracles, adjunctions, and dextrification."""
 
 import itertools
+import json
 from collections import Counter
 from functools import lru_cache
 from types import SimpleNamespace
@@ -22,7 +23,8 @@ from matt.errors import CapExceeded, LimitAbsent, MalformedTable
 from matt.fincat import (Cone, Diagram, FinCat, FinFunctor, FinNat,
                          compose_functors, diagram_from_data,
                          identity_functor, load_diagram, poset_category)
-from matt.laws import LAWS, law_lock_strictness, law_universal_property
+from matt.laws import (LAWS, law_lock_strictness, law_universal_property,
+                       run_law_suite)
 from matt.mode_theory import ModeTheory, load_mode_theory
 
 
@@ -501,6 +503,38 @@ def test_incl_cones_are_over_the_comma_oracle(name):
             objs, _ = comma_oracle(d.mt, pi, nu)
             assert [k for k, _ in cone.legs] == sorted(
                 ((nu,) + o for o in objs), key=repr), (pi, g, nu)
+
+
+def primed_reflective(tmp_path):
+    """reflective.dg with its morphism numu renamed numu'.  repr quotes a
+    name that holds ' with double quotes, so of the node keys
+    ('id:p', 'id:p', 'id:id:p') and ('id:p', "numu'", 'eta') the first
+    sorts first by name and the second by repr."""
+    primed = theory_path("reflective").read_text(encoding="utf-8")
+    (tmp_path / "reflective.mt").write_text(primed.replace("numu", "numu'"),
+                                            encoding="utf-8")
+    data = json.loads(diagram_path("reflective").read_text(
+        encoding="utf-8").replace("numu", "numu'"))
+    path = tmp_path / "reflective.dg"
+    path.write_text(json.dumps({**data, "mode_theory": "reflective.mt"}),
+                    encoding="utf-8")
+    return path
+
+
+def test_cones_list_their_legs_in_the_repr_order_of_their_keys(tmp_path):
+    # limit lists the legs in the order of its nodes, and incl and radj
+    # pass their nodes in the repr order of the keys
+    path = primed_reflective(tmp_path)
+    b = build_bundle(load_diagram(path))
+    apart = 0
+    for family in ("adjunctions", "right_adjoints"):
+        for pi, adj in getattr(b, family).items():
+            for at, cone in adj.cones.items():
+                keys = [k for k, _ in cone.legs]
+                assert keys == sorted(keys, key=repr), (family, pi, at)
+                apart += keys != sorted(keys)
+    assert apart  # the two orders differ on some cone
+    assert all(ok for ok, _ in run_law_suite(path).values())
 
 
 def test_comma_single_arrow():

@@ -1,8 +1,11 @@
 """Finite categories: laws and limit search."""
 
+import copy
 import itertools
 import json
 import math
+import pickle
+import random
 from functools import reduce
 
 import pytest
@@ -335,6 +338,114 @@ def test_thin_limit_is_a_greatest_lower_bound(c, data, seed):
                     search()
             else:
                 search()
+
+
+def _limit_reference(c, nodes, edges=(), cap=None, order=None):
+    """limit in a thin c, with every leg built at once: the mask meet and
+    the apex search over all positions, and the legs in the repr order of
+    the node keys."""
+    assert c.thin
+    lower = (1 << len(c.objects)) - 1
+    for x in nodes.values():
+        i = c._pos.get(x)
+        lower &= 0 if i is None else c._down[i]
+    if cap is not None and lower.bit_count() > cap:
+        raise CapExceeded(f"cone search size {lower.bit_count()} exceeds "
+                          f"cap {cap}")
+    ranks = list(range(len(c.objects)))
+    if order is not None:
+        random.Random(order).shuffle(ranks)
+    for i in ranks:
+        if lower >> i & 1 and c._down[i] & lower == lower:
+            apex = c.objects[i]
+            keys = sorted(nodes, key=repr)
+            return Cone(apex, tuple((k, c._hom[(apex, nodes[k])][0])
+                                    for k in keys))
+    return None
+
+
+@given(preorders(), st.data(), st.sampled_from([None, 0, 1, 2, 3]))
+def test_thin_limit_matches_the_reference(c, data, order):
+    # the keys come in a drawn order, not the repr order, so the legs must
+    # follow the order of nodes; preorders have isomorphic objects, among
+    # which both searches must pick the same apex
+    xs = data.draw(st.lists(st.sampled_from(c.objects), max_size=4))
+    keys = data.draw(st.permutations([f"n{i}" for i in range(len(xs))]))
+    nodes = dict(zip(keys, xs))
+    if data.draw(st.booleans()):
+        nodes["absent"] = "z"  # no object of c: no lower bound
+    ref = _limit_reference(c, nodes, order=order)
+    cone = limit(c, nodes, order=order)
+    if ref is None:
+        assert cone is None
+    else:
+        assert cone.apex == ref.apex
+        assert [cone.leg(k) for k in nodes] == [ref.leg(k) for k in nodes]
+        assert cone.legs == tuple((k, ref.leg(k)) for k in nodes)
+        assert cone == Cone(ref.apex, cone.legs)
+        by_repr = {k: nodes[k] for k in sorted(nodes, key=repr)}
+        assert limit(c, by_repr, order=order).legs == ref.legs
+    lower = sum(all(c.hom(o, x) for x in nodes.values()) for o in c.objects)
+    for cap in range(lower + 2):
+        for search in (_limit_reference, limit):
+            if lower > cap:
+                with pytest.raises(CapExceeded) as e:
+                    search(c, nodes, cap=cap, order=order)
+                assert str(e.value) == f"cone search size {lower} " \
+                                       f"exceeds cap {cap}"
+            else:
+                search(c, nodes, cap=cap, order=order)
+
+
+def test_thin_limit_matches_the_reference_on_every_preorder_of_three():
+    # every preorder on three objects, isomorphic ones included, and every
+    # diagram of up to two nodes, their keys out of repr order
+    objs = ["a", "b", "c"]
+    pairs = [(x, y) for x in objs for y in objs if x != y]
+    orders = 0
+    for bits in range(1 << len(pairs)):
+        leq = {p for i, p in enumerate(pairs) if bits >> i & 1}
+        if any((x, z) not in leq for (x, y) in leq for (y2, z) in leq
+               if y == y2 and x != z):
+            continue  # not transitive
+        orders += 1
+        c = poset_category(objs, lambda x, y: x == y or (x, y) in leq)
+        for n in range(3):
+            for xs in itertools.product(objs, repeat=n):
+                nodes = {f"n{n - i}": x for i, x in enumerate(xs)}
+                for order in (None, 0, 1):
+                    ref = _limit_reference(c, nodes, order=order)
+                    cone = limit(c, nodes, order=order)
+                    assert (cone and (cone.apex, dict(cone.legs))) == \
+                        (ref and (ref.apex, dict(ref.legs))), (leq, nodes)
+    assert orders == 29
+
+
+def test_thin_limit_builds_a_leg_only_when_one_is_read():
+    d = diamond()
+    built = []
+
+    def arrow_at(i, j, _real=d.arrow_at):
+        built.append((i, j))
+        return _real(i, j)
+    d.arrow_at = arrow_at
+    cone = limit(d, {"r": "y", "l": "x", "m": "t"})
+    assert cone.apex == "b" and built == []
+    assert cone.leg("l") == "b<=x" and built == [(0, 1)]
+    with pytest.raises(KeyError):
+        cone.leg("absent")
+    assert cone.legs == (("r", "b<=y"), ("l", "b<=x"), ("m", "b<=t"))
+    assert built == [(0, 1), (0, 2), (0, 1), (0, 3)]
+    assert cone.legs is cone.legs and len(built) == 4  # built once
+    assert repr(cone) == "Cone(apex='b', legs=(('r', 'b<=y'), " \
+                         "('l', 'b<=x'), ('m', 'b<=t')))"
+    # a copy holds its legs, and equals the cone its legs build
+    for other in (limit(d, {"r": "y", "l": "x", "m": "t"}),
+                  copy.copy(cone), copy.deepcopy(cone),
+                  pickle.loads(pickle.dumps(cone))):
+        assert other == cone and hash(other) == hash(cone)
+        assert other == Cone("b", cone.legs)
+        assert other.leg("m") == "b<=t"
 
 
 def test_terminal_cone_legs_must_land_on_the_nodes():

@@ -21,9 +21,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_fincat import preorders
+from test_fincat import _limit_reference, preorders
 
-from matt import laws
+from matt import codex, laws
 from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.codex import (build_bundle, check_oplax_morphism,
                         check_oplax_object, codex_index, dextrify_colax,
@@ -294,6 +294,42 @@ def frames(max_points=3):
 def test_thin_adjoints_match_the_general_path(d):
     thin = constructions(build_bundle(d))  # before d is marked not thin
     assert constructions(general_bundle(d)) == thin
+
+
+def right_adjoint_tables(d, thin_limit, order) -> dict:
+    """Per family and morphism, incl's or radj's object map and its cones
+    as (apex, legs), each limit searched in order and taken by thin_limit
+    in a thin category; or the class and message of the first error."""
+    def take(c, nodes, edges=(), cap=None, order=None, _order=order):
+        search = thin_limit if c.thin else limit
+        return search(c, nodes, edges, cap=cap, order=_order)
+    with mock.patch.object(codex, "limit", take):
+        b = build_bundle(d)
+        try:
+            return {(family, m): (adj.right.omap, {
+                k: (c.apex, c.legs) for k, c in adj.cones.items()})
+                for family in ("adjunctions", "right_adjoints")
+                for m, adj in getattr(b, family).items()}
+        except MattError as e:
+            return {"error": (type(e), str(e))}
+
+
+@pytest.mark.parametrize("order", [None, 0, 1])
+@pytest.mark.parametrize("name", list(DIAGRAM_NAMES) + ["nonpreserving"])
+def test_incl_and_radj_match_the_reference_limit_on_bundled_diagrams(
+        name, order):
+    d = load_diagram(diagram_path(name))
+    tables = right_adjoint_tables(d, limit, order)
+    assert "error" not in tables
+    assert right_adjoint_tables(d, _limit_reference, order) == tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(doubled_locale_diagrams(), st.sampled_from([None, 0, 1]))
+def test_incl_and_radj_match_the_reference_limit_on_doubled_frames(d, order):
+    # isomorphic objects: the apex each search picks among them is pinned
+    assert right_adjoint_tables(d, _limit_reference, order) == \
+        right_adjoint_tables(d, limit, order)
 
 
 def constructions(b) -> dict:
