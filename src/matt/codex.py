@@ -7,15 +7,28 @@ decomposition alpha: mu => nu . rho, subject to identity, cocycle, and
 cell-action coherence.  Structure maps are keyed on the full decomposition
 triple (nu, rho, alpha), not just the cell.
 
-Everything here is finite: codex categories are enumerated exhaustively and
+Everything here is finite: codex categories are enumerated in full and
 handed back as plain FinCats so the limit machinery applies to them unchanged.
 A CodexCategory holds its index (codex_index), computed once per mode: the
 morphisms into the mode, a record per decomposition with the category and
 functor its structure map reads, and the cocycle and cell-action equations
 as rows; read for one pi, the same rows are the comma categories pi down nu.
+The rows are built on first read: the general path's equations read them,
+and incl does for edges into a category that is not thin and for a
+structure map that obj_of does not give; over thin bases nothing does.
 Constructions read the index, so they do no mode-theory arithmetic per
 object or arrow, and return the codex's own instances.  Lock functors act
 by composition on the index, and reflect projects a component.
+
+The enumeration costs what its answer costs.  _families chooses one
+component per morphism into the mode, in the index's order and on
+positions, and tests each structure map's hom-set as soon as both of its
+ends are chosen, by the down-set masks of its category: a family is
+extended only while every hom-set between its chosen components is
+inhabited (backtracking with forward checking).  It yields the families in
+the order itertools.product lists them, so objects, arrow names and every
+search order downstream are those of the product filter it replaced.
+--cap still bounds the component product, not the nodes the search visits.
 
 The locks and lock cells are read off the codexes alone, as MTT's context
 locks are; a CodexBundle builds each once, and lock(pi) -| radj(pi) takes
@@ -31,9 +44,10 @@ When every base category is thin, so is the codex, and parallel arrows are
 equal: every cocycle, cell-action and structure square holds as soon as its
 hom-sets are inhabited, and a mediating arrow is the one arrow of its
 hom-set.  enumerate_codex then takes the one arrow of each structure-map
-hom-set, and the codex is a ThinCat: an arrow g -> h wherever every
-component hom-set is inhabited, found from the bases' down-set masks and
-named by the positions of g and h, with no composition table.  The
+hom-set of each family found, and the codex is a ThinCat: an arrow g -> h
+wherever every component hom-set is inhabited, found from the bases'
+down-set masks and named by the positions of g and h, with no composition
+table.  The
 CodexCategory records that its bases are thin and decides what that buys:
 arrow(src, dst, comps) is the one arrow of its hom-set, with no components
 computed, component(name, mu) the one base arrow between the components
@@ -127,7 +141,9 @@ class CodexIndex:
     """What the mode theory fixes about every codex object at one mode:
     mus, the morphisms into it, with cats[mu] = C_{src mu}; one Decomposition
     per key, in sorted key order; and the coherence equations on components c
-    and structure maps s as rows.  A cocycle row (t1, t2, t3, cat, fun) asks
+    and structure maps s as rows, built from the diagram on first read, as
+    only the general path's equations and incl over categories that are not
+    thin read them.  A cocycle row (t1, t2, t3, cat, fun) asks
     cat.comp(fun.amap[s[t1]], s[t2]) == s[t3], an action row (t1, beta, nat,
     mu1, t3, cat) asks cat.comp(nat.at(c[mu1]), s[t1]) == s[t3].
 
@@ -136,11 +152,27 @@ class CodexIndex:
     action rows with mu1 == pi its arrows t1 -> t3 by beta, and the cocycle
     rows whose t1 decomposes pi the map that t2 induces from pi down t2.mu to
     pi down t2.nu."""
+    __slots__ = ("_rows",)
     mus: list
     cats: dict
     decomps: list
-    cocycles: list
-    actions: list
+    diagram: Diagram
+
+    @property
+    def cocycles(self) -> list:
+        return self._coherence()[0]
+
+    @property
+    def actions(self) -> list:
+        return self._coherence()[1]
+
+    def _coherence(self) -> tuple:
+        try:
+            return self._rows
+        except AttributeError:  # not read yet
+            rows = _coherence_rows(self.diagram, self.decomps)
+            object.__setattr__(self, "_rows", rows)
+            return rows
 
 
 def codex_index(d: Diagram, r: str) -> CodexIndex:
@@ -161,6 +193,13 @@ def codex_index(d: Diagram, r: str) -> CodexIndex:
                              d.fun(rho),
                              mt.is_id_mor(rho) and mt.is_id_cell(alpha))
                for nu, rho, alpha in sorted(keys)]
+    return CodexIndex(mus, {mu: d.cat(mt.mor(mu).src) for mu in mus},
+                      decomps, d)
+
+
+def _coherence_rows(d: Diagram, decomps: list) -> tuple:
+    """The cocycle and cell-action rows of CodexIndex over decomps."""
+    mt = d.mt
     cocycles, actions = [], []
     for t1 in decomps:
         # cocycle: decompose nu1 further by any t2
@@ -176,8 +215,7 @@ def codex_index(d: Diagram, r: str) -> CodexIndex:
                       mt.vcomp(mt.wl(t1.nu, beta.name), t1.alpha))
                 actions.append((t1.key, beta.name, d.nat(beta.name), t1.mu,
                                 t3, t1.cat))
-    return CodexIndex(mus, {mu: d.cat(mt.mor(mu).src) for mu in mus},
-                      decomps, cocycles, actions)
+    return cocycles, actions
 
 
 @frozen
@@ -304,11 +342,68 @@ def _arrow_name(cats: dict, comps: dict, src: OplaxObject,
     return (tuple(sorted(comps.items())), src, dst)
 
 
+def _families(ix: CodexIndex):
+    """The families of components, one object of cats[mu] per mu in mus,
+    whose structure-map hom-sets are all inhabited, as tuples in mus order,
+    in the order itertools.product lists them.  Components are chosen in
+    mus order, on positions, and each non-identity decomposition is filed
+    under the later of its two components: when that one is chosen, its
+    candidates are cut to the mask that the choice at the earlier one
+    allows, read off the down-set masks of C_nu, so no family with an empty
+    hom-set is ever completed.  An image outside C_nu has an empty
+    hom-set."""
+    mus, cats = ix.mus, ix.cats
+    at = {mu: i for i, mu in enumerate(mus)}
+    objs = [cats[mu].objects for mu in mus]
+    allowed = [(1 << len(o)) - 1 for o in objs]
+    filed = [[] for _ in mus]  # (earlier position, mask per choice there)
+    for t in ix.decomps:
+        if t.identity:
+            continue
+        nu, mu = at[t.nu], at[t.mu]
+        pos, down = t.cat._pos, t.cat._down
+        img = [pos.get(t.fun.omap[o]) for o in objs[mu]]
+        # into[z]: the x with an arrow x -> C_rho(z), z a position in C_mu
+        into = [0 if y is None else down[y] for y in img]
+        if nu > mu:
+            filed[nu].append((mu, into))
+        elif mu > nu:  # the z with an arrow x -> C_rho(z), per x in C_nu
+            filed[mu].append((nu, [
+                sum(1 << z for z, y in enumerate(img)
+                    if y is not None and down[y] >> x & 1)
+                for x in range(len(down))]))
+        else:  # nu is mu: the z with an arrow z -> C_rho(z)
+            allowed[nu] &= sum(1 << z for z, m in enumerate(into)
+                               if m >> z & 1)
+    last = len(mus) - 1
+    pick, left = [0] * len(mus), allowed[:]  # left: candidates not yet tried
+    i = 0
+    while i >= 0:
+        m = left[i]
+        if not m:
+            i -= 1
+            continue
+        low = m & -m
+        left[i] = m ^ low
+        pick[i] = low.bit_length() - 1
+        if i == last:
+            yield tuple([o[x] for o, x in zip(objs, pick)])
+            continue
+        i += 1
+        m = allowed[i]
+        for j, masks in filed[i]:
+            m &= masks[pick[j]]
+        left[i] = m
+
+
 def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
-    """Exhaustively build the codex category at mode r as a FinCat.  Over
-    thin base categories an object is a family whose structure-map hom-sets
-    are all inhabited, no equation is checked, and the FinCat is a
-    ThinCat."""
+    """Build the codex category at mode r as a FinCat, from the families
+    _families finds.  Over thin base categories an object is such a family
+    with the one arrow of each structure-map hom-set, no equation is
+    checked, and the FinCat is a ThinCat; otherwise each choice of
+    structure maps is tested against the coherence equations.  cap bounds
+    the component product, whatever the number of families the search
+    visits."""
     ix = codex_index(d, r)
     mus, cats, keys = ix.mus, ix.cats, [t.key for t in ix.decomps]
     est = math.prod(len(cats[mu].objects) for mu in mus)
@@ -317,31 +412,33 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
                           f"exceeds cap {cap}")
     thin = all(c.thin for c in cats.values())  # each t.cat is cats[t.nu]
 
-    objs: list[OplaxObject] = []
-    for combo in itertools.product(*(cats[mu].objects for mu in mus)):
-        comps = dict(zip(mus, combo))
-        choices = []
-        for t in ix.decomps:
-            opts = [t.cat.id_arr(comps[t.mu])] if t.identity else \
-                t.cat.hom(comps[t.nu], t.fun.omap[comps[t.mu]])
-            if not opts:
-                break
-            choices.append(opts)
-        else:
-            if thin:
-                objs.append(OplaxObject.of(
-                    r, comps, {k: c[0] for k, c in zip(keys, choices)}))
-                continue
-            for pick in itertools.product(*choices):
-                smaps = dict(zip(keys, pick))
-                if not _structure_violations(ix, comps, smaps):
-                    objs.append(OplaxObject.of(r, comps, smaps))
-    if thin:  # an arrow wherever every component hom-set is inhabited
-        cat = ThinCat(objs, product_arrows(
-            [cats[mu] for mu in mus],
-            [[g.component(mu) for mu in mus] for g in objs]),
-            name=f"Codex({r})")
+    if thin:
+        combos = list(_families(ix))
+        at = {mu: i for i, mu in enumerate(mus)}
+        # the one arrow of each structure-map hom-set, the identity at an
+        # identity decomposition; mus and the decompositions are sorted
+        maps = [(t.key, at[t.nu], at[t.mu], t.cat.one_arrow, t.fun.omap)
+                for t in ix.decomps]
+        # tuple() of a list, which knows its length: tuple() of a bare zip
+        # allocates for ten items and shrinks, which fragments the heap
+        objs = [OplaxObject(r, tuple([*zip(mus, c)]), tuple([
+            (k, one(c[nu], omap[c[mu]])) for k, nu, mu, one, omap in maps]))
+            for c in combos]
+        # an arrow wherever every component hom-set is inhabited
+        cat = ThinCat(objs, product_arrows([cats[mu] for mu in mus], combos),
+                      name=f"Codex({r})")
         return CodexCategory(d, r, ix, cat, thin)
+
+    objs: list[OplaxObject] = []
+    for combo in _families(ix):
+        comps = dict(zip(mus, combo))
+        choices = [[t.cat.id_arr(comps[t.mu])] if t.identity else
+                   t.cat.hom(comps[t.nu], t.fun.omap[comps[t.mu]])
+                   for t in ix.decomps]
+        for pick in itertools.product(*choices):
+            smaps = dict(zip(keys, pick))
+            if not _structure_violations(ix, comps, smaps):
+                objs.append(OplaxObject.of(r, comps, smaps))
 
     arrows = []
     for g in objs:
@@ -489,31 +586,48 @@ def _induced(c: FinCat, c1, c2, maps: dict, what: str, *args):
 
 def comma_shapes(mt, ix: CodexIndex, pi: str):
     """The comma categories pi down nu, for every nu in ix.mus, read off the
-    index rows.  nodes[nu] lists the decompositions (nu, sigma, beta) of pi,
+    index.  nodes[nu] lists the decompositions (nu, sigma, beta) of pi,
     each with C_sigma, in the repr order of the keys, the order of the legs
     of incl's cones, and edges[nu] the non-identity cell actions on them as
     (t1, t3, C_beta).  legs[t.key] pairs each node of pi down t.mu with the
-    node of pi down t.nu that its cocycle with t sends it to."""
-    of_pi = {t.key: t.fun for t in ix.decomps if t.mu == pi}
+    node of pi down t.nu that its cocycle with t sends it to.  The edges
+    and legs read the index rows; incl reads each only where it needs it."""
+    return (_comma_nodes(ix, pi), _comma_edges(mt, ix, pi),
+            _comma_legs(ix, pi))
+
+
+def _comma_nodes(ix: CodexIndex, pi: str) -> dict:
     nodes = {nu: [] for nu in ix.mus}
-    for k, f in sorted(of_pi.items(), key=lambda kf: repr(kf[0])):
-        nodes[k[0]].append((k, f))
+    for t in sorted((t for t in ix.decomps if t.mu == pi),
+                    key=lambda t: repr(t.key)):
+        nodes[t.nu].append((t.key, t.fun))
+    return nodes
+
+
+def _comma_edges(mt, ix: CodexIndex, pi: str) -> dict:
     edges = {nu: [] for nu in ix.mus}
     for k, beta, nat, mu1, k3, _ in ix.actions:
         if mu1 == pi and not mt.is_id_cell(beta):
             edges[k[0]].append((k, k3, nat))
+    return edges
+
+
+def _comma_legs(ix: CodexIndex, pi: str) -> dict:
+    of_pi = {t.key for t in ix.decomps if t.mu == pi}
     legs = {t.key: [] for t in ix.decomps}
     for k1, k2, k3, _, _ in ix.cocycles:
         if k1 in of_pi:
             legs[k2].append((k1, k3))
-    return nodes, edges, legs
+    return legs
 
 
 def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     """reflect(pi) -| incl(pi), with incl computed pointwise by limits over
     the comma categories pi down nu, read off the index of the codex.  A
     cone's node keys are the decomposition triples (nu, sigma, beta) of pi;
-    the counit is the leg at (pi, id, id:pi)."""
+    the counit is the leg at (pi, id, id:pi).  The comma categories' edges
+    are read only for a base category that is not thin, and their legs
+    only for a structure map that obj_of does not give."""
     d, mt = cx_s.diagram, cx_s.diagram.mt
     m = mt.mor(pi)
     if m.dst != cx_s.mode:
@@ -521,7 +635,10 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
     r = m.src
     cr = d.cat(r)
     ix = cx_s.index
-    nodes, edges, legs = comma_shapes(mt, ix, pi)
+    nodes = _comma_nodes(ix, pi)
+    edges = None if all(c.thin for c in ix.cats.values()) else \
+        _comma_edges(mt, ix, pi)
+    legs = None
 
     cones = {}
     omap = {}
@@ -540,6 +657,8 @@ def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
         omap[g] = cx_s.obj_of(comps)
         if omap[g] is not None:
             continue
+        if legs is None:
+            legs = _comma_legs(ix, pi)
         smaps = {}
         for t in ix.decomps:
             conemu, conenu = cones[(g, t.mu)], cones[(g, t.nu)]

@@ -62,7 +62,7 @@ from typing import Callable, Hashable, Optional
 
 from .errors import CapExceeded, MalformedTable, NotComposable
 from .mode_theory import (ModeTheory, require_list, require_object,
-                          require_unique)
+                          require_unique, unique_keys)
 from .record import frozen
 
 
@@ -806,7 +806,9 @@ def fincat_from_data(data: dict, name: str = "") -> FinCat:
     rows = [tuple(require_list(r)) for r in require_list(data["compose"])]
     require_unique(f"the compose table of {name}", (r[:2] for r in rows))
     arrows = [tuple(require_list(a)) for a in require_list(data["arrows"])]
-    return FinCat(require_list(data["objects"]), arrows, rows, name=name)
+    objects = require_list(data["objects"])
+    require_unique(f"the objects of {name}", objects)
+    return FinCat(objects, arrows, rows, name=name)
 
 
 def load_diagram(path) -> Diagram:
@@ -818,7 +820,8 @@ def load_diagram(path) -> Diagram:
 
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"),
+                          object_pairs_hook=unique_keys)
         mt_path = path.parent / data["mode_theory"]
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         # json raises RecursionError on arrays or objects nested too deep

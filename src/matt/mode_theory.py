@@ -310,6 +310,15 @@ def require_unique(what: str, keys) -> None:
         seen.add(k)
 
 
+def unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook: the object, refusing one that names a key
+    twice, where the last would silently win."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        require_unique("a JSON object", (k for k, _ in pairs))
+    return out
+
+
 def mode_theory_from_data(data: dict) -> ModeTheory:
     if not isinstance(data, dict):
         raise MalformedTable("mode theory file must contain an object")
@@ -326,8 +335,10 @@ def mode_theory_from_data(data: dict) -> ModeTheory:
         return {(x, y): z for x, y, z in rows}
 
     try:
+        modes = _names(data.get("modes", []))
+        require_unique("the modes list", modes)
         return ModeTheory(
-            _names(data.get("modes", [])),
+            modes,
             records("morphisms", Morphism, "name", "src", "dst"),
             records("cells", Cell, "name", "src", "dst"),
             table("compose"), table("vcompose"), table("whisker_left"),
@@ -340,7 +351,8 @@ def mode_theory_from_data(data: dict) -> ModeTheory:
 
 def load_mode_theory(path) -> ModeTheory:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         # json raises RecursionError on arrays or objects nested too deep
         raise MalformedTable(f"{path}: {e}") from None

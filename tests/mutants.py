@@ -30,6 +30,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the family search against the product filter, on every kind of input
+FAMILY_ORACLES = [
+    "tests/test_codex.py::"
+    "test_families_match_the_reference_on_categories_that_are_not_thin",
+    "tests/test_codex.py::"
+    "test_families_match_the_reference_on_commuting_comonads",
+    "tests/test_thin.py::test_families_match_the_reference_on_frames"]
+
 # name: (file under src/, text, replacement, tests, equivalent or None)
 MUTANTS = {
     # the thin arrow map of a functor between codexes, as lock_functor,
@@ -87,11 +95,34 @@ MUTANTS = {
     # categories list theirs in the repr order of their keys
     "comma-shapes-unsorted": (
         "matt/codex.py",
-        "sorted(of_pi.items(), key=lambda kf: repr(kf[0]))",
-        "of_pi.items()",
+        "sorted((t for t in ix.decomps if t.mu == pi),\n"
+        "                    key=lambda t: repr(t.key))",
+        "(t for t in ix.decomps if t.mu == pi)",
         ["tests/test_codex.py::"
          "test_cones_list_their_legs_in_the_repr_order_of_their_keys"],
         None),
+    # the family search tests each decomposition once both of its
+    # components are chosen: filed under the earlier one, it reads a
+    # choice not yet made
+    "family-filed-under-the-earlier-component": (
+        "matt/codex.py",
+        "        if nu > mu:\n            filed[nu].append((mu, into))",
+        "        if nu < mu:\n            filed[nu].append((mu, into))",
+        FAMILY_ORACLES, None),
+    # families come in itertools.product order, which fixes the objects'
+    # order and so every search order downstream
+    "families-chosen-in-reverse-order": (
+        "matt/codex.py",
+        "    mus, cats = ix.mus, ix.cats\n    at =",
+        "    mus, cats = ix.mus[::-1], ix.cats\n    at =",
+        FAMILY_ORACLES, None),
+    # a structure map runs x -> C_rho(z): the mask of the z for one x reads
+    # the arrow into the image, not out of it
+    "family-mask-ends-swapped": (
+        "matt/codex.py",
+        "if y is not None and down[y] >> x & 1)",
+        "if y is not None and down[x] >> y & 1)",
+        FAMILY_ORACLES, None),
     "thin-is-iso-always-true": (
         "matt/fincat.py",
         "return c.arrow_at(ends[1], ends[0]) is not None",

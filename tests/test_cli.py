@@ -224,13 +224,18 @@ UNKNOWN_KEYS = [
     _diagram_with(lambda d: d["categories"]["p"].update(objects="01")),
     # not read as {"0": "0", "1": "1"}
     _diagram_with(lambda d: d["functors"]["mu"].update(objects=["00", "11"])),
+    # each entry below is named a second time
+    _diagram_with(lambda d: d["categories"]["p"].update(
+        objects=["0", "1", "0"])),
+    _diagram_with(lambda d: None).replace(
+        '"functors": {', '"functors": {"mu": {"objects": {}}, ', 1),
 ], ids=["no-categories", "not-json", "functor-misses-object", "categories-list",
         "functor-arrow-image-list", "natural-component-list",
         "compose-row-of-two", "natural-missing", "natural-misses-object",
         "identity-functor-not-identity", "identity-natural-not-identity",
         "compose-row-twice", *(i for i, _, _ in UNKNOWN_KEYS),
         "identity-natural-misses-object", "deeply-nested", "objects-string",
-        "functor-objects-list"])
+        "functor-objects-list", "object-twice", "functor-key-twice"])
 def test_sem_laws_malformed_diagram_exits_two(tmp_path, capsys, text):
     f = tmp_path / "bad.dg"
     f.write_text(text)
@@ -331,11 +336,15 @@ def _reflective_with(edit):
     _reflective_with(lambda d: d["cells"].insert(
         0, {"name": "eta", "src": "id:p", "dst": "id:p"})),
     _reflective_with(lambda d: d["adjoints"].insert(0, d["adjoints"][0])),
+    _reflective_with(lambda d: d["modes"].append(d["modes"][0])),
+    _reflective_with(lambda d: None).replace(
+        b'"classes": {', b'"classes": {"sharp": [], ', 1),
     b"[" * 100000,
 ], ids=["not-utf8", "not-json", "malformed-table", "morphism-name-list",
         "cell-name-list", "classes-list", "class-not-list", "mode-null",
         "compose-row-twice", "whisker-row-twice", "morphism-twice",
-        "cell-twice", "adjoint-twice", "deeply-nested"])
+        "cell-twice", "adjoint-twice", "mode-twice", "class-key-twice",
+        "deeply-nested"])
 def test_check_bad_declared_mode_theory_exits_two(tmp_path, capsys, content):
     mt = tmp_path / "bad.mt"
     mt.write_bytes(content)
@@ -350,6 +359,27 @@ def test_check_bad_declared_mode_theory_exits_two(tmp_path, capsys, content):
         assert main(argv) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"ERROR MalformedTable @ {mt}:0:0: ")
+
+
+@pytest.mark.parametrize("suffix, text, argv, why", [
+    (".dg", _diagram_with(lambda d: d["categories"]["p"].update(
+        objects=["0", "1", "0"])), ["sem", "laws"],
+     "the objects of p names 0 twice"),
+    (".dg", _diagram_with(lambda d: None).replace(
+        '"functors": {', '"functors": {"mu": {"objects": {}}, ', 1),
+     ["sem", "laws"], "a JSON object names mu twice"),
+    (".mt", _reflective_with(lambda d: d["modes"].append("p")).decode(),
+     ["modes", "validate"], "the modes list names p twice"),
+], ids=["objects", "functors", "modes"])
+def test_a_name_given_twice_is_refused(tmp_path, capsys, suffix, text, argv,
+                                       why):
+    # json keeps the last of two equal keys, and FinCat and ModeTheory the
+    # first of two equal names: each input is refused instead
+    f = tmp_path / f"bad{suffix}"
+    f.write_text(text)
+    assert main([*argv, str(f)]) == 2
+    assert capsys.readouterr() == ("", f"ERROR MalformedTable @ {f}:0:0: "
+                                   f"{why}\n")
 
 
 def test_check_missing_declared_mode_theory_exits_two(tmp_path, capsys):

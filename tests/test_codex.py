@@ -5,10 +5,12 @@ import json
 from collections import Counter
 from functools import lru_cache
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from comonads import write_comonads
 from test_acceptance import _single_arrow_chain
-from test_laws import NOT_THIN
+from test_laws import NOT_THIN, fork_diagram, not_thin_diagram
 
 from matt import codex
 from matt.bundled import DIAGRAM_NAMES, THEORY_NAMES, diagram_path, theory_path
@@ -217,6 +219,102 @@ def test_mode_theory_arithmetic_is_independent_of_the_codex_size(
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_codex(diag("reflective"), "q", cap=1)
+
+
+# --- the family search against the product filter --------------------------------
+
+def _families_reference(ix):
+    """The families of components with every structure-map hom-set
+    inhabited, as the product filter found them: every family of
+    itertools.product, each tested decomposition by decomposition."""
+    for combo in itertools.product(*(ix.cats[mu].objects for mu in ix.mus)):
+        comps = dict(zip(ix.mus, combo))
+        if all(t.identity or t.cat.hom(comps[t.nu], t.fun.omap[comps[t.mu]])
+               for t in ix.decomps):
+            yield combo
+
+
+def assert_families_match_the_reference(d):
+    """_families against _families_reference at every mode, in order, and
+    the codex enumerated from each: objects in order, arrows with their
+    ends, and composites.  tests/test_thin.py holds the frames to it."""
+    for r in d.mt.modes:
+        ix = codex_index(d, r)
+        assert list(codex._families(ix)) == list(_families_reference(ix)), r
+        cx = enumerate_codex(d, r)
+        with mock.patch.object(codex, "_families", _families_reference):
+            ref = enumerate_codex(d, r)
+        assert cx.objects == ref.objects, r
+        assert [(o.components, o.structure) for o in cx.objects] == \
+            [(o.components, o.structure) for o in ref.objects], r
+        assert cx.cat.arrows == ref.cat.arrows, r
+        assert cx.cat.thin == ref.cat.thin, r
+        if not cx.cat.thin:
+            assert cx.cat.compose == ref.cat.compose, r
+
+
+@pytest.mark.parametrize("name", [*NOT_THIN, "fork"])
+def test_families_match_the_reference_on_categories_that_are_not_thin(
+        tmp_path, name):
+    path = fork_diagram(tmp_path) if name == "fork" else \
+        not_thin_diagram(tmp_path, name)
+    assert_families_match_the_reference(load_diagram(path))
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 4), (2, 3), (2, 5), (3, 3)])
+def test_families_match_the_reference_on_commuting_comonads(tmp_path, k, n):
+    d = load_diagram(write_comonads(tmp_path, k, n))
+    assert d.validate() == []
+    assert_families_match_the_reference(d)
+
+
+def test_an_image_outside_the_category_has_an_empty_hom_set():
+    # a diagram built in code is not validated: mu sends 1 outside C_q,
+    # and no family takes 1 as its mu-component
+    d = _single_arrow_chain(2)
+    mu = d.fun("mu")
+    d.functors["mu"] = FinFunctor(mu.src, mu.dst, {"0": "0", "1": "9"},
+                                  mu.amap, name="mu")
+    ix = codex_index(d, "q")
+    assert list(codex._families(ix)) == list(_families_reference(ix)) == \
+        [("0", "0")]
+
+
+def test_the_family_search_costs_what_its_answer_costs(tmp_path,
+                                                        monkeypatch):
+    # k=3 over a chain of 5: a product of 5^8 = 390 625 families and 30
+    # codex objects.  Over thin bases each object reads one arrow per
+    # structure map and no hom list; the cap still bounds the component
+    # product.
+    d = load_diagram(write_comonads(tmp_path, 3, 5))
+    calls = Counter()
+    for name in ("hom", "one_arrow"):
+        def counted(self, x, y, fn=getattr(FinCat, name), name=name):
+            calls[name] += 1
+            return fn(self, x, y)
+        monkeypatch.setattr(FinCat, name, counted)
+    cx = enumerate_codex(d, "p", cap=390625)
+    assert (len(cx.objects), cx.cat.thin) == (30, True)
+    assert calls == {"one_arrow": 30 * len(cx.index.decomps)}
+    with pytest.raises(CapExceeded, match="component search size 390625 "
+                       "exceeds cap 390624"):
+        enumerate_codex(d, "p", cap=390624)
+
+
+def test_coherence_rows_are_built_only_where_an_equation_reads_them(
+        tmp_path, monkeypatch):
+    built = []
+    rows = codex._coherence_rows
+    monkeypatch.setattr(codex, "_coherence_rows",
+                        lambda d, decomps: built.append(d) or rows(d, decomps))
+    for name in DIAGRAM_NAMES:  # every base category is thin
+        results = run_law_suite(diagram_path(name))
+        assert results and built == [], name
+    results = run_law_suite(not_thin_diagram(tmp_path, "reflective-monoid"))
+    assert results and built
+    ix = codex_index(monoid_comonad(), "p")
+    assert not hasattr(ix, "_rows")
+    assert ix.cocycles is ix.cocycles and ix.actions
 
 
 # --- lock, reflect, incl ---------------------------------------------------------

@@ -179,9 +179,8 @@ RECORDS = [
                    False),
      "Decomposition(key=('nu', 'rho', 'al'), nu='nu', rho='rho', "
      "alpha='al', mu='mu', cat='C', fun='F', identity=False)"),
-    (CodexIndex(["mu"], {"mu": "C"}, [], [], []),
-     "CodexIndex(mus=['mu'], cats={'mu': 'C'}, decomps=[], cocycles=[], "
-     "actions=[])"),
+    (CodexIndex(["mu"], {"mu": "C"}, [], "D"),
+     "CodexIndex(mus=['mu'], cats={'mu': 'C'}, decomps=[], diagram='D')"),
     (CodexCategory("D", "q", "I", SimpleNamespace(objects=["o"]), False),
      "CodexCategory(diagram='D', mode='q', index='I', "
      "cat=namespace(objects=['o']), thin=False)"),

@@ -21,6 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_codex import assert_families_match_the_reference
 from test_fincat import _limit_reference, preorders
 
 from matt import codex, laws
@@ -219,6 +220,13 @@ def test_all_laws_pass_on_frames_and_inverse_images(d):
     for name, law in LAWS.items():
         ok, detail = law(d, b, None)
         assert ok, (name, detail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(locale_diagrams(), reflective_locale_diagrams(),
+                 doubled_locale_diagrams()))
+def test_families_match_the_reference_on_frames(d):
+    assert_families_match_the_reference(d)
 
 
 def left_image(below_q, h):
