@@ -28,11 +28,14 @@ extended only while every hom-set between its chosen components is
 inhabited (backtracking with forward checking).  It yields the families in
 the order itertools.product lists them, so objects, arrow names and every
 search order downstream are those of the product filter it replaced.
---cap still bounds the component product, not the nodes the search visits.
+--cap bounds the component product, not the nodes the search visits, and
+on the general path the arrow search too (enumerate_codex).
 
-The locks and lock cells are read off the codexes alone, as MTT's context
-locks are; a CodexBundle builds each once, and lock(pi) -| radj(pi) takes
-its lock from there.  The codex gives two families of adjunctions, both held
+A CodexBundle owns which codexes each morphism joins: every construction
+but reflect takes the bundle and a name and reads its codexes, locks,
+inclusions and cap there, and the bundle builds each family once.  The
+locks and lock cells are read off the codexes alone, as MTT's context
+locks are.  The codex gives two families of adjunctions, both held
 in one record, Adjunction: reflect(pi) -| incl(pi) between the codex and the
 base categories, and lock(pi) -| radj(pi) between codexes, whose right
 adjoints are the negative modalities.  Each right adjoint is assembled
@@ -62,11 +65,10 @@ no legs for its limits and units over a thin codex, and incl passes no
 edges to a limit in a thin base category.  A limit lists a cone's legs in
 the order of its nodes, so the callers fix that order once: comma_shapes
 lists each comma category's nodes in the repr order of their keys, and
-codex_right_adjoint orders its node keys so once per call.  The bundle's
-lock rows tell `Diagram.strictness` that the codexes are categories, so
-it decides the lock diagram into thin codexes by boundaries once it has
-checked that every lock functor lands.  Every other diagram takes the
-general path, which decides each equation.
+codex_right_adjoint orders its node keys so once per call.  The codexes
+are categories as enumerated, as `Diagram.strictness` presumes, so it
+decides the lock diagram into thin codexes by boundaries once every lock
+functor lands.  Every other diagram takes the general path.
 """
 
 from __future__ import annotations
@@ -403,7 +405,8 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
     checked, and the FinCat is a ThinCat; otherwise each choice of
     structure maps is tested against the coherence equations.  cap bounds
     the component product, whatever the number of families the search
-    visits."""
+    visits, and on the general path the arrow search: the component
+    families, one hom-set product per pair of objects, that it tries."""
     ix = codex_index(d, r)
     mus, cats, keys = ix.mus, ix.cats, [t.key for t in ix.decomps]
     est = math.prod(len(cats[mu].objects) for mu in mus)
@@ -440,19 +443,24 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
             if not _structure_violations(ix, comps, smaps):
                 objs.append(OplaxObject.of(r, comps, smaps))
 
+    # the component families of every pair of objects, counted against cap
+    # before any is tried
+    pairs = [(g, h, [cats[mu].hom(g.component(mu), h.component(mu))
+                     for mu in mus]) for g in objs for h in objs]
+    size = sum(math.prod(map(len, homs)) for _, _, homs in pairs)
+    if cap is not None and size > cap:
+        raise CapExceeded(f"codex at {r}: arrow search size {size} exceeds "
+                          f"cap {cap}")
     arrows = []
-    for g in objs:
-        for h in objs:
-            homs = [cats[mu].hom(g.component(mu), h.component(mu))
-                    for mu in mus]
-            for combo in itertools.product(*homs):
-                theta = dict(zip(mus, combo))
-                if not _theta_squares_ok(ix, g, h, theta):
-                    continue
-                if g == h and theta == _identity_family(cats, g):
-                    continue  # synthesized by FinCat
-                name = (tuple(sorted(theta.items())), g, h)
-                arrows.append((name, g, h))
+    for g, h, homs in pairs:
+        for combo in itertools.product(*homs):
+            theta = dict(zip(mus, combo))
+            if not _theta_squares_ok(ix, g, h, theta):
+                continue
+            if g == h and theta == _identity_family(cats, g):
+                continue  # synthesized by FinCat
+            name = (tuple(sorted(theta.items())), g, h)
+            arrows.append((name, g, h))
 
     # composites of non-identity arrows, componentwise; FinCat adds the rows
     # that involve an identity and rejects a row naming an unknown arrow
@@ -472,15 +480,12 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
 
 # --- lock functors and reflection ----------------------------------------------
 
-def lock_functor(cx_r: CodexCategory, cx_q: CodexCategory,
-                 mu: str) -> FinFunctor:
+def lock_functor(bundle: "CodexBundle", mu: str) -> FinFunctor:
     """The lock along mu: q -> r, acting by composition on the index: nu ->
     mu.nu and (nu, rho, alpha) -> (mu.nu, rho, mu<alpha), computed once."""
-    mt = cx_r.diagram.mt
+    mt = bundle.diagram.mt
     m = mt.mor(mu)
-    if (m.src, m.dst) != (cx_q.mode, cx_r.mode):
-        raise NotComposable(f"lock_functor: {mu} is not {cx_q.mode} -> "
-                            f"{cx_r.mode}")
+    cx_r, cx_q = bundle.codexes[m.dst], bundle.codexes[m.src]
     along = {nu: mt.compose(mu, nu) for nu in cx_q.index.mus}
     keys = {t.key: (along[t.nu], t.rho, mt.wl(mu, t.alpha))
             for t in cx_q.index.decomps}
@@ -621,23 +626,19 @@ def _comma_legs(ix: CodexIndex, pi: str) -> dict:
     return legs
 
 
-def incl(cx_s: CodexCategory, pi: str, cap=None) -> Adjunction:
+def incl(bundle: "CodexBundle", pi: str) -> Adjunction:
     """reflect(pi) -| incl(pi), with incl computed pointwise by limits over
     the comma categories pi down nu, read off the index of the codex.  A
     cone's node keys are the decomposition triples (nu, sigma, beta) of pi;
     the counit is the leg at (pi, id, id:pi).  The comma categories' edges
-    are read only for a base category that is not thin, and their legs
-    only for a structure map that obj_of does not give."""
-    d, mt = cx_s.diagram, cx_s.diagram.mt
-    m = mt.mor(pi)
-    if m.dst != cx_s.mode:
-        raise NotComposable(f"incl: {pi} does not land in {cx_s.mode}")
-    r = m.src
-    cr = d.cat(r)
+    are read only over bases not all thin, and their legs only for a
+    structure map that obj_of does not give."""
+    d, mt = bundle.diagram, bundle.diagram.mt
+    r, s = mt.mor(pi).src, mt.mor(pi).dst
+    cx_s, cr, cap = bundle.codexes[s], d.cat(r), bundle.cap
     ix = cx_s.index
     nodes = _comma_nodes(ix, pi)
-    edges = None if all(c.thin for c in ix.cats.values()) else \
-        _comma_edges(mt, ix, pi)
+    edges = None if cx_s.thin else _comma_edges(mt, ix, pi)
     legs = None
 
     cones = {}
@@ -701,38 +702,30 @@ def transpose(adj: Adjunction, x, f):
     return adj.right.dst.comp(adj.right.amap[f], adj.unit[x])
 
 
-def mate(cx_s: CodexCategory, adj_mu: Adjunction, adj_nu: Adjunction,
-         rho: str, alpha: str) -> FinNat:
-    """The mate incl(mu) => incl(nu) . C_rho of the structure-map operation,
-    for alpha: mu => nu . rho."""
-    d, mt = cx_s.diagram, cx_s.diagram.mt
-    mu, nu = adj_mu.pi, adj_nu.pi
-    c = mt.cell(alpha)
-    if c.src != mu or c.dst != mt.compose(nu, rho):
-        raise NotComposable(f"mate: {alpha} is not {mu} => {nu}.{rho}")
-    q = mt.mor(nu).src
-    cq = d.cat(q)
+def mate(bundle: "CodexBundle", pi: str, t: Decomposition) -> FinNat:
+    """The mate incl(pi.mu) => incl(pi.nu) . C_rho of the structure-map
+    operation at pi<alpha, for t, alpha: mu => nu . rho, at src pi."""
+    mt = bundle.diagram.mt
+    adj_mu = bundle.adjunctions[mt.compose(pi, t.mu)]
+    adj_nu = bundle.adjunctions[mt.compose(pi, t.nu)]
+    alpha = mt.wl(pi, t.alpha)
+    key = (adj_nu.pi, t.rho, alpha)
     comps = {}
-    for g in d.cat(mt.mor(mu).src).objects:
+    for g in adj_mu.right.src.objects:
         x = adj_mu.right.omap[g]
-        f = cq.comp(d.fun(rho).amap[adj_mu.counit[g]],
-                    x.smap((nu, rho, alpha)))
+        f = t.cat.comp(t.fun.amap[adj_mu.counit[g]], x.smap(key))
         comps[g] = transpose(adj_nu, x, f)
-    return FinNat(adj_mu.right, compose_functors(adj_nu.right, d.fun(rho)),
-                  comps, name=f"mate({rho},{alpha})")
+    return FinNat(adj_mu.right, compose_functors(adj_nu.right, t.fun),
+                  comps, name=f"mate({t.rho},{alpha})")
 
 
-def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
-                        lock: FinFunctor, adjs: dict,
-                        cap=None) -> Adjunction:
+def codex_right_adjoint(bundle: "CodexBundle", pi: str) -> Adjunction:
     """lock(pi) -| radj(pi) for pi: r -> s, with radj assembled as a limit
-    of inclusions; lock is lock(pi), and adjs maps every composite pi . mu
-    to its reflect -| incl Adjunction."""
-    mt = cx_r.diagram.mt
+    of the inclusions along every composite pi . mu."""
+    mt = bundle.diagram.mt
     m = mt.mor(pi)
-    if (m.src, m.dst) != (cx_r.mode, cx_s.mode):
-        raise NotComposable(f"codex_right_adjoint: {pi} is not "
-                            f"{cx_r.mode} -> {cx_s.mode}")
+    cx_r, cx_s = bundle.codexes[m.src], bundle.codexes[m.dst]
+    lock, adjs, cap = bundle.locks[pi], bundle.adjunctions, bundle.cap
     ix = cx_r.index
     pim = {mu: mt.compose(pi, mu) for mu in ix.mus}
     adj = {mu: adjs[k] for mu, k in pim.items()}
@@ -740,8 +733,7 @@ def codex_right_adjoint(cx_r: CodexCategory, cx_s: CodexCategory, pi: str,
     # in a thin codex the limits read no edges and a unit is the one arrow
     # of its hom-set, so neither mates nor legs are composed for them
     thin = cx_s.thin
-    mates = {} if thin else {t.key: mate(cx_s, adj[t.mu], adj[t.nu], t.rho,
-                                         mt.wl(pi, t.alpha)) for t in trips}
+    mates = {} if thin else {t.key: mate(bundle, pi, t) for t in trips}
 
     # the limits' node keys in repr order, fixed once, each with the object
     # map of its inclusion, the index of the component it includes and the
@@ -844,9 +836,7 @@ class CodexBundle:
 
     @_family
     def locks(self) -> dict:  # lock(mu), from the codex at dst mu to src mu
-        cx = self.codexes
-        return {m.name: lock_functor(cx[m.dst], cx[m.src], m.name)
-                for m in self.diagram.mt.morphisms.values()}
+        return {mu: lock_functor(self, mu) for mu in self.diagram.mt.morphisms}
 
     @_family
     def lock_cells(self) -> dict:
@@ -855,22 +845,18 @@ class CodexBundle:
     @_family
     def lock_rows(self) -> list[tuple]:  # a lock-2functor row per violation
         # the codexes are categories as enumerated
-        bad = lock_diagram(self).strictness(True)
+        bad = lock_diagram(self).strictness()
         return [("lock-2functor", False, f"{v} (◁, ▷ and ∘ read in M^coop)")
                 for v in bad] or [("lock-2functor", True, "")]
 
     @_family
     def adjunctions(self) -> dict:  # reflect -| incl
-        return {m.name: incl(self.codexes[m.dst], m.name, cap=self.cap)
-                for m in self.diagram.mt.morphisms.values()}
+        return {pi: incl(self, pi) for pi in self.diagram.mt.morphisms}
 
     @_family
     def right_adjoints(self) -> dict:  # lock -| radj
-        cx = self.codexes
-        return {m.name: codex_right_adjoint(cx[m.src], cx[m.dst], m.name,
-                                            self.locks[m.name],
-                                            self.adjunctions, cap=self.cap)
-                for m in self.diagram.mt.morphisms.values()}
+        return {pi: codex_right_adjoint(self, pi)
+                for pi in self.diagram.mt.morphisms}
 
     @_family
     def comparisons(self) -> dict:

@@ -25,16 +25,16 @@ paths bound the number of candidate cones by a configurable cap.  For the
 same reason the validators read boundaries where they can: on a thin
 category a composite on its boundary is the composite, and on a thin
 target a square whose sides have the right ends commutes.
-One flag, lawful, tells `FinFunctor.validate` and `Diagram.strictness`
-the one fact they cannot see for themselves: every category involved is
-known to be a category.  Each checks for itself that the arrow images
-land before it decides an equation into a thin category by boundaries.
-`Diagram.validate` passes the flag once every category has validated
-clean in the same call, and the codex bundle passes it for its lock
-diagram, whose codexes are categories as enumerated.  Then a functor
-whose arrow images land skips its composition loop, a composite functor
-is compared with the composite of its factors on objects alone, and the
-vcompose, wl and wr rows are skipped when every category is thin.
+One flag, lawful, tells `FinFunctor.validate` that its source and target
+are known to be categories; `Diagram.validate` passes it once every
+category has validated clean, and only then calls `Diagram.strictness`,
+which presumes it.  Each checks for itself, strictness once per functor,
+that the arrow images land before it decides an equation into a thin
+category by boundaries.  Then a functor skips its composition loop; and
+once every functor lands, a composite functor is compared with its
+factors on objects alone, a natural transformation into a thin category
+is not asked for naturality, and the vcompose, wl and wr rows are
+skipped when every category is thin.
 
 Boundaries are read on positions: `FinCat.ends` gives the positions of an
 arrow's ends, `FinCat.arrow_at` the arrow between two positions, and
@@ -398,10 +398,8 @@ class FinNat:
         return self.components[obj]
 
     def validate(self, natural: bool = True) -> list[str]:
-        """Components, then naturality when asked.  On a thin target,
-        presumed a category as Diagram.validate checks before strictness,
-        naturality holds once both functors send every arrow between the
-        images of its ends."""
+        """Components, then naturality when asked: strictness does not ask
+        where it has decided naturality by boundaries."""
         cat = self.dst.dst
         out = [f"components name {o}, not an object of the source"
                for o in self.components if o not in self.src.src.identities]
@@ -414,8 +412,6 @@ class FinNat:
                 out.append(f"component at {o} has wrong boundary")
         if out or not natural:
             return out  # naturality composes the components
-        if cat.thin and self.src.lands_all() and self.dst.lands_all():
-            return out  # each square's sides are parallel, so equal
         for f in self.src.src.arrows.values():
             lhs = cat.comp(self.dst.amap[f.name], self.components[f.src])
             rhs = cat.comp(self.components[f.dst], self.src.amap[f.name])
@@ -477,9 +473,9 @@ class Diagram:
                 out.append(f"functor for {m.name} has wrong boundary")
                 continue
             out += [f"C_{m.name}: {v}" for v in f.validate(lawful)]
-        return out or self.strictness(lawful)
+        return out or self.strictness()
 
-    def strictness(self, lawful: bool = False) -> list[str]:
+    def strictness(self) -> list[str]:
         """The strict 2-functor laws on functors, which validate has
         checked: identity functors, composites, each cell's natural
         transformation (an identity cell is only compared with the
@@ -487,20 +483,22 @@ class Diagram:
         place, and the mode theory's tables are presumed well-shaped, as
         validate_mode_theory checks.
 
-        lawful says that every category is known to be a category:
-        validate passes it once they have validated clean, and the codex
-        bundle for its lock diagram.  Then, once every functor's arrow
-        images land, read here on positions, a composite functor into a
-        thin category whose object map is right has the right arrow map;
-        and when every category is thin, the vcompose, wl and wr rows
-        compare parallel components, whose boundaries the natural
-        transformations' checks fix, and are not run."""
+        Every category is presumed a category: validate calls this once
+        they have validated clean, and the codex bundle for its lock
+        diagram, whose codexes are categories as enumerated.  Whether each
+        functor's arrow images land is read once, on positions.  When they
+        all do, a composite functor into a thin category whose object map
+        is right has the right arrow map, a natural transformation into a
+        thin category is natural, and when every category is thin, the
+        vcompose, wl and wr rows compare parallel components, whose
+        boundaries the natural transformations' checks fix, and are not
+        run."""
         out = [f"C_{m} is not the identity functor" for m in self.mt.morphisms
                if self.mt.is_id_mor(m) and
                not self.functors[m].maps_like(_same, _same)]
         if out:
             return out  # the checks below compose the functors' tables
-        lands = lawful and all(f.lands_all() for f in self.functors.values())
+        lands = all(f.lands_all() for f in self.functors.values())
         for (mu, nu), comp in self.mt.compose_table.items():
             g, f, h = self.functors[mu], self.functors[nu], self.functors[comp]
             decided = lands and h.dst.thin
@@ -518,7 +516,8 @@ class Diagram:
                 out.append(f"C_{c.name} has wrong boundary")
                 continue
             ident = self.mt.is_id_cell(c.name)
-            bad = [f"C_{c.name}: {v}" for v in n.validate(natural=not ident)]
+            decided = ident or lands and n.dst.dst.thin
+            bad = [f"C_{c.name}: {v}" for v in n.validate(not decided)]
             f = n.src
             if not bad and ident and any(
                     n.at(o) != f.dst.id_arr(f.omap[o]) for o in f.src.objects):
@@ -776,8 +775,8 @@ def first_unpreserved_limit(c: FinCat, functors: list,
         meets.setdefault(down[a], a)
     # per functor: its object map on positions, its target's down-sets, and
     # whether it lands every arrow, when no leg need be checked
-    images = [(f, [f.dst._pos[f.omap[o]] for o in c.objects], f.dst._down,
-               f.lands_all()) for f in functors]
+    images = [(f, f.image_positions(), f.dst._down, f.lands_all())
+              for f in functors]
     for ends, nodes in _binary_diagrams(c):
         lower = (1 << n) - 1
         for e in ends:

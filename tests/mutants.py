@@ -49,12 +49,20 @@ MUTANTS = {
         "one = dst.arrow_at(img[j], img[i])",
         ["tests/test_thin.py::test_thin_adjoints_match_the_general_path"],
         None),
-    # strictness is told that the categories are categories, and checks for
-    # itself that the arrow images land before it decides by boundaries
-    "lock-strictness-lawful-without-lands": (
+    # strictness presumes that the categories are categories, and checks
+    # for itself that the arrow images land before it decides by boundaries
+    "strictness-without-lands": (
         "matt/fincat.py",
-        "lands = lawful and all(f.lands_all() for f in self.functors.values())",
-        "lands = lawful",
+        "lands = all(f.lands_all() for f in self.functors.values())",
+        "lands = True",
+        ["tests/test_boundaries.py::"
+         "test_lock_strictness_keeps_its_loops_on_thin_codexes"],
+        None),
+    # naturality into a thin category is decided once every functor lands
+    "naturality-decided-without-lands": (
+        "matt/fincat.py",
+        "decided = ident or lands and n.dst.dst.thin",
+        "decided = ident or n.dst.dst.thin",
         ["tests/test_boundaries.py::"
          "test_lock_strictness_keeps_its_loops_on_thin_codexes"],
         None),
@@ -129,6 +137,57 @@ MUTANTS = {
         "return True",
         ["tests/test_boundaries.py::test_thin_isos_match_the_full_loops",
          "tests/test_fincat.py::test_is_iso"],
+        None),
+    # a family of arrow components is an arrow only if its squares commute
+    "theta-squares-always-hold": (
+        "matt/codex.py",
+        "    return all(t.cat.comp(t.fun.amap[theta[t.mu]], g.smap(t.key)) ==",
+        "    return True or all(t.cat.comp(t.fun.amap[theta[t.mu]], "
+        "g.smap(t.key)) ==",
+        ["tests/test_codex.py::test_structure_squares_refuse_families_over_z2"],
+        None),
+    # the general path counts its arrow search against the cap
+    "arrow-search-uncapped": (
+        "matt/codex.py",
+        "if cap is not None and size > cap:",
+        "if False:",
+        ["tests/test_laws.py::"
+         "test_cap_bounds_the_arrow_search_of_a_codex_that_is_not_thin"],
+        None),
+    # one per law: its FAIL branch taken away, on a construction broken for
+    # it by the test
+    "right-triangle-never-fails": (
+        "matt/laws.py",
+        'return False, f"right triangle fails for {m} at {y}"',
+        "pass",
+        ["tests/test_laws.py::test_right_triangle_fails_on_a_broken_unit"],
+        None),
+    "up-ff-never-fails": (
+        "matt/laws.py",
+        'return False, f"counit at {g} in mode {p} is not iso"',
+        "pass",
+        ["tests/test_laws.py::test_up_ff_fails_on_a_counit_that_is_not_iso"],
+        None),
+    "pseudonat-never-fails": (
+        "matt/laws.py",
+        'return False, f"comparison for {m} at {delta} is not iso"',
+        "pass",
+        ["tests/test_laws.py::"
+         "test_pseudonat_fails_on_a_comparison_that_is_not_iso"],
+        None),
+    "identity-drift-never-fails": (
+        "matt/laws.py",
+        'return False, f"identity component drifts at {r}: {obj}"',
+        "pass",
+        ["tests/test_laws.py::"
+         "test_universal_property_fails_on_a_broken_dextrified_object[drift]"],
+        None),
+    "round-trip-never-fails": (
+        "matt/laws.py",
+        'return False, f"round trip not iso at {r}: {obj}"',
+        "pass",
+        ["tests/test_laws.py::test_universal_property_fails_on_a_broken_"
+         "dextrified_object[round-trip]"],
         None),
     "hom-bijection-returns-before-comparing": (
         "matt/laws.py",

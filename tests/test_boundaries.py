@@ -10,10 +10,9 @@ thin flag forced False, as test_thin's mark_not_thin does, take them.
 Each mutant of a bundled theory or diagram must be reported as the full
 loops report it, and the bundled inputs must never enter those loops.
 
-The same holds on thin codexes: `verify_2functor` tells
-`Diagram.strictness` that the codexes are categories, and strictness
-decides the lock diagram by boundaries once it has checked that every lock
-functor lands, `is_iso` and `isomorphic` read a thin category's hom-sets,
+The same holds on thin codexes: `Diagram.strictness` presumes that the
+codexes are categories, as they are enumerated, and decides the lock
+diagram by boundaries once it has checked that every lock functor lands, `is_iso` and `isomorphic` read a thin category's hom-sets,
 and the hom bijection of an adjunction into a thin category compares
 hom-sets for emptiness once every transpose lands.  Each is held to its
 full loops on mutants, and categories that are not thin still enter them.
@@ -216,25 +215,27 @@ def mutated_lock_diagrams(draw):
     return ld
 
 
-def reflective_lock_diagram_off_its_ends():
-    """The reflective diagram's lock diagram with lock(mu) sending the
-    arrow (0, 1) to (0, 2), which does not land; lock(mu) is a factor of
-    composites, so only their arrow maps tell it apart."""
+def reflective_lock_diagram_off_its_ends(mor, image):
+    """The reflective diagram's lock diagram with lock(mor) sending the
+    arrow (0, 1) to image, which does not land.  lock(mu) is a factor of
+    composites, so only their arrow maps tell (0, 2) apart; lock(numu) is
+    also an end of lock(eta), whose square at (0, 1) then fails."""
     ld = lock_diagram(build_bundle(load_diagram(diagram_path("reflective"))))
-    f = ld.functors["mu"]
-    f.amap[(0, 1)] = (0, 2)
+    f = ld.functors[mor]
+    f.amap[(0, 1)] = image
     assert not f.lands_all()
     return ld
 
 
 @settings(max_examples=200, deadline=None)
-@example(reflective_lock_diagram_off_its_ends())
+@example(reflective_lock_diagram_off_its_ends("mu", (0, 2)))
+@example(reflective_lock_diagram_off_its_ends("numu", (1, 1)))
 @given(mutated_lock_diagrams())
 def test_lock_strictness_keeps_its_loops_on_thin_codexes(ld):
-    """Strictness of a mutated lock diagram whose codexes are thin, told
-    they are categories, as verify_2functor tells it: it keeps the loops
-    until every lock functor lands, and then reports what they do."""
-    same_as_full_loops(ld, lambda: ld.strictness(True))
+    """Strictness of a mutated lock diagram whose codexes are thin, which
+    it presumes are categories, as they are: it keeps the loops until
+    every lock functor lands, and then reports what they do."""
+    same_as_full_loops(ld, ld.strictness)
 
 
 def test_a_functor_into_a_category_that_is_not_thin_is_checked():

@@ -1,5 +1,7 @@
 """Bidirectional checking, weak-head reduction, and conversion."""
 
+import re
+
 import pytest
 
 from matt.bundled import theory_path
@@ -272,6 +274,71 @@ def test_a_modality_mismatch_leaves_one_trace_line(tmp_path, decl):
                             decl])
     assert d.code == "ConversionFailure"
     assert d.trace == ("modalities differ: mu vs id:q",)
+
+
+def test_two_variables_leave_a_trace_line(tmp_path):
+    ([d], n) = check_lines(tmp_path, "single_arrow", [
+        "const B : Type @ q;", "const R : (b : B) Type @ q;",
+        r"def d @ q : (x : B) -> (y : B) -> (r : R x) -> R y = \x. \y. \r. r;"])
+    assert (n, d.code, d.line) == (2, "ConversionFailure", 3)
+    assert re.fullmatch(r"variables differ: x!\d+\^id:id:q vs y!\d+\^id:id:q",
+                        *d.trace)
+
+
+def _under_let(tmp_path, theory, mode, decls, ydom, zdom, left, right,
+               motive):
+    """R of one let-mod with scrutinee y against R of another with
+    scrutinee z, each branch a constant, so both stay neutral."""
+    return check_lines(tmp_path, theory, [
+        *decls, f"const R : (c : {motive}) Type @ {mode};",
+        f"def d @ {mode} : (y : {ydom}) -> (z : {zdom}) -> "
+        f"(r : R ({left})) -> R ({right}) = \\y. \\z. \\r. r;"])
+
+
+def test_let_mod_neutrals_with_other_modalities_differ(tmp_path):
+    ([d], _) = _under_let(
+        tmp_path, "comonad", "p",
+        ["const A : Type @ p;", "const C : Type @ p;", "const c0 : C @ p;"],
+        "F[m] A", "F[id:p] A", "let[id:p, m] mod x = y in c0 motive C",
+        "let[id:p, id:p] mod x = z in c0 motive C", "C")
+    assert d.code == "ConversionFailure"
+    assert d.trace == ("modalities differ: m vs id:p",)
+
+
+def test_let_mod_neutrals_with_other_scrutinees_differ(tmp_path):
+    ([d], _) = _under_let(
+        tmp_path, "single_arrow", "q",
+        ["const A : Type @ p;", "const B : Type @ q;", "const b0 : B @ q;"],
+        "F[mu] A", "F[mu] A", "let[id:q, mu] mod x = y in b0 motive B",
+        "let[id:q, mu] mod x = z in b0 motive B", "B")
+    assert d.code == "ConversionFailure"
+    assert re.fullmatch(r"variables differ: y!\d+\^id:id:q vs z!\d+\^id:id:q",
+                        *d.trace)
+
+
+def test_open_neutrals_with_other_bodies_differ(tmp_path):
+    ([d], n) = check_lines(tmp_path, "2ltt", [
+        "const B : Type @ f;", "const P : (b : B) Type @ f;",
+        "const h1 : U[iota] B @ e;", "const h2 : U[iota] B @ e;",
+        "def d @ f : (r : P (open[iota] h1)) -> P (open[iota] h2) = \\r. r;"])
+    assert (n, d.code, d.line) == (4, "ConversionFailure", 5)
+    assert d.trace == ("constants differ: h1 vs h2",)
+
+
+def test_other_modalities_under_u_and_open_differ():
+    """2ltt has one sinister morphism, so no program writes two U or two
+    open at other modalities; the kernel compares them as it would, by the
+    modality first, though the types and bodies under them agree."""
+    k = kernel("2ltt", [ConstDecl("B", "f", (), None),
+                        ConstDecl("h", "e", (), UMod("iota", Const("B", ())))])
+    ctx = empty_context("e")
+    assert not k.convert_types(ctx, UMod("iota", B), UMod("iotainv", B))
+    assert k.trace == ["modalities differ: iota vs iotainv"]
+    k.trace.clear()
+    h = Const("h", ())
+    assert k._neutral(empty_context("f"), Open("iota", h),
+                      Open("iotainv", h)) is None
+    assert k.trace == ["modalities differ: iota vs iotainv"]
 
 
 def test_a_constant_head_is_typed_without_rechecking_its_spine(

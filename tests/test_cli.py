@@ -84,6 +84,31 @@ def test_modes_validate_broken_triangle(tmp_path):
         assert "VIOLATION" in out.getvalue()
 
 
+def _adjoint(**fields):
+    def edit(data):
+        data["adjoints"] = [{**data["adjoints"][0], **fields}] if fields \
+            else []
+    return edit
+
+
+@pytest.mark.parametrize("edit, line", [
+    (_adjoint(), "VIOLATION adjoint-missing: sinister morphism mu has no "
+                 "adjoint entry"),
+    (_adjoint(dagger="numu"), "VIOLATION adjoint-typing: numu is not a "
+                              "candidate right adjoint of mu"),
+    (_adjoint(counit="eta"), "VIOLATION adjoint-typing: counit eta is not "
+                             "mu∘nu ⇒ 1_q"),
+], ids=["no-entry", "dagger-ends", "counit-boundary"])
+def test_modes_validate_refuses_a_broken_adjoint(tmp_path, capsys, edit,
+                                                 line):
+    """reflective.mt's sinister mu without its adjoint entry, with nu
+    replaced by numu: p -> p, or with the counit eta: id:p => numu."""
+    f = tmp_path / "adjoint.mt"
+    f.write_bytes(_reflective_with(edit))
+    assert main(["modes", "validate", str(f)]) == 1
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_modes_validate_failure_names_axiom(tmp_path):
     data = json.loads(theory_path("semilattice").read_text())
     data["classes"]["transparent"].remove("id:p")

@@ -14,7 +14,7 @@ from test_laws import NOT_THIN, fork_diagram, not_thin_diagram
 
 from matt import codex
 from matt.bundled import DIAGRAM_NAMES, THEORY_NAMES, diagram_path, theory_path
-from matt.codex import (build_bundle, check_oplax_object,
+from matt.codex import (CodexCategory, build_bundle, check_oplax_object,
                         check_oplax_morphism, codex_index, comma_shapes,
                         dextrify_colax,
                         enumerate_codex, isomorphic, lock_diagram,
@@ -124,6 +124,38 @@ def test_corrupted_object_rejected():
     bad = OplaxObject("p", good.components,
                       tuple((t, "id:0") for t, _ in good.structure))
     assert check_oplax_object(d, bad) != []
+
+
+def test_structure_squares_refuse_families_over_z2(tmp_path):
+    """Over single_arrow with Z/2 = {id:*, s} at both modes and C_mu the
+    identity, the codex at q has two objects, with structure map id:* and
+    s, and a family (a at id:q, b at mu) is an arrow g -> h exactly when
+    its square b∘g_s == h_s∘a commutes: two of the four families of each
+    pair, so 8 of the 16 families tried.  A family that fails its square is
+    refused by check_oplax_morphism."""
+    d = load_diagram(not_thin_diagram(tmp_path, "z2"))
+    cx = enumerate_codex(d, "q")
+    z2, key = d.cat("q"), ("id:q", "mu", "id:mu")
+    assert sorted(o.smap(key) for o in cx.objects) == ["id:*", "s"]
+    families = list(itertools.product(["id:*", "s"], repeat=2))
+
+    def squares(g, h):
+        return {(a, b) for a, b in families
+                if z2.comp(b, g.smap(key)) == z2.comp(h.smap(key), a)}
+
+    for g in cx.objects:
+        for h in cx.objects:
+            assert len(squares(g, h)) == 2
+            assert {(cx.component(n, "id:q"), cx.component(n, "mu"))
+                    for n in cx.cat.hom(g, h)} == squares(g, h)
+    assert len(cx.cat.arrows) == 8
+    g, h = cx.objects
+    a, b = next(f for f in families if f not in squares(g, h))
+    name = ((("id:q", a), ("mu", b)), g, h)
+    stand_in = CodexCategory(d, "q", cx.index,
+                             FinCat(cx.objects, [(name, g, h)], []), False)
+    assert check_oplax_morphism(stand_in, name) == [
+        "a structure square does not commute"]
 
 
 def monoid_comonad():
@@ -391,7 +423,7 @@ def test_lock_strictness_rejects_a_natural_lock_cell(monkeypatch, diagram,
 
 def test_lock_functor_validates():
     b = bundle("comonad")
-    f = lock_functor(b.codexes["p"], b.codexes["p"], "m")
+    f = lock_functor(b, "m")
     assert f.validate() == []
 
 
@@ -400,7 +432,7 @@ def test_locks_built_once_per_morphism(monkeypatch, name):
     calls = []
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return lock_functor(*args)
 
     monkeypatch.setattr("matt.codex.lock_functor", counting)
@@ -521,10 +553,9 @@ def test_limit_absent_when_component_has_no_limit():
     fmu = FinFunctor(cp, cq, {"a": "0", "b": "1"}, {})
     d = Diagram(mt, {"p": cp, "q": cq}, {"mu": fmu}, {})
     assert d.validate() == []
-    from matt.codex import enumerate_codex, incl
-    cx = enumerate_codex(d, "q")
+    from matt.codex import incl
     with pytest.raises(LimitAbsent):
-        incl(cx, "id:q")
+        incl(build_bundle(d), "id:q")
 
 
 # --- incl's comma categories ----------------------------------------------------
@@ -674,9 +705,11 @@ def test_comma_arrows_compose_by_cells():
 def test_mate_is_natural():
     d = diag("reflective")
     b = bundle("reflective")
-    # eta: id:p => nu . mu, so the mate goes incl(id:p) => incl(nu) . C_mu
-    cx = b.codexes["p"]
-    nat = mate(cx, b.adjunctions["id:p"], b.adjunctions["nu"], "mu", "eta")
+    # eta: id:p => nu . mu, so along id:p the mate goes incl(id:p) =>
+    # incl(nu) . C_mu
+    t = next(t for t in b.codexes["p"].index.decomps
+             if t.key == ("nu", "mu", "eta"))
+    nat = mate(b, "id:p", t)
     assert nat.validate() == []
 
 
@@ -729,8 +762,7 @@ def test_radj_without_an_arrow_between_the_images_has_no_image(monkeypatch):
 
     monkeypatch.setattr(codex, "limit", lowered)
     with pytest.raises(LimitAbsent) as e:
-        codex.codex_right_adjoint(cx_r, cx_s, "mu", b.locks["mu"],
-                                  b.adjunctions)
+        codex.codex_right_adjoint(b, "mu")
     assert str(e.value) == ("codex_right_adjoint(mu): image of an arrow has "
                             "0 factorizations")
 

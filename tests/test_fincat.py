@@ -21,7 +21,9 @@ from matt.fincat import (Cone, FinCat, FinFunctor, FinNat, all_cones,
                          check_preserves_limit, compose_functors,
                          factorizations, first_unpreserved_limit,
                          identity_functor, is_iso, is_terminal_cone,
-                         isomorphic, limit, load_diagram, poset_category)
+                         diagram_from_data, isomorphic, limit, load_diagram,
+                         poset_category)
+from matt.mode_theory import mode_theory_from_data
 
 
 def two_chain():
@@ -149,6 +151,21 @@ def test_strictness_compares_functor_tables_in_place(name):
             assert not any("functor" in v or v.startswith("strictness")
                            for v in got[len(want):])
     assert rows > 0
+
+
+def test_a_vcompose_row_that_differs_is_reported():
+    """Two endo-cells a, b of id:p with b∘a = a, sent to the generator s of
+    Z/2 each: C_b∘C_a is s∘s = id:*, not C_a, and Z/2 is not thin, so the
+    component rows run."""
+    mt = mode_theory_from_data({
+        "modes": ["p"],
+        "cells": [{"name": c, "src": "id:p", "dst": "id:p"} for c in "ab"],
+        "vcompose": [["b", "a", "a"]]})
+    d = diagram_from_data(mt, {
+        "categories": {"p": {"objects": ["*"], "arrows": [["s", "*", "*"]],
+                             "compose": [["s", "s", "id:*"]]}},
+        "naturals": {c: {"components": {"*": "s"}} for c in "ab"}})
+    assert d.validate() == ["C_(b∘a) differs at *"]
 
 
 def test_negative_diagram_still_wellformed():
@@ -581,10 +598,11 @@ def test_hom_index_matches_linear_scan():
 
 # --- validator shortcuts against their full loops ---------------------------
 # On a thin category FinCat.validate skips associativity once every
-# composite lies on its boundary, and FinNat.validate skips naturality once
-# both functors' arrow images have the right ends.  Each must report what
-# its full loop reports, run with thin forced False as test_thin's
-# mark_not_thin does, here on preorders with one corrupted entry.
+# composite lies on its boundary.  It must report what its full loop
+# reports, run with thin forced False as test_thin's mark_not_thin does,
+# here on preorders with one corrupted entry.  FinNat.validate decides
+# nothing by boundaries (Diagram.strictness does, in its place), so it
+# reports the same either way.
 
 def outcome(check):
     """The violations check returns, or the class and text it raises."""

@@ -11,10 +11,12 @@ import pytest
 from matt import codex, laws
 from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.cli import cmd_sem_laws, main
-from matt.codex import Adjunction, CodexBundle, enumerate_codex
-from matt.errors import LimitAbsent, ParseError
-from matt.fincat import FinCat, identity_functor, load_diagram
-from matt.laws import (LAWS, law_adjunction, law_radj_triangles,
+from matt.codex import Adjunction, CodexBundle, build_bundle, enumerate_codex
+from matt.errors import CapExceeded, LimitAbsent, ParseError
+from matt.fincat import (FinCat, FinFunctor, identity_functor, isomorphic,
+                         load_diagram)
+from matt.laws import (LAWS, law_adjunction, law_pseudonat,
+                       law_radj_triangles, law_universal_property, law_up_ff,
                        run_law_suite)
 
 
@@ -188,6 +190,52 @@ def test_laws_other_than_pointwise_limits_pass_on_a_non_thin_codex(tmp_path):
         set(LAWS) - {"pointwise-limits"}
 
 
+def test_cap_bounds_the_arrow_search_of_a_codex_that_is_not_thin(tmp_path):
+    """At q the fork's codex has 3 x 3 component choices, and its arrow
+    search tries 39 component families, one hom-set product per pair of its
+    7 objects: the cap counts those families before any is tried.  A thin
+    codex has no such search, so only its component product is counted."""
+    path = fork_diagram(tmp_path)
+    d = load_diagram(path)
+    with pytest.raises(CapExceeded) as e:
+        enumerate_codex(d, "q", cap=9)
+    assert str(e.value) == "codex at q: arrow search size 39 exceeds cap 9"
+    assert len(enumerate_codex(d, "q", cap=39).cat.arrows) == 31
+    rc, out = sem_laws(path, "--cap", "9")
+    assert rc == 1 and "LAW lock-strictness: FAIL (codex at q: arrow search " \
+        "size 39 exceeds cap 9)\n" in out
+    thin = load_diagram(diagram_path("single_arrow"))
+    assert len(enumerate_codex(thin, "q", cap=4).objects) == 3  # 2 x 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", [*NOT_THIN, "fork"])
+def test_search_order_moves_no_verdict_where_limits_are_searched(
+        monkeypatch, tmp_path, name, seed):
+    """Criterion 8 on categories that are not thin, where a limit is a
+    search over all cones: with the codex constructions' limits and
+    first_unpreserved_limit shuffled by seed, every law keeps its
+    verdict."""
+    path = fork_diagram(tmp_path) if name == "fork" else \
+        not_thin_diagram(tmp_path, name)
+
+    def verdicts():
+        return {law: ok for law, (ok, _) in run_law_suite(path).items()}
+
+    base = verdicts()
+    real_limit, real_first = codex.limit, laws.first_unpreserved_limit
+
+    def shuffled(c, nodes, edges=(), cap=None, order=None):
+        return real_limit(c, nodes, edges, cap=cap, order=seed)
+
+    def shuffled_first(c, functors, cap=None, order=None):
+        return real_first(c, functors, cap=cap, order=seed)
+
+    monkeypatch.setattr(codex, "limit", shuffled)
+    monkeypatch.setattr(laws, "first_unpreserved_limit", shuffled_first)
+    assert verdicts() == base
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: pointwise-limits "
                    "checks a binary product the codex has but the paper "
                    "does not compute pointwise")
@@ -214,6 +262,75 @@ def test_triangle_check_separates_parallel_arrows(unit, counit, expected):
     b.adjunctions = b.right_adjoints = {"m": adj}
     assert law_radj_triangles(None, b, None) == expected
     assert law_adjunction(None, b, None) == expected
+
+
+# --- each law's own FAIL branch -------------------------------------------------
+# Each test takes a lawful input, checks that the law passes, breaks the one
+# construction the law reads, and pins the law's detail.
+
+@pytest.mark.parametrize("unit, expected", [
+    ("id:a", (True, "")),
+    ("s", (False, "right triangle fails for m at b")),
+])
+def test_right_triangle_fails_on_a_broken_unit(unit, expected):
+    """left sends the involution s to the identity of a one-object
+    category, so the left triangle holds whatever the unit at a; the right
+    one reads the unit itself."""
+    one = FinCat(["b"], [], [])
+    left = FinFunctor(INVOLUTION, one, {"a": "b"}, {"s": "id:b"})
+    right = FinFunctor(one, INVOLUTION, {"b": "a"}, {})
+    b = CodexBundle(None)
+    b.right_adjoints = {"m": Adjunction("m", left, right, {"a": unit},
+                                        {"b": "id:b"}, {})}
+    assert law_radj_triangles(None, b, None) == expected
+
+
+def test_up_ff_fails_on_a_counit_that_is_not_iso(tmp_path):
+    d = load_diagram(not_thin_diagram(tmp_path, "idempotent-monoid"))
+    b = build_bundle(d)
+    counit = b.adjunctions["id:p"].counit
+    assert law_up_ff(d, b, None) == (True, "") and counit["*"] == "id:*"
+    counit["*"] = "e"  # e∘e = e: no inverse
+    assert law_up_ff(d, b, None) == (False, "counit at * in mode p is not iso")
+
+
+def test_pseudonat_fails_on_a_comparison_that_is_not_iso(tmp_path):
+    d = load_diagram(not_thin_diagram(tmp_path, "idempotent-monoid"))
+    b = build_bundle(d)
+    assert law_pseudonat(d, b, None) == (True, "")
+    comparisons = b.comparisons["id:p"]
+    delta = next(iter(comparisons))
+    comparisons[delta] = "e"
+    assert law_pseudonat(d, b, None) == (
+        False, f"comparison for id:p at {delta} is not iso")
+
+
+@pytest.mark.parametrize("same_component", [False, True],
+                         ids=["drift", "round-trip"])
+def test_universal_property_fails_on_a_broken_dextrified_object(
+        monkeypatch, same_component):
+    """Over single_arrow, the dextrification at q sends one codex object to
+    another one: with another identity component, the component drifts;
+    with the same one, the round trip is not iso, as no arrow runs back."""
+    d = load_diagram(diagram_path("single_arrow"))
+    b = build_bundle(d)
+    assert law_universal_property(d, b, None) == (True, "")
+    cx = b.codexes["q"]
+    x, image = next(
+        (x, y) for x in cx.objects for y in cx.objects
+        if (x.component("id:q") == y.component("id:q")) == same_component
+        and not isomorphic(cx.cat, y, x))
+    real = laws.dextrify_colax
+
+    def broken(bundle, g, gamma):
+        ghat = real(bundle, g, gamma)
+        ghat["q"].omap[x] = image
+        return ghat
+
+    monkeypatch.setattr(laws, "dextrify_colax", broken)
+    what = "round trip not iso" if same_component else \
+        "identity component drifts"
+    assert law_universal_property(d, b, None) == (False, f"{what} at q: {x}")
 
 
 # the lock rows are built once for both laws that read them; only 2functor
@@ -258,10 +375,11 @@ def test_laws_build_only_the_families_they_read(monkeypatch, only, built):
 
 def test_each_lock_cell_and_comparison_built_once_per_suite(monkeypatch):
     """One full suite on reflective.dg: each lock is built once, by the
-    locks family and not by a right adjoint, each lock cell once and each
-    comparison of a right adjoint once."""
+    locks family, which the first right adjoint reads, each lock cell once
+    and outside the right adjoints, and each comparison of a right adjoint
+    once and outside them."""
     # what each call builds: a lock's morphism, a cell, a (morphism, object)
-    keys = {"lock_functor": lambda args: args[2],
+    keys = {"lock_functor": lambda args: args[1],
             "lock_cell": lambda args: args[1],
             "psnat_component": lambda args: args[1:]}
     calls = {name: [] for name in keys}
@@ -273,7 +391,7 @@ def test_each_lock_cell_and_comparison_built_once_per_suite(monkeypatch):
         monkeypatch.setattr(codex, name, counting)
 
     def radj(*args, _real=codex.codex_right_adjoint, **kw):
-        in_radj.append(args[2])
+        in_radj.append(args[1])
         try:
             return _real(*args, **kw)
         finally:
@@ -283,8 +401,8 @@ def test_each_lock_cell_and_comparison_built_once_per_suite(monkeypatch):
     assert all(ok for ok, _ in results.values())
     d = load_diagram(diagram_path("reflective"))
     mt = d.mt
-    assert sorted(calls["lock_functor"]) == [(m, False)
-                                             for m in sorted(mt.morphisms)]
+    assert sorted(m for m, _ in calls["lock_functor"]) == \
+        sorted(mt.morphisms)
     assert sorted(calls["lock_cell"]) == [(c, False)
                                           for c in sorted(mt.cells)]
     objects = {p: enumerate_codex(d, p).objects for p in mt.modes}
