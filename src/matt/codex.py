@@ -32,12 +32,12 @@ search order downstream are those of the product filter it replaced.
 on the general path the arrow search too (enumerate_codex).
 
 A CodexBundle owns which codexes each morphism joins: every construction
-but reflect takes the bundle and a name and reads its codexes, locks,
-inclusions and cap there, and the bundle builds each family once.  The
-locks and lock cells are read off the codexes alone, as MTT's context
-locks are.  The codex gives two families of adjunctions, both held
-in one record, Adjunction: reflect(pi) -| incl(pi) between the codex and the
-base categories, and lock(pi) -| radj(pi) between codexes, whose right
+takes the bundle and a name and reads its codexes, locks, inclusions and
+cap there, and the bundle builds each family once.  The locks and lock
+cells are read off the codexes alone, as MTT's context locks are.  The
+codex gives two families of adjunctions, both held in one record,
+Adjunction: reflect(pi) -| incl(pi) between the codex and the base
+categories, and lock(pi) -| radj(pi) between codexes, whose right
 adjoints are the negative modalities.  Each right adjoint is assembled
 pointwise from limits (incl over the comma categories in the index, radj over
 a diagram of inclusions), and sends an arrow to the arrow its map of
@@ -78,7 +78,7 @@ import math
 from functools import cached_property
 
 from .errors import (CapExceeded, LimitAbsent, MalformedTable, MattError,
-                     NotColax, NotComposable)
+                     NotColax)
 from .fincat import (Diagram, FinCat, FinFunctor, FinNat, ThinCat,
                      compose_functors, factorizations, id_name, isomorphic,
                      limit, product_arrows)
@@ -227,7 +227,6 @@ class CodexCategory:
     obj_of and arrow return the enumerated instances, never an equal
     copy."""
     __slots__ = ("_instances", "_by_comps")
-    diagram: Diagram
     mode: str
     index: CodexIndex
     cat: FinCat
@@ -363,8 +362,7 @@ def _families(ix: CodexIndex):
         if t.identity:
             continue
         nu, mu = at[t.nu], at[t.mu]
-        pos, down = t.cat._pos, t.cat._down
-        img = [pos.get(t.fun.omap[o]) for o in objs[mu]]
+        down, img = t.cat._down, t.fun.image_positions()
         # into[z]: the x with an arrow x -> C_rho(z), z a position in C_mu
         into = [0 if y is None else down[y] for y in img]
         if nu > mu:
@@ -430,7 +428,7 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
         # an arrow wherever every component hom-set is inhabited
         cat = ThinCat(objs, product_arrows([cats[mu] for mu in mus], combos),
                       name=f"Codex({r})")
-        return CodexCategory(d, r, ix, cat, thin)
+        return CodexCategory(r, ix, cat, thin)
 
     objs: list[OplaxObject] = []
     for combo in _families(ix):
@@ -457,10 +455,9 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
             theta = dict(zip(mus, combo))
             if not _theta_squares_ok(ix, g, h, theta):
                 continue
-            if g == h and theta == _identity_family(cats, g):
-                continue  # synthesized by FinCat
-            name = (tuple(sorted(theta.items())), g, h)
-            arrows.append((name, g, h))
+            name = _arrow_name(cats, theta, g, h)
+            if name != id_name(g):  # FinCat synthesizes the identities
+                arrows.append((name, g, h))
 
     # composites of non-identity arrows, componentwise; FinCat adds the rows
     # that involve an identity and rejects a row naming an unknown arrow
@@ -474,8 +471,8 @@ def enumerate_codex(d: Diagram, r: str, cap=None) -> CodexCategory:
             tb = dict(bn[0])
             comps = {mu: cats[mu].comp(tb[mu], ta[mu]) for mu in mus}
             rows.append((bn, an, _arrow_name(cats, comps, asrc, bdst)))
-    return CodexCategory(d, r, ix, FinCat(objs, arrows, rows,
-                                          name=f"Codex({r})"), thin)
+    return CodexCategory(r, ix, FinCat(objs, arrows, rows,
+                                       name=f"Codex({r})"), thin)
 
 
 # --- lock functors and reflection ----------------------------------------------
@@ -534,13 +531,11 @@ def lock_cell(bundle: "CodexBundle", beta: str) -> FinNat:
     return FinNat(fm2, fm, comps, name=f"lock({beta})")
 
 
-def reflect(cx_q: CodexCategory, mu: str) -> FinFunctor:
+def reflect(bundle: "CodexBundle", mu: str) -> FinFunctor:
     """Project the mu-component; mu: p -> q."""
-    d, mt = cx_q.diagram, cx_q.diagram.mt
-    m = mt.mor(mu)
-    if m.dst != cx_q.mode:
-        raise NotComposable(f"reflect: {mu} does not land in {cx_q.mode}")
-    cp = d.cat(m.src)
+    d = bundle.diagram
+    m = d.mt.mor(mu)
+    cx_q, cp = bundle.codexes[m.dst], d.cat(m.src)
     omap = {g: g.component(mu) for g in cx_q.objects}
     amap = _arrow_map(cx_q.cat, cp, omap,
                       lambda name, a: cx_q.component(name, mu))
@@ -692,7 +687,7 @@ def incl(bundle: "CodexBundle", pi: str) -> Adjunction:
 
     unit = {delta: cx_s.arrow(delta, omap[delta.component(pi)], lambda: {
         nu: unit_at(delta, nu) for nu in ix.mus}) for delta in cx_s.objects}
-    return Adjunction(pi, reflect(cx_s, pi),
+    return Adjunction(pi, reflect(bundle, pi),
                       FinFunctor(cr, cx_s.cat, omap, amap, name=f"incl({pi})"),
                       unit, counit, cones)
 

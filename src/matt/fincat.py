@@ -2,15 +2,17 @@
 
 Everything is finite and checked exhaustively.  Identity arrows are
 synthesized (named "id:<obj>" for string objects, ("id", obj) otherwise) and
-never override user-supplied table rows.  Hom-sets are indexed by
-(source, target) at construction, and a FinCat is never changed after it is
-built.
+never override user-supplied table rows.  Hom-sets are indexed by the pair
+of positions (i, j) of their ends in the object list at construction, and a
+FinCat is never changed after it is built.
 
 A ThinCat is the engine's thin category on positions: the arrow from the
-i-th object to the j-th is named by the pair (i, j), (i, i) is the identity,
-and a composite is read off the ends of its factors, so no composition table
-is built or checked.  The thin codex categories are ThinCats; categories
-read from files keep their tables.
+i-th object to the j-th is named by the pair (i, j), its own key in that
+index, (i, i) is the identity, and a composite is read off the ends of its
+factors, so no composition table is built or checked and no object is
+hashed per arrow.  It shares every lookup but `ends` and `comp` with
+FinCat.  The thin codex categories are ThinCats; categories read from
+files keep their tables.
 
 A FinCat records whether it is thin: at most one arrow per hom-set.  Its
 objects have integer positions, and each position has the bitmask of the
@@ -93,11 +95,12 @@ class FinCat:
             i = id_name(o)
             self.identities[o] = i
             self.arrows.setdefault(i, Arrow(i, o, o))
-        self._hom: dict = {}  # (src, dst) -> arrow names in insertion order
+        self._pos = pos = {o: i for i, o in enumerate(self.objects)}
+        self._hom: dict = {}  # (i, j) -> arrow names in insertion order
         for n, a in self.arrows.items():
-            if a.src not in self.identities or a.dst not in self.identities:
+            if a.src not in pos or a.dst not in pos:
                 raise MalformedTable(f"arrow {n} has unknown endpoint")
-            self._hom.setdefault((a.src, a.dst), []).append(n)
+            self._hom.setdefault((pos[a.src], pos[a.dst]), []).append(n)
         self.compose: dict = {}
         for (g, f, h) in compose:
             ga, fa = self.arrows.get(g), self.arrows.get(f)
@@ -112,14 +115,15 @@ class FinCat:
         for n, a in self.arrows.items():
             self.compose.setdefault((n, self.identities[a.src]), n)
             self.compose.setdefault((self.identities[a.dst], n), n)
-        # thin: at most one arrow per hom-set.  _pos maps each object to its
-        # position i in objects, and _down[i] is the mask of the positions
-        # with an arrow into objects[i].
+        self._index()
+
+    def _index(self):
+        """Read off _hom: thin, at most one arrow per hom-set, and _down[j],
+        the mask of the positions with an arrow into the j-th object."""
         self.thin = all(len(h) == 1 for h in self._hom.values())
-        self._pos = {o: i for i, o in enumerate(self.objects)}
         self._down = [0] * len(self.objects)
-        for (x, y) in self._hom:
-            self._down[self._pos[y]] |= 1 << self._pos[x]
+        for (i, j) in self._hom:
+            self._down[j] |= 1 << i
 
     def arr(self, name) -> Arrow:
         try:
@@ -134,17 +138,17 @@ class FinCat:
         return self.identities[obj]
 
     def hom(self, x, y) -> list:
-        return list(self._hom.get((x, y), ()))
+        return list(self._hom.get((self._pos.get(x), self._pos.get(y)), ()))
 
     def one_arrow(self, x, y):
         """The first arrow x → y in hom order, or None when there is none:
         in a thin category, the one arrow x → y."""
-        h = self._hom.get((x, y))
-        return h[0] if h else None
+        return self.arrow_at(self._pos.get(x), self._pos.get(y))
 
     def arrow_at(self, i, j):
         """one_arrow from the i-th object to the j-th."""
-        return self.one_arrow(self.objects[i], self.objects[j])
+        h = self._hom.get((i, j))
+        return h[0] if h else None
 
     def ends(self, name):
         """The positions (i, j) of the ends of the arrow name, or None when
@@ -214,8 +218,9 @@ class ThinCat(FinCat):
     """A thin category on positions, built by the engine.  The arrow from
     objects[i] to objects[j] is named (i, j) and (i, i) is the identity;
     ends lists the pairs i != j with an arrow, in arrow order, each pair
-    the arrow's name, and is closed under composition.  No table is held:
-    comp reads a composite off the ends of its factors."""
+    the arrow's name and its key in the hom index, and is closed under
+    composition.  No table is held: comp reads a composite off the ends of
+    its factors."""
 
     def __init__(self, objects, ends, name: str = ""):
         self.name = name
@@ -225,16 +230,9 @@ class ThinCat(FinCat):
         for i, o in enumerate(objs):
             self.identities[o] = n = (i, i)
             self.arrows[n] = Arrow(n, o, o)
-        self._hom = {(a.src, a.dst): [n] for n, a in self.arrows.items()}
-        self.thin = True
         self._pos = {o: i for i, o in enumerate(objs)}
-        self._down = [0] * len(objs)
-        for (i, j) in self.arrows:
-            self._down[j] |= 1 << i
-
-    def arrow_at(self, i, j):
-        a = self.arrows.get((i, j))
-        return None if a is None else a.name
+        self._hom = {n: [n] for n in self.arrows}
+        self._index()
 
     def ends(self, name):
         return name if name in self.arrows else None
@@ -316,9 +314,8 @@ class FinFunctor:
         i, j = self.src.ends(name)
         return self.dst.ends(self.amap.get(name)) == (img[i], img[j])
 
-    def lands_all(self) -> bool:
-        """Whether every arrow image lands."""
-        img = self.image_positions()
+    def lands_all(self, img: list) -> bool:
+        """Whether every arrow image lands; img is image_positions()."""
         return all(self.lands(n, img) for n in self.src.arrows)
 
     def validate(self, lawful: bool = False) -> list[str]:
@@ -498,7 +495,8 @@ class Diagram:
                not self.functors[m].maps_like(_same, _same)]
         if out:
             return out  # the checks below compose the functors' tables
-        lands = all(f.lands_all() for f in self.functors.values())
+        lands = all(f.lands_all(f.image_positions())
+                    for f in self.functors.values())
         for (mu, nu), comp in self.mt.compose_table.items():
             g, f, h = self.functors[mu], self.functors[nu], self.functors[comp]
             decided = lands and h.dst.thin
@@ -775,8 +773,8 @@ def first_unpreserved_limit(c: FinCat, functors: list,
         meets.setdefault(down[a], a)
     # per functor: its object map on positions, its target's down-sets, and
     # whether it lands every arrow, when no leg need be checked
-    images = [(f, f.image_positions(), f.dst._down, f.lands_all())
-              for f in functors]
+    images = [(f, pos, f.dst._down, f.lands_all(pos))
+              for f in functors for pos in [f.image_positions()]]
     for ends, nodes in _binary_diagrams(c):
         lower = (1 << n) - 1
         for e in ends:

@@ -39,11 +39,12 @@ def _thin_transposes(adj):
     sides of the hom bijection then hold at most that one arrow.  None
     otherwise."""
     top = adj.left.src
-    if not top.thin or not adj.right.lands_all():
+    if not top.thin:
         return None
     lpos, rpos = adj.left.image_positions(), adj.right.image_positions()
-    if all(i is not None and top.ends(adj.unit.get(x)) == (k, rpos[i])
-           for k, (x, i) in enumerate(zip(top.objects, lpos))):
+    if adj.right.lands_all(rpos) and all(
+            i is not None and top.ends(adj.unit.get(x)) == (k, rpos[i])
+            for k, (x, i) in enumerate(zip(top.objects, lpos))):
         return lpos, rpos
     return None
 

@@ -53,7 +53,8 @@ MUTANTS = {
     # for itself that the arrow images land before it decides by boundaries
     "strictness-without-lands": (
         "matt/fincat.py",
-        "lands = all(f.lands_all() for f in self.functors.values())",
+        "lands = all(f.lands_all(f.image_positions())\n"
+        "                    for f in self.functors.values())",
         "lands = True",
         ["tests/test_boundaries.py::"
          "test_lock_strictness_keeps_its_loops_on_thin_codexes"],
@@ -64,7 +65,24 @@ MUTANTS = {
         "decided = ident or lands and n.dst.dst.thin",
         "decided = ident or n.dst.dst.thin",
         ["tests/test_boundaries.py::"
-         "test_lock_strictness_keeps_its_loops_on_thin_codexes"],
+         "test_lock_strictness_keeps_its_loops_on_thin_codexes",
+         "tests/test_fincat.py::"
+         "test_natural_shortcut_reports_what_the_full_loop_does"],
+        None),
+    # the mask path checks the legs of a functor that does not land every
+    # arrow
+    "unpreserved-limit-trusts-landing": (
+        "matt/fincat.py",
+        "images = [(f, pos, f.dst._down, f.lands_all(pos))",
+        "images = [(f, pos, f.dst._down, True)",
+        ["tests/test_thin.py::test_mask_path_matches_the_cone_path"],
+        None),
+    # _down[j] holds the positions below the j-th object, not above it
+    "index-down-transposed": (
+        "matt/fincat.py",
+        "self._down[j] |= 1 << i",
+        "self._down[i] |= 1 << j",
+        ["tests/test_fincat.py::test_meet_in_diamond"],
         None),
     "validate-lawful-with-a-broken-category": (
         "matt/fincat.py",

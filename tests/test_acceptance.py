@@ -101,8 +101,9 @@ def test_criterion_5_codex_shape():
         brute = [(x, y, f) for x in cq.objects for y in cp.objects
                  for f in cq.hom(x, fmu.omap[y])]
         assert len(brute) == len(cx_q.objects)
-        cx_p = enumerate_codex(d, "p")
-        r = reflect(cx_p, "id:p")
+        b = build_bundle(d)
+        cx_p = b.codexes["p"]
+        r = reflect(b, "id:p")
         assert len(cx_p.objects) == len(cp.objects)
         assert len(cx_p.cat.arrows) == len(cp.arrows)
         assert sorted(r.omap.values()) == sorted(cp.objects)

@@ -72,18 +72,6 @@ def test_modes_validate_bundled():
     assert "OK" in out.getvalue()
 
 
-def test_modes_validate_broken_triangle(tmp_path):
-    data = json.loads(theory_path("2ltt").read_text())
-    data["adjoints"][0]["unit"] = "id:id:f"  # wrong boundary for the unit
-    f = tmp_path / "broken.mt"
-    f.write_text(json.dumps(data))
-    out = io.StringIO()
-    code = cmd_modes_validate(str(f), out=out)
-    assert code in (1, 2)
-    if code == 1:
-        assert "VIOLATION" in out.getvalue()
-
-
 def _adjoint(**fields):
     def edit(data):
         data["adjoints"] = [{**data["adjoints"][0], **fields}] if fields \
@@ -91,20 +79,24 @@ def _adjoint(**fields):
     return edit
 
 
-@pytest.mark.parametrize("edit, line", [
-    (_adjoint(), "VIOLATION adjoint-missing: sinister morphism mu has no "
-                 "adjoint entry"),
-    (_adjoint(dagger="numu"), "VIOLATION adjoint-typing: numu is not a "
-                              "candidate right adjoint of mu"),
-    (_adjoint(counit="eta"), "VIOLATION adjoint-typing: counit eta is not "
-                             "mu∘nu ⇒ 1_q"),
-], ids=["no-entry", "dagger-ends", "counit-boundary"])
-def test_modes_validate_refuses_a_broken_adjoint(tmp_path, capsys, edit,
-                                                 line):
+@pytest.mark.parametrize("theory, edit, line", [
+    ("reflective", _adjoint(), "VIOLATION adjoint-missing: sinister "
+                               "morphism mu has no adjoint entry"),
+    ("reflective", _adjoint(dagger="numu"), "VIOLATION adjoint-typing: numu "
+                                            "is not a candidate right "
+                                            "adjoint of mu"),
+    ("reflective", _adjoint(counit="eta"), "VIOLATION adjoint-typing: counit "
+                                           "eta is not mu∘nu ⇒ 1_q"),
+    ("2ltt", _adjoint(unit="id:id:f"), "VIOLATION adjoint-typing: unit "
+                                       "id:id:f is not 1_e ⇒ iotainv∘iota"),
+], ids=["no-entry", "dagger-ends", "counit-boundary", "broken-triangle"])
+def test_modes_validate_refuses_a_broken_adjoint(tmp_path, capsys, theory,
+                                                 edit, line):
     """reflective.mt's sinister mu without its adjoint entry, with nu
-    replaced by numu: p -> p, or with the counit eta: id:p => numu."""
+    replaced by numu: p -> p, or with the counit eta: id:p => numu; 2ltt.mt
+    with the unit id:id:f, whose ends are f's, not e's."""
     f = tmp_path / "adjoint.mt"
-    f.write_bytes(_reflective_with(edit))
+    f.write_bytes(_theory_with(theory, edit))
     assert main(["modes", "validate", str(f)]) == 1
     assert line in capsys.readouterr().out.splitlines()
 
@@ -336,10 +328,14 @@ def test_sem_laws_functor_missing_object_names_it(tmp_path, capsys):
         "C_mu: object map misses 0\n")
 
 
-def _reflective_with(edit):
-    data = json.loads(theory_path("reflective").read_text())
+def _theory_with(name, edit):
+    data = json.loads(theory_path(name).read_text())
     edit(data)
     return json.dumps(data).encode()
+
+
+def _reflective_with(edit):
+    return _theory_with("reflective", edit)
 
 
 @pytest.mark.parametrize("content", [

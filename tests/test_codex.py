@@ -64,8 +64,9 @@ def test_single_arrow_codex_matches_comma_brute_force():
 
 def test_single_arrow_codex_at_p_is_base_category():
     d = diag("single_arrow")
-    cx = enumerate_codex(d, "p")
-    r = reflect(cx, "id:p")
+    b = build_bundle(d)
+    cx = b.codexes["p"]
+    r = reflect(b, "id:p")
     assert r.validate() == []
     assert len(cx.objects) == len(d.cat("p").objects)
     assert len(set(r.omap.values())) == len(cx.objects)
@@ -152,7 +153,7 @@ def test_structure_squares_refuse_families_over_z2(tmp_path):
     g, h = cx.objects
     a, b = next(f for f in families if f not in squares(g, h))
     name = ((("id:q", a), ("mu", b)), g, h)
-    stand_in = CodexCategory(d, "q", cx.index,
+    stand_in = CodexCategory("q", cx.index,
                              FinCat(cx.objects, [(name, g, h)], []), False)
     assert check_oplax_morphism(stand_in, name) == [
         "a structure square does not commute"]
@@ -480,7 +481,7 @@ def test_constructions_return_enumerated_instances(name):
 def test_reflect_projects_component():
     b = bundle("single_arrow")
     cx = b.codexes["q"]
-    r = reflect(cx, "mu")
+    r = reflect(b, "mu")
     for o in cx.objects:
         assert r.omap[o] == o.component("mu")
 

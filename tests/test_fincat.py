@@ -17,13 +17,13 @@ from matt.bundled import DIAGRAM_NAMES, diagram_path, theory_path
 from matt.codex import _mediating, enumerate_codex
 from matt.errors import (CapExceeded, LimitAbsent, MalformedTable,
                          NotComposable)
-from matt.fincat import (Cone, FinCat, FinFunctor, FinNat, all_cones,
-                         check_preserves_limit, compose_functors,
+from matt.fincat import (Cone, Diagram, FinCat, FinFunctor, FinNat,
+                         all_cones, check_preserves_limit, compose_functors,
                          factorizations, first_unpreserved_limit,
                          identity_functor, is_iso, is_terminal_cone,
                          diagram_from_data, isomorphic, limit, load_diagram,
                          poset_category)
-from matt.mode_theory import mode_theory_from_data
+from matt.mode_theory import load_mode_theory, mode_theory_from_data
 
 
 def two_chain():
@@ -376,7 +376,7 @@ def _limit_reference(c, nodes, edges=(), cap=None, order=None):
         if lower >> i & 1 and c._down[i] & lower == lower:
             apex = c.objects[i]
             keys = sorted(nodes, key=repr)
-            return Cone(apex, tuple((k, c._hom[(apex, nodes[k])][0])
+            return Cone(apex, tuple((k, c.hom(apex, nodes[k])[0])
                                     for k in keys))
     return None
 
@@ -673,28 +673,37 @@ def test_category_shortcut_on_a_lawful_preorder(c):
     assert same_as_full_loop(c, c.validate) == []
 
 
+COMONAD = load_mode_theory(theory_path("comonad"))
+
+
+def comonad_over(c, fm, comps) -> Diagram:
+    """comonad.mt over C_p = c, with C_m = fm and C_eps: C_m ⇒ Id the
+    components comps."""
+    ident = identity_functor(c)
+    return Diagram(COMONAD, {"p": c}, {"id:p": ident, "m": fm},
+                   {"eps": FinNat(fm, ident, comps, name="eps")})
+
+
 @settings(max_examples=150, deadline=None)
 @given(preorders(), st.data())
 def test_natural_shortcut_reports_what_the_full_loop_does(c, data):
-    """The identity on an identity functor, with either a component off its
-    boundary, or one functor sending an arrow to the identity at its
-    source, off its boundary."""
+    """strictness with C_eps's components identities, either with C_m
+    sending an arrow u to the identity at its source, so that C_m does not
+    land and only the full loop sees eps's square at u break, or with C_m
+    the identity and one component of C_eps off its boundary."""
     moving = moving_arrows(c)
     assume(moving)
     u = data.draw(st.sampled_from(moving))
-    ident = identity_functor(c)
-    off = FinFunctor(c, c, {o: o for o in c.objects},
-                     {**ident.amap, u: c.id_arr(c.arrows[u].src)})
     comps = {o: c.id_arr(o) for o in c.objects}
+    fm = identity_functor(c)
     if data.draw(st.booleans()):
-        comps[c.arrows[u].src] = u
-        n = FinNat(ident, ident, comps)
+        fm.amap[u] = c.id_arr(c.arrows[u].src)
     else:
-        n = FinNat(*data.draw(st.permutations([ident, off])), comps)
-    got = same_as_full_loop(c, n.validate)
+        comps = {**comps, c.arrows[u].src: u}
+    got = same_as_full_loop(c, comonad_over(c, fm, comps).strictness)
     assert got != []
-    assert same_as_full_loop(c, FinNat(ident, ident, {
-        o: c.id_arr(o) for o in c.objects}).validate) == []
+    assert same_as_full_loop(c, comonad_over(c, identity_functor(c), {
+        o: c.id_arr(o) for o in c.objects}).strictness) == []
 
 
 def test_functor_walks_the_pairs_that_compose():

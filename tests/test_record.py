@@ -181,8 +181,8 @@ RECORDS = [
      "alpha='al', mu='mu', cat='C', fun='F', identity=False)"),
     (CodexIndex(["mu"], {"mu": "C"}, [], "D"),
      "CodexIndex(mus=['mu'], cats={'mu': 'C'}, decomps=[], diagram='D')"),
-    (CodexCategory("D", "q", "I", SimpleNamespace(objects=["o"]), False),
-     "CodexCategory(diagram='D', mode='q', index='I', "
+    (CodexCategory("q", "I", SimpleNamespace(objects=["o"]), False),
+     "CodexCategory(mode='q', index='I', "
      "cat=namespace(objects=['o']), thin=False)"),
     (Adjunction("mu", "L", "R", {}, {}, {}),
      "Adjunction(pi='mu', left='L', right='R', unit={}, counit={}, "
